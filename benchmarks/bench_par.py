@@ -34,6 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.check import DEFAULT_VARIANTS  # noqa: E402
 from repro.check.sweep import TRIAL_FN as CHECK_TRIAL_FN  # noqa: E402
 from repro.harness.experiments.fig07_scaling import (Fig07Params,  # noqa: E402
                                                      trial_specs)
@@ -44,9 +45,12 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_par.json"
 
 
 def _fuzz_specs(*, quick: bool) -> list[TrialSpec]:
+    """The trials ``repro check`` submits for the default engine pair."""
     n_seeds = 24 if quick else 64
+    variants = [v.to_dict() for v in DEFAULT_VARIANTS]
     return [TrialSpec(fn=CHECK_TRIAL_FN, experiment="bench-par-fuzz",
-                      trial_id=f"seed{s}", config={"seed": s})
+                      trial_id=f"seed{s}",
+                      config={"seed": s, "variants": variants})
             for s in range(n_seeds)]
 
 

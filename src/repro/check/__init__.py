@@ -1,44 +1,43 @@
 """repro.check — differential scenario fuzzer and invariant checker.
 
-The correctness backbone of the simulator: seeded random scenarios
-(container churn, cgroup edits at random times, OOM-prone memory
-workloads, traffic-phase thread loops) run in lockstep on both engines
-(``incremental`` and ``scan``), with every boundary checked against a
-pluggable invariant suite and the two engines' state digests compared
-for byte-identical agreement.  Failures shrink to a minimal replayable
-JSON fixture under ``tests/regressions/``.
-
-A second differential axis runs one scenario under two *policy
-bundles* (:mod:`repro.check.policy_diff`): there the oracle is
-lawfulness under each run's own invariant suite, since distinct
-policies may lawfully allocate differently.
+The correctness backbone of the simulator.  Seeded random scenarios —
+world scripts of container churn, cgroup edits at random times,
+OOM-prone memory workloads and traffic-phase thread loops, or clusters
+with staggered pod waves — run under a list of *variants*
+(:class:`Variant`: engine, policy bundle, shard layout) with every
+boundary checked against an invariant suite.  One oracle judges the
+runs (:func:`run_variants`): every run must be lawful, and each variant
+sharing the first one's policy must reproduce its log and snapshots
+byte for byte; a variant under a different policy is judged on
+lawfulness alone.  Failures shrink to a minimal replayable JSON fixture
+under ``tests/regressions/`` that records its variants.
 
 Entry points::
 
     python -m repro check --seeds 200       # fixed-seed sweep (CI fast tier)
     python -m repro check --smoke 60        # randomized smoke, seed printed
     python -m repro check --replay FIX.json # re-run a committed fixture
+    python -m repro check --backend-diff incremental,vector --seeds 60
     python -m repro check --policy-diff default,burstable --seeds 50
-    python -m repro check --shard-diff --seeds 50   # jobs=1 vs sharded
+    python -m repro check --shard-diff --seeds 50   # jobs 1 vs 2 vs 3
 """
 
 from repro.check.cluster_invariants import (check_cluster,
                                             check_cluster_snapshot)
-from repro.check.differ import DiffReport, diff_snapshots, run_differential
-from repro.check.generator import generate
+from repro.check.differ import (DEFAULT_VARIANTS, SHARD_VARIANTS, DiffReport,
+                                Variant, diff_snapshots, run_differential,
+                                run_variants)
+from repro.check.generator import generate, generate_cluster
 from repro.check.invariants import Invariant, default_suite
-from repro.check.policy_diff import PolicyDiffReport, run_policy_differential
-from repro.check.runner import RunResult, run_scenario
+from repro.check.runner import RunResult, run_cluster, run_scenario
 from repro.check.scenario import Scenario
-from repro.check.shard_diff import ShardDiffReport, run_shard_differential
 from repro.check.shrinker import shrink
 from repro.check.span_tree import check_span_tree
 
 __all__ = [
-    "Scenario", "generate", "Invariant", "default_suite",
-    "RunResult", "run_scenario", "DiffReport", "diff_snapshots",
-    "run_differential", "shrink",
-    "PolicyDiffReport", "run_policy_differential",
-    "ShardDiffReport", "run_shard_differential",
+    "Scenario", "generate", "generate_cluster", "Invariant", "default_suite",
+    "RunResult", "run_scenario", "run_cluster",
+    "Variant", "DEFAULT_VARIANTS", "SHARD_VARIANTS", "DiffReport",
+    "diff_snapshots", "run_variants", "run_differential", "shrink",
     "check_cluster", "check_cluster_snapshot", "check_span_tree",
 ]

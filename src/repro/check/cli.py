@@ -1,56 +1,73 @@
-"""``python -m repro check`` — drive the fuzzer from the command line.
+"""``python -m repro check`` — drive the differential oracle from the command line.
 
-Modes (combinable with ``--shrink``/``--fixtures``):
+Every mode runs scenarios under one *variant list* and judges them with
+the oracle that list implies (see :mod:`repro.check.differ`).  At most
+one pair flag picks the list — naming two is an argparse error, and an
+unknown engine or policy name is rejected before any trial runs:
 
-* fixed-seed sweep (default): ``--seeds N`` runs seeds
-  ``[--seed-start, --seed-start + N)`` through the differential
-  harness; ``--jobs N`` fans the sweep across worker processes and
-  results are content-cached under ``results/.cache`` (disable with
-  ``--no-cache``), so an unchanged sweep is pure cache hits.
-* single seed: ``--seed S`` (prints the scenario op log when ``-v``).
-* randomized smoke: ``--smoke SECONDS`` draws fresh seeds from the OS
-  RNG until the wall-clock budget runs out, printing every seed as it
-  goes so a failure in CI is reproducible by number.
-* replay: ``--replay FIXTURE.json`` re-runs a committed regression
-  fixture on both engines (or, for fixtures carrying a
-  ``policy_pair`` key, under both policy bundles).
-* policy diff: ``--policy-diff A,B`` sweeps the seeds under two policy
-  bundles instead of two engines; the oracle is lawfulness (each run's
-  own invariant suite), not equality — see
-  :mod:`repro.check.policy_diff`.
-* backend diff: ``--backend-diff A,B`` sweeps the seeds under two
-  engine backends (e.g. ``incremental,vector``) with the same exact
-  byte-equality oracle as the default engine pair; fixtures carry an
-  ``engine_pair`` key so ``--replay`` re-runs them under the same
-  backends.
+* default: engines ``incremental`` vs ``scan``, exact equality;
+* ``--backend-diff A,B``: two engines, exact equality;
+* ``--policy-diff A,B``: two policy bundles, each run lawful under its
+  own invariant suite, drift recorded;
+* ``--shard-diff``: generated clusters at ``jobs`` 1 vs 2 vs 3, digests
+  and epoch snapshots exactly equal, every epoch lawful.
+
+The modes: a fixed-seed sweep (``--seeds N`` from ``--seed-start``;
+``--jobs N`` fans it across worker processes unless a variant shards,
+since shard workers cannot nest inside the pool; results are
+content-cached under ``results/.cache`` unless ``--no-cache``), one
+seed (``--seed S``), a randomized smoke (``--smoke SECONDS`` of fresh
+OS-random seeds, each printed so a CI failure is reproducible), and
+``--replay FIXTURE.json``, which re-runs a fixture under its own
+variants or under the list a pair flag names.  A fixture is the
+scenario dict — a world :class:`~repro.check.scenario.Scenario` (it
+has ``ops``) or a cluster scenario — plus ``"variants": [...]``, left
+out for the default pair.
 
 Every mode ends with the same grep-able summary line
 (``check: seeds=N failures=M cache_hits=K``); exit status is 0 only if
-every scenario passed.  On a sweep failure the *first* failing seed is
-re-run locally, shrunk to a minimal repro (unless ``--no-shrink``) and
-written as a fixture next to the other regressions, ready to commit.
+every scenario passed.  On a failure the *first* failing seed is re-run
+locally, shrunk to a minimal repro (world scenarios, unless
+``--no-shrink``) and written as a fixture next to the other
+regressions, ready to commit.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import re
 import time
 
-import json
-
-from repro.check.differ import run_differential
-from repro.check.generator import generate
-from repro.check.policy_diff import run_policy_differential
+from repro.check.differ import (DEFAULT_VARIANTS, SHARD_VARIANTS, Variant,
+                                run_variants)
 from repro.check.scenario import Scenario
 from repro.check.shrinker import shrink
-from repro.check.sweep import (BACKEND_TRIAL_FN, POLICY_TRIAL_FN, TRIAL_FN,
-                               seed_trial, summary_line)
+from repro.check.sweep import (TRIAL_FN, dump_fixture, load_fixture,
+                               scenario_for, summary_line, trial)
 from repro.par import ResultCache, TrialSpec, default_cache_dir, run_trials
 
 __all__ = ["main", "add_arguments"]
+
+
+def _parse_pair(spec: str) -> tuple[str, str]:
+    parts = [p.strip() for p in spec.split(",")]
+    if len(parts) != 2 or not all(parts):
+        raise SystemExit(
+            f"expected two comma-separated names, got {spec!r}")
+    return (parts[0], parts[1])
+
+
+def _pair_of(field: str):
+    """argparse ``type`` turning ``A,B`` into two validated variants."""
+    def parse(spec: str) -> list[Variant]:
+        try:
+            return [Variant(**{field: name}) for name in _parse_pair(spec)]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -65,21 +82,20 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "wall-clock budget is spent")
     parser.add_argument("--replay", type=str, default=None, metavar="FIXTURE",
                         help="re-run a regression fixture JSON file")
-    parser.add_argument("--policy-diff", type=str, default=None,
-                        metavar="A,B",
-                        help="sweep the seeds under two policy bundles "
-                             "(e.g. default,burstable) instead of two "
-                             "engines")
-    parser.add_argument("--backend-diff", type=str, default=None,
-                        metavar="A,B",
-                        help="sweep the seeds under two engine backends "
-                             "(e.g. incremental,vector) instead of the "
-                             "default incremental,scan pair")
-    parser.add_argument("--shard-diff", action="store_true",
-                        help="sweep randomized clusters at jobs=1 vs "
-                             "sharded layouts (byte-identity + invariant "
-                             "oracle); runs in-process since each trial "
-                             "spawns its own shard workers")
+    pair = parser.add_mutually_exclusive_group()
+    pair.add_argument("--backend-diff", dest="variants",
+                      type=_pair_of("engine"), metavar="A,B",
+                      help="run under two engine backends (e.g. "
+                           "incremental,vector) instead of the default "
+                           "incremental,scan pair")
+    pair.add_argument("--policy-diff", dest="variants",
+                      type=_pair_of("policy"), metavar="A,B",
+                      help="run under two policy bundles (e.g. "
+                           "default,burstable); the oracle is lawfulness")
+    pair.add_argument("--shard-diff", dest="variants", action="store_const",
+                      const=list(SHARD_VARIANTS),
+                      help="run generated clusters at jobs=1 vs 2 vs 3 "
+                           "(byte-identity + cluster invariants)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for the seed sweep "
                              "(default 1 = in-process)")
@@ -94,279 +110,124 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
+def _labels(variants: list[Variant]) -> str:
+    return " vs ".join(v.label for v in variants)
+
+
 def _default_fixture_dir() -> str | None:
     cand = os.path.join("tests", "regressions")
     return cand if os.path.isdir(cand) else None
 
 
-def _fail(scenario: Scenario, report, args, *,
-          oracle=None, policy_pair: tuple[str, str] | None = None,
-          engine_pair: tuple[str, str] | None = None) -> None:
-    """Report, shrink and fixture one failing scenario.
-
-    ``oracle`` maps a mutated scenario to its failure fingerprint
-    (default: the engine differential); ``policy_pair`` /
-    ``engine_pair`` are recorded in the fixture so ``--replay`` re-runs
-    it under the same bundles or backends.
-    """
-    if oracle is None:
-        oracle = lambda s: run_differential(s).fingerprint()  # noqa: E731
-    print(f"FAIL seed={scenario.seed} "
-          f"(ncpus={scenario.ncpus}, mem={scenario.memory >> 20}MiB, "
-          f"horizon={scenario.horizon}s, ops={len(scenario)})")
+def _fail(seed: int, variants: list[Variant], args) -> None:
+    """Re-run, report, shrink and fixture one failing seed."""
+    scenario = scenario_for(seed, variants)
+    report = run_variants(scenario, variants)
+    print(f"FAIL seed={seed} under {_labels(variants)}")
     print(report.summary())
     fingerprint = report.fingerprint()
-    minimal = scenario
-    if args.shrink:
+    if args.shrink and isinstance(scenario, Scenario):
         print(f"shrinking (fingerprint {fingerprint}) ...")
-        minimal = shrink(scenario, oracle)
-        print(f"minimal repro: {len(minimal)} ops, "
-              f"horizon {minimal.horizon}s")
-    fixture = minimal.to_dict()
-    if policy_pair is not None:
-        fixture["policy_pair"] = list(policy_pair)
-    if engine_pair is not None:
-        fixture["engine_pair"] = list(engine_pair)
-    fixture_json = json.dumps(fixture, indent=2, sort_keys=True)
+        scenario = shrink(
+            scenario, lambda s: run_variants(s, variants).fingerprint())
+        print(f"minimal repro: {len(scenario)} ops, "
+              f"horizon {scenario.horizon}s")
+    fixture_json = dump_fixture(scenario, variants)
     fixture_dir = args.fixtures or _default_fixture_dir()
     if fixture_dir:
         os.makedirs(fixture_dir, exist_ok=True)
         slug = re.sub(r"[^a-z0-9]+", "_", (fingerprint or "fail").lower())
-        path = os.path.join(fixture_dir,
-                            f"{slug}_seed{scenario.seed}.json")
+        path = os.path.join(fixture_dir, f"{slug}_seed{seed}.json")
         with open(path, "w") as fh:
             fh.write(fixture_json)
             fh.write("\n")
         print(f"fixture written: {path}")
         print(f"replay with: python -m repro check --replay {path}")
     else:
-        print("repro scenario JSON:")
+        print("repro fixture JSON:")
         print(fixture_json)
-    if policy_pair is not None:
-        print(f"re-run with: python -m repro check --seed {scenario.seed} "
-              f"--policy-diff {policy_pair[0]},{policy_pair[1]}")
-    elif engine_pair is not None:
-        print(f"re-run with: python -m repro check --seed {scenario.seed} "
-              f"--backend-diff {engine_pair[0]},{engine_pair[1]}")
-    else:
-        print(f"re-run with: python -m repro check --seed {scenario.seed}")
 
 
-def _print_seed_result(value: dict, *, cached: bool, verbose: bool) -> None:
-    if not verbose:
-        return
+def _print_seed_result(value: dict, *, cached: bool) -> None:
     tag = " (cached)" if cached else ""
-    if value.get("ok"):
-        print(f"ok   seed={value['seed']} ops={value['ops']} "
-              f"steps={value['steps']} oom={value['oom']} "
-              f"groups={value['groups']}{tag}")
+    if value["ok"]:
+        stats = " ".join(f"{k}={v}" for k, v in value.items()
+                         if k not in ("seed", "ok", "drift"))
+        print(f"ok   seed={value['seed']} {stats}{tag}")
     else:
         print(f"fail seed={value['seed']} "
-              f"fingerprint={value.get('fingerprint')}{tag}")
+              f"fingerprint={value['fingerprint']}{tag}")
 
 
-def _sweep(seeds: list[int], args) -> int:
+def _sweep(seeds: list[int], variants: list[Variant], args) -> int:
     """Fixed-seed sweep through the parallel runner + result cache."""
     cache = None if args.no_cache else ResultCache(default_cache_dir())
+    config = [v.to_dict() for v in variants]
     specs = [TrialSpec(fn=TRIAL_FN, experiment="check-sweep",
-                       trial_id=f"seed{s}", config={"seed": s})
+                       trial_id=f"seed{s}",
+                       config={"seed": s, "variants": config})
              for s in seeds]
 
     def on_result(_spec, res):
-        if res.ok:
-            _print_seed_result(res.value, cached=res.cached,
-                               verbose=args.verbose)
-        else:
+        if not res.ok:
             print(f"fail seed trial {res.trial_id}: {res.error}")
+        elif args.verbose:
+            _print_seed_result(res.value, cached=res.cached)
 
-    results = run_trials(specs, jobs=args.jobs, cache=cache,
-                         on_result=on_result)
+    # Shard workers cannot nest inside the pool's daemonic workers.
+    jobs = 1 if any(v.jobs > 1 for v in variants) else args.jobs
+    results = run_trials(specs, jobs=jobs, cache=cache, on_result=on_result)
     failed = [(seed, res) for seed, res in zip(seeds, results)
-              if not res.ok or not res.value.get("ok")]
+              if not res.ok or not res.value["ok"]]
     if failed:
         # Shrinking needs live report objects; re-run the first failing
         # seed in this process (cheap next to the sweep itself).
         seed, res = failed[0]
-        if res.ok:                       # differential failure, not a crash
-            scenario = generate(seed)
-            _fail(scenario, run_differential(scenario), args)
+        if res.ok:                       # oracle failure, not a crash
+            _fail(seed, variants, args)
         else:
             print(f"seed {seed} worker failure: {res.error}")
-    hits = cache.hits if cache else 0
-    print(summary_line(seeds=len(seeds), failures=len(failed),
-                       cache_hits=hits))
-    if failed:
-        print(f"check: FAILED (first failure above; "
-              f"{len(failed)}/{len(seeds)} seeds failed)")
-        return 1
-    print(f"check: {len(seeds)} scenarios ok on both engines, "
-          f"0 invariant violations, 0 divergences")
-    return 0
-
-
-def _policy_sweep(seeds: list[int], pair: tuple[str, str], args) -> int:
-    """Fixed-seed sweep under two policy bundles."""
-    cache = None if args.no_cache else ResultCache(default_cache_dir())
-    specs = [TrialSpec(fn=POLICY_TRIAL_FN,
-                       experiment=f"check-policy-{pair[0]}-{pair[1]}",
-                       trial_id=f"seed{s}",
-                       config={"seed": s, "pair": list(pair)})
-             for s in seeds]
-
-    def on_result(_spec, res):
-        if res.ok:
-            if args.verbose:
-                tag = " (cached)" if res.cached else ""
-                v = res.value
-                status = "ok  " if v.get("ok") else "fail"
-                print(f"{status} seed={v['seed']} ops={v['ops']}{tag}")
-        else:
-            print(f"fail policy trial {res.trial_id}: {res.error}")
-
-    results = run_trials(specs, jobs=args.jobs, cache=cache,
-                         on_result=on_result)
-    failed = [(seed, res) for seed, res in zip(seeds, results)
-              if not res.ok or not res.value.get("ok")]
-    if failed:
-        seed, res = failed[0]
-        if res.ok:                 # lawfulness failure, not a worker crash
-            scenario = generate(seed)
-            report = run_policy_differential(scenario, pair)
-            _fail(scenario, report, args,
-                  oracle=lambda s: run_policy_differential(
-                      s, pair).fingerprint(),
-                  policy_pair=pair)
-        else:
-            print(f"seed {seed} worker failure: {res.error}")
-    hits = cache.hits if cache else 0
-    print(summary_line(seeds=len(seeds), failures=len(failed),
-                       cache_hits=hits))
     if failed:
         print(f"check: FAILED (first failure above; "
               f"{len(failed)}/{len(seeds)} seeds failed under "
-              f"{pair[0]},{pair[1]})")
-        return 1
-    print(f"check: {len(seeds)} scenarios lawful under both "
-          f"{pair[0]!r} and {pair[1]!r} policies, 0 invariant violations")
-    return 0
-
-
-def _backend_sweep(seeds: list[int], pair: tuple[str, str], args) -> int:
-    """Fixed-seed sweep under two engine backends (exact equality)."""
-    cache = None if args.no_cache else ResultCache(default_cache_dir())
-    specs = [TrialSpec(fn=BACKEND_TRIAL_FN,
-                       experiment=f"check-backend-{pair[0]}-{pair[1]}",
-                       trial_id=f"seed{s}",
-                       config={"seed": s, "pair": list(pair)})
-             for s in seeds]
-
-    def on_result(_spec, res):
-        if res.ok:
-            _print_seed_result(res.value, cached=res.cached,
-                               verbose=args.verbose)
-        else:
-            print(f"fail backend trial {res.trial_id}: {res.error}")
-
-    results = run_trials(specs, jobs=args.jobs, cache=cache,
-                         on_result=on_result)
-    failed = [(seed, res) for seed, res in zip(seeds, results)
-              if not res.ok or not res.value.get("ok")]
-    if failed:
-        seed, res = failed[0]
-        if res.ok:                       # divergence, not a worker crash
-            scenario = generate(seed)
-            report = run_differential(scenario, engines=pair)
-            _fail(scenario, report, args,
-                  oracle=lambda s: run_differential(
-                      s, engines=pair).fingerprint(),
-                  engine_pair=pair)
-        else:
-            print(f"seed {seed} worker failure: {res.error}")
-    hits = cache.hits if cache else 0
+              f"{_labels(variants)})")
+    else:
+        verdict = ("lawful" if len({v.policy for v in variants}) > 1
+                   else "identical")
+        print(f"check: {len(seeds)} scenarios {verdict} under "
+              f"{_labels(variants)}, 0 invariant violations, 0 divergences")
     print(summary_line(seeds=len(seeds), failures=len(failed),
-                       cache_hits=hits))
-    if failed:
-        print(f"check: FAILED (first failure above; "
-              f"{len(failed)}/{len(seeds)} seeds failed under "
-              f"{pair[0]},{pair[1]})")
-        return 1
-    print(f"check: {len(seeds)} scenarios identical under "
-          f"{pair[0]!r} and {pair[1]!r} backends, 0 invariant violations, "
-          f"0 divergences")
-    return 0
+                       cache_hits=cache.hits if cache else 0))
+    return 1 if failed else 0
 
 
-def _shard_sweep(seeds: list[int], args) -> int:
-    """Fixed-seed cluster sweep at jobs=1 vs sharded layouts.
-
-    Runs in-process: every trial spawns its own persistent shard
-    workers, so fanning the sweep itself out would nest process pools
-    inside daemonic workers.  Scenarios are small; the sweep is cheap.
-    """
-    from repro.check.shard_diff import run_shard_differential
-    failures = 0
-    first = None
-    for seed in seeds:
-        report = run_shard_differential(seed)
-        if report.ok:
-            if args.verbose:
-                print(f"ok   seed={report.seed} epochs={report.epochs} "
-                      f"pods={report.pods} "
-                      f"migrations={report.migrations}")
-        else:
-            failures += 1
-            first = first or report
-            print(f"fail seed={report.seed} "
-                  f"fingerprint={report.fingerprint()}")
-    if first is not None:
-        print(first.summary())
-        print(f"re-run with: python -m repro check --shard-diff "
-              f"--seed {first.seed}")
-    print(summary_line(seeds=len(seeds), failures=failures, cache_hits=0))
-    if failures:
-        print(f"check: FAILED ({failures}/{len(seeds)} seeds diverged "
-              f"across shard layouts)")
-        return 1
-    print(f"check: {len(seeds)} cluster scenarios byte-identical across "
-          f"shard layouts, 0 invariant violations, 0 divergences")
-    return 0
-
-
-def _smoke(args) -> int:
+def _smoke(variants: list[Variant], args) -> int:
     deadline = time.monotonic() + args.smoke
     sysrand = random.SystemRandom()
+    config = [v.to_dict() for v in variants]
     n = failures = 0
     while time.monotonic() < deadline:
         seed = sysrand.randrange(1 << 32)
         print(f"smoke seed={seed}", flush=True)
-        value = seed_trial({"seed": seed}, 0)
+        value = trial({"seed": seed, "variants": config})
         n += 1
         if not value["ok"]:
             failures += 1
-            scenario = generate(seed)
-            _fail(scenario, run_differential(scenario), args)
+            _fail(seed, variants, args)
             break              # keep the first failure's fixture intact
-        _print_seed_result(value, cached=False, verbose=args.verbose)
+        if args.verbose:
+            _print_seed_result(value, cached=False)
     print(summary_line(seeds=n, failures=failures, cache_hits=0))
     return 1 if failures else 0
 
 
 def _replay(args) -> int:
     with open(args.replay) as fh:
-        data = json.loads(fh.read())
-    scenario = Scenario.from_dict(data)
-    pair = data.get("policy_pair")
-    engine_pair = data.get("engine_pair")
-    if pair is not None:
-        report = run_policy_differential(scenario, tuple(pair))
-        what = f"policies {pair[0]},{pair[1]}"
-    elif engine_pair is not None:
-        report = run_differential(scenario, engines=tuple(engine_pair))
-        what = f"backends {engine_pair[0]},{engine_pair[1]}"
-    else:
-        report = run_differential(scenario)
-        what = "both engines"
-    print(f"replay {args.replay} ({what}): {'ok' if report.ok else 'FAIL'}")
+        scenario, variants = load_fixture(json.load(fh))
+    variants = args.variants or variants
+    report = run_variants(scenario, variants)
+    verdict = "ok" if report.ok else f"FAIL {report.fingerprint()}"
+    print(f"replay {args.replay} under {_labels(variants)}: {verdict}")
     if not report.ok:
         print(report.summary())
     print(summary_line(seeds=1, failures=0 if report.ok else 1,
@@ -374,31 +235,14 @@ def _replay(args) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_pair(spec: str) -> tuple[str, str]:
-    parts = [p.strip() for p in spec.split(",")]
-    if len(parts) != 2 or not all(parts):
-        raise SystemExit(
-            f"expected two comma-separated names, got {spec!r}")
-    return (parts[0], parts[1])
-
-
 def main(args: argparse.Namespace) -> int:
     if args.replay is not None:
         return _replay(args)
+    variants = args.variants or list(DEFAULT_VARIANTS)
     if args.smoke is not None:
-        return _smoke(args)
+        return _smoke(variants, args)
     if args.seed is not None:
         seeds = [args.seed]
     else:
         seeds = list(range(args.seed_start, args.seed_start + args.seeds))
-    if args.shard_diff:
-        return _shard_sweep(seeds, args)
-    if args.policy_diff is not None:
-        return _policy_sweep(seeds, _parse_pair(args.policy_diff), args)
-    if args.backend_diff is not None:
-        pair = _parse_pair(args.backend_diff)
-        for name in pair:
-            if name not in ("incremental", "scan", "vector"):
-                raise SystemExit(f"--backend-diff: unknown engine {name!r}")
-        return _backend_sweep(seeds, pair, args)
-    return _sweep(seeds, args)
+    return _sweep(seeds, variants, args)

@@ -1,36 +1,94 @@
-"""Differential oracle: run one scenario on two engines, demand equality.
+"""The differential oracle: one scenario, a list of variants, one verdict.
 
-The engine modes (``incremental``, ``scan``, ``vector``) share their
-allocation arithmetic by construction, so every snapshot field — floats
-included — must compare *exactly* equal at every op boundary.
-Tolerances would only hide the first divergence until it compounds into
-a visible one.  The default pair is the classic incremental-vs-scan
-oracle; ``engines=`` fuzzes any other backend pair the same way (the
-``--backend-diff`` CLI mode pits the vector backend against either
-scalar engine).
+A :class:`Variant` says how to run a scenario: the solve engine, the
+policy bundle and the shard layout (``jobs``, meaningful for cluster
+scenarios).  :func:`run_variants` runs the scenario once per variant —
+a world :class:`~repro.check.scenario.Scenario` through
+:func:`~repro.check.runner.run_scenario`, a cluster scenario dict
+through :func:`~repro.check.runner.run_cluster` — and judges the runs:
+
+* every run must be lawful under its own invariant suite;
+* a later variant with the same policy as ``variants[0]`` must
+  reproduce its log and every snapshot *exactly*, floats included.
+  Engines and shard layouts share their arithmetic by construction, so
+  tolerances would only hide the first divergence until it compounds;
+* a variant with a different policy is judged on lawfulness alone —
+  distinct policies may lawfully allocate differently — and
+  :meth:`DiffReport.divergence_summary` quantifies how far they drift.
+
+The oracle is derived from the variants, never chosen by a flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.check.invariants import Invariant
-from repro.check.runner import RunResult, run_scenario
+from repro.check.runner import RunResult, run_cluster, run_scenario
 from repro.check.scenario import Scenario
+from repro.errors import PolicyError
+from repro.policy import resolve_bundle
 
-__all__ = ["DiffReport", "diff_snapshots", "run_differential"]
+__all__ = ["Variant", "DEFAULT_VARIANTS", "SHARD_VARIANTS", "DiffReport",
+           "diff_snapshots", "run_variants", "run_differential"]
 
-ENGINES = ("incremental", "scan")
+ENGINES = ("incremental", "scan", "vector")
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One way to run a scenario; validated on construction."""
+
+    engine: str = "incremental"
+    #: A policy bundle name (see :func:`repro.policy.resolve_bundle`).
+    policy: str = "default"
+    #: Shard workers for a cluster scenario; a world runs in-process.
+    jobs: int = 1
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}: expected "
+                             f"one of {list(ENGINES)}")
+        try:
+            resolve_bundle(self.policy)
+        except PolicyError as exc:
+            raise ValueError(str(exc)) from None
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+
+    @property
+    def label(self) -> str:
+        """The fields that differ from the defaults, e.g. ``jobs=2``."""
+        parts = [self.engine] if self.engine != "incremental" else []
+        if self.policy != "default":
+            parts.append(self.policy)
+        if self.jobs != 1:
+            parts.append(f"jobs={self.jobs}")
+        return "/".join(parts) or self.engine
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Variant":
+        return cls(**data)
+
+
+#: The classic engine pair; fixtures without ``variants`` replay under it.
+DEFAULT_VARIANTS = (Variant(), Variant(engine="scan"))
+#: In-process cluster against two sharded layouts.
+SHARD_VARIANTS = (Variant(), Variant(jobs=2), Variant(jobs=3))
 
 
 @dataclass
 class DiffReport:
-    """Outcome of one differential run."""
+    """Outcome of one :func:`run_variants` call."""
 
+    variants: list[Variant] = field(default_factory=list)
+    #: Variant label -> its run, in variant order.
     results: dict[str, RunResult] = field(default_factory=dict)
-    #: "snapshot[i] path: a != b" strings; empty = engines agree.
+    #: "label: path a != b" strings; empty = every equal pair agrees.
     divergences: list[str] = field(default_factory=list)
-    #: Invariant violations from either engine, prefixed with the engine.
+    #: "label: tag: invariant: detail" strings from every run.
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -42,31 +100,43 @@ class DiffReport:
 
         Coarse on purpose: the shrinker mutates the scenario, so op
         indexes and numeric details shift; what must stay fixed is the
-        *kind* of failure (which invariant, or a divergence and on what
-        top-level field).
+        *kind* of failure (which invariant under which variant, or a
+        divergence and on what field).
         """
         if self.violations:
-            # "engine: tag: name: detail" -> "invariant:engine:name"
-            first = self.violations[0]
-            parts = [p.strip() for p in first.split(":")]
+            parts = [p.strip() for p in self.violations[0].split(":")]
             return f"invariant:{parts[0]}:{parts[2] if len(parts) > 2 else '?'}"
         if self.divergences:
-            first = self.divergences[0]
-            field_path = first.split(" ", 1)[0]
-            leaf = field_path.split(".")[-1].split("[")[0]
-            return f"divergence:{leaf}"
+            path = self.divergences[0].split(": ", 1)[1].split(" ", 1)[0]
+            return f"divergence:{path.split('.')[-1].split('[')[0]}"
         return None
 
     def summary(self) -> str:
-        lines = []
-        for v in self.violations[:8]:
-            lines.append(f"  violation  {v}")
-        for d in self.divergences[:8]:
-            lines.append(f"  divergence {d}")
+        lines = [f"  violation  {v}" for v in self.violations[:8]]
+        lines += [f"  divergence {d}" for d in self.divergences[:8]]
         extra = len(self.violations) + len(self.divergences) - len(lines)
         if extra > 0:
             lines.append(f"  ... and {extra} more")
         return "\n".join(lines) or "  ok"
+
+    def divergence_summary(self) -> dict:
+        """Headline aggregates per policy, for quantifying policy drift.
+
+        Not a pass/fail signal: between distinct policies, different
+        numbers here are the policies doing their job.
+        """
+        out: dict = {}
+        for variant, res in zip(self.variants, self.results.values()):
+            final = res.snapshots[-1] if res.snapshots else {}
+            groups = final.get("groups", [])
+            out.setdefault(variant.policy, {
+                "ooms": sum(1 for line in res.log if ":oom:" in line),
+                "throttled_time": sum(g["throttled_time"] for g in groups),
+                "total_cpu_time": sum(g["total_cpu_time"] for g in groups),
+                "swapped": sum(g["swapped"] for g in groups),
+                "elapsed": final.get("sched", {}).get("elapsed", 0.0),
+            })
+        return out
 
 
 def diff_snapshots(a: dict | list | object, b: dict | list | object,
@@ -93,33 +163,52 @@ def diff_snapshots(a: dict | list | object, b: dict | list | object,
     return []
 
 
-def run_differential(scenario: Scenario, *,
-                     engines: tuple[str, str] = ENGINES,
-                     suite_factory=None,
-                     max_mismatches: int = 20) -> DiffReport:
-    """Run ``scenario`` on two engines and compare their digests."""
-    report = DiffReport()
-    for engine in engines:
-        suite: list[Invariant] | None = suite_factory() if suite_factory else None
-        res = run_scenario(scenario, engine, suite=suite)
-        report.results[engine] = res
-        report.violations.extend(f"{engine}: {v}" for v in res.violations)
-    a, b = (report.results[e] for e in engines)
+def _diff_runs(a: RunResult, b: RunResult) -> list[str]:
+    """The first log mismatch and the first diverging snapshot's paths."""
+    out = []
     if a.log != b.log:
-        for i, (la, lb) in enumerate(zip(a.log, b.log)):
-            if la != lb:
-                report.divergences.append(f"log[{i}] {la!r} != {lb!r}")
-                break
-        else:
-            report.divergences.append(
-                f"log length {len(a.log)} != {len(b.log)}")
+        first = next((i for i, (x, y) in enumerate(zip(a.log, b.log))
+                      if x != y), None)
+        out.append(f"log length {len(a.log)} != {len(b.log)}"
+                   if first is None else
+                   f"log[{first}] {a.log[first]!r} != {b.log[first]!r}")
     for i, (sa, sb) in enumerate(zip(a.snapshots, b.snapshots)):
-        for d in diff_snapshots(sa, sb, f"snapshot[{i}]"):
-            report.divergences.append(d)
-            if len(report.divergences) >= max_mismatches:
-                return report
-        if report.divergences:
+        found = diff_snapshots(sa, sb, f"snapshot[{i}]")
+        if found:
             # Later snapshots inherit the first divergence; stop at the
             # earliest boundary so the report points at the cause.
+            out.extend(found)
             break
+    return out
+
+
+def run_variants(scenario: Scenario | dict,
+                 variants: list[Variant] | tuple[Variant, ...]) -> DiffReport:
+    """Run ``scenario`` under every variant and judge the runs."""
+    report = DiffReport(variants=list(variants))
+    base = None
+    for i, variant in enumerate(report.variants):
+        label = variant.label
+        if label in report.results:          # a self-pair
+            label = f"{label}#{i}"
+        sched, reclaim = resolve_bundle(variant.policy)
+        if isinstance(scenario, Scenario):
+            res = run_scenario(scenario, variant.engine,
+                               sched_policy=sched, reclaim_policy=reclaim)
+        else:
+            params = {**scenario["params"], "engine": variant.engine,
+                      "sched_policy": sched, "reclaim_policy": reclaim}
+            res = run_cluster({**scenario, "params": params}, variant.jobs)
+        report.results[label] = res
+        report.violations.extend(f"{label}: {v}" for v in res.violations)
+        if base is None:
+            base = res
+        elif variant.policy == report.variants[0].policy:
+            report.divergences.extend(
+                f"{label}: {d}" for d in _diff_runs(base, res))
     return report
+
+
+def run_differential(scenario: Scenario) -> DiffReport:
+    """Run ``scenario`` under :data:`DEFAULT_VARIANTS` (incremental, scan)."""
+    return run_variants(scenario, DEFAULT_VARIANTS)

@@ -10,6 +10,11 @@ created/destroyed, how many workers each got) so it can emit mostly
 *well-targeted* ops; a slice of deliberately dangling ops (editing a
 container after its scheduled destroy) exercises the runner's skip
 paths, which the shrinker depends on.
+
+:func:`generate_cluster` derives the other scenario kind: a cluster
+scenario, a plain dict of cluster parameters plus staggered waves of pod
+submissions, which :func:`repro.check.runner.run_cluster` interprets at
+any shard layout.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ from __future__ import annotations
 import random
 
 from repro.check.scenario import Scenario
+from repro.par.seeds import derive_seed
 from repro.units import gib, mib
 
-__all__ = ["generate"]
+__all__ = ["generate", "generate_cluster"]
 
 _NCPUS_CHOICES = (2, 3, 4, 8)
 _MEMORY_CHOICES = (gib(1), gib(2), gib(3))
@@ -152,3 +158,61 @@ def _emit_create(rng: random.Random, emit, workers: dict, name: str,
             kw["memory_soft_limit"] = int(limit * rng.uniform(0.3, 0.9))
     emit(t, "create", name, **kw)
     workers[name] = kw["workers"]
+
+
+_STRATEGIES = ("view", "static", "view-gang", "static-gang")
+
+
+def generate_cluster(seed: int) -> dict:
+    """Build the cluster scenario for ``seed`` (pure, JSON-serializable).
+
+    Host count and shape, strategy, epoch length, hot threshold,
+    bursty/gang pod mix, tracing and telemetry all vary.  Hosts are
+    kept small and the hot threshold low so the rebalancer fires
+    often: cross-shard migrations are the interesting paths.
+    """
+    rng = random.Random(derive_seed("check-shard-diff", "scenario", seed))
+    n_hosts = rng.randint(2, 6)
+    ncpus = rng.choice((2, 4, 8))
+    epoch = rng.choice((0.25, 0.5, 1.0))
+    params = {
+        "n_hosts": n_hosts,
+        "host_ncpus": ncpus,
+        "host_memory": rng.choice((gib(1), gib(2), gib(4))),
+        "epoch": epoch,
+        "strategy": rng.choice(_STRATEGIES),
+        "hot_frac": rng.choice((0.6, 0.7, 0.85)),
+        "max_migrations_per_epoch": rng.randint(1, 4),
+        "seed": seed,
+        "trace": rng.random() < 0.5,
+    }
+    n_pods = rng.randint(8, int(3.0 * n_hosts * ncpus))
+    specs = []
+    horizon = epoch * rng.randint(6, 12)
+    for i in range(n_pods):
+        demand = round(rng.uniform(0.1, 1.5), 2)
+        request = round(demand * rng.uniform(1.0, 2.5), 2)
+        mem_demand = mib(rng.choice((32, 64, 128)))
+        spec = {
+            "name": f"pod{i:03d}",
+            "cpu_request": request,
+            "mem_request": mem_demand * rng.choice((1, 2)),
+            "cpu_demand": demand,
+            "mem_demand": mem_demand,
+        }
+        if rng.random() < 0.4:
+            spec["burst_demand"] = round(demand * rng.uniform(1.5, 4.0), 2)
+            spec["burst_at"] = round(rng.uniform(0.2, 0.8) * horizon, 2)
+        if rng.random() < 0.25:
+            spec["gang"] = f"gang{rng.randint(0, 3)}"
+        specs.append(spec)
+    # Staggered submission: a wave at t=0 and one or two mid-run waves,
+    # so admissions also land on clusters with history.
+    waves = sorted({0.0} | {round(rng.uniform(0.2, 0.8) * horizon, 2)
+                            for _ in range(rng.randint(0, 2))})
+    per_wave: list[list[dict]] = [[] for _ in waves]
+    for spec in specs:
+        per_wave[rng.randrange(len(waves))].append(spec)
+    return {"params": params, "horizon": horizon,
+            "telemetry": rng.random() < 0.5,
+            "waves": [[t, wave] for t, wave in zip(waves, per_wave)]}

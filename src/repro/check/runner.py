@@ -1,13 +1,14 @@
-"""Execute a scenario on one world, checking invariants at every boundary.
+"""Execute a scenario once, checking invariants at every boundary.
 
-The runner is the single interpreter for scenario ops, shared by the
-differ (which runs it once per engine) and by regression-fixture replay.
-Determinism contract: given the same scenario and engine, the sequence
-of snapshots and the event log are bit-identical run to run; given the
-same scenario and *different* engines, they must still be identical —
-that is the differential oracle.
+The runner holds the two scenario interpreters the differential oracle
+(:mod:`repro.check.differ`) runs once per variant: :func:`run_scenario`
+for a world :class:`~repro.check.scenario.Scenario` and
+:func:`run_cluster` for a cluster scenario.  Determinism contract:
+given the same scenario and variant, the snapshots and the log are
+bit-identical run to run; given the same scenario under another engine
+or shard layout, they must still be identical.
 
-Ops never abort a run.  Faults that a real fleet would survive are
+World ops never abort a run.  Faults that a real fleet would survive are
 converted into log entries instead:
 
 * ops on missing containers -> ``skip`` (keeps scenarios total under
@@ -26,13 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.check.invariants import Invariant, check_all, default_suite
+from repro.check.cluster_invariants import check_cluster_snapshot
+from repro.check.invariants import check_all, default_suite
 from repro.check.scenario import Scenario
+from repro.check.span_tree import check_span_tree
 from repro.container.spec import ContainerSpec
 from repro.errors import OutOfMemoryError, ReproError
 from repro.world import World
 
-__all__ = ["RunResult", "run_scenario"]
+__all__ = ["RunResult", "run_scenario", "run_cluster"]
 
 #: Work for "run forever" worker threads; far beyond any scenario horizon.
 _FOREVER = 1e9
@@ -42,9 +45,10 @@ _FOREVER = 1e9
 class RunResult:
     engine: str
     snapshots: list[dict] = field(default_factory=list)
-    #: One entry per applied op: "ok", "skip:<why>", "oom:<name>", "error:<type>".
+    #: World: one entry per applied op, "ok", "skip:<why>", "oom:<name>"
+    #: or "error:<type>".  Cluster: its digests and telemetry epochs.
     log: list[str] = field(default_factory=list)
-    #: "invariant-name: detail" strings, prefixed with the op index.
+    #: "invariant-name: detail" strings, prefixed with the op or epoch.
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -162,14 +166,11 @@ class _Interp:
 
 
 def run_scenario(scenario: Scenario, engine: str = "incremental", *,
-                 suite: list[Invariant] | None = None,
-                 snapshot_every: bool = True,
                  sched_policy: str = "default",
                  reclaim_policy: str = "default") -> RunResult:
     """Run ``scenario`` on a fresh world; return snapshots + violations."""
     scenario.validate()
-    if suite is None:
-        suite = default_suite()
+    suite = default_suite()
     from repro.kernel.mm.memcg import MmParams
     world = World(ncpus=scenario.ncpus, memory=scenario.memory, engine=engine,
                   mm_params=MmParams(swap_factor=scenario.swap_factor),
@@ -181,8 +182,7 @@ def run_scenario(scenario: Scenario, engine: str = "incremental", *,
     def checkpoint(tag: str) -> None:
         nonlocal prev
         snap = world.invariant_snapshot()
-        if snapshot_every or tag == "final":
-            result.snapshots.append(snap)
+        result.snapshots.append(snap)
         for v in check_all(suite, world, snap, prev):
             result.violations.append(f"{tag}: {v}")
         prev = snap
@@ -204,4 +204,50 @@ def run_scenario(scenario: Scenario, engine: str = "incremental", *,
         checkpoint(tag)
     world.run(until=scenario.horizon)
     checkpoint("final")
+    return result
+
+
+def run_cluster(scenario: dict, jobs: int = 1) -> RunResult:
+    """Run a cluster scenario (see :func:`repro.check.generate_cluster`).
+
+    The cluster runs on ``jobs`` shard workers and is sampled at every
+    epoch barrier: each ``invariant_snapshot()`` is audited by
+    :func:`check_cluster_snapshot` against the previous one, and a
+    traced run's migration span chains by
+    :func:`repro.check.span_tree.check_span_tree`, which exercises the
+    cross-process ``follows`` links.  The log holds the placement trace
+    digest, the epoch sample digest and the telemetry epoch count.
+    """
+    from repro.cluster import Cluster, ClusterParams, PodSpec
+    from repro.obs.fleet import FleetCollector
+
+    params = ClusterParams(**scenario["params"])
+    horizon = scenario["horizon"]
+    waves = list(scenario["waves"])
+    result = RunResult(engine=params.engine)
+    prev: dict | None = None
+    with Cluster(params, jobs=jobs) as cluster:
+        collector = FleetCollector() if scenario["telemetry"] else None
+        if collector is not None:
+            cluster.attach_telemetry(collector)
+        t = 0.0
+        while t < horizon - 1e-9:
+            while waves and waves[0][0] <= t + 1e-9:
+                for spec in waves.pop(0)[1]:
+                    cluster.submit(PodSpec(**spec))
+            t = min(t + params.epoch, horizon)
+            cluster.run(until=t)
+            snap = cluster.invariant_snapshot()
+            tag = f"epoch[{len(result.snapshots)}]"
+            result.violations.extend(
+                f"{tag}: {v}" for v in check_cluster_snapshot(snap, prev))
+            result.snapshots.append(snap)
+            prev = snap
+        if params.trace:
+            result.violations.extend(
+                f"spans: {v}" for v in check_span_tree(cluster))
+        epochs = collector.epochs if collector is not None else 0
+        result.log = [f"trace_digest:{cluster.trace_digest()}",
+                      f"sample_digest:{cluster.epoch_sample_digest()}",
+                      f"telemetry_epochs:{epochs}"]
     return result

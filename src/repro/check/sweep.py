@@ -1,9 +1,9 @@
-"""Seed-sweep trials for the differential fuzzer, runnable via repro.par.
+"""The seed-sweep trial for the differential oracle, runnable via repro.par.
 
-One trial = one seed: generate the scenario, run it on both engines,
-compare.  The trial value is a plain dict so sweeps can fan out across
-worker processes and be content-cached — a 200-seed CI sweep after a
-docs-only commit is 200 cache hits.
+One trial = one seed under one variant list: derive the scenario, run
+it under every variant, judge.  The trial value is a plain dict so
+sweeps can fan out across worker processes and be content-cached — a
+200-seed CI sweep after a docs-only commit is 200 cache hits.
 
 Failing seeds are reported *in* the value (``ok=False``) rather than
 raised: the CLI re-runs the first failure locally to shrink it and
@@ -12,92 +12,72 @@ write a fixture, which needs live objects the pool cannot ship back.
 
 from __future__ import annotations
 
-from repro.check.differ import run_differential
-from repro.check.generator import generate
-from repro.check.policy_diff import run_policy_differential
+import json
 
-__all__ = ["TRIAL_FN", "POLICY_TRIAL_FN", "BACKEND_TRIAL_FN", "seed_trial",
-           "policy_trial", "backend_trial", "summary_line"]
+from repro.check.differ import DEFAULT_VARIANTS, Variant, run_variants
+from repro.check.generator import generate, generate_cluster
+from repro.check.scenario import Scenario
+
+__all__ = ["TRIAL_FN", "trial", "scenario_for", "load_fixture",
+           "dump_fixture", "summary_line"]
 
 #: Dotted path handed to TrialSpec.fn.
-TRIAL_FN = "repro.check.sweep:seed_trial"
-
-#: Dotted path for policy-diff sweeps.
-POLICY_TRIAL_FN = "repro.check.sweep:policy_trial"
-
-#: Dotted path for engine-backend-diff sweeps.
-BACKEND_TRIAL_FN = "repro.check.sweep:backend_trial"
+TRIAL_FN = "repro.check.sweep:trial"
 
 
-def seed_trial(config: dict, spawn_seed: int) -> dict:
-    """Run one generated seed through the differential harness.
+def load_fixture(data: dict) -> tuple[Scenario | dict, list[Variant]]:
+    """Split a fixture into its scenario (world or cluster) and variants.
 
-    ``config["seed"]`` is the scenario seed (the sweep's unit of
-    identity); the spawn key is unused here because the generator is
-    already a pure function of the seed.
+    A fixture without ``variants`` runs under the default engine pair.
+    """
+    data = dict(data)
+    variants = [Variant.from_dict(v) for v in data.pop("variants", ())]
+    scenario = Scenario.from_dict(data) if "ops" in data else data
+    return scenario, variants or list(DEFAULT_VARIANTS)
+
+
+def dump_fixture(scenario: Scenario | dict, variants: list[Variant]) -> str:
+    """The canonical fixture JSON; the default pair is left implicit."""
+    data = scenario.to_dict() if isinstance(scenario, Scenario) else dict(scenario)
+    if list(variants) != list(DEFAULT_VARIANTS):
+        data["variants"] = [v.to_dict() for v in variants]
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+def scenario_for(seed: int, variants: list[Variant]) -> Scenario | dict:
+    """A cluster scenario when any variant shards (``jobs > 1``), else a
+    world scenario: sharding only exists for clusters."""
+    if any(v.jobs > 1 for v in variants):
+        return generate_cluster(seed)
+    return generate(seed)
+
+
+def trial(config: dict, spawn_seed: int = 0) -> dict:
+    """Run one seed (``config["seed"]``) under ``config["variants"]``.
+
+    The spawn key is unused: the scenario is already a pure function of
+    the seed.
     """
     seed = int(config["seed"])
-    scenario = generate(seed)
-    report = run_differential(scenario)
-    value = {"seed": seed, "ok": report.ok, "ops": len(scenario),
-             "ncpus": scenario.ncpus, "memory_mib": scenario.memory >> 20,
-             "horizon": scenario.horizon}
-    if report.ok:
-        final = report.results["incremental"].snapshots[-1]
-        value.update(steps=final["steps"], oom=final["mm"]["oom_kills"],
+    variants = [Variant.from_dict(v) for v in config["variants"]]
+    scenario = scenario_for(seed, variants)
+    report = run_variants(scenario, variants)
+    value = {"seed": seed, "ok": report.ok}
+    if not report.ok:
+        value.update(fingerprint=report.fingerprint(),
+                     summary=report.summary())
+        return value
+    base = next(iter(report.results.values()))
+    final = base.snapshots[-1]
+    if isinstance(scenario, Scenario):
+        value.update(ops=len(scenario), steps=final["steps"],
+                     oom=final["mm"]["oom_kills"],
                      groups=len(final["groups"]))
     else:
-        value.update(fingerprint=report.fingerprint(),
-                     summary=report.summary())
-    return value
-
-
-def policy_trial(config: dict, spawn_seed: int) -> dict:
-    """Run one generated seed under two policy bundles.
-
-    ``config`` carries ``seed`` plus the bundle ``pair``; the oracle is
-    lawfulness (every run must satisfy its own invariant suite), not
-    equality — see :mod:`repro.check.policy_diff`.
-    """
-    seed = int(config["seed"])
-    pair = tuple(config["pair"])
-    scenario = generate(seed)
-    report = run_policy_differential(scenario, pair)
-    value = {"seed": seed, "pair": list(pair), "ok": report.ok,
-             "ops": len(scenario), "ncpus": scenario.ncpus,
-             "memory_mib": scenario.memory >> 20,
-             "horizon": scenario.horizon}
-    if report.ok:
-        value.update(drift=report.divergence_summary())
-    else:
-        value.update(fingerprint=report.fingerprint(),
-                     summary=report.summary())
-    return value
-
-
-def backend_trial(config: dict, spawn_seed: int) -> dict:
-    """Run one generated seed under two engine backends.
-
-    Same exact-equality oracle as :func:`seed_trial`, but the engine
-    pair comes from ``config["pair"]`` instead of the fixed
-    incremental/scan duo — this is how the vector solve backend is
-    fuzzed against the scalar engines.
-    """
-    seed = int(config["seed"])
-    pair = tuple(config["pair"])
-    scenario = generate(seed)
-    report = run_differential(scenario, engines=pair)
-    value = {"seed": seed, "pair": list(pair), "ok": report.ok,
-             "ops": len(scenario), "ncpus": scenario.ncpus,
-             "memory_mib": scenario.memory >> 20,
-             "horizon": scenario.horizon}
-    if report.ok:
-        final = report.results[pair[0]].snapshots[-1]
-        value.update(steps=final["steps"], oom=final["mm"]["oom_kills"],
-                     groups=len(final["groups"]))
-    else:
-        value.update(fingerprint=report.fingerprint(),
-                     summary=report.summary())
+        value.update(epochs=len(base.snapshots), pods=final["placed"],
+                     migrations=final["migrations"]["count"])
+    if len({v.policy for v in variants}) > 1:
+        value["drift"] = report.divergence_summary()
     return value
 
 

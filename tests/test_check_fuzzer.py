@@ -8,12 +8,17 @@ cannot fire, so we re-introduce two representative bug classes
 invariant suite) and assert the harness pins them to small repros.
 """
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.check import (Scenario, default_suite, diff_snapshots, generate,
-                         run_differential, run_scenario, shrink)
+from repro.check import (DEFAULT_VARIANTS, SHARD_VARIANTS, Scenario, Variant,
+                         default_suite, diff_snapshots, generate,
+                         generate_cluster, run_differential, run_scenario,
+                         run_variants, shrink)
+from repro.check.sweep import dump_fixture, load_fixture
 from repro.check.generator import generate as generate2
 from repro.kernel.mm.memcg import MemoryManager
 from repro.kernel.sched.fair import FairScheduler
@@ -240,3 +245,117 @@ class TestInvariantsFire:
         handle = world.events.call_after(1.0, lambda: None, name="x")
         handle.cancelled = True           # cancel without bookkeeping
         assert any("event_heap" in v for v in self._check(world))
+
+
+class TestVariants:
+    def test_labels_name_what_differs_from_the_defaults(self):
+        assert Variant().label == "incremental"
+        assert Variant(engine="scan").label == "scan"
+        assert Variant(policy="burstable", jobs=2).label == "burstable/jobs=2"
+
+    def test_dict_round_trip(self):
+        for v in (Variant(), Variant(engine="vector", policy="intent",
+                                     jobs=3)):
+            assert Variant.from_dict(json.loads(json.dumps(v.to_dict()))) == v
+
+    def test_unknown_names_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            Variant(engine="turbo")
+        with pytest.raises(ValueError, match="unknown policy bundle"):
+            Variant(policy="nosuch")
+
+    def test_fixture_without_variants_means_default_pair(self):
+        _scenario, variants = load_fixture(generate(0).to_dict())
+        assert variants == list(DEFAULT_VARIANTS)
+
+    def test_fingerprint_is_none_on_success_for_both_kinds(self):
+        assert run_differential(generate(1)).fingerprint() is None
+        report = run_variants(generate_cluster(1), SHARD_VARIANTS)
+        assert report.ok, report.summary()
+        assert report.fingerprint() is None
+        assert list(report.results) == ["incremental", "jobs=2", "jobs=3"]
+
+
+def _cli(argv: list[str]) -> argparse.Namespace:
+    from repro.check.cli import add_arguments
+    parser = argparse.ArgumentParser()
+    add_arguments(parser)
+    return parser.parse_args(argv)
+
+
+class TestCheckCliVariants:
+    def test_unknown_names_rejected_at_parse_time(self, capsys):
+        for argv in (["--policy-diff", "default,nosuch"],
+                     ["--backend-diff", "incremental,turbo"]):
+            with pytest.raises(SystemExit) as exc:
+                _cli(argv + ["--seeds", "2"])
+            assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown policy bundle 'nosuch'" in err
+        assert "unknown engine 'turbo'" in err
+
+    def test_two_pair_flags_are_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _cli(["--shard-diff", "--policy-diff", "default,burstable"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_seed_honours_the_pair(self, capsys):
+        from repro.check.cli import main
+        rc = main(_cli(["--seed", "3", "--policy-diff", "default,burstable",
+                        "--no-cache"]))
+        assert rc == 0
+        assert "lawful under incremental vs burstable" in capsys.readouterr().out
+
+    def test_pair_flag_overrides_fixture_variants_on_replay(self, capsys):
+        from repro.check.cli import main
+        path = (Path(__file__).resolve().parent / "regressions"
+                / "same_instant_pileup.json")
+        assert main(_cli(["--replay", str(path), "--backend-diff",
+                          "incremental,vector"])) == 0
+        assert "under incremental vs vector: ok" in capsys.readouterr().out
+
+    def test_smoke_honours_the_pair(self, monkeypatch, capsys):
+        from repro.check import cli
+        seen = []
+
+        def fake_trial(config):
+            seen.append(config["variants"])
+            return {"seed": config["seed"], "ok": True}
+        monkeypatch.setattr(cli, "trial", fake_trial)
+        assert cli.main(_cli(["--smoke", "0.05", "--policy-diff",
+                              "default,burstable"])) == 0
+        pair = [Variant().to_dict(), Variant(policy="burstable").to_dict()]
+        assert seen and all(v == pair for v in seen)
+
+
+class TestShardDiffLoop:
+    def test_planted_layout_drift_is_fixtured_and_replays(self, monkeypatch,
+                                                           tmp_path, capsys):
+        """Catch a layout-dependent bug, write its fixture, replay it."""
+        from repro.check.cli import main
+        from repro.cluster import Cluster
+        orig = Cluster.invariant_snapshot
+
+        def drifting(self):
+            snap = orig(self)
+            if self.jobs > 1:
+                snap["hosts"][0]["mem_free"] += 1
+            return snap
+        monkeypatch.setattr(Cluster, "invariant_snapshot", drifting)
+
+        expected = run_variants(generate_cluster(4), SHARD_VARIANTS)
+        assert expected.fingerprint() == "divergence:mem_free"
+        assert main(_cli(["--shard-diff", "--seed", "4", "--no-cache",
+                          "--fixtures", str(tmp_path)])) == 1
+        (path,) = tmp_path.glob("*.json")
+        data = json.loads(path.read_text())
+        assert load_fixture(data)[1] == list(SHARD_VARIANTS)
+        assert data["params"]["seed"] == 4
+        assert dump_fixture(*load_fixture(data)) + "\n" == path.read_text()
+
+        capsys.readouterr()
+        assert main(_cli(["--replay", str(path)])) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {expected.fingerprint()}" in out
+        assert "check: seeds=1 failures=1" in out

@@ -4,8 +4,9 @@ Coverage, by layer: the registry (names, bundles, third-party
 registration), default-policy identity (the refactor must be invisible
 under the default bundle), the built-in burstable/intent behaviours,
 mid-simulation hot-swap (ledger conservation + self-swap invisibility),
-the policy-diff fuzzer (lawfulness oracle, expect-equal mode, planted
-divergent policies caught and shrunk to replayable fixtures), the
+the policy-diff oracle (lawfulness between distinct policies, equality
+for a same-policy pair, planted divergent policies caught and shrunk
+to replayable fixtures), the
 profiler's policy buckets, cluster wiring, the shared benchmark gate
 helpers, and the CLI.
 """
@@ -19,10 +20,10 @@ import sys
 import pytest
 
 from repro import ContainerSpec, World, gib, mib
-from repro.check import run_scenario
+from repro.check import Variant, run_scenario, run_variants
 from repro.check.generator import generate
-from repro.check.policy_diff import run_policy_differential
 from repro.check.shrinker import shrink
+from repro.check.sweep import load_fixture
 from repro.errors import CgroupError, ClusterError, ContainerError, PolicyError
 from repro.policy import (POLICY_BUNDLES, RECLAIM_POLICIES, SCHED_POLICIES,
                           DefaultReclaimPolicy, DefaultSchedPolicy,
@@ -265,41 +266,29 @@ class TestHotSwap:
             w.swap_policy(sched_policy=Vandal())
 
 
+def _policies(*names: str) -> list[Variant]:
+    return [Variant(policy=name) for name in names]
+
+
 class TestPolicyDiff:
     def test_distinct_bundles_lawful(self):
         for seed in range(4):
-            report = run_policy_differential(generate(seed),
-                                             ("default", "burstable"))
+            report = run_variants(generate(seed),
+                                  _policies("default", "burstable"))
             assert report.ok, report.summary()
 
     def test_self_pair_expect_equal(self):
-        report = run_policy_differential(generate(3), ("default", "default"),
-                                         expect_equal=True)
+        """A same-policy pair gets the equality oracle automatically."""
+        report = run_variants(generate(3), _policies("default", "default"))
         assert report.ok
         assert report.fingerprint() is None
+        a, b = report.results.values()
+        assert a.log == b.log and a.snapshots == b.snapshots
 
     def test_divergence_summary_reports_both_bundles(self):
-        report = run_policy_differential(generate(7),
-                                         ("default", "intent"))
+        report = run_variants(generate(7), _policies("default", "intent"))
         text = report.divergence_summary()
         assert "default" in text and "intent" in text
-
-    def test_expect_equal_catches_subtle_divergence(self, scratch_policy):
-        class Almost(DefaultSchedPolicy):
-            name = "almost"
-
-            def solve(self, members, capacity, params):
-                allocs = super().solve(members, capacity, params)
-                for g in allocs:
-                    if g.rate > 0:
-                        g.rate += 1e-9       # one ulp of unlawful drift
-                return allocs
-
-        scratch_policy("sched", "almost", Almost)
-        report = run_policy_differential(generate(2), ("default", "almost"),
-                                         expect_equal=True)
-        assert not report.ok
-        assert report.fingerprint() is not None
 
     def test_planted_divergent_policy_shrinks_to_fixture(self, scratch_policy):
         """The acceptance loop: catch, shrink, fixture, replay."""
@@ -313,10 +302,10 @@ class TestPolicyDiff:
                 return allocs
 
         scratch_policy("sched", "leaky", Leaky)
-        pair = ("default", "leaky")
+        pair = _policies("default", "leaky")
         failing = None
         for seed in range(20):
-            report = run_policy_differential(generate(seed), pair)
+            report = run_variants(generate(seed), pair)
             if not report.ok:
                 failing = (generate(seed), report)
                 break
@@ -325,17 +314,14 @@ class TestPolicyDiff:
         fingerprint = report.fingerprint()
         assert fingerprint is not None
 
-        minimal = shrink(
-            scenario,
-            lambda s: run_policy_differential(s, pair).fingerprint())
+        minimal = shrink(scenario,
+                         lambda s: run_variants(s, pair).fingerprint())
         assert len(minimal) <= len(scenario)
 
         # The fixture round-trips through JSON and still reproduces.
-        fixture = minimal.to_dict()
-        fixture["policy_pair"] = list(pair)
-        from repro.check import Scenario
-        again = Scenario.from_dict(json.loads(json.dumps(fixture)))
-        replay = run_policy_differential(again, pair)
+        fixture = {"variants": [v.to_dict() for v in pair],
+                   **minimal.to_dict()}
+        replay = run_variants(*load_fixture(json.loads(json.dumps(fixture))))
         assert not replay.ok
         assert replay.fingerprint() == fingerprint
 
@@ -460,7 +446,7 @@ class TestCheckCli:
                               "--seeds", "3", "--no-cache"]))
         out = capsys.readouterr().out
         assert rc == 0
-        assert "lawful under both 'default' and 'burstable'" in out
+        assert "lawful under incremental vs burstable" in out
 
     def test_bad_pair_spec_exits(self):
         from repro.check.cli import _parse_pair
@@ -470,13 +456,13 @@ class TestCheckCli:
     def test_policy_fixture_replay(self, tmp_path, capsys):
         from repro.check.cli import main
         scn = generate(1)
-        fixture = scn.to_dict()
-        fixture["policy_pair"] = ["default", "intent"]
+        fixture = {"variants": [{"policy": "default"}, {"policy": "intent"}],
+                   **scn.to_dict()}
         path = tmp_path / "fix.json"
         path.write_text(json.dumps(fixture))
         rc = main(self._args(["--replay", str(path)]))
         assert rc == 0
-        assert "policies default,intent" in capsys.readouterr().out
+        assert "under incremental vs intent: ok" in capsys.readouterr().out
 
 
 class TestExpPolicy:

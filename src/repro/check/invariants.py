@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.effective_cpu import compute_cpu_bounds
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.world import World
 
@@ -200,13 +202,28 @@ class ThrottleCounters(Invariant):
 
 
 class ViewBounds(Invariant):
-    """Algorithm 1/2: resource views stay inside their bounds."""
+    """Algorithm 1/2: resource views stay inside their bounds.
+
+    The bounds themselves must be current: each registered namespace's
+    bounds equal a from-scratch :func:`compute_cpu_bounds` at the share
+    total of all registered namespaces, whichever events ``ns_monitor``
+    chose to act on.
+    """
 
     name = "view_bounds"
 
     def check(self, world, snap, prev):
         out = []
         ncpus = snap["ncpus"]
+        namespaces = world.ns_monitor.namespaces
+        total = sum(ns.cgroup.cpu.shares for ns in namespaces)
+        for ns in namespaces:
+            want = compute_cpu_bounds(ns.cgroup, total, ncpus)
+            if ns.bounds != want:
+                out.append(self._v(
+                    f"{ns.cgroup.name}: stale bounds [{ns.bounds.lower}, "
+                    f"{ns.bounds.upper}], total shares {total} give "
+                    f"[{want.lower}, {want.upper}]"))
         for c in snap["containers"]:
             lo, hi = c["bound_lower"], c["bound_upper"]
             if not (1 <= lo <= hi <= ncpus):

@@ -5,8 +5,9 @@ a container, given its resource limit and share", expressed as a whole
 number of dedicated-CPU equivalents (§3.1).  The computation has two
 parts:
 
-* **Static bounds**, recomputed by ``ns_monitor`` whenever containers
-  come/go or cgroup settings change::
+* **Static bounds**, kept current by ``ns_monitor`` as containers
+  come/go and cgroup settings change (see :mod:`repro.core.ns_monitor`
+  for which events rewrite whose bounds)::
 
       LOWER_CPU_i = min(l_i/t, |M_i|, ceil(w_i / sum(w_j) * |P|))
       UPPER_CPU_i = min(l_i/t, |M_i|)
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 from repro.kernel.cgroup import Cgroup
 
-__all__ = ["UTIL_THRESHOLD", "CpuViewParams", "CpuBounds", "compute_cpu_bounds",
-           "step_effective_cpu"]
+__all__ = ["UTIL_THRESHOLD", "CpuViewParams", "CpuBounds", "cpu_bounds_key",
+           "compute_cpu_bounds", "step_effective_cpu"]
 
 #: The paper's empirically chosen UTIL_THRSHD.
 UTIL_THRESHOLD = 0.95
@@ -75,20 +76,28 @@ def _as_cpu_count(cores: float) -> int:
     return max(1, math.floor(cores + 1e-9))
 
 
-def compute_cpu_bounds(cg: Cgroup, all_shares: list[int], ncpus: int) -> CpuBounds:
+def cpu_bounds_key(cg: Cgroup) -> tuple[int, int, int]:
+    """Everything of ``cg`` its bounds read: ``(shares, quota CPUs, |cpuset|)``.
+
+    Two containers with equal keys have equal bounds at every share total.
+    """
+    return (cg.cpu.shares, _as_cpu_count(cg.quota_cores),
+            len(cg.effective_cpuset()))
+
+
+def compute_cpu_bounds(cg: Cgroup, total_shares: int, ncpus: int) -> CpuBounds:
     """Static bounds for one container's effective CPU.
 
-    ``all_shares`` holds the ``cpu.shares`` of every container that owns
-    a ``sys_namespace`` (including ``cg`` itself) — the contention set
-    over which the share fraction ``w_i / sum(w_j)`` is taken.
+    ``total_shares`` is the sum of the ``cpu.shares`` of every container
+    that owns a ``sys_namespace`` (including ``cg`` itself) — the
+    contention set over which the share fraction ``w_i / sum(w_j)`` is
+    taken.
     """
-    quota_cpus = _as_cpu_count(cg.quota_cores)
-    mask_cpus = len(cg.effective_cpuset())
-    total_shares = sum(all_shares)
+    shares, quota_cpus, mask_cpus = cpu_bounds_key(cg)
     if total_shares <= 0:
         share_cpus = ncpus
     else:
-        share_cpus = math.ceil(cg.cpu.shares / total_shares * ncpus - 1e-9)
+        share_cpus = math.ceil(shares / total_shares * ncpus - 1e-9)
     share_cpus = max(1, share_cpus)
     upper = max(1, min(quota_cpus, mask_cpus))
     lower = max(1, min(quota_cpus, mask_cpus, share_cpus))

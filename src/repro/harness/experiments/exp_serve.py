@@ -8,7 +8,7 @@ request sequence):
 
 * ``adaptive``     — the SLO-driven vertical autoscaler, reading each
   container's ``sys_namespace`` view plus serving signals and rescaling
-  cgroup quotas; ``ns_monitor`` folds every change back into all views.
+  cgroup quotas; ``ns_monitor`` folds every change back into the views.
 * ``adaptive-psi`` — the same autoscaler with PSI cpu pressure enabled
   as an extra capacity-bound signal (``use_pressure=True``): stall
   time, not just utilization/queueing, unlocks the burn-rate trigger.

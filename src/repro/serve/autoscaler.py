@@ -12,11 +12,12 @@ reads, per managed service:
 and then *vertically* rescales the containers' cgroup settings:
 ``cpu.cfs_quota_us`` (and proportional ``cpu.shares``) up on budget
 burn or backlog, down when the service is comfortably under target.
-Every quota write raises a cgroup event, which ``ns_monitor`` turns
-into refreshed bounds for **every** registered ``sys_namespace`` — so a
-scale-up of one service immediately shrinks what co-located views
-report, exactly the feedback the paper builds for a single host,
-exercised here as a closed control loop.
+Every quota or shares write raises a cgroup event, which ``ns_monitor``
+turns into refreshed bounds.  A shares write moves the share total every
+``sys_namespace``'s lower bound is taken over, so a scale-up of one
+service immediately shrinks what co-located views report, exactly the
+feedback the paper builds for a single host, exercised here as a closed
+control loop.
 
 Scale-up is multiplicative (a 4x spike is caught in a couple of
 periods), scale-down additive (no oscillation on noisy signals), the

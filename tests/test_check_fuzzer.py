@@ -20,6 +20,8 @@ from repro.check import (DEFAULT_VARIANTS, SHARD_VARIANTS, Scenario, Variant,
                          run_variants, shrink)
 from repro.check.sweep import dump_fixture, load_fixture
 from repro.check.generator import generate as generate2
+from repro.core.effective_cpu import compute_cpu_bounds
+from repro.core.ns_monitor import NsMonitor
 from repro.kernel.mm.memcg import MemoryManager
 from repro.kernel.sched.fair import FairScheduler
 from repro.units import gib, mib
@@ -245,6 +247,28 @@ class TestInvariantsFire:
         handle = world.events.call_after(1.0, lambda: None, name="x")
         handle.cancelled = True           # cancel without bookkeeping
         assert any("event_heap" in v for v in self._check(world))
+
+    def test_skipped_class_rewrite_detected(self, monkeypatch):
+        """ns_monitor recomputes a bounds class but forgets to rewrite
+        its members: every E_CPU stays inside its (stale) bounds, so
+        only the from-scratch bounds check can see it."""
+        scn = Scenario(ncpus=4, memory=gib(1), horizon=0.5, ops=[
+            {"t": 0.0, "op": "create", "name": "c0", "workers": 1},
+            {"t": 0.1, "op": "set_quota", "name": "c0", "cpus": 3.0},
+            {"t": 0.2, "op": "create", "name": "c1", "workers": 1},
+            {"t": 0.3, "op": "set_shares", "name": "c1", "shares": 3072},
+        ])
+        assert run_differential(scn).ok
+
+        def skipping(self):
+            for cls in self._classes.values():
+                rep = next(iter(cls.members.values()))
+                cls.bounds = compute_cpu_bounds(rep.cgroup,
+                                                self._total_shares, self.ncpus)
+        monkeypatch.setattr(NsMonitor, "_rebalance", skipping)
+        report = run_differential(scn)
+        assert report.fingerprint() == "invariant:incremental:view_bounds"
+        assert "c0: stale bounds [3, 3]" in report.violations[0]
 
 
 class TestVariants:

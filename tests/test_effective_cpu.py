@@ -23,50 +23,50 @@ def _cg(shares=1024, quota_cores=None, cpuset=None, ncpus=20):
 class TestComputeBounds:
     def test_unconstrained_single_container(self):
         cg = _cg()
-        b = compute_cpu_bounds(cg, [1024], 20)
+        b = compute_cpu_bounds(cg, 1024, 20)
         assert b.lower == 20 and b.upper == 20
 
     def test_share_lower_bound_five_equal(self):
         """Fig. 6's setup: five equal containers on 20 cores -> lower 4."""
         cg = _cg()
-        b = compute_cpu_bounds(cg, [1024] * 5, 20)
+        b = compute_cpu_bounds(cg, 5 * 1024, 20)
         assert b.lower == 4
         assert b.upper == 20
 
     def test_share_lower_bound_rounds_up(self):
         cg = _cg()
-        b = compute_cpu_bounds(cg, [1024] * 3, 20)
+        b = compute_cpu_bounds(cg, 3 * 1024, 20)
         assert b.lower == 7  # ceil(20/3)
 
     def test_quota_caps_both_bounds(self):
         cg = _cg(quota_cores=4)
-        b = compute_cpu_bounds(cg, [1024], 20)
+        b = compute_cpu_bounds(cg, 1024, 20)
         assert b == CpuBounds(lower=4, upper=4)
 
     def test_fractional_quota_floors(self):
         cg = _cg(quota_cores=2.5)
-        b = compute_cpu_bounds(cg, [1024], 20)
+        b = compute_cpu_bounds(cg, 1024, 20)
         assert b.upper == 2
 
     def test_subcore_quota_still_one_cpu(self):
         cg = _cg(quota_cores=0.5)
-        b = compute_cpu_bounds(cg, [1024], 20)
+        b = compute_cpu_bounds(cg, 1024, 20)
         assert b.lower == 1 and b.upper == 1
 
     def test_cpuset_caps_upper(self):
         cg = _cg(cpuset="0-1")
-        b = compute_cpu_bounds(cg, [1024] * 2, 20)
+        b = compute_cpu_bounds(cg, 2 * 1024, 20)
         assert b.upper == 2
         assert b.lower == 2  # min(inf, 2, ceil(10)) = 2
 
     def test_weighted_shares(self):
         cg = _cg(shares=2048)
-        b = compute_cpu_bounds(cg, [2048, 1024, 1024], 20)
+        b = compute_cpu_bounds(cg, 4096, 20)
         assert b.lower == 10  # 2048/4096 * 20
 
     def test_bounds_never_exceed_host(self):
         cg = _cg()
-        b = compute_cpu_bounds(cg, [1024], 8)
+        b = compute_cpu_bounds(cg, 1024, 8)
         assert b.upper == 8
 
     @given(
@@ -78,7 +78,7 @@ class TestComputeBounds:
     def test_bounds_invariants(self, shares, others, quota, mask_size):
         cpuset = f"0-{mask_size - 1}" if mask_size else None
         cg = _cg(shares=shares, quota_cores=quota, cpuset=cpuset)
-        b = compute_cpu_bounds(cg, [shares] + others, 20)
+        b = compute_cpu_bounds(cg, shares + sum(others), 20)
         assert 1 <= b.lower <= b.upper <= 20
         if quota is not None:
             assert b.upper <= max(1, int(quota))

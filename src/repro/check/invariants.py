@@ -9,9 +9,10 @@ These are *laws of the simulation*, not tunables: CPU time is conserved
 exactly (allocated + idle + retired == capacity x elapsed), the memory
 ledger balances (charged - uncharged == resident + swapped), PSI totals
 only grow and full never exceeds some, throttling counters stay within
-their periods, and the paper's resource views stay inside Algorithm 1/2
-bounds.  Any engine that breaks one of these is wrong no matter what
-the workload did.
+their periods, the paper's resource views stay inside Algorithm 1/2
+bounds, and what the accrual step caches per published row still
+matches the row.  Any engine that breaks one of these is wrong no
+matter what the workload did.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.effective_cpu import compute_cpu_bounds
+from repro.kernel.sched.fair import cpu_stall
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.world import World
@@ -240,6 +242,44 @@ class ViewBounds(Invariant):
         return out
 
 
+class AccrualInputs(Invariant):
+    """Publication-cached accrual inputs match their row, from scratch.
+
+    The accrual step reads per-row values computed once at publication
+    (the throttle clip, the cpu stall fractions) and the snapshot's rate
+    total cached at reallocation.  A publication path that forgot to
+    refresh one would accrue from a stale row without breaking any law
+    above, so each busy group's cache is recomputed from its current
+    row here.
+    """
+
+    name = "accrual_inputs"
+
+    def check(self, world, snap, prev):
+        out = []
+        sched = world.sched
+        eps = sched.params.eps
+        policy = sched.policy
+        clip_fn = policy.throttle_clip if policy.throttle_static else None
+        for g in sched.snapshot:
+            cached = (g._cpu_some, g._cpu_full, g._cpu_stalled)
+            want = cpu_stall(g, eps)
+            if cached != want:
+                out.append(self._v(
+                    f"{g.cgroup.path}: cached cpu stall {cached!r}, "
+                    f"row gives {want!r}"))
+            if clip_fn is not None and g._clip != clip_fn(g):
+                out.append(self._v(
+                    f"{g.cgroup.path}: cached throttle clip {g._clip!r}, "
+                    f"row gives {clip_fn(g)!r}"))
+        total = sum(g.rate for g in sched.snapshot)
+        if sched.total_allocated() != total:
+            out.append(self._v(
+                f"cached total_allocated {sched.total_allocated()!r}, "
+                f"snapshot rates sum to {total!r}"))
+        return out
+
+
 class EventHeapIntegrity(Invariant):
     """Lazy-cancellation bookkeeping matches a direct heap recount."""
 
@@ -291,6 +331,7 @@ def default_suite() -> list[Invariant]:
         PsiSanity(),
         ThrottleCounters(),
         ViewBounds(),
+        AccrualInputs(),
         EventHeapIntegrity(),
         ClockLoad(),
     ]

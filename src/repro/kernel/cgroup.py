@@ -154,6 +154,14 @@ class Cgroup:
         self.name = name
         self.parent = parent
         self.root = root
+        #: Absolute path, fixed at creation: cgroups are never renamed or
+        #: re-parented.
+        if parent is None:
+            self.path = "/"
+        else:
+            prefix = parent.path
+            self.path = (prefix + name if prefix.endswith("/")
+                         else f"{prefix}/{name}")
         #: Creation sequence number; the canonical deterministic ordering
         #: of groups (snapshot order, completion-firing order).
         self.seq = root._next_seq()
@@ -207,13 +215,6 @@ class Cgroup:
             self.pressure.bind_clock(root._clock)
 
     # -- hierarchy ---------------------------------------------------------
-
-    @property
-    def path(self) -> str:
-        if self.parent is None:
-            return "/"
-        prefix = self.parent.path
-        return prefix + self.name if prefix.endswith("/") else f"{prefix}/{self.name}"
 
     def create_child(self, name: str) -> "Cgroup":
         if self.destroyed:

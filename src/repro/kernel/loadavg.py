@@ -44,11 +44,13 @@ class LoadTracker:
         if dt <= 0.0:
             return
         n = float(n_runnable)
-        for attr, tau in (("load_1", self.params.tau_1),
-                          ("load_5", self.params.tau_5),
-                          ("load_15", self.params.tau_15)):
-            decay = math.exp(-dt / tau)
-            setattr(self, attr, getattr(self, attr) * decay + n * (1.0 - decay))
+        params = self.params
+        d1 = math.exp(-dt / params.tau_1)
+        d5 = math.exp(-dt / params.tau_5)
+        d15 = math.exp(-dt / params.tau_15)
+        self.load_1 = self.load_1 * d1 + n * (1.0 - d1)
+        self.load_5 = self.load_5 * d5 + n * (1.0 - d5)
+        self.load_15 = self.load_15 * d15 + n * (1.0 - d15)
 
     def seed(self, value: float) -> None:
         """Preload all three averages (warm-started testbed).

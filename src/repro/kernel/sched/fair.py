@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.policy.base import SchedPolicy
 
 __all__ = ["SchedParams", "GroupAlloc", "waterfill", "component_pressures",
-           "FairScheduler"]
+           "cpu_stall", "FairScheduler"]
 
 _EPS = 1e-9
 
@@ -127,6 +127,12 @@ class GroupAlloc:
     #: policies only): the per-second throttled_time accrual rate the
     #: mechanism applies each step without calling back into the policy.
     _clip: float = field(default=0.0, repr=False, compare=False)
+    #: :func:`cpu_stall` of the row, evaluated at publication: the
+    #: group's PSI cpu ``some``/``full`` inputs (already clamped) and
+    #: whether the unclamped pair was nonzero (the zero-stall skip).
+    _cpu_some: float = field(default=0.0, repr=False, compare=False)
+    _cpu_full: float = field(default=0.0, repr=False, compare=False)
+    _cpu_stalled: bool = field(default=False, repr=False, compare=False)
 
     @property
     def per_thread_progress(self) -> float:
@@ -141,6 +147,34 @@ class GroupAlloc:
         if self.n_threads == 0:
             return 0.0
         return self.rate / self.n_threads
+
+
+def cpu_stall(g: GroupAlloc, eps: float) -> tuple[float, float, bool]:
+    """A published row's PSI cpu inputs ``(some, full, stalled)``.
+
+    ``some`` is the unmet share of runnable demand and ``full`` is 1 when
+    the group is runnable but making no progress, both clamped the way
+    :meth:`~repro.obs.pressure.PressureStall.advance` clamps them;
+    ``stalled`` says whether the unclamped pair was nonzero, which is
+    what the zero-stall skip tests.  A function of row fields only, so
+    publication evaluates it once for every accrual step until the next.
+    """
+    demand = g.demand
+    rate = g.rate
+    unmet = demand - rate
+    some = unmet / demand if unmet > 0.0 and demand > 0 else 0.0
+    full = 1.0 if (g.n_threads > 0 and rate <= eps) else 0.0
+    stalled = some != 0.0 or full != 0.0
+    # Branchy clamps: same values as min(1, max(0, x)), fewer calls.
+    if not some > 0.0:
+        some = 0.0
+    if some > 1.0:
+        some = 1.0
+    if not full > 0.0:
+        full = 0.0
+    if full > some:
+        full = some
+    return some, full, stalled
 
 
 @dataclass
@@ -294,6 +328,9 @@ class FairScheduler:
         self._gpool: dict[Cgroup, GroupAlloc] = {}
         self._members_changed = True
         self._n_run_total = 0
+        #: ``sum`` of the snapshot's rates, in snapshot order, as of the
+        #: last publication (rates change nowhere else).
+        self._allocated = 0.0
         #: While a partial re-solve publishes: the dirty set it was
         #: triggered by (None means treat every group as dirty).
         self._publish_dirty: set[Cgroup] | None = None
@@ -376,6 +413,7 @@ class FairScheduler:
                                     key=lambda g: g.cgroup.seq)
             self._members_changed = False
         self._n_run_total = sum(g.n_threads for g in self._snapshot)
+        self._allocated = sum(g.rate for g in self._snapshot)
         self._offline_pressure.clear()
         return self._snapshot
 
@@ -594,12 +632,15 @@ class FairScheduler:
                 policy = self.policy
                 clip_fn = (policy.throttle_clip
                            if policy.throttle_static else None)
+                eps = self.params.eps
                 for g in allocs:
                     cg = g.cgroup
                     self._galloc[cg] = g
                     self._gpool[cg] = g
                     if clip_fn is not None:
                         g._clip = clip_fn(g)
+                    (g._cpu_some, g._cpu_full,
+                     g._cpu_stalled) = cpu_stall(g, eps)
                     cg.cpu_rate = g.rate
                     cg._thread_rate = (g.per_thread_progress
                                        * cg.progress_multiplier)
@@ -639,6 +680,7 @@ class FairScheduler:
         incremental = self._incremental
         policy = self.policy
         clip_fn = policy.throttle_clip if policy.throttle_static else None
+        eps = self.params.eps
         for cg, row in zip(members, rows):
             g = pool.get(cg)
             if g is None:
@@ -675,6 +717,7 @@ class FairScheduler:
              g.demand, g.pressure, g.quota, g.soft_capped) = row
             if clip_fn is not None:
                 g._clip = clip_fn(g)
+            g._cpu_some, g._cpu_full, g._cpu_stalled = cpu_stall(g, eps)
             if cg not in galloc:
                 self._members_changed = True
                 galloc[cg] = g
@@ -923,7 +966,7 @@ class FairScheduler:
                 - self.host.capacity * self._time)
 
     def total_allocated(self) -> float:
-        return sum(g.rate for g in self._snapshot)
+        return self._allocated
 
     def idle_capacity(self) -> float:
         """Instantaneous unallocated host capacity in cores."""
@@ -940,26 +983,48 @@ class FairScheduler:
     def advance(self, dt: float) -> None:
         """Accrue ``dt`` seconds of CPU usage at the current snapshot.
 
-        O(busy groups): per-group progress/occupancy integrals advance
-        here; threads resolve their own accounting against them lazily.
-        Idle groups' PSI averages decay lazily on read (the accumulators
-        are clock-bound), so no hierarchy walk happens per event.
+        O(busy groups) in one flat loop: per-group progress/occupancy
+        integrals advance here; threads resolve their own accounting
+        against them lazily.  Idle groups' PSI averages decay lazily on
+        read (the accumulators are bound to the cgroup root's clock), so
+        no hierarchy walk happens per event.
+
+        Each busy group's two PSI accumulators take the recurrence of
+        :meth:`PressureStall.advance <repro.obs.pressure.PressureStall.advance>`
+        written out inline, one statement per window, with its zero-stall
+        skip and clamps.  Every accumulator shares this ``dt``, so the
+        window decays ``d_i = exp(-dt/W_i)`` and their complements are
+        evaluated once; the cpu stall fractions are fixed per row and
+        come from publication (:func:`cpu_stall`).  The operands and
+        their order are those of the reference, so every bit matches.
         """
         if dt <= 0.0:
             return
         self._time += dt
-        allocated = self.total_allocated()
+        allocated = self._allocated
         idle = max(0.0, self.host.capacity - allocated)
         self.total_idle_time += idle * dt
         self.window_idle += idle * dt
-        eps = self.params.eps
         total_demand = 0.0
         mem_some = 0.0
         mem_full = 1.0 if self._snapshot else 0.0
-        # Every accumulator accrued below shares this dt, so the PSI
-        # window decays are computed once and reused (same exp inputs,
-        # same recurrence — bit-identical to per-call evaluation).
-        decays = tuple(math.exp(-dt / w) for w in PSI_WINDOWS)
+        w0, w1, w2 = PSI_WINDOWS
+        d0 = math.exp(-dt / w0)
+        d1 = math.exp(-dt / w1)
+        d2 = math.exp(-dt / w2)
+        c0 = 1.0 - d0
+        c1 = 1.0 - d1
+        c2 = 1.0 - d2
+        # Every bound accumulator is bound to the cgroup root's clock.
+        clock = self.cgroups._clock
+        if clock is not None:
+            now = clock.now
+            # A bound accumulator accrues [now, now + dt] ahead of the
+            # clock tick (the world integrates before the jump lands).
+            synced = now + dt
+            # Accumulators behind the clock decay their untouched stretch
+            # first; most share its length, so they share its decays.
+            gap_decays: dict[float, tuple[float, ...]] = {}
         policy = self.policy
         throttle_static = policy.throttle_static
         throttle_accrue = policy.throttle_accrue
@@ -969,8 +1034,7 @@ class FairScheduler:
             used = rate * dt
             cg.total_cpu_time += used
             cg.window_usage += used
-            demand = g.demand
-            total_demand += demand
+            total_demand += g.demand
             # Throttle accounting is a policy decision (the default
             # policy clips demand at the quota; burstable only accrues
             # while a soft cap is asserted).  Row-static policies have
@@ -985,9 +1049,9 @@ class FairScheduler:
                 throttle_accrue(g, dt)
             cg.progress_acc += cg._thread_rate * dt
             cg.occupancy_acc += cg._occ_rate * dt
-            # CPU some: unmet share of runnable demand; full: runnable but
-            # making no progress.  Memory stall is the swap/reclaim
-            # slowdown, which hits every thread uniformly (some == full).
+            # Memory stall is the swap/reclaim slowdown, which hits every
+            # thread uniformly (some == full).  The multiplier can move
+            # under an unchanged row, so it is read live.
             mem_frac = 1.0 - cg.progress_multiplier
             if mem_frac < 0.0:
                 mem_frac = 0.0
@@ -995,29 +1059,61 @@ class FairScheduler:
                 mem_some = mem_frac
             if mem_frac < mem_full:
                 mem_full = mem_frac
-            if cg.parent is not None:
-                unmet = demand - rate
-                some = unmet / demand if unmet > 0.0 and demand > 0 else 0.0
-                full = 1.0 if (g.n_threads > 0 and rate <= eps) else 0.0
-                pressure = cg.pressure
-                # Same zero-stall skip ``maybe_advance_shared`` applies,
-                # hoisted here to save the no-op method calls.
-                pcpu = pressure.cpu
-                if some != 0.0 or full != 0.0 or pcpu._clock is None:
-                    pcpu.maybe_advance_shared(dt, some, full, decays)
-                pmem = pressure.memory
-                if mem_frac != 0.0 or pmem._clock is None:
-                    pmem.maybe_advance_shared(dt, mem_frac, mem_frac,
-                                              decays)
+            if cg.parent is None:
+                continue
+            pressure = cg.pressure
+            # CPU some: unmet share of runnable demand; full: runnable
+            # but making no progress.  A bound accumulator skips a
+            # zero-stall step (its lazy decay covers it) and first decays
+            # any untouched stretch since it last synced.
+            p = pressure.cpu
+            bound = p._clock is not None
+            if g._cpu_stalled or not bound:
+                if bound and p._synced < now:
+                    p._sync(gap_decays)
+                some = g._cpu_some
+                full = g._cpu_full
+                p.some_total += some * dt
+                p.full_total += full * dt
+                avg = p._some_avg
+                avg[0] = avg[0] * d0 + some * c0
+                avg[1] = avg[1] * d1 + some * c1
+                avg[2] = avg[2] * d2 + some * c2
+                avg = p._full_avg
+                avg[0] = avg[0] * d0 + full * c0
+                avg[1] = avg[1] * d1 + full * c1
+                avg[2] = avg[2] * d2 + full * c2
+                if bound:
+                    p._synced = synced
+            p = pressure.memory
+            bound = p._clock is not None
+            if mem_frac != 0.0 or not bound:
+                if bound and p._synced < now:
+                    p._sync(gap_decays)
+                # The reference clamps: mem_frac is already >= 0, and
+                # full (== some on input) clamps to the same value.
+                some = mem_frac if mem_frac < 1.0 else 1.0
+                p.some_total += some * dt
+                p.full_total += some * dt
+                avg = p._some_avg
+                avg[0] = avg[0] * d0 + some * c0
+                avg[1] = avg[1] * d1 + some * c1
+                avg[2] = avg[2] * d2 + some * c2
+                avg = p._full_avg
+                avg[0] = avg[0] * d0 + some * c0
+                avg[1] = avg[1] * d1 + some * c1
+                avg[2] = avg[2] * d2 + some * c2
+                if bound:
+                    p._synced = synced
         # The root cgroup carries host-wide pressure, mirroring how
-        # /proc/pressure reads the root group in Linux.
+        # /proc/pressure reads the root group in Linux.  Two accumulators
+        # per step: they take the reference recurrence itself.
         some = (max(0.0, total_demand - allocated) / total_demand
                 if total_demand > 0 else 0.0)
-        full = 1.0 if (total_demand > 0 and allocated <= eps) else 0.0
+        full = 1.0 if (total_demand > 0 and allocated <= self.params.eps) else 0.0
         root = self.cgroups.root
-        root.pressure.cpu.maybe_advance_shared(dt, some, full, decays)
-        root.pressure.memory.maybe_advance_shared(dt, mem_some, mem_full,
-                                                  decays)
+        root.pressure.cpu.maybe_advance(dt, some, full)
+        root.pressure.memory.maybe_advance(dt, mem_some, mem_full)
 
     def contention_pressure(self, cgroup: Cgroup) -> float:
         """The current contention-domain pressure around ``cgroup``.

@@ -21,6 +21,14 @@ the windowed averages with an exact exponential decay at every fluid
 accrual step — deterministic for a given event sequence, so pressure
 files are bit-identical across same-seed runs.
 
+:meth:`PressureStall.advance` is the reference recurrence.  The fluid
+scheduler's accrual step (:meth:`FairScheduler.advance
+<repro.kernel.sched.fair.FairScheduler.advance>`) writes the same
+arithmetic out inline for every busy group, sharing the window decays
+across accumulators, and must stay bit-identical to calling
+:meth:`PressureStall.maybe_advance` per accumulator; the root's
+host-wide pair calls it directly.
+
 Accumulators may be **clock-bound** (:meth:`PressureStall.bind_clock`):
 a bound accumulator decays its averages lazily, on read, from the last
 time it was touched — so a fleet of idle cgroups costs nothing per
@@ -69,16 +77,26 @@ class PressureStall:
         self._clock = clock
         self._synced = clock.now
 
-    def _sync(self) -> None:
-        """Decay the averages over the untouched stretch since last sync."""
+    def _sync(self, gap_decays: dict | None = None) -> None:
+        """Decay the averages over the untouched stretch since last sync.
+
+        ``gap_decays`` maps a stretch length to its three window decays;
+        a caller syncing many accumulators at one clock reading passes
+        one dict, so ``exp`` runs once per distinct stretch.  Equal
+        stretches have equal decays, so sharing them changes no bit.
+        """
         if self._clock is None:
             return
         dt = self._clock.now - self._synced
         if dt <= 0.0:
             return
         self._synced = self._clock.now
-        for i, window in enumerate(PSI_WINDOWS):
-            decay = math.exp(-dt / window)
+        decays = gap_decays.get(dt) if gap_decays is not None else None
+        if decays is None:
+            decays = tuple([math.exp(-dt / window) for window in PSI_WINDOWS])
+            if gap_decays is not None:
+                gap_decays[dt] = decays
+        for i, decay in enumerate(decays):
             self._some_avg[i] *= decay
             self._full_avg[i] *= decay
 
@@ -113,49 +131,6 @@ class PressureStall:
         if self._clock is not None and some_frac == 0.0 and full_frac == 0.0:
             return
         self.advance(dt, some_frac, full_frac)
-
-    def maybe_advance_shared(self, dt: float, some_frac: float,
-                             full_frac: float,
-                             decays: tuple[float, ...]) -> None:
-        """:meth:`maybe_advance` with the window decays precomputed.
-
-        Every accumulator accrued in one scheduler ``advance(dt)`` shares
-        the same ``dt``, so the caller computes ``exp(-dt/W)`` once per
-        window and passes it in; the recurrence below is the same
-        arithmetic as :meth:`advance`, operation for operation, only the
-        (deterministic) ``exp`` evaluations are shared.  Accumulators
-        that fell behind the clock still decay the untouched stretch via
-        :meth:`_sync` with their own exact exponents.
-        """
-        clock = self._clock
-        if clock is not None and some_frac == 0.0 and full_frac == 0.0:
-            return
-        if dt <= 0.0:
-            return
-        if clock is not None:
-            gap = clock.now - self._synced
-            if gap > 0.0:
-                self._synced = clock.now
-                for i, window in enumerate(PSI_WINDOWS):
-                    decay = math.exp(-gap / window)
-                    self._some_avg[i] *= decay
-                    self._full_avg[i] *= decay
-        # Branchy clamps: same values as min(1, max(0, x)), fewer calls.
-        some = some_frac if some_frac > 0.0 else 0.0
-        if some > 1.0:
-            some = 1.0
-        full = full_frac if full_frac > 0.0 else 0.0
-        if full > some:
-            full = some
-        self.some_total += some * dt
-        self.full_total += full * dt
-        some_avg = self._some_avg
-        full_avg = self._full_avg
-        for i, decay in enumerate(decays):
-            some_avg[i] = some_avg[i] * decay + some * (1.0 - decay)
-            full_avg[i] = full_avg[i] * decay + full * (1.0 - decay)
-        if clock is not None:
-            self._synced = clock.now + dt
 
     def avg(self, kind: str, window: float) -> float:
         """Windowed stall-time fraction in [0, 1] (not percent)."""

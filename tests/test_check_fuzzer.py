@@ -270,6 +270,32 @@ class TestInvariantsFire:
         assert report.fingerprint() == "invariant:incremental:view_bounds"
         assert "c0: stale bounds [3, 3]" in report.violations[0]
 
+    def test_skipped_accrual_refresh_detected(self, monkeypatch):
+        """Publication rewrites a contended row but keeps the stall
+        fractions it cached for the old one: PSI accrues from a stale
+        row while every accounting law still holds."""
+        scn = Scenario(ncpus=2, memory=gib(1), horizon=0.5, ops=[
+            {"t": 0.0, "op": "create", "name": "c0", "workers": 2},
+            {"t": 0.2, "op": "create", "name": "c1", "workers": 2},
+        ])
+        assert run_differential(scn).ok
+        publish = FairScheduler._publish_rows
+
+        def stale(self, members, rows):
+            pool = self._gpool
+            kept = {cg: (pool[cg]._cpu_some, pool[cg]._cpu_full,
+                         pool[cg]._cpu_stalled)
+                    for cg in members if cg in pool}
+            publish(self, members, rows)
+            for cg, (some, full, stalled) in kept.items():
+                g = pool[cg]
+                g._cpu_some, g._cpu_full, g._cpu_stalled = some, full, stalled
+        monkeypatch.setattr(FairScheduler, "_publish_rows", stale)
+        report = run_differential(scn)
+        assert report.fingerprint() == "invariant:incremental:accrual_inputs"
+        assert "/docker/c0: cached cpu stall (0.0, 0.0, False)" in (
+            report.violations[0])
+
 
 class TestVariants:
     def test_labels_name_what_differs_from_the_defaults(self):

@@ -173,3 +173,337 @@ class TestCgroupPressure:
         cp.bind_clock(clock)
         assert cp.cpu._clock is clock and cp.memory._clock is clock
         assert cp.cpu._synced == 2.0
+
+
+# -- pinned PSI averages over whole worlds --------------------------------------
+
+#: Generator scenario seeds whose every cgroup's PSI accumulators are pinned.
+PIN_SEEDS = range(20)
+
+
+def _psi_fields(world):
+    """Raw PSI state of every live cgroup, root included, in seq order.
+
+    Reads the fields directly: :meth:`PressureStall.avg` syncs the lazy
+    decay, and syncing changes the history the next accrual builds on.
+    """
+    out = []
+    for cg in sorted(world.cgroups.walk(), key=lambda c: c.seq):
+        for stall in (cg.pressure.cpu, cg.pressure.memory):
+            out.append((cg.seq, stall.some_total, stall.full_total,
+                        tuple(stall._some_avg), tuple(stall._full_avg)))
+    return out
+
+
+def _churned_host(sample):
+    """A small churned host that swaps: create/destroy plus charges.
+
+    24 two-thread containers on 8 CPUs and 1 GiB, so CPU contention is
+    constant; every 50 ms the oldest container is replaced and every
+    20 ms a random one charges 24 MiB past its soft limit, which drives
+    reclaim into swap and the swap slowdown into memory pressure.
+    """
+    import random
+
+    from repro.container.spec import ContainerSpec
+    from repro.units import gib, mib
+    from repro.world import World
+
+    rng = random.Random(7)
+    world = World(ncpus=8, memory=gib(1), seed=7)
+    serial = [0]
+
+    def launch():
+        serial[0] += 1
+        c = world.containers.create(ContainerSpec(
+            f"c{serial[0]}", cpus=rng.choice((None, 0.5, 1.5)),
+            memory_limit=mib(128), memory_soft_limit=mib(32)))
+        world.mm.charge(c.cgroup, mib(16))
+        for j in range(2):
+            c.spawn_thread(f"w{j}").assign_work(1e9)
+        return c
+
+    fleet = [launch() for _ in range(24)]
+
+    def churn():
+        victim = fleet.pop(0)
+        world.mm.uncharge(victim.cgroup, victim.cgroup.memory.usage_in_bytes)
+        world.containers.destroy(victim)
+        fleet.append(launch())
+
+    def charge():
+        c = fleet[rng.randrange(len(fleet))]
+        if c.cgroup.memory.usage_in_bytes + mib(24) <= mib(128):
+            world.mm.charge(c.cgroup, mib(24))
+
+    world.events.call_every(0.05, churn, name="churn")
+    world.events.call_every(0.02, charge, name="charge")
+    for i in range(1, 21):
+        world.run(until=0.1 * i)
+        sample(world)
+    return world
+
+
+class TestPsiAveragePin:
+    """Every PSI total *and* windowed average, pinned across commits.
+
+    ``invariant_snapshot()`` and the benchmark digests carry only the
+    stall totals, and the golden trace covers one 5-container host.
+    This hashes the raw accumulators of every cgroup at every op
+    boundary of :data:`PIN_SEEDS` (the fuzzer's own runner) and of a
+    churned host that swaps, so any change to the accrual arithmetic,
+    down to one rounding, changes the digest.
+    """
+
+    DIGEST = "7d0a4ac2010b3cfd"
+
+    def test_psi_state_matches_pinned_digest(self, monkeypatch):
+        import hashlib
+
+        from repro.check import runner
+        from repro.check.generator import generate
+
+        h = hashlib.sha256()
+
+        def sample(world):
+            h.update(repr(_psi_fields(world)).encode())
+
+        real_check_all = runner.check_all
+
+        def sampling_check_all(suite, world, snap, prev):
+            sample(world)
+            return real_check_all(suite, world, snap, prev)
+
+        monkeypatch.setattr(runner, "check_all", sampling_check_all)
+        for seed in PIN_SEEDS:
+            assert not runner.run_scenario(generate(seed)).violations
+        world = _churned_host(sample)
+        swapped = world.cgroups.root.pressure.memory.some_total
+        assert swapped > 0.0, "the churned host must stall on swap"
+        assert h.hexdigest()[:16] == self.DIGEST
+
+
+# -- the scheduler's inline accrual against the reference recurrence ------------
+
+def _psi_state(p):
+    return repr((p.some_total, p.full_total, p._some_avg, p._full_avg,
+                 p._synced))
+
+
+def _reference_step(sched, dt):
+    """Each accumulator ``sched.advance(dt)`` should touch, with the state
+    :meth:`PressureStall.maybe_advance` gives a copy of it.
+
+    The stall fractions are recomputed from each row here, not read from
+    what publication cached, and each accumulator is replayed alone.
+    """
+    eps = sched.params.eps
+    expected = []
+
+    def replay(p, some, full):
+        q = PressureStall()
+        q.some_total, q.full_total = p.some_total, p.full_total
+        q._some_avg, q._full_avg = list(p._some_avg), list(p._full_avg)
+        q._clock, q._synced = p._clock, p._synced
+        q.maybe_advance(dt, some, full)
+        expected.append((p, _psi_state(q)))
+
+    allocated = sum(g.rate for g in sched.snapshot)
+    total_demand = 0.0
+    mem_some = 0.0
+    mem_full = 1.0 if sched.snapshot else 0.0
+    for g in sched.snapshot:
+        cg = g.cgroup
+        total_demand += g.demand
+        mem_frac = max(0.0, 1.0 - cg.progress_multiplier)
+        mem_some = max(mem_some, mem_frac)
+        mem_full = min(mem_full, mem_frac)
+        if cg.parent is None:
+            continue
+        unmet = g.demand - g.rate
+        some = unmet / g.demand if unmet > 0.0 and g.demand > 0 else 0.0
+        full = 1.0 if (g.n_threads > 0 and g.rate <= eps) else 0.0
+        replay(cg.pressure.cpu, some, full)
+        replay(cg.pressure.memory, mem_frac, mem_frac)
+    some = (max(0.0, total_demand - allocated) / total_demand
+            if total_demand > 0 else 0.0)
+    full = 1.0 if (total_demand > 0 and allocated <= eps) else 0.0
+    root = sched.cgroups.root
+    replay(root.pressure.cpu, some, full)
+    replay(root.pressure.memory, mem_some, mem_full)
+    return expected
+
+
+class AccrualAudit:
+    """Wraps ``FairScheduler.advance``: after every step, each accumulator
+    must equal the reference replay bit for bit."""
+
+    def __init__(self, monkeypatch):
+        from repro.kernel.sched.fair import FairScheduler
+        self.steps = 0
+        self.mismatches: list[str] = []
+        self.stalls = {"cpu_full": 0, "mem": 0, "throttled": 0}
+        real = FairScheduler.advance
+
+        def audited(sched, dt):
+            expected = _reference_step(sched, dt) if dt > 0.0 else []
+            real(sched, dt)
+            self.steps += 1
+            for p, want in expected:
+                if _psi_state(p) != want:
+                    self.mismatches.append(
+                        f"step {self.steps}: {_psi_state(p)} != {want}")
+            for g in sched.snapshot:
+                self.stalls["cpu_full"] += g._cpu_full == 1.0
+                self.stalls["mem"] += g.cgroup.progress_multiplier < 1.0
+                self.stalls["throttled"] += g._clip > 0.0
+
+        monkeypatch.setattr(FairScheduler, "advance", audited)
+
+
+def _starved_host(seed, bound):
+    """A 4-CPU scheduler under random edits, one group starved to rate 0.
+
+    Threads come and go, quotas move, and the memory slowdown of random
+    groups changes the way memcg changes it (multiplier, then a dirty
+    mark).  ``g0``'s quota is 1e-10 cores, below the waterfill's epsilon,
+    so it stays runnable at rate 0: ``full`` = 1 every step, and a
+    multiplier edit on it republishes an identical row with an identical
+    (zero) thread rate — the publish skip path.
+    """
+    import random
+
+    from repro.kernel.cgroup import CgroupRoot
+    from repro.kernel.cpu import HostCpus
+    from repro.kernel.sched.fair import FairScheduler
+    from repro.kernel.task import SimThread
+
+    rng = random.Random(seed)
+    host = HostCpus(4)
+    cgroups = CgroupRoot(host)
+    sched = FairScheduler(host, cgroups)
+    clock = FakeClock()
+    if bound:
+        cgroups.bind_clock(clock)
+    groups = [cgroups.root.create_child(f"g{i}") for i in range(6)]
+    groups[0].set_cpu_quota(1, 10 ** 10)
+    threads = {cg: [] for cg in groups}
+
+    def spawn(cg):
+        t = SimThread(f"t{len(threads[cg])}", cg)
+        t.assign_work(1e9)
+        threads[cg].append(t)
+
+    for cg in groups:
+        for _ in range(rng.randint(1, 3)):
+            spawn(cg)
+    for _ in range(150):
+        cg = rng.choice(groups)
+        roll = rng.random()
+        if roll < 0.2:
+            spawn(cg)
+        elif roll < 0.35 and threads[cg]:
+            t = rng.choice(threads[cg])
+            if t.state.value == "blocked":
+                t.wake()
+            else:
+                t.block()
+        elif roll < 0.5 and cg is not groups[0]:
+            cpus = rng.choice((None, 0.5, 1.0, 2.5))
+            cg.set_cpu_quota(None if cpus is None else int(cpus * 100_000))
+        elif roll < 0.7:
+            cg.progress_multiplier = rng.choice((1.0, 0.8, 0.3))
+            cgroups.scheduler_dirty(cg)
+        if sched.dirty:
+            sched.reallocate()
+        t = clock.now + rng.choice((0.0, 1e-4, 0.01, 0.2, 2.0))
+        sched.advance(t - clock.now)
+        clock.now = t
+
+
+class TestAccrualMatchesReference:
+    """``FairScheduler.advance`` writes the PSI recurrence out inline and
+    reads stall fractions cached at publication; every accumulator must
+    still equal a per-group replay of :meth:`PressureStall.advance`."""
+
+    def test_fuzzer_worlds_both_engines(self, monkeypatch):
+        from repro.check.generator import generate
+        from repro.check.runner import run_scenario
+
+        audit = AccrualAudit(monkeypatch)
+        for seed in range(12):
+            for engine in ("incremental", "scan"):
+                run_scenario(generate(seed), engine)
+        assert audit.mismatches == []
+        assert audit.stalls["throttled"] > 0
+
+    def test_churned_host_with_swap_slowdown(self, monkeypatch):
+        audit = AccrualAudit(monkeypatch)
+        _churned_host(lambda world: None)
+        assert audit.mismatches == []
+        assert audit.stalls["mem"] > 0
+
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "unbound"])
+    def test_starved_groups_and_multiplier_edits(self, monkeypatch, bound):
+        audit = AccrualAudit(monkeypatch)
+        for seed in range(3):
+            _starved_host(seed, bound)
+        assert audit.mismatches == []
+        assert audit.stalls["cpu_full"] > 0 and audit.stalls["mem"] > 0
+
+    def test_multiplier_edit_on_skipped_publication(self, monkeypatch):
+        """A zero-rate group's multiplier moves: publication skips the
+        unchanged row, and the next step still accrues the new stall."""
+        from repro.kernel.cgroup import CgroupRoot
+        from repro.kernel.cpu import HostCpus
+        from repro.kernel.sched import fair
+        from repro.kernel.task import SimThread
+
+        host = HostCpus(2)
+        cgroups = CgroupRoot(host)
+        cgroups.bind_clock(FakeClock())
+        sched = fair.FairScheduler(host, cgroups)
+        cg = cgroups.root.create_child("starved")
+        cg.set_cpu_quota(1, 10 ** 10)
+        SimThread("t", cg).assign_work(1e9)
+        sched.reallocate()
+        g = sched.snapshot[0]
+        assert g.rate == 0.0 and g._cpu_full == 1.0
+
+        evaluated = []
+        real_stall = fair.cpu_stall
+        monkeypatch.setattr(fair, "cpu_stall",
+                            lambda g, eps: evaluated.append(g)
+                            or real_stall(g, eps))
+        cg.progress_multiplier = 0.5
+        cgroups.scheduler_dirty(cg)
+        sched.reallocate()
+        assert evaluated == []                # the skip path was taken
+        audit = AccrualAudit(monkeypatch)
+        sched.advance(0.5)
+        assert audit.mismatches == []
+        assert cg.pressure.memory.some_total == 0.25
+
+    def test_planted_stale_fraction_is_caught(self, monkeypatch):
+        """The audit is not vacuous: a cached cpu fraction left over from
+        an older row makes the step diverge from the reference."""
+        from repro.kernel.cgroup import CgroupRoot
+        from repro.kernel.cpu import HostCpus
+        from repro.kernel.sched.fair import FairScheduler
+        from repro.kernel.task import SimThread
+
+        host = HostCpus(2)
+        cgroups = CgroupRoot(host)
+        cgroups.bind_clock(FakeClock())
+        sched = FairScheduler(host, cgroups)
+        for name in ("a", "b"):
+            cg = cgroups.root.create_child(name)
+            for i in range(2):
+                SimThread(f"t{i}", cg).assign_work(1e9)
+        sched.reallocate()
+        g = sched.snapshot[0]
+        assert g._cpu_some == 0.5
+        g._cpu_some = 0.25                    # stale: an older row's value
+        audit = AccrualAudit(monkeypatch)
+        sched.advance(0.1)
+        assert len(audit.mismatches) == 1

@@ -9,18 +9,11 @@ Three scenarios exercise :mod:`repro.cluster` end to end:
   placement traces must hash identically (single-process determinism,
   the property the pool digests build on) and the record carries a
   pods-placed-per-second throughput figure.
-* ``shard`` — one bursty churn workload (32 hosts / ~3k pods at full
-  scale) run at ``jobs=1/2/4`` via the sharded cluster executor
-  (:mod:`repro.cluster.shard`); every layout's ``trace_digest()``,
-  ``epoch_sample_digest()`` and ``invariant_snapshot()`` must be
-  byte-identical, and the record carries epochs/s and pods/s per
-  layout.
 
 ``placement`` and ``interplay`` run twice, ``--jobs 1`` then
 ``--jobs N``, and the per-trial result digests must match exactly —
 the benchmark fails on any serial/parallel divergence, so the speedup
-numbers can never come from changed results.  ``shard`` enforces the
-same property across shard layouts.  Run directly to produce
+numbers can never come from changed results.  Run directly to produce
 ``BENCH_cluster.json``::
 
     PYTHONPATH=src python benchmarks/bench_cluster.py --quick
@@ -42,11 +35,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.cluster import Cluster, ClusterParams, PodSpec  # noqa: E402
 from repro.harness.experiments.exp_cluster import (ClusterExpParams,  # noqa: E402
                                                    trial, trial_specs)
 from repro.par import TrialSpec, result_digest, run_trials  # noqa: E402
-from repro.units import gib, mib  # noqa: E402
+from repro.units import gib  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_cluster.json"
 
@@ -160,80 +152,6 @@ def run_profile(*, quick: bool) -> dict:
     return record
 
 
-def _shard_workload(*, quick: bool) -> tuple[ClusterParams, list[PodSpec],
-                                             float]:
-    """A bursty churn workload sized so the rebalancer actually fires.
-
-    Baseline demand sits around half the hot threshold per host; every
-    50th pod bursts to 3.5 cores at a staggered time, pushing its host
-    hot so the rebalancer sheds small pods to cool hosts each epoch.
-    Requests are sized so nothing is rejected — every layout places,
-    bursts, and migrates the identical pod population.
-    """
-    n_hosts = 16 if quick else 32
-    n_pods = 1400 if quick else 3000
-    params = ClusterParams(n_hosts=n_hosts, host_ncpus=8,
-                           host_memory=gib(16), epoch=0.5, hot_frac=0.75,
-                           seed=0)
-    specs = []
-    for i in range(n_pods):
-        demand = 0.025 + 0.03 * ((i * 7) % 5) / 4
-        burst = i % 50 == 0
-        specs.append(PodSpec(
-            name=f"pod{i:04d}", cpu_request=round(demand * 2.0, 3),
-            mem_request=mib(48), cpu_demand=round(demand, 3),
-            mem_demand=mib(24),
-            burst_demand=3.5 if burst else None,
-            burst_at=1.0 + ((i // 50) % 12) * 0.5 if burst else None))
-    return params, specs, 8.0
-
-
-def run_shard(*, quick: bool) -> dict:
-    """One churn workload at ``jobs=1/2/4``; fingerprints must agree."""
-    levels = (1, 2, 4)
-    walls: dict[str, float] = {}
-    prints: dict[int, tuple[str, str, str]] = {}
-    placed = migrations = 0
-    for jobs in levels:
-        params, specs, horizon = _shard_workload(quick=quick)
-        cluster = Cluster(params, jobs=jobs)
-        try:
-            t0 = time.perf_counter()
-            cluster.submit_all(specs)
-            cluster.run(until=horizon)
-            walls[str(jobs)] = time.perf_counter() - t0
-            snap = json.dumps(cluster.invariant_snapshot(), sort_keys=True)
-            prints[jobs] = (cluster.trace_digest(),
-                            cluster.epoch_sample_digest(), snap)
-            placed = len(cluster.placed)
-            migrations = len(cluster.migration_records)
-        finally:
-            cluster.close()
-    params, _specs, horizon = _shard_workload(quick=quick)
-    epochs = round(horizon / params.epoch)
-    serial, parallel = walls["1"], walls[str(levels[-1])]
-    record = {
-        "scenario": "shard", "hosts": params.n_hosts,
-        "pods": len(_specs), "placed": placed, "epochs": epochs,
-        "migrations": migrations, "jobs": levels[-1],
-        "walls_s": walls,
-        "epochs_per_s": {k: epochs / w if w else 0.0
-                         for k, w in walls.items()},
-        "pods_per_s": {k: placed / w if w else 0.0
-                       for k, w in walls.items()},
-        "serial_wall_s": serial, "parallel_wall_s": parallel,
-        "speedup": serial / parallel if parallel else 0.0,
-        "digest": prints[1][0],
-        "digest_match": all(prints[j] == prints[1] for j in levels),
-    }
-    print(f"shard: {placed} pods on {params.n_hosts} hosts, "
-          f"{migrations} migrations, jobs=1 {serial:.2f}s, "
-          f"jobs={levels[-1]} {parallel:.2f}s -> {record['speedup']:.2f}x "
-          f"(digest {'ok' if record['digest_match'] else 'MISMATCH'})",
-          file=sys.stderr)
-    return record
-
-
 def run_all(*, quick: bool, jobs: int, profile: bool = False) -> dict:
     scenarios = {
         "placement": run_speedup(
@@ -241,7 +159,6 @@ def run_all(*, quick: bool, jobs: int, profile: bool = False) -> dict:
         "interplay": run_speedup(
             "interplay", _sweep_specs("interplay", quick=quick), jobs=jobs),
         "repeat": run_repeat(quick=quick),
-        "shard": run_shard(quick=quick),
     }
     if profile:
         scenarios["profile"] = run_profile(quick=quick)

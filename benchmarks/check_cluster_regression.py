@@ -8,16 +8,10 @@ check fails if
 * the run reports a serial/parallel digest mismatch (pool determinism
   broke),
 * the ``repeat`` scenario's placement trace diverged between two
-  in-process runs (simulation determinism broke),
-* the ``shard`` scenario's sharded layouts diverged from ``jobs=1``
-  (barrier determinism broke) — the digest check is mandatory on every
-  run regardless of core count,
+  in-process runs (simulation determinism broke), or
 * the parallel speedup falls below a floor — only enforced when >= 4
   cores actually back the pool *and* the baseline's serial sweep is
-  slow enough (>= 1s) for pool overhead not to dominate, or
-* the ``shard`` speedup falls below 1.0 when >= 2 cores back the shard
-  workers (persistent shards must never lose to in-process execution
-  once real parallelism exists).
+  slow enough (>= 1s) for pool overhead not to dominate.
 
 Wall clock on shared CI runners is noisy, hence the generous 2x bound:
 this is a tripwire for algorithmic regressions (placement going
@@ -46,15 +40,9 @@ GRACE_S = gate.GRACE_S
 MIN_SPEEDUP_4CORE = 1.25
 MIN_SERIAL_FOR_SPEEDUP_S = 1.0
 
-#: The shard scenario must at least break even once two real cores
-#: back the shard workers; anything below 1.0 means the epoch barrier
-#: costs more than the parallel epoch run saves.
-MIN_SHARD_SPEEDUP_2CORE = 1.0
-
 _WALL_KEYS = {"placement": ("serial_wall_s", "parallel_wall_s"),
               "interplay": ("serial_wall_s", "parallel_wall_s"),
-              "repeat": ("first_wall_s", "second_wall_s"),
-              "shard": ("serial_wall_s", "parallel_wall_s")}
+              "repeat": ("first_wall_s", "second_wall_s")}
 
 
 def check(current_path: Path, baseline_path: Path = BASELINE,
@@ -71,8 +59,6 @@ def check(current_path: Path, baseline_path: Path = BASELINE,
         if not now.get("digest_match", False):
             if key == "repeat":
                 what = "placement trace diverged between identical runs"
-            elif key == "shard":
-                what = "sharded layout diverged from jobs=1"
             else:
                 what = "serial/parallel results diverged"
             failures.append(f"{key}: {what} (determinism regression)")
@@ -93,20 +79,6 @@ def check(current_path: Path, baseline_path: Path = BASELINE,
                     f"{key}: speedup {now['speedup']:.2f}x below "
                     f"{min_speedup:g}x with {effective} effective cores "
                     f"(pool overhead regression)")
-    shard_base = baseline["scenarios"].get("shard", {})
-    shard_now = current["scenarios"].get("shard")
-    if shard_now:
-        shard_cores = min(shard_now.get("jobs", 1),
-                          current.get("cpu_count") or 1)
-        if (shard_cores >= 2
-                and shard_base.get("serial_wall_s", 0.0)
-                >= MIN_SERIAL_FOR_SPEEDUP_S
-                and shard_now.get("speedup", 0.0)
-                < MIN_SHARD_SPEEDUP_2CORE):
-            failures.append(
-                f"shard: speedup {shard_now['speedup']:.2f}x below "
-                f"{MIN_SHARD_SPEEDUP_2CORE:g}x with {shard_cores} "
-                f"effective cores (epoch barrier overhead regression)")
     return failures
 
 

@@ -4,7 +4,7 @@ The correctness backbone of the simulator.  Seeded random scenarios —
 world scripts of container churn, cgroup edits at random times,
 OOM-prone memory workloads and traffic-phase thread loops, or clusters
 with staggered pod waves — run under a list of *variants*
-(:class:`Variant`: engine, policy bundle, shard layout) with every
+(:class:`Variant`: engine and policy bundle) with every
 boundary checked against an invariant suite.  One oracle judges the
 runs (:func:`run_variants`): every run must be lawful, and each variant
 sharing the first one's policy must reproduce its log and snapshots
@@ -19,13 +19,13 @@ Entry points::
     python -m repro check --replay FIX.json # re-run a committed fixture
     python -m repro check --backend-diff incremental,vector --seeds 60
     python -m repro check --policy-diff default,burstable --seeds 50
-    python -m repro check --shard-diff --seeds 50   # jobs 1 vs 2 vs 3
+    python -m repro check --cluster --seeds 50      # generated clusters
 """
 
 from repro.check.cluster_invariants import (check_cluster,
                                             check_cluster_snapshot)
-from repro.check.differ import (DEFAULT_VARIANTS, SHARD_VARIANTS, DiffReport,
-                                Variant, diff_snapshots, run_differential,
+from repro.check.differ import (DEFAULT_VARIANTS, DiffReport, Variant,
+                                diff_snapshots, run_differential,
                                 run_variants)
 from repro.check.generator import generate, generate_cluster
 from repro.check.invariants import Invariant, default_suite
@@ -37,7 +37,7 @@ from repro.check.span_tree import check_span_tree
 __all__ = [
     "Scenario", "generate", "generate_cluster", "Invariant", "default_suite",
     "RunResult", "run_scenario", "run_cluster",
-    "Variant", "DEFAULT_VARIANTS", "SHARD_VARIANTS", "DiffReport",
+    "Variant", "DEFAULT_VARIANTS", "DiffReport",
     "diff_snapshots", "run_variants", "run_differential", "shrink",
     "check_cluster", "check_cluster_snapshot", "check_span_tree",
 ]

@@ -8,13 +8,16 @@ unknown engine or policy name is rejected before any trial runs:
 * default: engines ``incremental`` vs ``scan``, exact equality;
 * ``--backend-diff A,B``: two engines, exact equality;
 * ``--policy-diff A,B``: two policy bundles, each run lawful under its
-  own invariant suite, drift recorded;
-* ``--shard-diff``: generated clusters at ``jobs`` 1 vs 2 vs 3, digests
-  and epoch snapshots exactly equal, every epoch lawful.
+  own invariant suite, drift recorded.
+
+``--cluster`` swaps the world generator for the cluster generator: each
+seed becomes a multi-host cluster scenario run under the selected pair,
+with the cluster invariants checked at every epoch barrier, migration
+span chains audited on traced runs, and digests plus epoch snapshots
+compared exactly.
 
 The modes: a fixed-seed sweep (``--seeds N`` from ``--seed-start``;
-``--jobs N`` fans it across worker processes unless a variant shards,
-since shard workers cannot nest inside the pool; results are
+``--jobs N`` fans it across worker processes; results are
 content-cached under ``results/.cache`` unless ``--no-cache``), one
 seed (``--seed S``), a randomized smoke (``--smoke SECONDS`` of fresh
 OS-random seeds, each printed so a CI failure is reproducible), and
@@ -39,10 +42,10 @@ import json
 import os
 import random
 import re
+import sys
 import time
 
-from repro.check.differ import (DEFAULT_VARIANTS, SHARD_VARIANTS, Variant,
-                                run_variants)
+from repro.check.differ import DEFAULT_VARIANTS, Variant, run_variants
 from repro.check.scenario import Scenario
 from repro.check.shrinker import shrink
 from repro.check.sweep import (TRIAL_FN, dump_fixture, load_fixture,
@@ -92,10 +95,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                       type=_pair_of("policy"), metavar="A,B",
                       help="run under two policy bundles (e.g. "
                            "default,burstable); the oracle is lawfulness")
-    pair.add_argument("--shard-diff", dest="variants", action="store_const",
-                      const=list(SHARD_VARIANTS),
-                      help="run generated clusters at jobs=1 vs 2 vs 3 "
-                           "(byte-identity + cluster invariants)")
+    parser.add_argument("--cluster", action="store_true",
+                        help="generate multi-host cluster scenarios "
+                             "instead of single worlds (cluster "
+                             "invariants at every epoch)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for the seed sweep "
                              "(default 1 = in-process)")
@@ -121,7 +124,7 @@ def _default_fixture_dir() -> str | None:
 
 def _fail(seed: int, variants: list[Variant], args) -> None:
     """Re-run, report, shrink and fixture one failing seed."""
-    scenario = scenario_for(seed, variants)
+    scenario = scenario_for(seed, cluster=args.cluster)
     report = run_variants(scenario, variants)
     print(f"FAIL seed={seed} under {_labels(variants)}")
     print(report.summary())
@@ -165,7 +168,8 @@ def _sweep(seeds: list[int], variants: list[Variant], args) -> int:
     config = [v.to_dict() for v in variants]
     specs = [TrialSpec(fn=TRIAL_FN, experiment="check-sweep",
                        trial_id=f"seed{s}",
-                       config={"seed": s, "variants": config})
+                       config={"seed": s, "variants": config,
+                               "cluster": args.cluster})
              for s in seeds]
 
     def on_result(_spec, res):
@@ -174,9 +178,8 @@ def _sweep(seeds: list[int], variants: list[Variant], args) -> int:
         elif args.verbose:
             _print_seed_result(res.value, cached=res.cached)
 
-    # Shard workers cannot nest inside the pool's daemonic workers.
-    jobs = 1 if any(v.jobs > 1 for v in variants) else args.jobs
-    results = run_trials(specs, jobs=jobs, cache=cache, on_result=on_result)
+    results = run_trials(specs, jobs=args.jobs, cache=cache,
+                         on_result=on_result)
     failed = [(seed, res) for seed, res in zip(seeds, results)
               if not res.ok or not res.value["ok"]]
     if failed:
@@ -209,7 +212,8 @@ def _smoke(variants: list[Variant], args) -> int:
     while time.monotonic() < deadline:
         seed = sysrand.randrange(1 << 32)
         print(f"smoke seed={seed}", flush=True)
-        value = trial({"seed": seed, "variants": config})
+        value = trial({"seed": seed, "variants": config,
+                       "cluster": args.cluster})
         n += 1
         if not value["ok"]:
             failures += 1
@@ -222,8 +226,12 @@ def _smoke(variants: list[Variant], args) -> int:
 
 
 def _replay(args) -> int:
-    with open(args.replay) as fh:
-        scenario, variants = load_fixture(json.load(fh))
+    try:
+        with open(args.replay) as fh:
+            scenario, variants = load_fixture(json.load(fh))
+    except ValueError as exc:
+        print(f"check: bad fixture {args.replay}: {exc}", file=sys.stderr)
+        return 2
     variants = args.variants or variants
     report = run_variants(scenario, variants)
     verdict = "ok" if report.ok else f"FAIL {report.fingerprint()}"

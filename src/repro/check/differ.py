@@ -1,8 +1,7 @@
 """The differential oracle: one scenario, a list of variants, one verdict.
 
-A :class:`Variant` says how to run a scenario: the solve engine, the
-policy bundle and the shard layout (``jobs``, meaningful for cluster
-scenarios).  :func:`run_variants` runs the scenario once per variant —
+A :class:`Variant` says how to run a scenario: the solve engine and the
+policy bundle.  :func:`run_variants` runs the scenario once per variant —
 a world :class:`~repro.check.scenario.Scenario` through
 :func:`~repro.check.runner.run_scenario`, a cluster scenario dict
 through :func:`~repro.check.runner.run_cluster` — and judges the runs:
@@ -10,7 +9,7 @@ through :func:`~repro.check.runner.run_cluster` — and judges the runs:
 * every run must be lawful under its own invariant suite;
 * a later variant with the same policy as ``variants[0]`` must
   reproduce its log and every snapshot *exactly*, floats included.
-  Engines and shard layouts share their arithmetic by construction, so
+  Engines share their arithmetic by construction, so
   tolerances would only hide the first divergence until it compounds;
 * a variant with a different policy is judged on lawfulness alone —
   distinct policies may lawfully allocate differently — and
@@ -21,14 +20,14 @@ The oracle is derived from the variants, never chosen by a flag.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.check.runner import RunResult, run_cluster, run_scenario
 from repro.check.scenario import Scenario
 from repro.errors import PolicyError
 from repro.policy import resolve_bundle
 
-__all__ = ["Variant", "DEFAULT_VARIANTS", "SHARD_VARIANTS", "DiffReport",
+__all__ = ["Variant", "DEFAULT_VARIANTS", "DiffReport",
            "diff_snapshots", "run_variants", "run_differential"]
 
 ENGINES = ("incremental", "scan", "vector")
@@ -41,8 +40,6 @@ class Variant:
     engine: str = "incremental"
     #: A policy bundle name (see :func:`repro.policy.resolve_bundle`).
     policy: str = "default"
-    #: Shard workers for a cluster scenario; a world runs in-process.
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -52,17 +49,13 @@ class Variant:
             resolve_bundle(self.policy)
         except PolicyError as exc:
             raise ValueError(str(exc)) from None
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     @property
     def label(self) -> str:
-        """The fields that differ from the defaults, e.g. ``jobs=2``."""
+        """The fields that differ from the defaults, e.g. ``scan/burstable``."""
         parts = [self.engine] if self.engine != "incremental" else []
         if self.policy != "default":
             parts.append(self.policy)
-        if self.jobs != 1:
-            parts.append(f"jobs={self.jobs}")
         return "/".join(parts) or self.engine
 
     def to_dict(self) -> dict:
@@ -70,13 +63,18 @@ class Variant:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Variant":
+        """Inverse of :meth:`to_dict`; fixtures come from outside the
+        program, so an unknown field is a ``ValueError`` naming it."""
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(f"unknown variant field {unknown[0]!r}: "
+                             f"expected some of {known}")
         return cls(**data)
 
 
 #: The classic engine pair; fixtures without ``variants`` replay under it.
 DEFAULT_VARIANTS = (Variant(), Variant(engine="scan"))
-#: In-process cluster against two sharded layouts.
-SHARD_VARIANTS = (Variant(), Variant(jobs=2), Variant(jobs=3))
 
 
 @dataclass
@@ -198,7 +196,7 @@ def run_variants(scenario: Scenario | dict,
         else:
             params = {**scenario["params"], "engine": variant.engine,
                       "sched_policy": sched, "reclaim_policy": reclaim}
-            res = run_cluster({**scenario, "params": params}, variant.jobs)
+            res = run_cluster({**scenario, "params": params})
         report.results[label] = res
         report.violations.extend(f"{label}: {v}" for v in res.violations)
         if base is None:

@@ -13,8 +13,7 @@ paths, which the shrinker depends on.
 
 :func:`generate_cluster` derives the other scenario kind: a cluster
 scenario, a plain dict of cluster parameters plus staggered waves of pod
-submissions, which :func:`repro.check.runner.run_cluster` interprets at
-any shard layout.
+submissions, which :func:`repro.check.runner.run_cluster` interprets.
 """
 
 from __future__ import annotations
@@ -169,8 +168,11 @@ def generate_cluster(seed: int) -> dict:
     Host count and shape, strategy, epoch length, hot threshold,
     bursty/gang pod mix, tracing and telemetry all vary.  Hosts are
     kept small and the hot threshold low so the rebalancer fires
-    often: cross-shard migrations are the interesting paths.
+    often: cross-host migrations are the interesting paths.
     """
+    # The seed label keeps its original name so every seed maps to the
+    # scenario it always has: cluster fixtures, CI sweeps and the pinned
+    # cluster bytes stay reproducible across releases.
     rng = random.Random(derive_seed("check-shard-diff", "scenario", seed))
     n_hosts = rng.randint(2, 6)
     ncpus = rng.choice((2, 4, 8))

@@ -5,8 +5,8 @@ The runner holds the two scenario interpreters the differential oracle
 for a world :class:`~repro.check.scenario.Scenario` and
 :func:`run_cluster` for a cluster scenario.  Determinism contract:
 given the same scenario and variant, the snapshots and the log are
-bit-identical run to run; given the same scenario under another engine
-or shard layout, they must still be identical.
+bit-identical run to run; given the same scenario under another engine,
+they must still be identical.
 
 World ops never abort a run.  Faults that a real fleet would survive are
 converted into log entries instead:
@@ -207,15 +207,14 @@ def run_scenario(scenario: Scenario, engine: str = "incremental", *,
     return result
 
 
-def run_cluster(scenario: dict, jobs: int = 1) -> RunResult:
+def run_cluster(scenario: dict) -> RunResult:
     """Run a cluster scenario (see :func:`repro.check.generate_cluster`).
 
-    The cluster runs on ``jobs`` shard workers and is sampled at every
-    epoch barrier: each ``invariant_snapshot()`` is audited by
-    :func:`check_cluster_snapshot` against the previous one, and a
-    traced run's migration span chains by
-    :func:`repro.check.span_tree.check_span_tree`, which exercises the
-    cross-process ``follows`` links.  The log holds the placement trace
+    The cluster is sampled at every epoch barrier: each
+    ``invariant_snapshot()`` is audited by :func:`check_cluster_snapshot`
+    against the previous one, and a traced run's migration span chains
+    by :func:`repro.check.span_tree.check_span_tree`, which follows the
+    cross-host ``follows`` links.  The log holds the placement trace
     digest, the epoch sample digest and the telemetry epoch count.
     """
     from repro.cluster import Cluster, ClusterParams, PodSpec
@@ -226,28 +225,28 @@ def run_cluster(scenario: dict, jobs: int = 1) -> RunResult:
     waves = list(scenario["waves"])
     result = RunResult(engine=params.engine)
     prev: dict | None = None
-    with Cluster(params, jobs=jobs) as cluster:
-        collector = FleetCollector() if scenario["telemetry"] else None
-        if collector is not None:
-            cluster.attach_telemetry(collector)
-        t = 0.0
-        while t < horizon - 1e-9:
-            while waves and waves[0][0] <= t + 1e-9:
-                for spec in waves.pop(0)[1]:
-                    cluster.submit(PodSpec(**spec))
-            t = min(t + params.epoch, horizon)
-            cluster.run(until=t)
-            snap = cluster.invariant_snapshot()
-            tag = f"epoch[{len(result.snapshots)}]"
-            result.violations.extend(
-                f"{tag}: {v}" for v in check_cluster_snapshot(snap, prev))
-            result.snapshots.append(snap)
-            prev = snap
-        if params.trace:
-            result.violations.extend(
-                f"spans: {v}" for v in check_span_tree(cluster))
-        epochs = collector.epochs if collector is not None else 0
-        result.log = [f"trace_digest:{cluster.trace_digest()}",
-                      f"sample_digest:{cluster.epoch_sample_digest()}",
-                      f"telemetry_epochs:{epochs}"]
+    cluster = Cluster(params)
+    collector = FleetCollector() if scenario["telemetry"] else None
+    if collector is not None:
+        cluster.attach_telemetry(collector)
+    t = 0.0
+    while t < horizon - 1e-9:
+        while waves and waves[0][0] <= t + 1e-9:
+            for spec in waves.pop(0)[1]:
+                cluster.submit(PodSpec(**spec))
+        t = min(t + params.epoch, horizon)
+        cluster.run(until=t)
+        snap = cluster.invariant_snapshot()
+        tag = f"epoch[{len(result.snapshots)}]"
+        result.violations.extend(
+            f"{tag}: {v}" for v in check_cluster_snapshot(snap, prev))
+        result.snapshots.append(snap)
+        prev = snap
+    if params.trace:
+        result.violations.extend(
+            f"spans: {v}" for v in check_span_tree(cluster))
+    epochs = collector.epochs if collector is not None else 0
+    result.log = [f"trace_digest:{cluster.trace_digest()}",
+                  f"sample_digest:{cluster.epoch_sample_digest()}",
+                  f"telemetry_epochs:{epochs}"]
     return result

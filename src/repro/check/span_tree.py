@@ -46,18 +46,16 @@ def check_span_tree(cluster: "Cluster") -> list[str]:
     spans: dict[str, TraceSpan] = {}       # gid -> span
     hosts_of: dict[str, str] = {}          # gid -> host name
     dropped = 0
-    # fleet_spans() ships per-host trace bundles out of the execution
-    # backend, so the audit never touches host worlds directly and
-    # works identically for in-process and sharded clusters.
-    for bundle in cluster.fleet_spans():
-        if not bundle["enabled"]:
-            return [f"span_tree: tracing disabled on host {bundle['host']} "
+    for host in cluster.hosts:
+        log = host.world.trace
+        if not log.enabled:
+            return [f"span_tree: tracing disabled on host {host.name} "
                     f"(cannot audit span chains)"]
-        dropped += bundle["dropped"]
-        for span in bundle["spans"]:
-            gid = f"{bundle['log_id']}:{span.span_id}"
+        dropped += log.spans_dropped
+        for span in log.spans(include_open=True):
+            gid = f"{log.log_id}:{span.span_id}"
             spans[gid] = span
-            hosts_of[gid] = bundle["host"]
+            hosts_of[gid] = host.name
     if dropped:
         # Evicted spans leave dangling follows links that are not bugs;
         # surface the capacity overflow itself instead of chasing them.

@@ -1,7 +1,8 @@
 """The seed-sweep trial for the differential oracle, runnable via repro.par.
 
-One trial = one seed under one variant list: derive the scenario, run
-it under every variant, judge.  The trial value is a plain dict so
+One trial = one seed under one variant list: derive the scenario (a
+world, or a cluster when the config says ``cluster``), run it under
+every variant, judge.  The trial value is a plain dict so
 sweeps can fan out across worker processes and be content-cached — a
 200-seed CI sweep after a docs-only commit is 200 cache hits.
 
@@ -44,23 +45,22 @@ def dump_fixture(scenario: Scenario | dict, variants: list[Variant]) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def scenario_for(seed: int, variants: list[Variant]) -> Scenario | dict:
-    """A cluster scenario when any variant shards (``jobs > 1``), else a
-    world scenario: sharding only exists for clusters."""
-    if any(v.jobs > 1 for v in variants):
-        return generate_cluster(seed)
-    return generate(seed)
+def scenario_for(seed: int, *, cluster: bool = False) -> Scenario | dict:
+    """The generated cluster scenario for ``seed`` when ``cluster``, else
+    the generated world scenario."""
+    return generate_cluster(seed) if cluster else generate(seed)
 
 
 def trial(config: dict, spawn_seed: int = 0) -> dict:
     """Run one seed (``config["seed"]``) under ``config["variants"]``.
 
+    ``config["cluster"]`` (default false) picks the cluster generator.
     The spawn key is unused: the scenario is already a pure function of
     the seed.
     """
     seed = int(config["seed"])
     variants = [Variant.from_dict(v) for v in config["variants"]]
-    scenario = scenario_for(seed, variants)
+    scenario = scenario_for(seed, cluster=config.get("cluster", False))
     report = run_variants(scenario, variants)
     value = {"seed": seed, "ok": report.ok}
     if not report.ok:

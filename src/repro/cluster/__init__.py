@@ -11,28 +11,23 @@ HPA/VPA interference is a first-class experiment.
 Entry points::
 
     python -m repro cluster                 # the exp_cluster experiment
-    python -m repro cluster --quick --jobs 4
+    python -m repro cluster --quick --jobs 4   # trials across 4 processes
 """
 
 from repro.cluster.cluster import Cluster, ClusterParams
 from repro.cluster.hpa import HorizontalAutoscaler, HpaParams
 from repro.cluster.host import Host, HostLedger
-from repro.cluster.migration import (MigrationRecord, drain_pod, migrate,
-                                     readmit_pod)
+from repro.cluster.migration import MigrationRecord, drain_pod, readmit_pod
 from repro.cluster.placement import (GangBinPack, PlacementStrategy,
                                      StaticRequestBinPack, ViewBinPack,
                                      make_strategy)
 from repro.cluster.pod import Footprint, PlacedPod, PodRecord, PodSpec
-from repro.cluster.shard import (InlineShardExecutor, ProcessShardExecutor,
-                                 ShardWorker, shard_hosts)
 
 __all__ = [
     "Cluster", "ClusterParams", "Host", "HostLedger",
     "PodSpec", "PlacedPod", "PodRecord", "Footprint",
     "PlacementStrategy", "StaticRequestBinPack", "ViewBinPack",
     "GangBinPack", "make_strategy",
-    "MigrationRecord", "migrate", "drain_pod", "readmit_pod",
-    "ShardWorker", "InlineShardExecutor", "ProcessShardExecutor",
-    "shard_hosts",
+    "MigrationRecord", "drain_pod", "readmit_pod",
     "HorizontalAutoscaler", "HpaParams",
 ]

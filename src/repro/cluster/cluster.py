@@ -1,30 +1,28 @@
-"""The cluster: N lockstep worlds, one scheduler, one audit trail.
+"""The cluster: N lockstep host worlds, one scheduler, one audit trail.
 
 The :class:`Cluster` advances its hosts in fixed *epochs*.  Each epoch:
 
 1. demand bursts fire (pods raise/lower their CPU quota);
 2. pending pods are scheduled — gangs first (all-or-nothing when the
    strategy is gang-aware), then singles best-fit-decreasing;
-3. every host world runs to the epoch boundary (independent event
-   loops, identical clocks at the barrier);
-4. per-pod attained CPU rates are sampled against the SLO and packing
+3. the epoch's command batch is applied and every host world runs to
+   the epoch boundary (independent event loops, identical clocks at
+   the barrier);
+4. each host reports one row of per-pod integrals and views, which
+   refreshes the control plane's shadow ledgers;
+5. per-pod attained CPU rates are sampled against the SLO and packing
    density/utilization samples are recorded;
-5. optionally, the rebalancer migrates pods off hosts whose *live*
+6. optionally, the rebalancer migrates pods off hosts whose *live*
    demand exceeds the hot threshold.
 
-The cluster itself is a pure *control plane*: it owns no ``World``.
-Host worlds live behind an execution backend
-(:mod:`repro.cluster.shard`) — in-process at ``jobs=1``, sharded across
-persistent worker processes at ``jobs=N`` — and every scheduling
-decision reads the control plane's own *shadow ledgers*
+Every scheduling decision reads the *shadow ledgers*
 (:class:`~repro.cluster.host.HostLedger` /
-:class:`~repro.cluster.pod.PodRecord`), refreshed from worker reports
-at each epoch barrier.  Identical code over identical shadow state is
-what makes ``jobs=N`` byte-identical to ``jobs=1``.
+:class:`~repro.cluster.pod.PodRecord`), never a live world: between
+barriers a decision updates the ledgers by the same deterministic
+deltas the worlds will apply, and queues the command for its host.
 
 Every placement decision is appended to a JSON-able trace whose digest
-is the determinism contract: the same seed must yield the same trace at
-``jobs=1`` and ``jobs=4``.
+is the determinism contract: the same seed must yield the same trace.
 """
 
 from __future__ import annotations
@@ -35,10 +33,11 @@ import math
 from dataclasses import dataclass
 
 from repro.cluster.host import Host, HostLedger
-from repro.cluster.migration import MigrationRecord, quota_cores
+from repro.cluster.migration import (MigrationRecord, drain_pod,
+                                     pod_container_spec, quota_cores,
+                                     readmit_pod, start_pod_workload)
 from repro.cluster.placement import PlacementStrategy, make_strategy
-from repro.cluster.pod import PodRecord, PodSpec
-from repro.cluster.shard import make_executor
+from repro.cluster.pod import PlacedPod, PodRecord, PodSpec
 from repro.errors import ClusterError
 from repro.units import gib
 
@@ -113,27 +112,33 @@ class Cluster:
     """A fleet of simulated hosts under one placement scheduler."""
 
     def __init__(self, params: ClusterParams | None = None, *,
-                 strategy: PlacementStrategy | None = None, jobs: int = 1):
+                 strategy: PlacementStrategy | None = None):
         self.params = params or ClusterParams()
         p = self.params
         width = max(2, len(str(p.n_hosts - 1)))
-        names = [f"host{idx:0{width}d}" for idx in range(p.n_hosts)]
-        self._executor = make_executor(p, names, jobs)
-        #: Effective shard-worker count (1 = in-process).
-        self.jobs = self._executor.jobs
+        #: The live host worlds, in canonical host order.
+        self.hosts: list[Host] = [
+            Host(f"host{idx:0{width}d}", ncpus=p.host_ncpus,
+                 memory=p.host_memory, seed=p.seed,
+                 view_update_period=p.view_update_period,
+                 engine=p.engine, trace=p.trace,
+                 sched_policy=p.sched_policy,
+                 reclaim_policy=p.reclaim_policy)
+            for idx in range(p.n_hosts)]
+        self._host_by_name = {host.name: host for host in self.hosts}
         #: Control-plane shadow ledgers, one per host, in host order —
         #: the only state placement strategies ever read.
         self.ledgers: list[HostLedger] = []
-        self._ledger_by_name: dict[str, HostLedger] = {}
-        for row in self._executor.init_reports():
-            ledger = HostLedger(row["host"], ncpus=row["ncpus"],
-                                mem_capacity=row["mem_capacity"])
-            ledger.mem_free = row["mem_free"]
+        for host in self.hosts:
+            ledger = HostLedger(host.name, ncpus=host.ncpus,
+                                mem_capacity=host.mem_capacity)
+            ledger.mem_free = host.free_mem_view()
             self.ledgers.append(ledger)
-            self._ledger_by_name[ledger.name] = ledger
         self._now = 0.0
-        #: Optional fleet telemetry pipeline (see repro.obs.fleet).
+        #: Optional fleet telemetry pipeline (see repro.obs.fleet) and
+        #: its per-host samplers, one per host in host order.
         self.telemetry = None
+        self._collectors: list = []
         self.strategy = strategy or make_strategy(p.strategy)
         self.placed: dict[str, PodRecord] = {}
         self.pending: list[PodSpec] = []
@@ -147,9 +152,7 @@ class Cluster:
         self.last_epoch_attained: dict[str, tuple[float, float]] = {}
         #: Deterministic event log: (time, event, pod, host) rows.
         self.trace: list[tuple[float, str, str, str]] = []
-        #: Rolling hash over every epoch's merged barrier reports —
-        #: layout-independent, so it doubles as a cheap cross-layout
-        #: divergence detector alongside trace_digest().
+        #: Rolling hash over every epoch's barrier report rows.
         self._sample_hash = hashlib.sha256()
 
     # -- time -----------------------------------------------------------------
@@ -161,29 +164,6 @@ class Cluster:
     @property
     def cpu_capacity(self) -> int:
         return sum(ledger.ncpus for ledger in self.ledgers)
-
-    @property
-    def hosts(self) -> list[Host]:
-        """The live host worlds — in-process (``jobs=1``) only."""
-        hosts = getattr(self._executor, "hosts", None)
-        if hosts is None:
-            raise ClusterError(
-                f"host worlds live inside shard worker processes at "
-                f"jobs={self.jobs}; read the control-plane ledgers, "
-                f"fleet_spans(), or invariant_snapshot() instead")
-        return hosts
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down shard workers (no-op in-process; idempotent)."""
-        self._executor.close()
-
-    def __enter__(self) -> "Cluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- submission -----------------------------------------------------------
 
@@ -206,13 +186,15 @@ class Cluster:
         """Attach a :class:`repro.obs.fleet.FleetCollector`.
 
         The collector is driven at every epoch barrier by pure reads —
-        host sampling happens where the worlds live (worker-side under
-        sharding) and never schedules events, so attaching it cannot
-        perturb the simulation or its digests.
+        one :class:`~repro.obs.fleet.HostCollector` per host never
+        schedules events, so attaching it cannot perturb the simulation
+        or its digests.
         """
+        from repro.obs.fleet import HostCollector
         self.telemetry = collector
         collector.bind(self)
-        self._executor.attach_telemetry(collector.params)
+        self._collectors = [HostCollector(host, collector.params)
+                            for host in self.hosts]
 
     def run(self, *, until: float) -> None:
         """Advance all hosts in lockstep epochs to ``until``."""
@@ -223,15 +205,31 @@ class Cluster:
             ops: dict[str, list] = {}
             self._apply_bursts(ops)
             self._place_pending(ops)
-            reports = self._executor.run_epoch(ops, epoch_end)
+            reports = self._run_epoch(ops, epoch_end)
             self._now = epoch_end
             self._absorb_reports(reports)
             self._sample_epoch(epoch_len)
             if self.params.migration:
                 self._rebalance()
             if self.telemetry is not None:
-                samples = self._executor.sample(self._attained_by_host())
+                attained = self._attained_by_host()
+                samples = [(c.host.name,
+                            *c.sample(attained.get(c.host.name, {})))
+                           for c in self._collectors]
                 self.telemetry.on_epoch(self, epoch_len, samples)
+
+    def _run_epoch(self, ops: dict[str, list], until: float) -> list[dict]:
+        """Apply one epoch's command batch, run every world to the
+        barrier, and return one report row per host, in host order."""
+        for host in self.hosts:
+            for kind, target, demand in ops.get(host.name, ()):
+                if kind == "burst":
+                    _set_demand(host.pods[target], demand)
+                else:
+                    _start_pod(host, target, demand)
+        for host in self.hosts:
+            host.world.run(until=until)
+        return [_report(host) for host in self.hosts]
 
     # -- scheduling -----------------------------------------------------------
 
@@ -303,7 +301,7 @@ class Cluster:
         rec = PodRecord(spec, ledger, self._now)
         rec.demand = demand
         rec.quota_cores = quota_cores(demand)
-        # Admission charges exactly mem_demand on the worker; mirror it
+        # Admission charges exactly mem_demand on the host; mirror it
         # so same-round placements see the byte already spoken for.
         rec._live_bytes = spec.mem_demand
         ledger.account_add(rec)
@@ -329,23 +327,21 @@ class Cluster:
             self.trace.append((self._now, "burst", rec.name, ledger.name))
 
     def _absorb_reports(self, reports: list[dict]) -> None:
-        """Refresh the shadow ledgers from one barrier's merged reports.
+        """Refresh the shadow ledgers from one barrier's report rows.
 
-        Reports arrive in canonical host order with per-pod rows in
-        sorted-name order, so both the rolling sample hash and the
-        float-summation order inside each ledger are identical for
-        every shard layout.
+        Rows arrive in host order with per-pod entries in sorted-name
+        order, so the rolling sample hash and the float-summation order
+        inside each ledger are canonical.
         """
         payload = json.dumps(reports, sort_keys=True, separators=(",", ":"))
         self._sample_hash.update(payload.encode())
         self._sample_hash.update(b"\x00")
-        for row in reports:
-            ledger = self._ledger_by_name[row["host"]]
+        for row, ledger in zip(reports, self.ledgers):
             ledger.mem_free = row["mem_free"]
             rows = row["pods"]
             if len(rows) != len(ledger.pods):
                 raise ClusterError(
-                    f"shard report for host {row['host']!r} lists "
+                    f"barrier report for host {row['host']!r} lists "
                     f"{len(rows)} pods, control ledger holds "
                     f"{len(ledger.pods)}")
             for name, cpu_time, mem_usage, e_cpu, quota in rows:
@@ -444,7 +440,9 @@ class Cluster:
 
     def _migrate(self, rec: PodRecord, src: HostLedger,
                  dst: HostLedger) -> None:
-        payload = self._executor.migrate(rec.name, src.name, dst.name)
+        placed = self._host_by_name[src.name].pods[rec.name]
+        payload = drain_pod(placed, dst_name=dst.name)
+        readmit_pod(self._host_by_name[dst.name], payload)
         bytes_moved = payload["bytes_moved"]
         cpu_at = payload["cpu_time"]
         src.account_remove(rec)
@@ -477,30 +475,13 @@ class Cluster:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def epoch_sample_digest(self) -> str:
-        """Rolling SHA-256 over every epoch's merged barrier reports.
+        """Rolling SHA-256 over every epoch's barrier report rows.
 
-        Layout-independent: reports are merged into canonical host
-        order before hashing, so ``jobs=1`` and any ``jobs=N`` fold the
-        same byte stream.
+        The rows are everything the shadow ledgers and the SLO sampler
+        consume, so this digest moves whenever the control plane's
+        view of any host does — even where placement does not change.
         """
         return self._sample_hash.copy().hexdigest()
-
-    def shard_digests(self) -> list[str]:
-        """Per-shard invariant digests (layout-*dependent* by nature).
-
-        Attributes a cross-process divergence to one shard without
-        shipping worlds; deliberately excluded from
-        :meth:`invariant_snapshot`, which must be layout-independent.
-        """
-        return self._executor.snapshot()["digests"]
-
-    def fleet_spans(self) -> list[dict]:
-        """Per-host trace bundles (host, enabled, dropped, log_id, spans).
-
-        The span-tree audit consumes these instead of reaching into
-        host worlds, so it works identically for sharded clusters.
-        """
-        return self._executor.spans()
 
     def summary(self) -> dict:
         """JSON-able scorecard of the run so far."""
@@ -530,11 +511,12 @@ class Cluster:
 
         Mirrors :meth:`World.invariant_snapshot` one level up: per-host
         ledgers in canonical order plus the pod/migration records that
-        tie them together across re-homes.  Layout-independent: the
-        same dict, byte for byte, at ``jobs=1`` and any ``jobs=N``.
+        tie them together across re-homes.
         """
-        snap = self._executor.snapshot()
-        live = snap["pods"]
+        rows = []
+        live: dict[str, dict] = {}
+        for host in self.hosts:
+            rows.append(_host_row(host, live))
         pods = {
             name: {
                 "host": rec.host.name,
@@ -553,7 +535,7 @@ class Cluster:
             "placed": len(self.placed),
             "pending": len(self.pending),
             "rejected": len(self.rejected),
-            "hosts": snap["hosts"],
+            "hosts": rows,
             "pods": pods,
             "migrations": {
                 "count": len(self.migration_records),
@@ -573,5 +555,79 @@ class Cluster:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Cluster t={self._now:.1f}s hosts={len(self.ledgers)} "
-                f"placed={len(self.placed)} strategy={self.strategy.name} "
-                f"jobs={self.jobs}>")
+                f"placed={len(self.placed)} strategy={self.strategy.name}>")
+
+
+# -- per-host bodies ---------------------------------------------------------
+
+def _start_pod(host: Host, spec: PodSpec, demand: float) -> None:
+    """Admit ``spec`` on ``host`` at CPU demand ``demand``."""
+    cspec = pod_container_spec(spec.name, spec, demand)
+    container = host.world.containers.create(cspec)
+    # Incarnation 0 of the pod's span chain; migrations extend it with
+    # follows-linked drain/readmit/lifetime spans.
+    host.world.trace.annotate_span(container.life_span, pod=spec.name,
+                                   incarnation=0)
+    host.world.mm.charge(container.cgroup, spec.mem_demand)
+    pod = PlacedPod(spec, host, container, host.world.now)
+    pod.demand = demand
+    start_pod_workload(pod)
+    host.pods[spec.name] = pod
+
+
+def _set_demand(pod: PlacedPod, demand: float) -> None:
+    """Move a running pod to CPU demand ``demand`` (its CFS quota)."""
+    pod.demand = demand
+    cg = pod.container.cgroup
+    period = cg.cpu.cfs_period_us
+    cg.set_cpu_quota(max(1000, int(round(demand * period))), period)
+
+
+def _report(host: Host) -> dict:
+    """One host's barrier report row: per-pod ``[name, cpu_time,
+    mem_usage, e_cpu, quota]`` in sorted-name order plus free memory."""
+    pods = []
+    for name in sorted(host.pods):
+        pod = host.pods[name]
+        cg = pod.container.cgroup
+        pods.append([name, cg.total_cpu_time,
+                     cg.memory.usage_in_bytes,
+                     float(pod.container.sys_ns.e_cpu),
+                     cg.quota_cores])
+    return {"host": host.name, "now": host.world.now,
+            "mem_free": host.free_mem_view(), "pods": pods}
+
+
+def _host_row(host: Host, live: dict[str, dict]) -> dict:
+    """One host's block of :meth:`Cluster.invariant_snapshot`; fills
+    ``live`` with each resident pod's current-host integrals."""
+    world = host.world
+    if world.sched.dirty:
+        world.sched.reallocate()
+    live_cpu = 0.0
+    for pod_name in sorted(host.pods):
+        cg = host.pods[pod_name].container.cgroup
+        live[pod_name] = {
+            "live_cpu_time": cg.total_cpu_time,
+            "mem_usage": cg.memory.usage_in_bytes,
+        }
+        live_cpu += cg.total_cpu_time
+    charge = uncharge = usage = 0
+    for cg in world.cgroups.walk():
+        charge += cg.memory.charge_total
+        uncharge += cg.memory.uncharge_total
+        usage += cg.memory.resident + cg.memory.swapped
+    return {
+        "name": host.name,
+        "now": world.now,
+        "ncpus": host.ncpus,
+        "elapsed": world.sched.elapsed,
+        "conservation_error": world.sched.conservation_error(),
+        "retired_cpu_time": world.cgroups.retired_cpu_time,
+        "live_pod_cpu_time": live_cpu,
+        "charge_total": charge,
+        "uncharge_total": uncharge,
+        "mem_usage": usage,
+        "mem_free": world.mm.free,
+        "pods": sorted(host.pods),
+    }

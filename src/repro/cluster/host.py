@@ -1,10 +1,12 @@
-"""One cluster host: an independent simulated :class:`~repro.world.World`.
+"""One cluster host and its control-plane shadow.
 
-Each host runs its own event loop, scheduler, and memory manager; the
-:class:`~repro.cluster.cluster.Cluster` advances them in lockstep epochs.
-The host additionally keeps the *scheduler-visible* accounting the
-placement strategies read: declared request totals (for the static
-baseline) and live view/usage totals (for adaptive-view packing).
+A :class:`Host` is an independent simulated :class:`~repro.world.World`
+— its own event loop, scheduler and memory manager — plus the pods
+running on it; the :class:`~repro.cluster.cluster.Cluster` advances
+every host in lockstep epochs.  A :class:`HostLedger` is the scheduler's
+view of the same host: declared request totals (for the static
+baseline) and live view/usage totals (for adaptive-view packing), all
+refreshed from the host's report row at each epoch barrier.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ __all__ = ["Host", "HostLedger"]
 
 
 class Host:
-    """A simulated machine in the cluster."""
+    """A simulated machine in the cluster: one world and its pods."""
 
     def __init__(self, name: str, *, ncpus: int, memory: int, seed: int = 0,
                  view_update_period: float | None = 1.0,
@@ -40,9 +42,6 @@ class Host:
         # which is what migration chains reference across re-homes.
         self.world.trace.log_id = name
         self.pods: dict[str, PlacedPod] = {}
-        #: Declared request totals (the static scheduler's ledger).
-        self.requested_cpu = 0.0
-        self.requested_mem = 0
 
     @property
     def ncpus(self) -> int:
@@ -56,59 +55,27 @@ class Host:
     def now(self) -> float:
         return self.world.now
 
-    # -- static (request-based) accounting ------------------------------------
-
-    def free_cpu_request(self) -> float:
-        return self.ncpus - self.requested_cpu
-
-    def free_mem_request(self) -> int:
-        return self.mem_capacity - self.requested_mem
-
-    # -- live (view-based) accounting ------------------------------------------
-
     def view_cpu_footprint(self) -> float:
         """Cores occupied per the adaptive views: Σ min(E_CPU, quota)."""
         return sum(p.view_cpu_footprint() for p in self.pods.values())
-
-    def free_cpu_view(self) -> float:
-        return self.ncpus - self.view_cpu_footprint()
 
     def free_mem_view(self) -> int:
         """Actually-free bytes on the host (the E_MEM numerator's source)."""
         return self.world.mm.free
 
-    def cpu_usage(self) -> float:
-        """Instantaneous allocated CPU rate (cores) across all pods."""
-        if self.world.sched.dirty:
-            self.world.sched.reallocate()
-        return sum(p.container.cgroup.cpu_rate for p in self.pods.values())
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def account_add(self, pod: PlacedPod) -> None:
-        self.pods[pod.name] = pod
-        self.requested_cpu += pod.spec.cpu_request
-        self.requested_mem += pod.spec.mem_request
-
-    def account_remove(self, pod: PlacedPod) -> None:
-        del self.pods[pod.name]
-        self.requested_cpu -= pod.spec.cpu_request
-        self.requested_mem -= pod.spec.mem_request
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Host {self.name!r} pods={len(self.pods)} "
-                f"req_cpu={self.requested_cpu:.1f}/{self.ncpus}>")
+        return f"<Host {self.name!r} pods={len(self.pods)} t={self.now:.1f}s>"
 
 
 class HostLedger:
     """Control-plane shadow of one host.
 
-    Presents the same duck-typed surface the placement strategies read
-    (``free_cpu_request``/``free_cpu_view``/``free_mem_view``/…), but
-    backed entirely by barrier-cached values and incremental deltas —
-    no live ``World`` access, so the real host can live in another
-    process.  The incremental ``demand_cpu`` sum is also what kills the
-    old O(pods) ``_host_demand`` recompute inside migration probes.
+    The surface the placement strategies read
+    (``free_cpu_request``/``free_cpu_view``/``free_mem_view``/…), backed
+    entirely by barrier-cached values and incremental deltas — no live
+    ``World`` access, so every decision within an epoch sees the same
+    state whatever the worlds are doing.  The incremental ``demand_cpu``
+    sum keeps migration probes O(1) per host.
     """
 
     def __init__(self, name: str, *, ncpus: int, mem_capacity: int):
@@ -174,7 +141,7 @@ class HostLedger:
         """Recompute the view sum from per-pod records (barrier resync).
 
         Rebuilding in sorted pod order gives a canonical float-summation
-        order, so the ledger is bit-identical across shard layouts."""
+        order, independent of admission and migration history."""
         self._view_cpu = {name: self.pods[name].view_cpu_footprint()
                           for name in sorted(self.pods)}
         self._view_sum = sum(self._view_cpu.values())

@@ -8,19 +8,18 @@ Migration is drain → snapshot → re-admit:
    memory and folds its CPU time into the source root's
    ``retired_cpu_time``, so the *per-host* conservation invariants that
    ``repro.check`` audits keep holding;
-3. fold the CPU snapshot into the pod's ``cpu_time_retired`` so the
-   *pod-level* integral survives the re-home;
+3. the control plane folds the CPU snapshot into the pod record's
+   ``cpu_time_retired`` so the *pod-level* integral survives the
+   re-home;
 4. create a fresh container on the target and re-charge the snapshotted
    bytes there.
 
-The two halves are deliberately separable — :func:`drain_pod` runs
-where the source world lives, :func:`readmit_pod` where the target
-world lives, and everything that crosses between them (the
-:func:`drain_pod` payload) is a plain picklable dict.  That is what
-lets the sharded backend (:mod:`repro.cluster.shard`) migrate a pod
-between two worker *processes* with byte-identical results: the drain
-payload rides the control plane from one shard to the other exactly as
-it rides a function call in-process.
+:func:`drain_pod` tears the pod down on the source host and returns a
+plain payload dict; :func:`readmit_pod` rebuilds it on the target from
+that payload alone.  The control plane
+(:meth:`~repro.cluster.cluster.Cluster._migrate`) runs the two halves
+back to back and folds the payload into its own
+:class:`~repro.cluster.pod.PodRecord` ledgers.
 
 The cluster-level invariant (``repro.check.check_cluster``) then ties
 the two sides together: summed host ledgers must equal cluster totals
@@ -34,9 +33,8 @@ from dataclasses import dataclass
 from repro.cluster.host import Host
 from repro.cluster.pod import PlacedPod, PodSpec
 from repro.container.spec import ContainerSpec
-from repro.errors import ClusterError
 
-__all__ = ["MigrationRecord", "migrate", "drain_pod", "readmit_pod"]
+__all__ = ["MigrationRecord", "drain_pod", "readmit_pod"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ def _quota_us(demand: float, period_us: int) -> int:
 def quota_cores(demand: float, period_us: int = 100_000) -> float:
     """The CFS quota (in cores) a pod at ``demand`` actually runs under.
 
-    The control plane uses this to predict the quota a worker-side
+    The control plane uses this to predict the quota a host-side
     ``set_cpu_quota`` will produce, so shadow view footprints match the
     live cgroup exactly (including the 1ms quota floor).
     """
@@ -95,7 +93,7 @@ def drain_pod(placed: PlacedPod, *, dst_name: str) -> dict:
     When tracing is enabled the drain leaves a ``migration.drain`` span
     behind, ``follows``-linked to the pod's ending
     ``container.lifetime`` span.  The returned payload is everything
-    the re-admit side needs, all picklable: snapshotted bytes, the CPU
+    the re-admit side needs: snapshotted bytes, the CPU
     integral consumed here, and the drain span's global id for the
     cross-host ``follows`` chain.
     """
@@ -114,8 +112,7 @@ def drain_pod(placed: PlacedPod, *, dst_name: str) -> dict:
         incarnation=incarnation,
         follows=world_src.trace.gid(placed.container.life_span))
     world_src.containers.destroy(placed.container)
-    src.account_remove(placed)
-    placed.cpu_time_retired += cpu_at
+    del src.pods[placed.name]
     world_src.trace.end_span(drain, bytes_moved=bytes_moved,
                              cpu_time=cpu_at)
     return {"pod": placed.name, "spec": placed.spec, "src": src.name,
@@ -130,8 +127,8 @@ def readmit_pod(dst: Host, payload: dict) -> PlacedPod:
     Creates a fresh container at the pod's *live* demand quota,
     re-charges the snapshotted bytes, and restarts the workload.  The
     new ``migration.readmit`` and lifetime spans ``follows``-link to
-    the drain span's global id, so the chain stays causally readable
-    even when source and target live in different processes.
+    the drain span's global id (``host:span_id``), so the chain stays
+    causally readable across the fleet's per-host trace logs.
     """
     world_dst = dst.world
     spec: PodSpec = payload["spec"]
@@ -150,41 +147,7 @@ def readmit_pod(dst: Host, payload: dict) -> PlacedPod:
     placed = PlacedPod(spec, dst, container, world_dst.now)
     placed.demand = payload["demand"]
     placed.migrations = incarnation + 1
-    placed.cpu_time_retired = payload.get("cpu_time_retired",
-                                          payload["cpu_time"])
-    placed.bytes_migrated = payload.get("bytes_migrated", bytes_moved)
-    dst.account_add(placed)
+    dst.pods[placed.name] = placed
     start_pod_workload(placed)
     world_dst.trace.end_span(readmit, bytes_moved=bytes_moved)
     return placed
-
-
-def migrate(placed: PlacedPod, dst: Host) -> MigrationRecord:
-    """Move ``placed`` from its current host to ``dst`` (in-process).
-
-    Composition of :func:`drain_pod` + :func:`readmit_pod` for callers
-    holding both hosts in one process; the sharded executor performs
-    the same two steps as separate worker calls.  The move leaves a
-    causally-linked span chain behind — the source's ``migration.drain``
-    span follows the pod's ending ``container.lifetime`` span, the
-    target's ``migration.readmit`` follows the drain, and the new
-    lifetime span follows the readmit
-    (:func:`repro.check.check_span_tree` audits exactly this).
-    """
-    src = placed.host
-    if src is dst:
-        raise ClusterError(
-            f"pod {placed.name!r} is already on host {dst.name!r}")
-    payload = drain_pod(placed, dst_name=dst.name)
-    payload["cpu_time_retired"] = placed.cpu_time_retired
-    payload["bytes_migrated"] = placed.bytes_migrated + payload["bytes_moved"]
-    fresh = readmit_pod(dst, payload)
-    # Callers holding the original record keep it live across the move.
-    placed.container = fresh.container
-    placed.host = dst
-    placed.migrations = fresh.migrations
-    placed.bytes_migrated = fresh.bytes_migrated
-    dst.pods[placed.name] = placed
-    return MigrationRecord(pod=placed.name, src=src.name, dst=dst.name,
-                           time=dst.world.now, bytes_moved=payload["bytes_moved"],
-                           cpu_time=payload["cpu_time"])

@@ -7,13 +7,13 @@ really consume once running — the signal the adaptive views surface).
 The gap between the two is the overcommit opportunity the view-based
 scheduler exploits.
 
-A :class:`PlacedPod` is the *worker-side* runtime record of one
-admitted pod: which host holds it, the live container handle, and the
-ledgers that must survive migration (cumulative CPU time across hosts,
-bytes moved).  A :class:`PodRecord` is the *control-plane* shadow of
-the same pod — no container handle, only the barrier-refreshed values
-the scheduler reads — so the cluster can make placement and migration
-decisions without reaching into (possibly remote) worlds.
+A :class:`PlacedPod` is the *host-side* runtime record of one admitted
+pod on its current host: the live container handle and its
+incarnation.  A :class:`PodRecord` is the *control-plane* shadow of the
+same pod — no container handle, only the barrier-refreshed values the
+scheduler reads, plus the ledgers that must survive migration
+(cumulative CPU time across hosts, bytes moved) — so placement and
+migration decisions never reach into a live world.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class PodSpec:
 
 
 class PlacedPod:
-    """Runtime record of one admitted pod."""
+    """Runtime record of one admitted pod on its current host."""
 
     def __init__(self, spec: PodSpec, host: "Host", container: "Container",
                  placed_at: float):
@@ -130,25 +130,12 @@ class PlacedPod:
         self.placed_at = placed_at
         #: Live CPU demand (tracks burst phase changes).
         self.demand = spec.demand_at(placed_at)
+        #: Incarnation: how many times the pod has been re-homed.
         self.migrations = 0
-        #: CPU seconds consumed on *previous* hosts (folded in at each
-        #: migration so the pod-level integral survives re-homing).
-        self.cpu_time_retired = 0.0
-        #: Bytes carried across migrations, cumulative.
-        self.bytes_migrated = 0
-        #: Epoch-window bookmark for attained-rate sampling.
-        self.last_cpu_time = 0.0
-        #: Epochs in which the pod's attained rate missed its SLO.
-        self.violation_epochs = 0
 
     @property
     def name(self) -> str:
         return self.spec.name
-
-    @property
-    def total_cpu_time(self) -> float:
-        """Pod-lifetime CPU seconds, across every host it has run on."""
-        return self.cpu_time_retired + self.container.cgroup.total_cpu_time
 
     def view_cpu_footprint(self) -> float:
         """The adaptive-view footprint: ``min(E_CPU, quota)`` in cores.
@@ -162,15 +149,6 @@ class PlacedPod:
         return min(float(self.container.sys_ns.e_cpu),
                    self.container.cgroup.quota_cores)
 
-    def live_bytes(self) -> int:
-        return self.container.cgroup.memory.usage_in_bytes
-
-    def footprint(self) -> Footprint:
-        return Footprint(cpu_request=self.spec.cpu_request,
-                         mem_request=self.spec.mem_request,
-                         cpu_live=self.view_cpu_footprint(),
-                         mem_live=self.live_bytes())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<PlacedPod {self.name!r} on {self.host.name} "
                 f"demand={self.demand:.2f} migrations={self.migrations}>")
@@ -180,11 +158,9 @@ class PodRecord:
     """Control-plane shadow of one admitted pod.
 
     Holds no container handle — only the values the scheduler reads,
-    refreshed from the owning shard at each epoch barrier.  Between
+    refreshed from the host's report row at each epoch barrier.  Between
     barriers the record is updated by the same deterministic deltas the
-    worker applies (quota changes on burst, ledger folds on migration),
-    so placement decisions are identical no matter which process the
-    live world lives in.
+    host applies (quota changes on burst, ledger folds on migration).
     """
 
     def __init__(self, spec: PodSpec, host: "HostLedger", placed_at: float):

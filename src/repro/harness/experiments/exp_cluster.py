@@ -195,7 +195,7 @@ def _placement_trial(config: dict) -> dict:
 
     # Tracing on: the span-tree audit in check_cluster then validates
     # the migration-following span chains (and tracing is passive, so
-    # the digest contract with jobs=N workers is unaffected).
+    # the placement trace digest is unaffected).
     cluster = build_placement_cluster(config, trace=True)
     drive_placement(cluster, config)
     summary = cluster.summary()

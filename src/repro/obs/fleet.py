@@ -262,10 +262,9 @@ class FleetCollector:
     def bind(self, cluster: "Cluster") -> None:
         if self.cluster is not None and self.cluster is not cluster:
             raise ReproError("FleetCollector is already bound to a cluster")
-        # Per-host sampling happens where the worlds live: the cluster's
-        # execution backend runs a HostCollector next to each host and
-        # hands on_epoch the finished sample batch, so the fleet rollup
-        # is identical whether hosts are in-process or sharded.
+        # Per-host sampling is the cluster's job: it runs one
+        # HostCollector per host and hands on_epoch the finished sample
+        # batch in host order.
         self.cluster = cluster
 
     # -- the epoch hook ----------------------------------------------------
@@ -275,9 +274,9 @@ class FleetCollector:
         """Fold one epoch's per-host sample batch into the rollups.
 
         ``host_samples`` rows are ``(host_name, scalars, histograms)``
-        in canonical host order, produced worker-side by
-        :meth:`HostCollector.sample` (pickled histograms merge exactly:
-        the layout is identical by construction).
+        in canonical host order, produced by
+        :meth:`HostCollector.sample` (the histograms merge exactly: the
+        layout is identical by construction).
         """
         now = cluster.now
         self.epochs += 1

@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import (DEFAULT_VARIANTS, SHARD_VARIANTS, Scenario, Variant,
-                         default_suite, diff_snapshots, generate,
-                         generate_cluster, run_differential, run_scenario,
-                         run_variants, shrink)
+from repro.check import (DEFAULT_VARIANTS, Scenario, Variant, default_suite,
+                         diff_snapshots, generate, generate_cluster,
+                         run_differential, run_scenario, run_variants, shrink)
 from repro.check.sweep import dump_fixture, load_fixture
 from repro.check.generator import generate as generate2
 from repro.core.effective_cpu import compute_cpu_bounds
@@ -301,12 +300,16 @@ class TestVariants:
     def test_labels_name_what_differs_from_the_defaults(self):
         assert Variant().label == "incremental"
         assert Variant(engine="scan").label == "scan"
-        assert Variant(policy="burstable", jobs=2).label == "burstable/jobs=2"
+        assert Variant(engine="scan", policy="burstable").label == (
+            "scan/burstable")
 
     def test_dict_round_trip(self):
-        for v in (Variant(), Variant(engine="vector", policy="intent",
-                                     jobs=3)):
+        for v in (Variant(), Variant(engine="vector", policy="intent")):
             assert Variant.from_dict(json.loads(json.dumps(v.to_dict()))) == v
+
+    def test_unknown_field_rejected_by_name(self):
+        with pytest.raises(ValueError, match="unknown variant field 'jobs'"):
+            Variant.from_dict({"engine": "incremental", "jobs": 2})
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -320,10 +323,10 @@ class TestVariants:
 
     def test_fingerprint_is_none_on_success_for_both_kinds(self):
         assert run_differential(generate(1)).fingerprint() is None
-        report = run_variants(generate_cluster(1), SHARD_VARIANTS)
+        report = run_variants(generate_cluster(1), DEFAULT_VARIANTS)
         assert report.ok, report.summary()
         assert report.fingerprint() is None
-        assert list(report.results) == ["incremental", "jobs=2", "jobs=3"]
+        assert list(report.results) == ["incremental", "scan"]
 
 
 def _cli(argv: list[str]) -> argparse.Namespace:
@@ -346,7 +349,8 @@ class TestCheckCliVariants:
 
     def test_two_pair_flags_are_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            _cli(["--shard-diff", "--policy-diff", "default,burstable"])
+            _cli(["--backend-diff", "incremental,scan",
+                  "--policy-diff", "default,burstable"])
         assert exc.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
 
@@ -379,28 +383,28 @@ class TestCheckCliVariants:
         assert seen and all(v == pair for v in seen)
 
 
-class TestShardDiffLoop:
-    def test_planted_layout_drift_is_fixtured_and_replays(self, monkeypatch,
-                                                           tmp_path, capsys):
-        """Catch a layout-dependent bug, write its fixture, replay it."""
+class TestClusterLoop:
+    def test_planted_engine_drift_is_fixtured_and_replays(self, monkeypatch,
+                                                          tmp_path, capsys):
+        """Catch an engine-dependent cluster bug, fixture it, replay it."""
         from repro.check.cli import main
         from repro.cluster import Cluster
         orig = Cluster.invariant_snapshot
 
         def drifting(self):
             snap = orig(self)
-            if self.jobs > 1:
+            if self.params.engine == "scan":
                 snap["hosts"][0]["mem_free"] += 1
             return snap
         monkeypatch.setattr(Cluster, "invariant_snapshot", drifting)
 
-        expected = run_variants(generate_cluster(4), SHARD_VARIANTS)
+        expected = run_variants(generate_cluster(4), DEFAULT_VARIANTS)
         assert expected.fingerprint() == "divergence:mem_free"
-        assert main(_cli(["--shard-diff", "--seed", "4", "--no-cache",
+        assert main(_cli(["--cluster", "--seed", "4", "--no-cache",
                           "--fixtures", str(tmp_path)])) == 1
         (path,) = tmp_path.glob("*.json")
         data = json.loads(path.read_text())
-        assert load_fixture(data)[1] == list(SHARD_VARIANTS)
+        assert load_fixture(data)[1] == list(DEFAULT_VARIANTS)
         assert data["params"]["seed"] == 4
         assert dump_fixture(*load_fixture(data)) + "\n" == path.read_text()
 
@@ -409,3 +413,38 @@ class TestShardDiffLoop:
         out = capsys.readouterr().out
         assert f"FAIL {expected.fingerprint()}" in out
         assert "check: seeds=1 failures=1" in out
+
+    def test_cluster_sweep_fans_out_across_the_pool(self, monkeypatch,
+                                                    capsys):
+        from repro.check import cli
+        seen = {}
+        real = cli.run_trials
+
+        def spy(specs, *, jobs, **kw):
+            seen.update(jobs=jobs, configs=[s.config for s in specs])
+            return real(specs, jobs=1, **kw)
+        monkeypatch.setattr(cli, "run_trials", spy)
+        assert cli.main(_cli(["--cluster", "--seeds", "2", "--jobs", "3",
+                              "--no-cache"])) == 0
+        assert seen["jobs"] == 3
+        assert [c["cluster"] for c in seen["configs"]] == [True, True]
+        assert "check: seeds=2 failures=0" in capsys.readouterr().out
+
+    def test_replay_rejects_a_fixture_with_an_unknown_variant_field(
+            self, tmp_path, capsys):
+        """A fixture naming a field this checker lacks (here a shard
+        layout, ``jobs``) fails with one line and exit status 2."""
+        from repro.check.cli import main
+        data = generate_cluster(4)
+        data["variants"] = [{"engine": "incremental", "policy": "default",
+                             "jobs": 1},
+                            {"engine": "incremental", "policy": "default",
+                             "jobs": 2}]
+        path = tmp_path / "old_layout.json"
+        path.write_text(json.dumps(data))
+        assert main(_cli(["--replay", str(path)])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert "unknown variant field 'jobs'" in err

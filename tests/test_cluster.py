@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.check import check_cluster
+from repro.check import check_cluster, check_cluster_snapshot
 from repro.cluster import (Cluster, ClusterParams, GangBinPack, PodSpec,
                            StaticRequestBinPack, ViewBinPack, make_strategy)
 from repro.errors import ClusterError, ServeError
@@ -226,6 +228,111 @@ class TestClusterBasics:
             ClusterParams(n_hosts=0)
         with pytest.raises(ClusterError):
             ClusterParams(hot_frac=1.5)
+
+
+def churn_specs(n: int = 24) -> list[PodSpec]:
+    """A mix that bursts hosts hot, so the rebalancer migrates."""
+    return [pod(f"pod{i:03d}", request=1.5, demand=0.4,
+                burst=(2.0, 1.5) if i % 3 == 0 else None,
+                gang=f"g{i // 8}" if i % 5 == 0 else None)
+            for i in range(n)]
+
+
+def churn_cluster(*, trace: bool = False, telemetry: bool = False,
+                  n_hosts: int = 5, until: float = 5.0) -> Cluster:
+    c = Cluster(ClusterParams(n_hosts=n_hosts, host_ncpus=4,
+                              host_memory=gib(4), epoch=0.5, hot_frac=0.7,
+                              seed=11, trace=trace))
+    if telemetry:
+        from repro.obs.fleet import FleetCollector
+        c.attach_telemetry(FleetCollector())
+    c.submit_all(churn_specs())
+    c.run(until=until)
+    return c
+
+
+def fingerprints(c: Cluster) -> tuple[str, str, str]:
+    snap = json.dumps(c.invariant_snapshot(), sort_keys=True)
+    return c.trace_digest(), c.epoch_sample_digest(), snap
+
+
+class TestControlPlane:
+    """The shadow-ledger control plane over the in-process host worlds."""
+
+    def test_ledger_conservation_across_rehomes(self):
+        c = churn_cluster()
+        assert len(c.migration_records) > 0
+        assert check_cluster_snapshot(c.invariant_snapshot()) == []
+        for name in {r.pod for r in c.migration_records}:
+            rec = c.placed[name]
+            assert rec.cpu_time_retired > 0.0
+            assert rec.total_cpu_time >= rec.cpu_time_retired
+
+    def test_cpu_integral_monotone_across_epochs(self):
+        c = Cluster(ClusterParams(n_hosts=4, host_ncpus=4,
+                                  host_memory=gib(4), epoch=0.5,
+                                  hot_frac=0.7, seed=11))
+        c.submit_all(churn_specs())
+        prev = None
+        for k in range(1, 9):
+            c.run(until=0.5 * k)
+            snap = c.invariant_snapshot()
+            assert check_cluster_snapshot(snap, prev) == []
+            prev = snap
+        assert len(c.migration_records) > 0
+
+    def test_traced_churn_span_chains_audit_clean(self):
+        c = churn_cluster(trace=True)
+        assert len(c.migration_records) > 0
+        assert check_cluster(c) == []
+
+    def test_telemetry_is_passive(self):
+        bare = churn_cluster(telemetry=False)
+        obs = churn_cluster(telemetry=True)
+        assert fingerprints(bare) == fingerprints(obs)
+        assert obs.telemetry.epochs == 10
+        assert obs.telemetry.histograms["fleet.e_cpu"].count > 0
+
+    def test_hosts_are_the_live_worlds(self):
+        c = churn_cluster(until=0.5)
+        assert [h.name for h in c.hosts] == [l.name for l in c.ledgers]
+        assert all(h.now == pytest.approx(0.5) for h in c.hosts)
+        assert sum(len(h.pods) for h in c.hosts) == len(c.placed)
+
+    def test_duplicate_pending_rejected_via_name_set(self):
+        c = churn_cluster(until=0.0)
+        c.submit(pod("dup"))
+        assert "dup" in c._pending_names
+        with pytest.raises(ClusterError, match="already"):
+            c.submit(pod("dup"))
+        c.run(until=0.5)
+        assert not c._pending_names
+        with pytest.raises(ClusterError, match="already"):
+            c.submit(pod("dup"))          # placed now, still rejected
+
+    def test_rejected_pod_can_be_resubmitted(self):
+        c = Cluster(ClusterParams(n_hosts=1, host_ncpus=2,
+                                  host_memory=gib(4), strategy="static",
+                                  migration=False))
+        c.submit(pod("big", request=2.0, demand=0.1))
+        c.submit(pod("late", request=1.0, demand=0.1))
+        c.run(until=1.0)
+        assert c.rejected == ["late"]
+        c.submit(pod("late", request=1.0, demand=0.1))   # name free again
+        c.run(until=2.0)
+        assert c.rejected == ["late", "late"]   # rejected again, recorded
+
+    def test_migration_probe_reads_incremental_demand_ledger(self):
+        c = churn_cluster(until=2.0)
+        for ledger in c.ledgers:
+            assert ledger.demand_cpu == pytest.approx(
+                sum(r.demand for r in ledger.pods.values()))
+
+    def test_epoch_sample_digest_changes_per_epoch(self):
+        c = churn_cluster(until=1.0)
+        first = c.epoch_sample_digest()
+        c.run(until=2.0)
+        assert c.epoch_sample_digest() != first
 
 
 class TestHpaVerticalInterop:

@@ -10,9 +10,10 @@ exactly (allocated + idle + retired == capacity x elapsed), the memory
 ledger balances (charged - uncharged == resident + swapped), PSI totals
 only grow and full never exceeds some, throttling counters stay within
 their periods, the paper's resource views stay inside Algorithm 1/2
-bounds, and what the accrual step caches per published row still
-matches the row.  Any engine that breaks one of these is wrong no
-matter what the workload did.
+bounds, what the accrual step caches per published row still
+matches the row, and the domain-solve memo stays within its budget.
+Any engine that breaks one of these is wrong no matter what the
+workload did.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.effective_cpu import compute_cpu_bounds
+from repro.kernel.sched import fair
 from repro.kernel.sched.fair import cpu_stall
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -280,6 +282,34 @@ class AccrualInputs(Invariant):
         return out
 
 
+class SolveMemo(Invariant):
+    """The domain-solve memo's running row count is its real size.
+
+    The scheduler tracks the rows held by ``_solve_cache`` beside the
+    table so inserts can keep it within ``_SOLVE_CACHE_ROWS``; a path
+    that cleared or replaced the table without resetting the count would
+    either overrun the budget or clear it on every insert, and neither
+    shows in any result.  O(entries) per check.
+    """
+
+    name = "solve_memo"
+
+    def check(self, world, snap, prev):
+        out = []
+        sched = world.sched
+        cache = sched._solve_cache
+        actual = sum(len(r) for r in cache.values()) if cache else 0
+        if sched.memo_rows != actual:
+            out.append(self._v(
+                f"running row count {sched.memo_rows}, table holds "
+                f"{actual} rows"))
+        if actual > fair._SOLVE_CACHE_ROWS:
+            out.append(self._v(
+                f"table holds {actual} rows, budget "
+                f"{fair._SOLVE_CACHE_ROWS}"))
+        return out
+
+
 class EventHeapIntegrity(Invariant):
     """Lazy-cancellation bookkeeping matches a direct heap recount."""
 
@@ -332,6 +362,7 @@ def default_suite() -> list[Invariant]:
         ThrottleCounters(),
         ViewBounds(),
         AccrualInputs(),
+        SolveMemo(),
         EventHeapIntegrity(),
         ClockLoad(),
     ]

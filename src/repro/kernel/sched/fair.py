@@ -79,9 +79,15 @@ _CAND_WINDOW = 1e-9
 #: out of the re-evaluation window.
 _PUSH_SKIP_TOL = _CAND_WINDOW / 4.0
 
-#: Bound on the domain-solve memo table; cleared wholesale when full
-#: (a plain dict beats an LRU at these hit rates).
-_SOLVE_CACHE_MAX = 8192
+#: Budget of the domain-solve memo, in member rows summed over every
+#: entry; the table is cleared wholesale when an insert would pass it.
+#: It is also how many rows one domain may insert without a hit before
+#: it stops being keyed.  Sized from perfbench: a ``serve_fleet`` case
+#: holds 1.8k-4.3k rows and its longest miss streak is 39 solves (565
+#: rows), so every hit survives, while ``wide_domain``'s one ~500-member
+#: domain, which misses every step, stops being keyed after ~33 solves;
+#: its peak RSS fell from ~85 MiB (an 8192-entry cap) to ~37 MiB.
+_SOLVE_CACHE_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,9 @@ class _Component:
     cpus: set[int] = field(default_factory=set)
     capacity: float = 0.0
     mask_count: dict = field(default_factory=dict)
+    #: Memo rows this domain inserted since its last hit; once it
+    #: reaches ``_SOLVE_CACHE_ROWS`` the domain is no longer keyed.
+    memo_miss_rows: int = 0
 
 
 def waterfill(weights: list[float], caps: list[float], capacity: float) -> list[float]:
@@ -337,6 +346,14 @@ class FairScheduler:
         #: Domain-solve memo: enabled only for pure (stateless) policies
         #: in incremental mode; scan stays the uncached reference.
         self._solve_cache: dict | None = None
+        #: Member rows held by ``_solve_cache``, summed over its entries.
+        self.memo_rows = 0
+        #: Memo activity since construction, for the profiler report:
+        #: lookups answered, lookups missed, and solves of domains that
+        #: had stopped being keyed.
+        self.memo_hits = 0
+        self.memo_misses = 0
+        self.memo_bypassed = 0
         self._refresh_solve_cache()
         self._dirty_all = True
         self._dirty_groups: set[Cgroup] = set()
@@ -495,8 +512,7 @@ class FairScheduler:
                 insort(comp.members, cg, key=lambda c: c.seq)
                 self._comp_of[cg] = comp_id
             for comp_id in sorted(resolve):
-                comp = self._comps[comp_id]
-                self._solve_component(comp.members, comp.capacity)
+                self._solve_component(self._comps[comp_id])
             return
         affected: set[int] = set()
         entering: list[Cgroup] = []
@@ -592,17 +608,16 @@ class FairScheduler:
             for mask in mask_list:
                 cpus.update(mask)
             comp_id = next(self._comp_ids)
-            capacity = float(len(cpus))
             mask_count = {mask: len(by_mask[mask]) for mask in mask_list}
-            self._comps[comp_id] = _Component(members, cpus, capacity,
-                                              mask_count)
+            comp = _Component(members, cpus, float(len(cpus)), mask_count)
+            self._comps[comp_id] = comp
             for cg in members:
                 self._comp_of[cg] = comp_id
             for cpu in cpus:
                 self._cpu_comp[cpu] = comp_id
-            self._solve_component(members, capacity)
+            self._solve_component(comp)
 
-    def _solve_component(self, members: list[Cgroup], capacity: float) -> None:
+    def _solve_component(self, comp: _Component) -> None:
         """Solve one contention domain and publish rates to its groups.
 
         The arithmetic lives in the policy (:meth:`_policy_solve`);
@@ -611,16 +626,30 @@ class FairScheduler:
         identical under every policy.  Shared verbatim by full and
         partial re-solves, so identical (seq-ordered) inputs yield
         bit-identical rates regardless of what else was re-solved.
+
+        The memo is skipped for a domain that has inserted a whole
+        ``_SOLVE_CACHE_ROWS`` of rows without a hit: keying it costs a
+        row per member and the table would only cycle.
         """
+        members = comp.members
+        capacity = comp.capacity
         cache = self._solve_cache
-        key = self._solve_key(members, capacity) if cache is not None else None
-        rows = cache.get(key) if key is not None else None
+        key = rows = None
+        if cache is not None:
+            if comp.memo_miss_rows >= _SOLVE_CACHE_ROWS:
+                self.memo_bypassed += 1
+            else:
+                key = self._solve_key(members, capacity)
+                rows = cache.get(key)
+                if rows is None:
+                    self.memo_misses += 1
+                else:
+                    self.memo_hits += 1
+                    comp.memo_miss_rows = 0
         if rows is None and self._vector is not None:
             rows = self._vector_rows(members, capacity)
             if rows is not None and key is not None:
-                if len(cache) >= _SOLVE_CACHE_MAX:
-                    cache.clear()
-                cache[key] = rows
+                self._memo_insert(comp, key, rows)
         if rows is None:
             allocs = self._policy_solve(members, capacity)
             by_cg = {g.cgroup: g for g in allocs}
@@ -653,10 +682,20 @@ class FairScheduler:
                  g.demand, g.pressure, g.quota, g.soft_capped)
                 for g in (by_cg[cg] for cg in members))
             if key is not None:
-                if len(cache) >= _SOLVE_CACHE_MAX:
-                    cache.clear()
-                cache[key] = rows
+                self._memo_insert(comp, key, rows)
         self._publish_rows(members, rows)
+
+    def _memo_insert(self, comp: _Component, key, rows: tuple) -> None:
+        """Memoize a missed domain solve within the row budget."""
+        n = len(rows)
+        comp.memo_miss_rows += n
+        if n > _SOLVE_CACHE_ROWS:
+            return
+        if self.memo_rows + n > _SOLVE_CACHE_ROWS:
+            self._solve_cache.clear()
+            self.memo_rows = 0
+        self._solve_cache[key] = rows
+        self.memo_rows += n
 
     def _solve_key(self, members: list[Cgroup], capacity: float):
         """Hashable domain-solve inputs, for the pure-policy memo table.
@@ -788,6 +827,7 @@ class FairScheduler:
             self._solve_cache = {}
         else:
             self._solve_cache = None
+        self.memo_rows = 0
 
     # -- completion index ------------------------------------------------------
 

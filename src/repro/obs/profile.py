@@ -30,6 +30,10 @@ Policy probes wrap the kernel's *indirection* methods, not the policy
 instances, so a mid-run :meth:`World.swap_policy` neither escapes the
 profiler nor breaks detach.
 
+The report also carries the domain-solve memo's activity since attach
+(``solve_memo``: hits, misses, solves of domains no longer keyed, and
+the rows the tables hold now), read from the schedulers' own counters.
+
 A lightweight flight recorder samples ``(wall, steps, sim-time)`` every
 ``flight_every`` engine steps into a bounded ring, yielding a
 steps-per-second timeline for spotting slowdowns mid-run.
@@ -100,7 +104,8 @@ class EngineProfiler:
             maxlen=flight_capacity)
         self._stack: list[list] = []          # [name, last_mark]
         self._patched: list[tuple[object, str, object]] = []
-        self._worlds: list[tuple["World", float]] = []
+        #: (world, sim time and memo counters at attach)
+        self._worlds: list[tuple["World", float, tuple[int, int, int]]] = []
         self._t0 = perf_counter()
         self._wall_total: float | None = None
 
@@ -160,7 +165,18 @@ class EngineProfiler:
                             self._sim_elapsed()))
 
     def _sim_elapsed(self) -> float:
-        return sum(world.now - start for world, start in self._worlds)
+        return sum(world.now - start for world, start, _memo in self._worlds)
+
+    def _solve_memo(self) -> dict:
+        hits = misses = bypassed = rows = 0
+        for world, _start, (hits0, misses0, bypassed0) in self._worlds:
+            sched = world.sched
+            hits += sched.memo_hits - hits0
+            misses += sched.memo_misses - misses0
+            bypassed += sched.memo_bypassed - bypassed0
+            rows += sched.memo_rows
+        return {"hits": hits, "misses": misses, "bypassed": bypassed,
+                "rows": rows}
 
     def attach_world(self, world: "World") -> "EngineProfiler":
         """Probe one world's engine subsystems.  Chainable."""
@@ -168,7 +184,9 @@ class EngineProfiler:
             # Wall clock runs from the first attach, not construction,
             # so scenario setup time never pollutes the attribution.
             self._t0 = perf_counter()
-        self._worlds.append((world, world.now))
+        sched = world.sched
+        self._worlds.append((world, world.now, (
+            sched.memo_hits, sched.memo_misses, sched.memo_bypassed)))
         self._wrap(world, "run", "event_loop")
         self._wrap(world, "run_until", "event_loop")
         self._wrap(world.sched, "reallocate", "fair_solver")
@@ -260,6 +278,7 @@ class EngineProfiler:
             "steps_per_s": self.steps_per_second(),
             "unattributed_s": max(0.0, wall - attributed),
             "subsystems": subsystems,
+            "solve_memo": self._solve_memo(),
             "flight": self.flight_rows(),
         }
 
@@ -281,6 +300,10 @@ class EngineProfiler:
                      f"{rep['unattributed_s']:>10.4f} "
                      f"{rep['unattributed_s'] / rep['wall_s']:>6.1%}"
                      if rep["wall_s"] > 0 else f"{'other':<12}")
+        memo = rep["solve_memo"]
+        lines.append(f"solve memo: {memo['hits']} hits, {memo['misses']} "
+                     f"misses, {memo['bypassed']} unkeyed solves, "
+                     f"{memo['rows']} rows held")
         tail = rep["flight"][-3:]
         if tail:
             lines.append("flight recorder (last samples): " + "  ".join(

@@ -22,6 +22,7 @@ from repro.check.generator import generate as generate2
 from repro.core.effective_cpu import compute_cpu_bounds
 from repro.core.ns_monitor import NsMonitor
 from repro.kernel.mm.memcg import MemoryManager
+from repro.kernel.sched import fair
 from repro.kernel.sched.fair import FairScheduler
 from repro.units import gib, mib
 
@@ -293,6 +294,31 @@ class TestInvariantsFire:
         report = run_differential(scn)
         assert report.fingerprint() == "invariant:incremental:accrual_inputs"
         assert "/docker/c0: cached cpu stall (0.0, 0.0, False)" in (
+            report.violations[0])
+
+    def test_memo_count_not_zeroed_on_clear_detected(self, monkeypatch):
+        """The memo table is cleared at the row budget but its running
+        row count is not: results stay exact (the table only clears
+        more often), so only the row audit can see it."""
+        monkeypatch.setattr(fair, "_SOLVE_CACHE_ROWS", 4)
+        scn = Scenario(ncpus=2, memory=gib(1), horizon=0.5, ops=[
+            {"t": 0.0, "op": "create", "name": "c0", "workers": 1},
+            {"t": 0.1, "op": "create", "name": "c1", "workers": 1},
+            {"t": 0.2, "op": "create", "name": "c2", "workers": 1},
+        ])
+        assert run_differential(scn).ok
+
+        def forgetful(self, comp, key, rows):
+            n = len(rows)
+            comp.memo_miss_rows += n
+            if self.memo_rows + n > fair._SOLVE_CACHE_ROWS:
+                self._solve_cache.clear()
+            self._solve_cache[key] = rows
+            self.memo_rows += n
+        monkeypatch.setattr(FairScheduler, "_memo_insert", forgetful)
+        report = run_differential(scn)
+        assert report.fingerprint() == "invariant:incremental:solve_memo"
+        assert "running row count 6, table holds 3 rows" in (
             report.violations[0])
 
 

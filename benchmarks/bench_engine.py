@@ -15,11 +15,10 @@ Run directly to produce ``BENCH_engine.json``::
     PYTHONPATH=src python benchmarks/bench_engine.py --quick
 
 ``--mode scan`` runs the brute-force reference engine (full re-solve +
-thread scans) for before/after comparisons; ``--mode vector`` runs the
-incremental engine with the numpy solve backend; ``--mode both`` runs
-each scenario under incremental and scan, ``--mode all`` under all
-three.  ``benchmarks/check_engine_regression.py``
-compares a fresh run against the committed baseline.
+thread scans) for before/after comparisons; ``--mode both`` runs each
+scenario under incremental and scan.
+``benchmarks/check_engine_regression.py`` compares a fresh run against
+the committed baseline.
 """
 
 from __future__ import annotations
@@ -48,18 +47,9 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_engine.json"
 def _make_world(ncpus: int, seed: int, engine: str | None,
                 sched_policy: str = "default",
                 reclaim_policy: str = "default") -> World:
-    """Build a world, tolerating pre-refactor Worlds without ``engine``."""
-    kwargs = {}
-    if sched_policy != "default" or reclaim_policy != "default":
-        kwargs = {"sched_policy": sched_policy,
-                  "reclaim_policy": reclaim_policy}
-    if engine is None:
-        return World(ncpus=ncpus, seed=seed, **kwargs)
-    try:
-        return World(ncpus=ncpus, seed=seed, engine=engine, **kwargs)
-    except TypeError:
-        # Pre-refactor engine: only the (then unnamed) scan mode exists.
-        return World(ncpus=ncpus, seed=seed)
+    """Build a world; ``engine=None`` means the default engine."""
+    return World(ncpus=ncpus, seed=seed, engine=engine or "incremental",
+                 sched_policy=sched_policy, reclaim_policy=reclaim_policy)
 
 
 def _make_profiler(profile: bool, world: World):
@@ -190,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--quick", action="store_true",
                     help="smaller scenarios for CI smoke runs")
     ap.add_argument("--mode",
-                    choices=["incremental", "scan", "vector", "both", "all"],
+                    choices=["incremental", "scan", "both"],
                     default="incremental")
     ap.add_argument("--profile", action="store_true",
                     help="attach the engine self-profiler and report "
@@ -200,8 +190,6 @@ def main(argv: list[str] | None = None) -> int:
     modes: list[str | None]
     if args.mode == "both":
         modes = ["incremental", "scan"]
-    elif args.mode == "all":
-        modes = ["incremental", "scan", "vector"]
     else:
         modes = [args.mode]
     results = run_all(quick=args.quick, modes=modes, profile=args.profile)

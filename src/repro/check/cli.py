@@ -88,9 +88,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     pair = parser.add_mutually_exclusive_group()
     pair.add_argument("--backend-diff", dest="variants",
                       type=_pair_of("engine"), metavar="A,B",
-                      help="run under two engine backends (e.g. "
-                           "incremental,vector) instead of the default "
-                           "incremental,scan pair")
+                      help="run under two engine backends in the given "
+                           "order (e.g. incremental,scan, the default "
+                           "pair)")
     pair.add_argument("--policy-diff", dest="variants",
                       type=_pair_of("policy"), metavar="A,B",
                       help="run under two policy bundles (e.g. "

@@ -30,7 +30,7 @@ from repro.policy import resolve_bundle
 __all__ = ["Variant", "DEFAULT_VARIANTS", "DiffReport",
            "diff_snapshots", "run_variants", "run_differential"]
 
-ENGINES = ("incremental", "scan", "vector")
+ENGINES = ("incremental", "scan")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,6 @@ wall-clock time to the engine's subsystems:
   (``SchedPolicy.solve`` via the ``_policy_solve`` indirection);
   exclusive accounting subtracts this from ``fair_solver``, so the
   solver row is pure mechanism cost;
-* ``vector_solve`` — the array-backend domain solve
-  (``FairScheduler._vector_rows``, ``engine="vector"`` only), likewise
-  subtracted from ``fair_solver``;
 * ``psi_accrual`` — ``FairScheduler.advance`` (usage/pressure/throttle
   integral accrual between events);
 * ``memcg`` — charge/uncharge/limit/rebalance paths of the memory
@@ -61,9 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["EngineProfiler", "SUBSYSTEMS"]
 
 #: Buckets the profiler attributes time to, in report order.
-SUBSYSTEMS = ("event_loop", "fair_solver", "sched_policy", "vector_solve",
-              "psi_accrual", "memcg", "reclaim_policy", "placement",
-              "migration")
+SUBSYSTEMS = ("event_loop", "fair_solver", "sched_policy", "psi_accrual",
+              "memcg", "reclaim_policy", "placement", "migration")
 
 _MISSING = object()
 
@@ -191,8 +187,6 @@ class EngineProfiler:
         self._wrap(world, "run_until", "event_loop")
         self._wrap(world.sched, "reallocate", "fair_solver")
         self._wrap(world.sched, "_policy_solve", "sched_policy")
-        if getattr(world.sched, "_vector", None) is not None:
-            self._wrap(world.sched, "_vector_rows", "vector_solve")
         self._wrap(world.sched, "advance", "psi_accrual")
         for attr in ("charge", "uncharge", "uncharge_all", "enforce_limit",
                      "rebalance"):

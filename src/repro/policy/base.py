@@ -56,14 +56,6 @@ class SchedPolicy:
     #: that influences allocations must leave this False.
     pure = False
 
-    #: Tag naming the arithmetic the ``vector`` engine backend may run
-    #: for this policy in place of :meth:`solve` (see
-    #: :mod:`repro.kernel.sched.vector`).  None means no vectorized
-    #: equivalent — the vector engine silently solves in scalar.
-    #: A subclass that overrides :meth:`solve` MUST reset this to None
-    #: unless its solve stays bit-identical to the tagged arithmetic.
-    vector_kind: str | None = None
-
     def solve(self, members: "list[Cgroup]", capacity: float,
               params: "SchedParams") -> "list[GroupAlloc]":
         """Allocate ``capacity`` cores over ``members``; set efficiency."""

@@ -46,8 +46,6 @@ class BurstableSchedPolicy(SchedPolicy):
     #: Stateless: the soft-cap decision is recomputed from the same
     #: inputs every solve, so memoization is sound.
     pure = True
-    #: The vector backend reproduces this solve bit-identically.
-    vector_kind = "waterfill-burst"
 
     def solve(self, members: "list[Cgroup]", capacity: float,
               params: "SchedParams") -> list[GroupAlloc]:

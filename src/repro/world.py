@@ -56,10 +56,10 @@ class World:
                  trace: bool = False, seed: int = 0,
                  engine: str = "incremental",
                  sched_policy="default", reclaim_policy="default"):
-        if engine not in ("incremental", "scan", "vector"):
+        if engine not in ("incremental", "scan"):
             raise SimulationError(
-                f"unknown engine {engine!r}: expected 'incremental', "
-                f"'scan', or 'vector'")
+                f"unknown engine {engine!r}: expected 'incremental' "
+                f"or 'scan'")
         self.engine = engine
         self.clock = SimClock()
         self.events = EventLoop(self.clock)
@@ -69,11 +69,8 @@ class World:
         self.host = HostCpus(ncpus)
         self.cgroups = CgroupRoot(self.host)
         self.cgroups.bind_clock(self.clock)
-        # "vector" is the incremental engine with the array solve
-        # backend (bit-identical; scalar fallback when numpy is absent).
         self.sched = FairScheduler(self.host, self.cgroups, sched_params,
                                    incremental=(engine != "scan"),
-                                   vector=(engine == "vector"),
                                    policy=sched_policy)
         self.mm = MemoryManager(memory, self.cgroups, mm_params,
                                 policy=reclaim_policy)

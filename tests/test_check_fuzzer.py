@@ -330,7 +330,7 @@ class TestVariants:
             "scan/burstable")
 
     def test_dict_round_trip(self):
-        for v in (Variant(), Variant(engine="vector", policy="intent")):
+        for v in (Variant(), Variant(engine="scan", policy="intent")):
             assert Variant.from_dict(json.loads(json.dumps(v.to_dict()))) == v
 
     def test_unknown_field_rejected_by_name(self):
@@ -340,6 +340,8 @@ class TestVariants:
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             Variant(engine="turbo")
+        with pytest.raises(ValueError, match="unknown engine"):
+            Variant(engine="vector")
         with pytest.raises(ValueError, match="unknown policy bundle"):
             Variant(policy="nosuch")
 
@@ -365,13 +367,15 @@ def _cli(argv: list[str]) -> argparse.Namespace:
 class TestCheckCliVariants:
     def test_unknown_names_rejected_at_parse_time(self, capsys):
         for argv in (["--policy-diff", "default,nosuch"],
-                     ["--backend-diff", "incremental,turbo"]):
+                     ["--backend-diff", "incremental,turbo"],
+                     ["--backend-diff", "incremental,vector"]):
             with pytest.raises(SystemExit) as exc:
                 _cli(argv + ["--seeds", "2"])
             assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unknown policy bundle 'nosuch'" in err
         assert "unknown engine 'turbo'" in err
+        assert "unknown engine 'vector'" in err
 
     def test_two_pair_flags_are_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -392,8 +396,8 @@ class TestCheckCliVariants:
         path = (Path(__file__).resolve().parent / "regressions"
                 / "same_instant_pileup.json")
         assert main(_cli(["--replay", str(path), "--backend-diff",
-                          "incremental,vector"])) == 0
-        assert "under incremental vs vector: ok" in capsys.readouterr().out
+                          "scan,incremental"])) == 0
+        assert "under scan vs incremental: ok" in capsys.readouterr().out
 
     def test_smoke_honours_the_pair(self, monkeypatch, capsys):
         from repro.check import cli

@@ -12,14 +12,24 @@ the brute-force reference, not merely close:
 * **Paired stepping** — two worlds (one per engine) driven through the
   same randomized perturbation script must agree on every float they
   expose at every step.
+
+Equal-rate pileups, where whole cohorts finish on one tick, get their
+own property test: both modes must emit the canonical in-batch order.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.container.spec import ContainerSpec
 from repro.kernel.cgroup import CgroupRoot
 from repro.kernel.cpu import HostCpus
@@ -40,12 +50,29 @@ class TestGoldenTrace:
     def test_repeat_runs_byte_identical(self):
         assert run_scenario("incremental") == run_scenario("incremental")
 
+    def test_deterministic_run_never_imports_numpy(self):
+        # numpy is imported lazily, on the first random draw: a run that
+        # draws none must not pay its resident memory.  A fresh
+        # interpreter, because this test process has numpy loaded.
+        paths = [str(Path(repro.__file__).resolve().parents[1]),
+                 str(Path(__file__).resolve().parents[1])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        code = ("import sys\n"
+                "from tests.engine_scenarios import run_scenario\n"
+                "run_scenario('incremental')\n"
+                "print('numpy' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         from repro.errors import SimulationError
         with pytest.raises(SimulationError):
             World(ncpus=2, engine="psychic")
+        with pytest.raises(SimulationError):
+            World(ncpus=2, engine="vector")
 
     def test_modes_expose_engine_attr(self):
         assert World(ncpus=2).engine == "incremental"
@@ -182,6 +209,56 @@ class TestPairedEngines:
                 assert ca.cgroup.progress_acc == cb.cgroup.progress_acc
                 assert (ca.cgroup.pressure.cpu.some_total
                         == cb.cgroup.pressure.cpu.some_total)
+
+
+class TestTieBreakProperty:
+    """Equal-weight/equal-cap pileups: the degenerate case where every
+    group gets the same rate and whole cohorts finish on the same tick.
+    Both engine modes must emit the identical (cgroup seq, tid)
+    completion order — the canonical order the telemetry contract
+    depends on."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_groups=st.integers(min_value=1, max_value=5),
+           n_threads=st.integers(min_value=1, max_value=4),
+           ncpus=st.integers(min_value=1, max_value=8),
+           quantum=st.integers(min_value=1, max_value=50))
+    def test_pileup_completion_order_identical(self, n_groups, n_threads,
+                                               ncpus, quantum):
+        work = quantum * 0.01
+        orders = []
+        for incremental in (True, False):
+            host = HostCpus(ncpus)
+            root = CgroupRoot(host)
+            sched = FairScheduler(host, root, incremental=incremental)
+            for i in range(n_groups):
+                cg = root.root.create_child(f"g{i}")
+                for j in range(n_threads):
+                    SimThread(f"t{j}", cg).assign_work(work)
+            sched.reallocate()
+            order = []
+            while True:
+                ttc = sched.next_completion()
+                if ttc == float("inf"):
+                    break
+                sched.advance(ttc)
+                done = sched.pop_finished()
+                assert done, "advance(next_completion) must finish a thread"
+                # The canonical in-batch order is (cgroup seq, tid).
+                keys = [(t.cgroup.seq, t.tid) for t in done]
+                assert keys == sorted(keys)
+                # tids/seqs are process-global counters, so compare the
+                # two fleets by stable names instead.
+                order.append([(t.cgroup.name, t.name) for t in done])
+                for t in done:
+                    # As World.run does for a segment with no
+                    # continuation: park the thread so it cannot spin.
+                    t._finish_segment()
+                    t.block()
+                if sched.dirty:
+                    sched.reallocate()
+            orders.append(order)
+        assert orders[0] == orders[1]
 
 
 class TestRunUntilAccrual:

@@ -237,16 +237,6 @@ class TestTransientHandlePool:
         assert self.loop.integrity()["pool_errors"] == 0
 
 
-def _has_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-@pytest.mark.skipif(not _has_numpy(),
-                    reason="RngFactory streams need the optional numpy")
 class TestRngFactory:
     def test_same_name_same_stream(self):
         f = RngFactory(42)

@@ -261,8 +261,7 @@ class AccrualInputs(Invariant):
         out = []
         sched = world.sched
         eps = sched.params.eps
-        policy = sched.policy
-        clip_fn = policy.throttle_clip if policy.throttle_static else None
+        clip_fn = sched.policy.throttle_clip
         for g in sched.snapshot:
             cached = (g._cpu_some, g._cpu_full, g._cpu_stalled)
             want = cpu_stall(g, eps)
@@ -270,7 +269,7 @@ class AccrualInputs(Invariant):
                 out.append(self._v(
                     f"{g.cgroup.path}: cached cpu stall {cached!r}, "
                     f"row gives {want!r}"))
-            if clip_fn is not None and g._clip != clip_fn(g):
+            if g._clip != clip_fn(g):
                 out.append(self._v(
                     f"{g.cgroup.path}: cached throttle clip {g._clip!r}, "
                     f"row gives {clip_fn(g)!r}"))

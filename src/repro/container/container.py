@@ -80,9 +80,5 @@ class Container:
     def e_mem(self) -> int:
         return self.sys_ns.e_mem
 
-    @property
-    def memory_usage(self) -> int:
-        return self.cgroup.memory.usage_in_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Container {self.name!r} {self.state.value}>"

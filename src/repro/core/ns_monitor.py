@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from repro.core.effective_cpu import CpuBounds, compute_cpu_bounds, cpu_bounds_key
 from repro.core.sys_namespace import SysNamespace
-from repro.kernel.cgroup import Cgroup, CgroupEvent, CgroupEventKind, CgroupRoot
+from repro.kernel.cgroup import CgroupEvent, CgroupEventKind, CgroupRoot
 
 __all__ = ["NsMonitor"]
 
@@ -72,9 +72,6 @@ class NsMonitor:
     def unregister(self, sys_ns: SysNamespace) -> None:
         """Remove a terminated container's namespace and rebalance."""
         self._drop(sys_ns.cgroup.path)
-
-    def lookup(self, cgroup: Cgroup) -> SysNamespace | None:
-        return self._by_cgroup.get(cgroup.path)
 
     @property
     def namespaces(self) -> list[SysNamespace]:

@@ -12,14 +12,15 @@ The paper motivates three design decisions this module isolates:
 
 2. **The utilization threshold.**  Algorithm 1 grows E_CPU only when a
    container uses more than ``UTIL_THRSHD`` (95%) of its effective
-   capacity.  ``util_threshold_sweep`` shows the trade-off: a low
+   capacity.  The ``util_threshold`` table shows the trade-off: a low
    threshold over-expands (GC over-threading returns), a threshold of
    ~1.0 never grows.
 
 3. **The ±1-per-period rate limit.**  Changes to effective CPU are
    "limited to 1 per update to prevent abrupt fluctuations"; the update
-   period follows the CFS scheduling period.  ``update_period_sweep``
-   scales the period to show the responsiveness/stability trade-off.
+   period follows the CFS scheduling period.  The ``update_period``
+   table scales the period to show the responsiveness/stability
+   trade-off.
 
 Every cell of every sweep is an independent world, so ``run`` gathers
 the *whole* grid (all five sub-tables) into one trial list and fans it
@@ -43,8 +44,8 @@ from repro.workloads.dacapo import dacapo
 from repro.workloads.native_runner import NativeProcess
 from repro.workloads.sysbench import sysbench_mix
 
-__all__ = ["AblationParams", "run", "static_vs_dynamic_view",
-           "util_threshold_sweep", "trial", "trial_specs"]
+__all__ = ["AblationParams", "run", "static_vs_dynamic_view", "trial",
+           "trial_specs"]
 
 #: Dotted path of the per-cell trial function (see repro.par).
 TRIAL_FN = "repro.harness.experiments.ablation:trial"
@@ -215,6 +216,14 @@ def _specs_period(params: AblationParams,
 
 
 def _table_period(cells: dict, periods: tuple[float, ...]) -> ResultTable:
+    """Ablation 3: sensitivity to the sys_namespace update period.
+
+    The paper ties the period to the CFS scheduling period (24 ms at
+    <=8 tasks) so "any changes to the CPU allocation of containers are
+    immediately reflected in sys_namespace" (§3.2).  Slow updates make
+    the view lag the sysbench churn: E_CPU misses freed CPUs and GC
+    teams stay small (drifting toward the static-bounds behaviour).
+    """
     table = ResultTable(
         "Ablation: sys_namespace update period (paper: CFS period, ~24ms+)",
         ["period_s", "exec_s", "gc_time_s", "mean_gc_threads"])
@@ -232,6 +241,12 @@ def _specs_mem(params: AblationParams,
 
 
 def _table_mem(cells: dict, fracs: tuple[float, ...]) -> ResultTable:
+    """Ablation 4: Algorithm 2's 10%-of-headroom expansion step.
+
+    Measured on the Fig. 12(b) single-container micro-benchmark: a tiny
+    step delays heap growth (more GC stalls, longer runs); a huge step
+    risks overshooting free memory in one window.
+    """
     table = ResultTable(
         "Ablation: Algorithm 2 increment fraction (paper: 0.10)",
         ["increment_frac", "exec_s", "final_committed_gb", "completed"])
@@ -248,6 +263,13 @@ def _specs_sizing(params: AblationParams) -> list[TrialSpec]:
 
 
 def _table_sizing(cells: dict) -> ResultTable:
+    """Ablation 5: the elastic heap under different sizing algorithms.
+
+    §4.2: the elastic heap "is independent from the original sizing
+    algorithm", so the Fig. 11 lusearch scenario (1 GB hard limit) runs
+    under the default frequency-driven strategy and a pure
+    throughput-goal strategy; both must stay inside the limit.
+    """
     table = ResultTable(
         "Ablation: elastic heap under different sizing strategies "
         "(Fig. 11 lusearch scenario, 1GB hard limit)",
@@ -264,58 +286,11 @@ def _run_cells(specs: list[TrialSpec], *, jobs: int = 1,
             for s, r in zip(specs, run_trials(specs, jobs=jobs, cache=cache))}
 
 
-# -- public sub-table entry points (serial, kept for direct callers) ---------
+# -- public sub-table entry point (serial, kept for direct callers) ----------
 
 def static_vs_dynamic_view(params: AblationParams) -> ResultTable:
     """Ablation 1: pin the view at the static bounds (LXCFS-style)."""
     return _table_static(_run_cells(_specs_static(params)))
-
-
-def util_threshold_sweep(params: AblationParams,
-                         thresholds: tuple[float, ...] = _UTIL_THRESHOLDS,
-                         ) -> ResultTable:
-    """Ablation 2: sensitivity to Algorithm 1's UTIL_THRSHD."""
-    return _table_util(_run_cells(_specs_util(params, thresholds)), thresholds)
-
-
-def update_period_sweep(params: AblationParams,
-                        periods: tuple[float, ...] = _UPDATE_PERIODS,
-                        ) -> ResultTable:
-    """Ablation 3: sensitivity to the sys_namespace update period.
-
-    The paper ties the period to the CFS scheduling period (24 ms at
-    <=8 tasks) so "any changes to the CPU allocation of containers are
-    immediately reflected in sys_namespace" (§3.2).  Slow updates make
-    the view lag the sysbench churn: E_CPU misses freed CPUs and GC
-    teams stay small (drifting toward the static-bounds behaviour).
-    """
-    return _table_period(_run_cells(_specs_period(params, periods)), periods)
-
-
-def mem_increment_sweep(params: AblationParams,
-                        fracs: tuple[float, ...] = _MEM_FRACS,
-                        ) -> ResultTable:
-    """Ablation 4: Algorithm 2's 10%-of-headroom expansion step.
-
-    Measured on the Fig. 12(b) single-container micro-benchmark: a tiny
-    step delays heap growth (more GC stalls, longer runs); a huge step
-    risks overshooting free memory in one window (the watermark guard
-    has less prediction accuracy per step).
-    """
-    return _table_mem(_run_cells(_specs_mem(params, fracs)), fracs)
-
-
-def sizing_strategy_sweep(params: AblationParams) -> ResultTable:
-    """Ablation 5: the elastic heap under different sizing algorithms.
-
-    §4.2: "the elastic heap management only deals with the size limits
-    and is independent from the original sizing algorithm, thereby
-    applicable to other dynamic Java heap management schemes".  Runs the
-    Fig. 11 lusearch scenario (1 GB hard limit) with the default
-    frequency-driven strategy and a pure throughput-goal strategy —
-    both must stay inside the limit and complete.
-    """
-    return _table_sizing(_run_cells(_specs_sizing(params)))
 
 
 def trial_specs(params: AblationParams) -> list[TrialSpec]:

@@ -67,10 +67,6 @@ class PolicyParams:
     #: Mid-run swap itinerary: leg i runs under swap_path[i].
     swap_path: tuple[str, ...] = ("default", "burstable", "default")
 
-    @property
-    def horizon(self) -> float:
-        return self.epochs * self.epoch
-
 
 #: run_all --quick resolves the params class through this hook.
 PARAMS = PolicyParams
@@ -102,7 +98,7 @@ def _build_world(config: dict, sched: str, reclaim: str):
 
 
 def _drive(world, config: dict, *, swaps: dict[int, str] | None = None):
-    """Run the epoch loop; return ``(ooms, oom_victims, handoffs)``.
+    """Run the epoch loop; return ``(ooms, victims, handoffs)``.
 
     ``swaps`` maps epoch index -> bundle name; at the start of that
     epoch the world hot-swaps to the bundle (both sides).  Charges that
@@ -154,7 +150,7 @@ def _metrics(world, ooms: int, victims: list[str]) -> dict:
         "swapped": sum(cg.memory.swapped for cg in groups),
         "swapped_by_intent": swapped_by_intent,
         "ooms": ooms,
-        "oom_victims": victims,
+        "oom_killed": victims,
         "conservation_error": world.sched.conservation_error(),
     }
 

@@ -129,10 +129,6 @@ class Heap:
     def eden_free(self) -> int:
         return max(0, self.eden_capacity - self.eden_used)
 
-    @property
-    def old_free(self) -> int:
-        return max(0, self.old_committed - self.old_used)
-
     # -- committed-size adjustments (the sizing policy's surface) --------------
 
     def resize_young(self, target_committed: int) -> None:

@@ -279,19 +279,16 @@ class MemoryManager:
     def set_policy(self, policy: "ReclaimPolicy | str") -> dict:
         """Hot-swap the reclaim policy (plugsched-style).
 
-        Same handoff contract as the scheduler: the outgoing policy
-        exports its state, the incoming one imports what it understands,
-        and ledgers (charge/uncharge totals, swap occupancy, residency)
-        are untouched — :meth:`repro.world.World.swap_policy` asserts
-        that.  Returns the handoff record ``{"from", "to", "state"}``.
+        Same contract as the scheduler: the stateless new policy replaces
+        the old one, and ledgers (charge/uncharge totals, swap occupancy,
+        residency) are untouched — :meth:`repro.world.World.swap_policy`
+        asserts that.  Returns the handoff record ``{"from", "to"}``.
         """
         from repro.policy import make_reclaim_policy
         new = make_reclaim_policy(policy)
         old = self.policy
-        state = old.export_state()
-        new.import_state(state)
         self.policy = new
-        return {"from": old.name, "to": new.name, "state": state}
+        return {"from": old.name, "to": new.name}
 
     def _set_reclaiming(self, active: bool) -> None:
         """Flip the kswapd-active flag, spanning each reclaim episode.
@@ -379,19 +376,17 @@ class MemoryManager:
             self.cgroups.scheduler_dirty(cg)
 
     def _oom_kill(self, cg: Cgroup, requested: int) -> None:
-        # Victim selection is a policy decision (all built-in policies
-        # kill the charger, mirroring memcg-local OOM).
-        victim = self.policy.oom_victim(cg, self._all_groups())
+        # The charger dies, mirroring memcg-local OOM.
         self.oom_kills += 1
-        victim.memory.oom_killed = True
+        cg.memory.oom_killed = True
         if self.event_hook:
-            self.event_hook("mm.oom_kill", f"cgroup {victim.path} OOM-killed",
+            self.event_hook("mm.oom_kill", f"cgroup {cg.path} OOM-killed",
                             requested=requested, free=self.free,
                             swap_free=self.swap.free)
         raise OutOfMemoryError(
-            f"cgroup {victim.path!r} OOM-killed charging {requested} bytes "
+            f"cgroup {cg.path!r} OOM-killed charging {requested} bytes "
             f"(free={self.free}, swap_free={self.swap.free})",
-            victim=victim.path)
+            victim=cg.path)
 
     # -- introspection ---------------------------------------------------------------
 

@@ -53,6 +53,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.errors import PolicyError
 from repro.kernel.cgroup import Cgroup, CgroupRoot
 from repro.kernel.cpu import HostCpus
 from repro.obs.pressure import PSI_WINDOWS
@@ -129,9 +130,9 @@ class GroupAlloc:
     #: The field tuple last published into this (pooled) object; lets
     #: re-publication skip groups whose solve output did not change.
     _row: tuple | None = field(default=None, repr=False, compare=False)
-    #: ``policy.throttle_clip`` evaluated at publication (row-static
-    #: policies only): the per-second throttled_time accrual rate the
-    #: mechanism applies each step without calling back into the policy.
+    #: ``policy.throttle_clip`` evaluated at publication: the per-second
+    #: throttled_time accrual rate the mechanism applies each step
+    #: without calling back into the policy.
     _clip: float = field(default=0.0, repr=False, compare=False)
     #: :func:`cpu_stall` of the row, evaluated at publication: the
     #: group's PSI cpu ``some``/``full`` inputs (already clamped) and
@@ -617,6 +618,8 @@ class FairScheduler:
         identical under every policy.  Shared verbatim by full and
         partial re-solves, so identical (seq-ordered) inputs yield
         bit-identical rates regardless of what else was re-solved.
+        A solve that is not one ``GroupAlloc`` per member, in member
+        order, raises :class:`PolicyError`.
 
         The memo is skipped for a domain that has inserted a whole
         ``_SOLVE_CACHE_ROWS`` of rows without a hit: keying it costs a
@@ -639,35 +642,17 @@ class FairScheduler:
                     comp.memo_miss_rows = 0
         if rows is None:
             allocs = self._policy_solve(members, capacity)
-            by_cg = {g.cgroup: g for g in allocs}
-            if len(by_cg) != len(members) or any(cg not in by_cg
-                                                 for cg in members):
-                # Policy returned something other than one alloc per
-                # member: publish directly, bypass pooling and memo.
-                self._members_changed = True
-                policy = self.policy
-                clip_fn = (policy.throttle_clip
-                           if policy.throttle_static else None)
-                eps = self.params.eps
-                for g in allocs:
-                    cg = g.cgroup
-                    self._galloc[cg] = g
-                    self._gpool[cg] = g
-                    if clip_fn is not None:
-                        g._clip = clip_fn(g)
-                    (g._cpu_some, g._cpu_full,
-                     g._cpu_stalled) = cpu_stall(g, eps)
-                    cg.cpu_rate = g.rate
-                    cg._thread_rate = (g.per_thread_progress
-                                       * cg.progress_multiplier)
-                    cg._occ_rate = g.per_thread_occupancy
-                    if self._incremental:
-                        self._push_entry(cg)
-                return
+            if (len(allocs) != len(members)
+                    or any(g.cgroup is not cg
+                           for g, cg in zip(allocs, members))):
+                raise PolicyError(
+                    f"sched policy {self.policy.name!r} must return one "
+                    f"GroupAlloc per member, in member order (got "
+                    f"{len(allocs)} for {len(members)} members)")
             rows = tuple(
                 (g.n_threads, g.weight, g.cap, g.rate, g.efficiency,
                  g.demand, g.pressure, g.quota, g.soft_capped)
-                for g in (by_cg[cg] for cg in members))
+                for g in allocs)
             if key is not None:
                 self._memo_insert(comp, key, rows)
         self._publish_rows(members, rows)
@@ -704,8 +689,7 @@ class FairScheduler:
         galloc = self._galloc
         pool = self._gpool
         incremental = self._incremental
-        policy = self.policy
-        clip_fn = policy.throttle_clip if policy.throttle_static else None
+        clip_fn = self.policy.throttle_clip
         eps = self.params.eps
         for cg, row in zip(members, rows):
             g = pool.get(cg)
@@ -741,8 +725,7 @@ class FairScheduler:
             g._row = row
             (g.n_threads, g.weight, g.cap, g.rate, g.efficiency,
              g.demand, g.pressure, g.quota, g.soft_capped) = row
-            if clip_fn is not None:
-                g._clip = clip_fn(g)
+            g._clip = clip_fn(g)
             g._cpu_some, g._cpu_full, g._cpu_stalled = cpu_stall(g, eps)
             if cg not in galloc:
                 self._members_changed = True
@@ -767,19 +750,17 @@ class FairScheduler:
     def set_policy(self, policy: "SchedPolicy | str") -> dict:
         """Hot-swap the scheduling policy (plugsched-style).
 
-        The outgoing policy exports its internal state, the incoming one
-        imports it (ignoring keys it does not understand), and every
-        domain is marked dirty so the next :meth:`reallocate` re-solves
-        the whole host under the new policy.  Mechanism ledgers are not
-        touched — :meth:`repro.world.World.swap_policy` asserts that.
+        Policies are stateless, so the new instance simply replaces the
+        old one and every domain is marked dirty so the next
+        :meth:`reallocate` re-solves the whole host under the new policy.
+        Mechanism ledgers are not touched —
+        :meth:`repro.world.World.swap_policy` asserts that.
 
-        Returns the handoff record ``{"from", "to", "state"}``.
+        Returns the handoff record ``{"from", "to"}``.
         """
         from repro.policy import make_sched_policy
         new = make_sched_policy(policy)
         old = self.policy
-        state = old.export_state()
-        new.import_state(state)
         self.policy = new
         self._refresh_solve_cache()
         # Drop cached publication rows: an identical row under the new
@@ -788,7 +769,7 @@ class FairScheduler:
         for g in self._gpool.values():
             g._row = None
         self.mark_dirty()
-        return {"from": old.name, "to": new.name, "state": state}
+        return {"from": old.name, "to": new.name}
 
     def _refresh_solve_cache(self) -> None:
         """(Re)arm the domain-solve memo for the current policy.
@@ -1039,9 +1020,6 @@ class FairScheduler:
             # Accumulators behind the clock decay their untouched stretch
             # first; most share its length, so they share its decays.
             gap_decays: dict[float, tuple[float, ...]] = {}
-        policy = self.policy
-        throttle_static = policy.throttle_static
-        throttle_accrue = policy.throttle_accrue
         for g in self._snapshot:
             cg = g.cgroup
             rate = g.rate
@@ -1051,16 +1029,11 @@ class FairScheduler:
             total_demand += g.demand
             # Throttle accounting is a policy decision (the default
             # policy clips demand at the quota; burstable only accrues
-            # while a soft cap is asserted).  Row-static policies have
-            # the clip precomputed at publication; others are consulted
-            # per step.
-            if throttle_static:
-                clip = g._clip
-                if clip > 0.0:
-                    cg.throttled_time += clip * dt
-                    cg.throttled_wall += dt
-            else:
-                throttle_accrue(g, dt)
+            # while a soft cap is asserted), evaluated at publication.
+            clip = g._clip
+            if clip > 0.0:
+                cg.throttled_time += clip * dt
+                cg.throttled_wall += dt
             cg.progress_acc += cg._thread_rate * dt
             cg.occupancy_acc += cg._occ_rate * dt
             # Memory stall is the swap/reclaim slowdown, which hits every

@@ -210,15 +210,6 @@ class Histogram:
         self.vmin = min(self.vmin, other.vmin)
         self.vmax = max(self.vmax, other.vmax)
 
-    def nonzero_buckets(self) -> list[tuple[float, int]]:
-        """(upper_bound, count) for occupied buckets (inf = overflow)."""
-        out = []
-        for i, n in enumerate(self.counts):
-            if n:
-                bound = self.bounds[i] if i < len(self.bounds) else math.inf
-                out.append((bound, n))
-        return out
-
     def to_dict(self) -> dict:
         """JSON-safe snapshot; inverse of :meth:`from_dict`."""
         return {"name": self.name, "bounds": list(self.bounds),

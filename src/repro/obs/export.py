@@ -236,15 +236,6 @@ def jsonl_import(text: str) -> TelemetryDump:
         elif kind == "pressure":
             dump.pressure[record["cgroup"]] = {
                 "cpu": record["cpu"], "memory": record["memory"]}
-        elif kind == "series_chunk":
-            # Incrementally-streamed series tail: chunks concatenate in
-            # file order, so a re-exported recorder reloads whole.
-            series = dump.series.get(record["name"])
-            if series is None:
-                series = Series(name=record["name"], times=[], values=[])
-                dump.series[record["name"]] = series
-            series.times.extend(record["times"])
-            series.values.extend(record["values"])
         elif kind == "fleet_epoch":
             dump.fleet_epochs.append(record)
         elif kind == "profile":
@@ -268,14 +259,9 @@ class JsonlStreamWriter:
     file, so an interrupted run keeps every record up to the last write
     instead of silently truncating at an OS buffer boundary.
 
-    The writer keeps per-object cursors, so telemetry sources can be
-    exported *repeatedly* as a run progresses: :meth:`export_recorder`
-    streams only the samples appended since the previous call (as
-    ``series_chunk`` records that :func:`jsonl_import` concatenates
-    back into whole series), and :meth:`export_tracelog` streams only
-    new events and newly-closed spans.  Re-exporting an
-    already-streamed source is therefore additive — never a duplicate,
-    never a truncation.
+    Fleet collectors stream their epoch rows through
+    :meth:`write_record` and histogram snapshots through
+    :meth:`export_histograms` as a run progresses.
     """
 
     def __init__(self, path_or_file: "str | os.PathLike | IO[str]", *,
@@ -291,8 +277,6 @@ class JsonlStreamWriter:
             self._owns_fh = True
         self._buffer: list[str] = []
         self._buffer_records = buffer_records
-        self._series_cursors: dict[int, dict[str, int]] = {}
-        self._trace_cursors: dict[int, dict[str, int]] = {}
         self.records_written = 0
         self.flushes = 0
         self.closed = False
@@ -336,61 +320,9 @@ class JsonlStreamWriter:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- incremental sources ----------------------------------------------
-
-    def export_recorder(self, recorder: MetricsRecorder) -> int:
-        """Stream samples appended since this recorder's last export.
-
-        Returns the number of chunk records written.  The first call
-        streams every sample; later calls stream only the new tail, so
-        re-exporting mid-run and again at end-of-run loses nothing and
-        duplicates nothing.
-        """
-        cursors = self._series_cursors.setdefault(id(recorder), {})
-        written = 0
-        for name in recorder.names():
-            series = recorder.series(name)
-            start = cursors.get(name, 0)
-            if len(series.times) <= start:
-                continue
-            self.write_record({"kind": "series_chunk", "name": name,
-                               "seq": start,
-                               "times": list(series.times[start:]),
-                               "values": list(series.values[start:])})
-            cursors[name] = len(series.times)
-            written += 1
-        return written
-
     def export_histograms(self, histograms: dict[str, Histogram]) -> int:
         """Stream a snapshot of each histogram (latest supersedes)."""
         for name in sorted(histograms):
             self.write_record({"kind": "histogram",
                                **histograms[name].to_dict()})
         return len(histograms)
-
-    def export_tracelog(self, tracelog: TraceLog) -> int:
-        """Stream events and closed spans added since the last export."""
-        cursors = self._trace_cursors.setdefault(
-            id(tracelog), {"events": 0, "spans": 0})
-        written = 0
-        events = tracelog.events()
-        emitted_total = len(events) + tracelog.dropped
-        start = max(0, cursors["events"] - tracelog.dropped)
-        for event in events[start:]:
-            self.write_record({"kind": "event", "time": event.time,
-                               "category": event.category,
-                               "message": event.message,
-                               "fields": event.fields})
-            written += 1
-        cursors["events"] = emitted_total
-        spans = tracelog.spans()
-        closed_total = len(spans) + tracelog.spans_dropped
-        start = max(0, cursors["spans"] - tracelog.spans_dropped)
-        for span in spans[start:]:
-            self.write_record({"kind": "span", "id": span.span_id,
-                               "category": span.category,
-                               "message": span.message, "start": span.start,
-                               "end": span.end, "fields": span.fields})
-            written += 1
-        cursors["spans"] = closed_total
-        return written

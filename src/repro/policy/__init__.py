@@ -1,14 +1,14 @@
 """repro.policy — pluggable kernel policies behind a hot-swap boundary.
 
 The scheduler and memory manager delegate their *decisions* (how to
-split a contention domain, whom to reclaim from, whom to OOM-kill) to
-:class:`SchedPolicy` / :class:`ReclaimPolicy` instances resolved here
-by name.  Mechanism state — dirty sets, contention domains, the
-completion index, every conservation ledger — stays in the kernel and
-is identical under every policy, which is what makes mid-simulation
-swapping (:meth:`repro.world.World.swap_policy`) safe: the handoff
-moves only policy-internal state and the world asserts the ledgers are
-untouched.
+split a contention domain, when quota clipping throttles, whom to
+reclaim from) to :class:`SchedPolicy` / :class:`ReclaimPolicy`
+instances resolved here by name.  Mechanism state — dirty sets,
+contention domains, the completion index, every conservation ledger —
+stays in the kernel and is identical under every policy, which is what
+makes mid-simulation swapping (:meth:`repro.world.World.swap_policy`)
+safe: policies are stateless, so the handoff only replaces the
+instance, and the world asserts the ledgers are untouched.
 
 Built-in policies::
 
@@ -64,7 +64,6 @@ POLICY_BUNDLES: dict[str, tuple[str, str]] = {
     "default": ("default", "default"),
     "burstable": ("burstable", "default"),
     "intent": ("default", "intent"),
-    "intent-reclaim": ("default", "intent"),
 }
 
 

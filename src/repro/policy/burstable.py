@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.kernel.sched.fair import GroupAlloc, component_pressures, waterfill
+from repro.kernel.sched.fair import GroupAlloc
 from repro.policy.base import SchedPolicy
+from repro.policy.default import share_out
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.cgroup import Cgroup
@@ -69,43 +70,13 @@ class BurstableSchedPolicy(SchedPolicy):
                 if g.quota < g.cap - params.eps:
                     g.soft_capped = True
                     g.cap = min(g.quota, g.cap)
-        rates = waterfill([g.weight for g in allocs],
-                          [g.cap for g in allocs], capacity)
-        for g, rate in zip(allocs, rates):
-            g.rate = rate
-        kappa = params.csw_overhead
-        gamma = params.interference
-        eps = params.eps
-        for g, pressure in zip(allocs, component_pressures(allocs)):
-            rate = g.rate
-            if rate > eps and g.n_threads > rate:
-                oversub = g.n_threads / rate - 1.0
-                g.efficiency = 1.0 / (1.0 + kappa * oversub)
-            else:
-                g.efficiency = 1.0
-            if pressure > 1.0:
-                g.efficiency *= 1.0 / (1.0 + gamma * (pressure - 1.0))
-            g.pressure = pressure
-        return allocs
+        return share_out(allocs, capacity, params)
 
-    #: ``soft_capped`` is part of the published row, so the clip is a
-    #: row function the scheduler may evaluate once per publication.
-    throttle_static = True
-
-    def throttle_accrue(self, g: GroupAlloc, dt: float) -> None:
+    def throttle_clip(self, g: GroupAlloc) -> float:
         # Same clipping arithmetic as the default policy, but only for
         # groups whose quota was re-asserted by domain pressure: a
         # quota'd group bursting through idle capacity is *not*
         # throttled, which is the whole point of the policy.
-        if g.soft_capped:
-            quota = g.quota
-            clipped = max(0.0, g.demand - quota)
-            if clipped > 0.0 and g.rate >= quota - 1e-9:
-                cg = g.cgroup
-                cg.throttled_time += clipped * dt
-                cg.throttled_wall += dt
-
-    def throttle_clip(self, g: GroupAlloc) -> float:
         if g.soft_capped:
             quota = g.quota
             clipped = g.demand - quota

@@ -6,12 +6,13 @@ waterfill capped by ``min(quota, |cpuset|, n_threads)``, context-switch
 and interference efficiency penalties, quota-clipping throttle
 accounting.  The golden-trace fixture (``tests/golden/``) pins it:
 every operation here must stay byte-identical to the pre-refactor
-``FairScheduler._solve_component``, which is why the body is a
-statement-for-statement transplant rather than a cleaner rewrite.
+``FairScheduler._solve_component``, which is why :func:`share_out` (the
+part the burstable policy shares) is a statement-for-statement
+transplant rather than a cleaner rewrite.
 
 ``DefaultReclaimPolicy`` delegates to the stateless kswapd planners
 (soft-limit-overage-proportional background reclaim, residency-
-proportional direct reclaim) and OOM-kills the charging cgroup.
+proportional direct reclaim).
 """
 
 from __future__ import annotations
@@ -26,7 +27,36 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.cgroup import Cgroup
     from repro.kernel.sched.fair import SchedParams
 
-__all__ = ["DefaultSchedPolicy", "DefaultReclaimPolicy"]
+__all__ = ["DefaultSchedPolicy", "DefaultReclaimPolicy", "share_out"]
+
+
+def share_out(allocs: list[GroupAlloc], capacity: float,
+              params: "SchedParams") -> list[GroupAlloc]:
+    """Waterfill ``capacity`` over capped rows, then set efficiencies.
+
+    The solve body every built-in sched policy shares once its rows
+    carry their caps: rates from :func:`waterfill`, the context-switch
+    penalty for oversubscribed groups, and the interference penalty
+    from the domain pressure.  Fills ``allocs`` in place and returns it.
+    """
+    rates = waterfill([g.weight for g in allocs],
+                      [g.cap for g in allocs], capacity)
+    for g, rate in zip(allocs, rates):
+        g.rate = rate
+    kappa = params.csw_overhead
+    gamma = params.interference
+    eps = params.eps
+    for g, pressure in zip(allocs, component_pressures(allocs)):
+        rate = g.rate
+        if rate > eps and g.n_threads > rate:
+            oversub = g.n_threads / rate - 1.0
+            g.efficiency = 1.0 / (1.0 + kappa * oversub)
+        else:
+            g.efficiency = 1.0
+        if pressure > 1.0:
+            g.efficiency *= 1.0 / (1.0 + gamma * (pressure - 1.0))
+        g.pressure = pressure
+    return allocs
 
 
 class DefaultSchedPolicy(SchedPolicy):
@@ -49,50 +79,17 @@ class DefaultSchedPolicy(SchedPolicy):
                            cap=min(quota, mask_size, float(n)),
                            demand=min(float(n), mask_size), quota=quota)
             allocs.append(g)
-        rates = waterfill([g.weight for g in allocs],
-                          [g.cap for g in allocs], capacity)
-        for g, rate in zip(allocs, rates):
-            g.rate = rate
-        kappa = params.csw_overhead
-        gamma = params.interference
-        eps = params.eps
-        for g, pressure in zip(allocs, component_pressures(allocs)):
-            rate = g.rate
-            if rate > eps and g.n_threads > rate:
-                oversub = g.n_threads / rate - 1.0
-                g.efficiency = 1.0 / (1.0 + kappa * oversub)
-            else:
-                g.efficiency = 1.0
-            if pressure > 1.0:
-                g.efficiency *= 1.0 / (1.0 + gamma * (pressure - 1.0))
-            g.pressure = pressure
-        return allocs
-
-    #: The clip below reads only row fields, so the scheduler may
-    #: evaluate it once per publication instead of every accrual step.
-    throttle_static = True
-
-    def throttle_accrue(self, g: GroupAlloc, dt: float) -> None:
-        # Throttling: demand the quota clipped (the fluid analogue of
-        # cpu.stat's throttled_time).
-        quota = g.quota
-        if quota != float("inf"):
-            clipped = max(0.0, g.demand - quota)
-            if clipped > 0.0 and g.rate >= quota - 1e-9:
-                cg = g.cgroup
-                cg.throttled_time += clipped * dt
-                cg.throttled_wall += dt
+        return share_out(allocs, capacity, params)
 
     def throttle_clip(self, g: GroupAlloc) -> float:
+        # Throttling: demand the quota clipped (the fluid analogue of
+        # cpu.stat's throttled_time).
         quota = g.quota
         if quota != float("inf"):
             clipped = g.demand - quota
             if clipped > 0.0 and g.rate >= quota - 1e-9:
                 return clipped
         return 0.0
-
-    def rate_cap(self, quota_cores: float, cpuset_size: float) -> float:
-        return min(quota_cores, cpuset_size)
 
 
 class DefaultReclaimPolicy(ReclaimPolicy):

@@ -46,6 +46,3 @@ class Slo:
         if observed is None:
             return 0.0
         return observed / self.target
-
-    def met_by(self, summary_latency: float) -> bool:
-        return summary_latency <= self.target

@@ -264,9 +264,8 @@ class World:
 
         Either side may be swapped independently; ``None`` leaves it
         alone.  The handoff is: resolve any pending reallocation under
-        the *old* policy, move policy-internal state across
-        (``export_state``/``import_state``), re-solve the whole host
-        under the new policy, and assert that every conservation ledger
+        the *old* policy, install the new (stateless) policy, re-solve
+        the whole host under it, and assert that every conservation ledger
         (CPU time, throttle time, charge/uncharge totals, residency,
         swap occupancy) is bit-exactly what it was — a swap decides the
         *future*, never rewrites the past.

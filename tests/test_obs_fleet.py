@@ -182,6 +182,17 @@ class TestFleetCollector:
         assert {"fleet.e_cpu", "fleet.stretch",
                 "fleet.e_mem_frac"} <= hist_names
 
+    def test_context_exit_flushes_tail_and_closes(self, tmp_path):
+        path = tmp_path / "sink.jsonl"
+        with JsonlStreamWriter(path, buffer_records=8) as sink:
+            for i in range(3):                  # under the spill watermark
+                sink.write_record({"kind": "fleet_epoch", "epoch": i})
+        assert sink.closed and sink.flushes == 1
+        assert [json.loads(line)["epoch"] for line in
+                path.read_text().splitlines()] == [0, 1, 2]
+        with pytest.raises(ReproError, match="closed"):
+            sink.write_record({"kind": "fleet_epoch", "epoch": 3})
+
     def test_ring_bounds_memory(self):
         collector = FleetCollector(FleetTelemetryParams(
             ring_capacity=5, flush_watermark=3))

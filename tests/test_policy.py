@@ -18,6 +18,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import ContainerSpec, World, gib, mib
 from repro.check import Variant, run_scenario, run_variants
@@ -25,8 +27,10 @@ from repro.check.generator import generate
 from repro.check.shrinker import shrink
 from repro.check.sweep import load_fixture
 from repro.errors import CgroupError, ClusterError, ContainerError, PolicyError
+from repro.kernel.sched.fair import SchedParams
 from repro.policy import (POLICY_BUNDLES, RECLAIM_POLICIES, SCHED_POLICIES,
-                          DefaultReclaimPolicy, DefaultSchedPolicy,
+                          BurstableSchedPolicy, DefaultReclaimPolicy,
+                          DefaultSchedPolicy,
                           make_reclaim_policy, make_sched_policy,
                           register_reclaim_policy, register_sched_policy,
                           resolve_bundle)
@@ -76,7 +80,6 @@ class TestRegistry:
         assert resolve_bundle("default") == ("default", "default")
         assert resolve_bundle("burstable") == ("burstable", "default")
         assert resolve_bundle("intent") == ("default", "intent")
-        assert resolve_bundle("intent-reclaim") == ("default", "intent")
 
     def test_registration_and_duplicate_rejection(self, scratch_policy):
         class Mine(DefaultSchedPolicy):
@@ -139,6 +142,43 @@ class TestBurstable:
                             for c in cs]
         assert results["burstable"] == results["default"]
         assert all(t > 0 for _, t in results["burstable"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ncpus=st.integers(min_value=1, max_value=6),
+           groups=st.lists(st.tuples(
+               st.integers(min_value=1, max_value=6),         # threads
+               st.integers(min_value=2, max_value=4096),      # cpu.shares
+               st.one_of(st.none(),                           # quota (us)
+                         st.integers(min_value=10_000, max_value=600_000)),
+               st.integers(min_value=1, max_value=63)),       # cpuset bits
+               min_size=1, max_size=6))
+    def test_contended_rows_match_default(self, ncpus, groups):
+        """Under contention burstable's rows are default's, field for
+        field, except the ``soft_capped`` flag: both policies share one
+        solve body and differ only in the caps they feed it."""
+        w = World(ncpus=ncpus)
+        members = []
+        for i, (threads, shares, quota_us, bits) in enumerate(groups):
+            cpus = [c for c in range(ncpus) if bits >> c & 1] or [0]
+            c = w.containers.create(ContainerSpec(
+                f"c{i}", cpu_shares=shares,
+                cpus=None if quota_us is None else quota_us / 100_000,
+                cpuset=",".join(map(str, cpus))))
+            for j in range(threads):
+                c.spawn_thread(f"w{j}").assign_work(1e9)
+            members.append(c.cgroup)
+        params = SchedParams()
+        capacity = float(len({cpu for cg in members
+                              for cpu in cg.effective_cpuset()}))
+        burst = sum(min(len(cg.effective_cpuset()), cg.n_runnable())
+                    for cg in members)
+        assume(burst > capacity + params.eps)
+        want = DefaultSchedPolicy().solve(members, capacity, params)
+        got = BurstableSchedPolicy().solve(members, capacity, params)
+        fields = ("cgroup", "n_threads", "weight", "cap", "rate",
+                  "efficiency", "demand", "pressure", "quota")
+        assert ([tuple(getattr(g, f) for f in fields) for g in got]
+                == [tuple(getattr(g, f) for f in fields) for g in want])
 
     def test_rate_cap_is_cpuset_bound(self):
         pol = make_sched_policy("burstable")
@@ -250,9 +290,6 @@ class TestHotSwap:
         class Vandal(DefaultSchedPolicy):
             name = "vandal"
 
-            def import_state(self, state):
-                pass  # fine
-
             def solve(self, members, capacity, params):
                 allocs = super().solve(members, capacity, params)
                 for g in allocs:
@@ -264,6 +301,25 @@ class TestHotSwap:
         w.run(until=0.5)
         with pytest.raises(PolicyError, match="ledger"):
             w.swap_policy(sched_policy=Vandal())
+
+
+class TestPublicationContract:
+    @pytest.mark.parametrize("mangle", [lambda allocs: allocs[:-1],
+                                        lambda allocs: allocs[::-1]],
+                             ids=["drops_member", "reverses_order"])
+    def test_malformed_solve_raises_policy_error(self, mangle):
+        """A solve must be one GroupAlloc per member, in member order."""
+        class Mangler(DefaultSchedPolicy):
+            name = "mangler"
+
+            def solve(self, members, capacity, params):
+                return mangle(super().solve(members, capacity, params))
+
+        w = World(ncpus=2, sched_policy=Mangler())
+        with pytest.raises(PolicyError, match="'mangler'.*member order"):
+            _spin(w, "a")
+            _spin(w, "b")
+            w.run(until=0.1)
 
 
 def _policies(*names: str) -> list[Variant]:

@@ -252,7 +252,10 @@ class AccrualInputs(Invariant):
     total cached at reallocation.  A publication path that forgot to
     refresh one would accrue from a stale row without breaking any law
     above, so each busy group's cache is recomputed from its current
-    row here.
+    row here.  While no re-solve is pending, the rates publication wrote
+    to each busy cgroup (``cpu_rate``, ``_thread_rate``, ``_occ_rate``)
+    are also recomputed from its row and ``progress_multiplier``, by the
+    ``GroupAlloc`` properties publication writes out inline.
     """
 
     name = "accrual_inputs"
@@ -262,6 +265,7 @@ class AccrualInputs(Invariant):
         sched = world.sched
         eps = sched.params.eps
         clip_fn = sched.policy.throttle_clip
+        dirty = sched.dirty
         for g in sched.snapshot:
             cached = (g._cpu_some, g._cpu_full, g._cpu_stalled)
             want = cpu_stall(g, eps)
@@ -273,6 +277,16 @@ class AccrualInputs(Invariant):
                 out.append(self._v(
                     f"{g.cgroup.path}: cached throttle clip {g._clip!r}, "
                     f"row gives {clip_fn(g)!r}"))
+            if not dirty:
+                cg = g.cgroup
+                published = (cg.cpu_rate, cg._thread_rate, cg._occ_rate)
+                want = (g.rate,
+                        g.per_thread_progress * cg.progress_multiplier,
+                        g.per_thread_occupancy)
+                if published != want:
+                    out.append(self._v(
+                        f"{cg.path}: published rates {published!r}, row "
+                        f"gives {want!r}"))
         total = sum(g.rate for g in sched.snapshot)
         if sched.total_allocated() != total:
             out.append(self._v(

@@ -51,6 +51,7 @@ import itertools
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from operator import is_not, itemgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import PolicyError
@@ -62,8 +63,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.task import SimThread
     from repro.policy.base import SchedPolicy
 
-__all__ = ["SchedParams", "GroupAlloc", "waterfill", "component_pressures",
-           "cpu_stall", "FairScheduler"]
+__all__ = ["SchedParams", "GroupAlloc", "ROW_FIELDS", "waterfill",
+           "component_pressures", "cpu_stall", "FairScheduler"]
 
 _EPS = 1e-9
 
@@ -90,6 +91,11 @@ _PUSH_SKIP_TOL = _CAND_WINDOW / 4.0
 #: its peak RSS fell from ~85 MiB (an 8192-entry cap) to ~37 MiB.
 _SOLVE_CACHE_ROWS = 16384
 
+#: The row a sched policy's ``solve`` returns for each member, in member
+#: order; publication copies it into the member's pooled GroupAlloc.
+ROW_FIELDS = ("cgroup", "n_threads", "weight", "cap", "rate", "efficiency",
+              "demand", "pressure", "quota", "soft_capped")
+
 
 @dataclass(frozen=True)
 class SchedParams:
@@ -111,9 +117,14 @@ class SchedParams:
     eps: float = _EPS
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupAlloc:
-    """One cgroup's slice of the current allocation snapshot."""
+    """One cgroup's slice of the current allocation snapshot.
+
+    The published form of a solve row (:data:`ROW_FIELDS`): one pooled
+    object per busy cgroup, rewritten in place at each publication.
+    Slotted, so it carries only the fields below.
+    """
 
     cgroup: Cgroup
     n_threads: int
@@ -127,7 +138,7 @@ class GroupAlloc:
     #: Policy flag: the quota re-asserted itself under domain pressure
     #: (burstable policy); throttle time accrues only while set.
     soft_capped: bool = False
-    #: The field tuple last published into this (pooled) object; lets
+    #: The solve row last published into this (pooled) object; lets
     #: re-publication skip groups whose solve output did not change.
     _row: tuple | None = field(default=None, repr=False, compare=False)
     #: ``policy.throttle_clip`` evaluated at publication: the per-second
@@ -239,13 +250,16 @@ def waterfill(weights: list[float], caps: list[float], capacity: float) -> list[
     return alloc
 
 
-def component_pressures(allocs: list[GroupAlloc]) -> list[float]:
+def component_pressures(masks: list[tuple[int, ...]], n_threads: list[int],
+                        rates: list[float]) -> list[float]:
     """Runnable-thread pressure of each group's contention domain.
 
-    The contention domain of group *i* is the union of the cpusets of
-    all groups whose cpusets intersect its own; pressure is the
-    runnable threads in the domain divided by the domain's CPU count.
-    *Other* groups contribute all their runnable threads (their
+    Row *i* is a group with cpuset mask ``masks[i]`` (a sorted CPU-id
+    tuple), ``n_threads[i]`` runnable threads and allocation
+    ``rates[i]``.  The contention domain of group *i* is the union of
+    the cpusets of all groups whose cpusets intersect its own; pressure
+    is the runnable threads in the domain divided by the domain's CPU
+    count.  *Other* groups contribute all their runnable threads (their
     time-slicing pollutes caches and preempts this group's lock
     holders); the group's *own* threads count only up to its own
     allocation — time-slicing among your own threads is the
@@ -254,31 +268,30 @@ def component_pressures(allocs: list[GroupAlloc]) -> list[float]:
     however many threads it runs (JDK 9's isolation in Fig. 7).
 
     Batched by distinct mask: fleets share a handful of cpuset masks,
-    so the pairwise work is O(distinct masks²), not O(groups²).
+    so the pairwise work is O(distinct masks²), not O(groups²).  Mask
+    tuples are not hash-cached and neighbours usually share one mask
+    object, so a mask is looked up only when the object changes.
 
     Module-level (not scheduler state) so sched policies can share it.
     """
     distinct: dict[tuple[int, ...], list] = {}  # key -> [cpu set, n total]
-    keys: list[tuple[int, ...]] = []
-    for g in allocs:
-        key = g.cgroup.effective_cpuset().as_tuple()
-        keys.append(key)
-        info = distinct.get(key)
-        if info is None:
-            distinct[key] = [set(key), g.n_threads]
-        else:
-            info[1] += g.n_threads
+    last = info = None
+    for key, n in zip(masks, n_threads):
+        if key is not last:
+            last = key
+            info = distinct.get(key)
+            if info is None:
+                info = distinct[key] = [set(key), 0]
+        info[1] += n
     if len(distinct) == 1:
         # One shared mask (the common fleet shape): the domain is that
         # mask and every group contends with the whole pool.
         (key, (cpus, total)), = distinct.items()
         domain_size = len(cpus)
-        pressures = []
-        for g in allocs:
-            threads = (min(float(g.n_threads), g.rate)
-                       + float(total - g.n_threads))
-            pressures.append(threads / domain_size if domain_size else 0.0)
-        return pressures
+        if not domain_size:
+            return [0.0] * len(masks)
+        return [(min(float(n), rate) + float(total - n)) / domain_size
+                for n, rate in zip(n_threads, rates)]
     stats: dict[tuple[int, ...], tuple[int, int]] = {}
     items = list(distinct.items())
     for key, (cpus, _n) in items:
@@ -290,10 +303,12 @@ def component_pressures(allocs: list[GroupAlloc]) -> list[float]:
                 domain |= cpus2
         stats[key] = (total, len(domain))
     pressures: list[float] = []
-    for g, key in zip(allocs, keys):
-        total, domain_size = stats[key]
-        threads = (min(float(g.n_threads), g.rate)
-                   + float(total - g.n_threads))
+    last = None
+    for key, n, rate in zip(masks, n_threads, rates):
+        if key is not last:
+            last = key
+            total, domain_size = stats[key]
+        threads = (min(float(n), rate) + float(total - n))
         pressures.append(threads / domain_size if domain_size else 0.0)
     return pressures
 
@@ -613,13 +628,15 @@ class FairScheduler:
         """Solve one contention domain and publish rates to its groups.
 
         The arithmetic lives in the policy (:meth:`_policy_solve`);
-        publication — caching the GroupAlloc, pushing rates to the
-        cgroups, refreshing the completion index — is mechanism and is
+        publication — copying each row into its group's pooled
+        GroupAlloc, pushing rates to the cgroups, refreshing the
+        completion index — is mechanism and is
         identical under every policy.  Shared verbatim by full and
         partial re-solves, so identical (seq-ordered) inputs yield
         bit-identical rates regardless of what else was re-solved.
-        A solve that is not one ``GroupAlloc`` per member, in member
-        order, raises :class:`PolicyError`.
+        A solve that is not one :data:`ROW_FIELDS` row per member, in
+        member order, raises :class:`PolicyError`; the memo keeps the
+        rows exactly as returned.
 
         The memo is skipped for a domain that has inserted a whole
         ``_SOLVE_CACHE_ROWS`` of rows without a hit: keying it costs a
@@ -641,24 +658,30 @@ class FairScheduler:
                     self.memo_hits += 1
                     comp.memo_miss_rows = 0
         if rows is None:
-            allocs = self._policy_solve(members, capacity)
-            if (len(allocs) != len(members)
-                    or any(g.cgroup is not cg
-                           for g, cg in zip(allocs, members))):
+            rows = self._policy_solve(members, capacity)
+            try:
+                ok = (len(rows) == len(members) and not any(
+                    map(is_not, map(itemgetter(0), rows), members)))
+            except (TypeError, IndexError):
+                ok = False
+            if not ok:
                 raise PolicyError(
                     f"sched policy {self.policy.name!r} must return one "
-                    f"GroupAlloc per member, in member order (got "
-                    f"{len(allocs)} for {len(members)} members)")
-            rows = tuple(
-                (g.n_threads, g.weight, g.cap, g.rate, g.efficiency,
-                 g.demand, g.pressure, g.quota, g.soft_capped)
-                for g in allocs)
+                    f"row per member, in member order, each "
+                    f"({', '.join(ROW_FIELDS)}) "
+                    f"(got {len(rows)} for {len(members)} members)")
             if key is not None:
                 self._memo_insert(comp, key, rows)
         self._publish_rows(members, rows)
 
-    def _memo_insert(self, comp: _Component, key, rows: tuple) -> None:
-        """Memoize a missed domain solve within the row budget."""
+    def _memo_insert(self, comp: _Component, key, rows: list) -> None:
+        """Memoize a missed domain solve within the row budget.
+
+        The rows are kept exactly as the policy returned them, so the
+        memo holds a reference to each row's cgroup (destroyed ones
+        included) until the table is cleared; ``_SOLVE_CACHE_ROWS``
+        bounds those references along with the rows.
+        """
         n = len(rows)
         comp.memo_miss_rows += n
         if n > _SOLVE_CACHE_ROWS:
@@ -684,8 +707,13 @@ class FairScheduler:
              None if cg.cpuset.cpus is None else cg.cpuset.cpus.as_tuple())
             for cg in members))
 
-    def _publish_rows(self, members: list[Cgroup], rows: tuple) -> None:
-        """Publish solved per-group fields through the GroupAlloc pool."""
+    def _publish_rows(self, members: list[Cgroup], rows: list) -> None:
+        """Publish solved rows to their groups through the GroupAlloc pool.
+
+        Row ``i`` is published to ``members[i]``; its own cgroup field
+        is ignored, so a memo hit solved for another domain with the
+        same inputs publishes correctly.
+        """
         galloc = self._galloc
         pool = self._gpool
         incremental = self._incremental
@@ -696,8 +724,9 @@ class FairScheduler:
             if g is None:
                 g = GroupAlloc(cg, 0, 0.0, 0.0)
                 pool[cg] = g
-            elif (g._row is not None and cg in galloc
-                    and g._row[:6] == row[:6] and g._row[7:] == row[7:]):
+            elif ((old := g._row) is not None and old[4] == row[4]
+                    and cg in galloc
+                    and old[1:7] == row[1:7] and old[8:] == row[8:]):
                 # Everything published from this group's slice of the
                 # solve is unchanged; at most the memoized domain
                 # pressure moved (the common uncontended-fleet case,
@@ -705,11 +734,11 @@ class FairScheduler:
                 # pressure but nobody's rates).  Publication can then be
                 # skipped — unless the memory slowdown moved the
                 # progress multiplier underneath the row.
-                if g._row[6] != row[6]:
-                    g.pressure = row[6]
+                if old[7] != row[7]:
+                    g.pressure = row[7]
                 g._row = row
-                n = row[0]
-                tr = ((row[3] / n) * row[4] * cg.progress_multiplier
+                n = row[1]
+                tr = ((row[4] / n) * row[5] * cg.progress_multiplier
                       if n else 0.0)
                 if tr == cg._thread_rate:
                     if incremental:
@@ -723,21 +752,26 @@ class FairScheduler:
                             self._push_entry(cg)
                     continue
             g._row = row
-            (g.n_threads, g.weight, g.cap, g.rate, g.efficiency,
+            (_, n, g.weight, g.cap, rate, efficiency,
              g.demand, g.pressure, g.quota, g.soft_capped) = row
+            g.n_threads = n
+            g.rate = rate
+            g.efficiency = efficiency
             g._clip = clip_fn(g)
             g._cpu_some, g._cpu_full, g._cpu_stalled = cpu_stall(g, eps)
             if cg not in galloc:
                 self._members_changed = True
                 galloc[cg] = g
-            cg.cpu_rate = g.rate
-            cg._thread_rate = g.per_thread_progress * cg.progress_multiplier
-            cg._occ_rate = g.per_thread_occupancy
+            # GroupAlloc.per_thread_progress/_occupancy, written out.
+            occ = rate / n if n else 0.0
+            cg.cpu_rate = rate
+            cg._thread_rate = occ * efficiency * cg.progress_multiplier
+            cg._occ_rate = occ
             if incremental:
                 self._push_entry(cg)
 
     def _policy_solve(self, members: list[Cgroup],
-                      capacity: float) -> list[GroupAlloc]:
+                      capacity: float) -> list[tuple]:
         """Policy indirection for one domain solve.
 
         A separate method (rather than calling ``self.policy.solve``

@@ -40,10 +40,18 @@ class SchedPolicy:
     :meth:`rate_cap` (the lawful per-group rate ceiling the invariant
     checker enforces).  The mechanism calls :meth:`solve` once per
     (re-)solved contention domain with the member cgroups in canonical
-    ``seq`` order; the returned list must hold exactly one
-    :class:`GroupAlloc` per member, in the same order, or the mechanism
-    raises :class:`~repro.errors.PolicyError`.  It then publishes the
-    rows to the cgroups itself.
+    ``seq`` order.  The returned list must hold exactly one row per
+    member, in the same order, each the tuple
+    ``(cgroup, n_threads, weight, cap, rate, efficiency, demand,
+    pressure, quota, soft_capped)`` (:data:`~repro.kernel.sched.fair.ROW_FIELDS`)
+    whose ``cgroup`` is that member; anything else raises
+    :class:`~repro.errors.PolicyError`.  The mechanism then publishes
+    the rows itself, into one pooled :class:`GroupAlloc` per cgroup —
+    a slotted dataclass, so it takes no attributes beyond its fields —
+    and that published snapshot is what :meth:`throttle_clip` reads.
+    A pure policy's rows are memoized exactly as returned, cgroup
+    references included (the memo's row budget bounds them), and may
+    be published to another domain with identical inputs.
     """
 
     #: Registry name; also what ``GroupAlloc`` provenance reports show.
@@ -58,8 +66,8 @@ class SchedPolicy:
     pure = False
 
     def solve(self, members: "list[Cgroup]", capacity: float,
-              params: "SchedParams") -> "list[GroupAlloc]":
-        """Allocate ``capacity`` cores over ``members``; set efficiency."""
+              params: "SchedParams") -> "list[tuple]":
+        """Allocate ``capacity`` cores over ``members``: one row each."""
         raise NotImplementedError
 
     def throttle_clip(self, g: "GroupAlloc") -> float:

@@ -49,28 +49,39 @@ class BurstableSchedPolicy(SchedPolicy):
     pure = True
 
     def solve(self, members: "list[Cgroup]", capacity: float,
-              params: "SchedParams") -> list[GroupAlloc]:
-        allocs: list[GroupAlloc] = []
+              params: "SchedParams") -> list[tuple]:
+        ns: list[int] = []
+        weights: list[float] = []
+        caps: list[float] = []
+        demands: list[float] = []
+        quotas: list[float] = []
+        masks: list[tuple[int, ...]] = []
         burst_total = 0.0
         for cg in members:
             n = cg.n_runnable()
-            mask_size = float(len(cg.effective_cpuset()))
-            quota = cg.quota_cores
-            burst_cap = min(mask_size, float(n))
-            g = GroupAlloc(cgroup=cg, n_threads=n,
-                           weight=float(cg.cpu.shares),
-                           cap=burst_cap,
-                           demand=min(float(n), mask_size), quota=quota)
-            allocs.append(g)
+            fn = float(n)
+            mask = cg.effective_cpuset().as_tuple()
+            mask_size = float(len(mask))
+            cpu = cg.cpu
+            burst_cap = min(mask_size, fn)
+            ns.append(n)
+            weights.append(float(cpu.shares))
+            caps.append(burst_cap)
+            demands.append(min(fn, mask_size))
+            quotas.append(cpu.quota_cores)
+            masks.append(mask)
             burst_total += burst_cap
+        soft_capped = None
         if burst_total > capacity + params.eps:
             # The domain is under pressure: quotas re-assert as soft caps
             # (and only now can throttle time accrue).
-            for g in allocs:
-                if g.quota < g.cap - params.eps:
-                    g.soft_capped = True
-                    g.cap = min(g.quota, g.cap)
-        return share_out(allocs, capacity, params)
+            eps = params.eps
+            soft_capped = [quota < cap - eps
+                           for quota, cap in zip(quotas, caps)]
+            caps = [min(quota, cap) if soft else cap
+                    for quota, cap, soft in zip(quotas, caps, soft_capped)]
+        return share_out(members, ns, weights, caps, demands, quotas, masks,
+                         capacity, params, soft_capped)
 
     def throttle_clip(self, g: GroupAlloc) -> float:
         # Same clipping arithmetic as the default policy, but only for

@@ -5,10 +5,12 @@ shipped with before the policy boundary existed — weighted max-min
 waterfill capped by ``min(quota, |cpuset|, n_threads)``, context-switch
 and interference efficiency penalties, quota-clipping throttle
 accounting.  The golden-trace fixture (``tests/golden/``) pins it:
-every operation here must stay byte-identical to the pre-refactor
-``FairScheduler._solve_component``, which is why :func:`share_out` (the
-part the burstable policy shares) is a statement-for-statement
-transplant rather than a cleaner rewrite.
+every result here must stay byte-identical to the pre-refactor
+``FairScheduler._solve_component``.  The solve is written in column
+form — one pass gathers each member's inputs into columns,
+:func:`share_out` (the part the burstable policy shares) solves them
+and emits the publication rows — but every arithmetic operation and
+its operand order is the original's, which is what keeps the bytes.
 
 ``DefaultReclaimPolicy`` delegates to the stateless kswapd planners
 (soft-limit-overage-proportional background reclaim, residency-
@@ -17,6 +19,7 @@ proportional direct reclaim).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from repro.kernel.mm.kswapd import plan_background_reclaim, plan_direct_reclaim
@@ -30,33 +33,45 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["DefaultSchedPolicy", "DefaultReclaimPolicy", "share_out"]
 
 
-def share_out(allocs: list[GroupAlloc], capacity: float,
-              params: "SchedParams") -> list[GroupAlloc]:
-    """Waterfill ``capacity`` over capped rows, then set efficiencies.
+def share_out(members: "list[Cgroup]", n_threads: list[int],
+              weights: list[float], caps: list[float],
+              demands: list[float], quotas: list[float],
+              masks: list[tuple[int, ...]], capacity: float,
+              params: "SchedParams",
+              soft_capped: list[bool] | None = None) -> list[tuple]:
+    """Waterfill ``capacity`` over capped columns and emit solve rows.
 
-    The solve body every built-in sched policy shares once its rows
-    carry their caps: rates from :func:`waterfill`, the context-switch
-    penalty for oversubscribed groups, and the interference penalty
-    from the domain pressure.  Fills ``allocs`` in place and returns it.
+    The solve body every built-in sched policy shares once it has
+    gathered its members' columns (index ``i`` is ``members[i]``) and
+    set their caps: rates from :func:`waterfill`, domain pressures from
+    :func:`component_pressures`, then one pass that applies the
+    context-switch penalty for oversubscribed groups and the
+    interference penalty from the domain pressure, and appends each
+    member's row in :data:`~repro.kernel.sched.fair.ROW_FIELDS` order.
+    ``soft_capped`` is the rows' flag column (all False when omitted).
     """
-    rates = waterfill([g.weight for g in allocs],
-                      [g.cap for g in allocs], capacity)
-    for g, rate in zip(allocs, rates):
-        g.rate = rate
+    if soft_capped is None:
+        soft_capped = repeat(False)
+    rates = waterfill(weights, caps, capacity)
+    pressures = component_pressures(masks, n_threads, rates)
     kappa = params.csw_overhead
     gamma = params.interference
     eps = params.eps
-    for g, pressure in zip(allocs, component_pressures(allocs)):
-        rate = g.rate
-        if rate > eps and g.n_threads > rate:
-            oversub = g.n_threads / rate - 1.0
-            g.efficiency = 1.0 / (1.0 + kappa * oversub)
+    rows = []
+    append = rows.append
+    for cg, n, weight, cap, rate, demand, pressure, quota, soft in zip(
+            members, n_threads, weights, caps, rates, demands, pressures,
+            quotas, soft_capped):
+        if rate > eps and n > rate:
+            oversub = n / rate - 1.0
+            efficiency = 1.0 / (1.0 + kappa * oversub)
         else:
-            g.efficiency = 1.0
+            efficiency = 1.0
         if pressure > 1.0:
-            g.efficiency *= 1.0 / (1.0 + gamma * (pressure - 1.0))
-        g.pressure = pressure
-    return allocs
+            efficiency *= 1.0 / (1.0 + gamma * (pressure - 1.0))
+        append((cg, n, weight, cap, rate, efficiency, demand, pressure,
+                quota, soft))
+    return rows
 
 
 class DefaultSchedPolicy(SchedPolicy):
@@ -68,18 +83,28 @@ class DefaultSchedPolicy(SchedPolicy):
     pure = True
 
     def solve(self, members: "list[Cgroup]", capacity: float,
-              params: "SchedParams") -> list[GroupAlloc]:
-        allocs: list[GroupAlloc] = []
+              params: "SchedParams") -> list[tuple]:
+        ns: list[int] = []
+        weights: list[float] = []
+        caps: list[float] = []
+        demands: list[float] = []
+        quotas: list[float] = []
+        masks: list[tuple[int, ...]] = []
         for cg in members:
             n = cg.n_runnable()
-            mask_size = float(len(cg.effective_cpuset()))
-            quota = cg.quota_cores
-            g = GroupAlloc(cgroup=cg, n_threads=n,
-                           weight=float(cg.cpu.shares),
-                           cap=min(quota, mask_size, float(n)),
-                           demand=min(float(n), mask_size), quota=quota)
-            allocs.append(g)
-        return share_out(allocs, capacity, params)
+            fn = float(n)
+            mask = cg.effective_cpuset().as_tuple()
+            mask_size = float(len(mask))
+            cpu = cg.cpu
+            quota = cpu.quota_cores
+            ns.append(n)
+            weights.append(float(cpu.shares))
+            caps.append(min(quota, mask_size, fn))
+            demands.append(min(fn, mask_size))
+            quotas.append(quota)
+            masks.append(mask)
+        return share_out(members, ns, weights, caps, demands, quotas, masks,
+                         capacity, params)
 
     def throttle_clip(self, g: GroupAlloc) -> float:
         # Throttling: demand the quota clipped (the fluid analogue of

@@ -113,6 +113,20 @@ class TestWrites:
         fs.write(f"{BASE}/memory/docker/c1/memory.limit_in_bytes", "-1")
         assert c.cgroup.memory.limit_in_bytes is None
 
+    def test_write_soft_limit_round_trip(self, env):
+        _, c, fs = env
+        path = f"{BASE}/memory/docker/c1/memory.soft_limit_in_bytes"
+        fs.write(path, str(mib(512)))
+        assert c.cgroup.memory.soft_limit_in_bytes == mib(512)
+        assert fs.read(path) == str(mib(512))
+        fs.write(path, "-1")                  # -1 means unlimited
+        assert c.cgroup.memory.soft_limit_in_bytes is None
+        assert fs.read(path) == str(UNLIMITED_BYTES)
+        fs.write(path, str(mib(128)))
+        assert fs.read(path) == str(mib(128))
+        fs.write(path, str(UNLIMITED_BYTES))  # the value reads give back
+        assert c.cgroup.memory.soft_limit_in_bytes is None
+
     def test_invalid_value_rejected(self, env):
         _, _, fs = env
         with pytest.raises(CgroupError):

@@ -296,6 +296,29 @@ class TestInvariantsFire:
         assert "/docker/c0: cached cpu stall (0.0, 0.0, False)" in (
             report.violations[0])
 
+    def test_dropped_progress_multiplier_detected(self, monkeypatch):
+        """Publication writes a swapping group's thread rate without its
+        memory slowdown: the group progresses too fast while CPU time,
+        throttling and PSI all still balance."""
+        scn = Scenario(ncpus=2, memory=gib(1), horizon=0.5, ops=[
+            {"t": 0.0, "op": "create", "name": "c0", "workers": 2},
+            {"t": 0.1, "op": "charge", "name": "c0", "bytes": mib(700)},
+            {"t": 0.2, "op": "create", "name": "c1", "workers": 1},
+            {"t": 0.3, "op": "charge", "name": "c1", "bytes": mib(700)},
+        ])
+        assert run_differential(scn).ok
+        publish = FairScheduler._publish_rows
+
+        def unslowed(self, members, rows):
+            publish(self, members, rows)
+            for cg in members:
+                cg._thread_rate = self._galloc[cg].per_thread_progress
+        monkeypatch.setattr(FairScheduler, "_publish_rows", unslowed)
+        report = run_differential(scn)
+        assert report.fingerprint() == "invariant:incremental:accrual_inputs"
+        assert "/docker/c0: published rates (2.0, 1.0, 1.0)" in (
+            report.violations[0])
+
     def test_memo_count_not_zeroed_on_clear_detected(self, monkeypatch):
         """The memo table is cleared at the row budget but its running
         row count is not: results stay exact (the table only clears

@@ -416,3 +416,26 @@ class TestHpaVerticalInterop:
         assert hpa.scale_outs >= 1
         assert hpa.replicas > 2
         assert len(scaler.services["svc"].replicas) == hpa.replicas
+
+    def test_hpa_scales_in_after_burst_stops(self):
+        """Out through a burst, in once it is served: one direction flip."""
+        from repro.cluster.hpa import HorizontalAutoscaler, HpaParams
+        from repro.serve.slo import Slo
+        from repro.serve.workload import Request
+        world, balancer, scaler, make_replica = self._stack()
+        recorder = balancer.replicas[0].recorder
+        slo = Slo(target=0.05, percentile=99.0, window=2.0)
+        hpa = HorizontalAutoscaler(
+            world, "svc", balancer, recorder, slo, factory=make_replica,
+            params=HpaParams(min_replicas=2, max_replicas=4, queue_high=4,
+                             cooldown=1.0),
+            vertical=scaler, cores_per_replica=1.0)
+        hpa.start()
+        for i in range(40):                  # one burst, then no load
+            balancer.dispatch(Request(i, 0.0, 0.5))
+        world.run(until=20.0)
+        assert hpa.scale_outs >= 1
+        assert hpa.scale_ins >= 1
+        assert hpa.oscillations() == 1
+        assert hpa.replicas == 2
+        assert len(scaler.services["svc"].replicas) == hpa.replicas

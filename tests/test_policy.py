@@ -27,7 +27,7 @@ from repro.check.generator import generate
 from repro.check.shrinker import shrink
 from repro.check.sweep import load_fixture
 from repro.errors import CgroupError, ClusterError, ContainerError, PolicyError
-from repro.kernel.sched.fair import SchedParams
+from repro.kernel.sched.fair import ROW_FIELDS, GroupAlloc, SchedParams
 from repro.policy import (POLICY_BUNDLES, RECLAIM_POLICIES, SCHED_POLICIES,
                           BurstableSchedPolicy, DefaultReclaimPolicy,
                           DefaultSchedPolicy,
@@ -175,10 +175,11 @@ class TestBurstable:
         assume(burst > capacity + params.eps)
         want = DefaultSchedPolicy().solve(members, capacity, params)
         got = BurstableSchedPolicy().solve(members, capacity, params)
-        fields = ("cgroup", "n_threads", "weight", "cap", "rate",
-                  "efficiency", "demand", "pressure", "quota")
-        assert ([tuple(getattr(g, f) for f in fields) for g in got]
-                == [tuple(getattr(g, f) for f in fields) for g in want])
+        soft = ROW_FIELDS.index("soft_capped")
+        assert soft == len(ROW_FIELDS) - 1
+        assert [len(row) for row in got] == [len(ROW_FIELDS)] * len(members)
+        assert [row[:soft] for row in got] == [row[:soft] for row in want]
+        assert [row[0] for row in got] == members
 
     def test_rate_cap_is_cpuset_bound(self):
         pol = make_sched_policy("burstable")
@@ -291,10 +292,10 @@ class TestHotSwap:
             name = "vandal"
 
             def solve(self, members, capacity, params):
-                allocs = super().solve(members, capacity, params)
-                for g in allocs:
-                    g.cgroup.throttled_time += 1.0   # rewrites the past
-                return allocs
+                rows = super().solve(members, capacity, params)
+                for row in rows:
+                    row[0].throttled_time += 1.0   # rewrites the past
+                return rows
 
         w = World(ncpus=2)
         _spin(w, "a", cpus=0.5, workers=2)
@@ -308,7 +309,7 @@ class TestPublicationContract:
                                         lambda allocs: allocs[::-1]],
                              ids=["drops_member", "reverses_order"])
     def test_malformed_solve_raises_policy_error(self, mangle):
-        """A solve must be one GroupAlloc per member, in member order."""
+        """A solve must be one row per member, in member order."""
         class Mangler(DefaultSchedPolicy):
             name = "mangler"
 
@@ -320,6 +321,23 @@ class TestPublicationContract:
             _spin(w, "a")
             _spin(w, "b")
             w.run(until=0.1)
+
+    def test_group_alloc_solve_names_the_row_layout(self):
+        """A solve still returning GroupAlloc objects (the old shape) is
+        rejected by name, with the row layout it should have used."""
+        class OldShape(DefaultSchedPolicy):
+            name = "old-shape"
+
+            def solve(self, members, capacity, params):
+                return [GroupAlloc(*row[:4]) for row in
+                        super().solve(members, capacity, params)]
+
+        w = World(ncpus=2, sched_policy=OldShape())
+        layout = "(" + ", ".join(ROW_FIELDS) + ")"
+        with pytest.raises(PolicyError, match="'old-shape'") as err:
+            _spin(w, "a")
+            w.run(until=0.1)
+        assert layout in str(err.value)
 
 
 def _policies(*names: str) -> list[Variant]:
@@ -352,10 +370,9 @@ class TestPolicyDiff:
             name = "leaky"
 
             def solve(self, members, capacity, params):
-                allocs = super().solve(members, capacity, params)
-                for g in allocs:
-                    g.rate *= 1.25           # over-allocates the domain
-                return allocs
+                rate = ROW_FIELDS.index("rate")
+                return [row[:rate] + (row[rate] * 1.25,) + row[rate + 1:]
+                        for row in super().solve(members, capacity, params)]
 
         scratch_policy("sched", "leaky", Leaky)
         pair = _policies("default", "leaky")

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.kernel.cgroup import CgroupRoot
 from repro.kernel.cpu import HostCpus
-from repro.kernel.sched.fair import FairScheduler, SchedParams, waterfill
+from repro.kernel.sched.fair import (FairScheduler, SchedParams,
+                                     component_pressures, waterfill)
 from repro.kernel.sched.period import scheduling_period
 from repro.kernel.task import SimThread
 
@@ -379,3 +380,40 @@ class TestWaterfillAgainstReference:
         ref = self._reference(weights, caps, capacity)
         for a, b in zip(fast, ref):
             assert a == pytest.approx(b, rel=1e-4, abs=1e-4)
+
+
+class TestComponentPressuresAgainstReference:
+    """The batched column form equals a brute-force pairwise domain
+    computation, bit for bit, on random masks, thread counts and rates."""
+
+    @staticmethod
+    def _reference(masks, n_threads, rates):
+        out = []
+        for mask, n, rate in zip(masks, n_threads, rates):
+            total = 0
+            domain: set[int] = set()
+            for other, n2 in zip(masks, n_threads):
+                if set(mask) & set(other):
+                    total += n2
+                    domain |= set(other)
+            threads = min(float(n), rate) + float(total - n)
+            out.append(threads / len(domain) if domain else 0.0)
+        return out
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=255),
+                              st.integers(min_value=0, max_value=16),
+                              st.floats(min_value=0.0, max_value=16.0),
+                              st.booleans()),
+                    min_size=1, max_size=12))
+    def test_matches_reference(self, groups):
+        shared: dict[int, tuple[int, ...]] = {}
+        masks = []
+        for bits, _n, _rate, share in groups:
+            fresh = tuple(c for c in range(8) if bits >> c & 1)
+            # Equal masks arrive both as one shared object and as
+            # distinct equal tuples.
+            masks.append(shared.setdefault(bits, fresh) if share else fresh)
+        n_threads = [n for _, n, _, _ in groups]
+        rates = [rate for _, _, rate, _ in groups]
+        assert (component_pressures(masks, n_threads, rates)
+                == self._reference(masks, n_threads, rates))

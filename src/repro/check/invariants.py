@@ -11,13 +11,15 @@ ledger balances (charged - uncharged == resident + swapped), PSI totals
 only grow and full never exceeds some, throttling counters stay within
 their periods, the paper's resource views stay inside Algorithm 1/2
 bounds, what the accrual step caches per published row still
-matches the row, and the domain-solve memo stays within its budget.
+matches the row, the completion heap indexes every busy group's next
+segment completion, and the domain-solve memo stays within its budget.
 Any engine that breaks one of these is wrong no matter what the
 workload did.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.core.effective_cpu import compute_cpu_bounds
@@ -295,6 +297,75 @@ class AccrualInputs(Invariant):
         return out
 
 
+class CompletionIndex(Invariant):
+    """The completion heap indexes each busy group's next completion.
+
+    Incremental mode finds completions through the group-level heap, so
+    a publish that skipped re-indexing a group whose rate moved would
+    fire its segment late (or early) without breaking any ledger.  While
+    no re-solve is pending, every busy group whose earliest runnable
+    segment has a finite time to completion holds exactly one live
+    entry, and that entry's estimate is ``elapsed + ttc`` within
+    ``max(_CAND_WINDOW, 4 ulp(est))`` (estimates of far-off completions
+    drift by a few ulp, which grows past the window beyond ~4e6 s);
+    every other busy group holds none, and one whose due segment sits
+    at zero rate is in ``_due_zero``.  No live entry or ``_due_zero``
+    member is outside the busy set.  Reads both heaps without popping.
+    """
+
+    name = "completion_index"
+
+    def check(self, world, snap, prev):
+        sched = world.sched
+        if not sched.incremental or sched.dirty:
+            return []
+        out = []
+        busy = sched._galloc
+        due_zero = sched._due_zero
+        live: dict = {}
+        for est, push_id, cg in sched._cheap:
+            if push_id == cg._sched_entry_seq:
+                live.setdefault(cg, []).append(est)
+        for cg in live:
+            if cg not in busy:
+                out.append(self._v(f"{cg.path}: live heap entry, not busy"))
+        for cg in due_zero:
+            if cg not in busy:
+                out.append(self._v(f"{cg.path}: in _due_zero, not busy"))
+        elapsed = sched.elapsed
+        for g in sched.snapshot:
+            cg = g.cgroup
+            head = min((e for e in cg._work_heap
+                        if e[2].runnable and e[2]._target == e[0]),
+                       key=lambda e: (e[0], e[1]), default=None)
+            ttc = (cg._completion(head[2])[1] if head is not None
+                   else float("inf"))
+            ests = live.get(cg, [])
+            if ttc == float("inf"):
+                if ests:
+                    out.append(self._v(
+                        f"{cg.path}: {len(ests)} live heap entries, but no "
+                        f"segment with a finite completion time"))
+                if (head is not None and head[2].segment_finished
+                        and cg not in due_zero):
+                    out.append(self._v(
+                        f"{cg.path}: due segment at zero rate is not in "
+                        f"_due_zero"))
+                continue
+            if len(ests) != 1:
+                out.append(self._v(
+                    f"{cg.path}: {len(ests)} live heap entries for a "
+                    f"segment due in {ttc!r} s"))
+                continue
+            est = ests[0]
+            want = elapsed + ttc
+            if abs(est - want) > max(fair._CAND_WINDOW, 4 * math.ulp(est)):
+                out.append(self._v(
+                    f"{cg.path}: heap estimate {est!r}, fresh "
+                    f"elapsed + ttc {want!r}"))
+        return out
+
+
 class SolveMemo(Invariant):
     """The domain-solve memo's running row count is its real size.
 
@@ -375,6 +446,7 @@ def default_suite() -> list[Invariant]:
         ThrottleCounters(),
         ViewBounds(),
         AccrualInputs(),
+        CompletionIndex(),
         SolveMemo(),
         EventHeapIntegrity(),
         ClockLoad(),

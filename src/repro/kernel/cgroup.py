@@ -23,10 +23,11 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import CgroupError
 from repro.kernel.cpu import CpuSet, HostCpus
+from repro.kernel.task import WORK_EPS, ThreadState
 from repro.obs.pressure import CgroupPressure
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.kernel.task import SimThread, ThreadState
+    from repro.kernel.task import SimThread
     from repro.sim.clock import SimClock
 
 __all__ = [
@@ -357,19 +358,39 @@ class Cgroup:
         heapq.heappush(self._work_heap, (thread._target, thread.tid, thread))
         self.root.completion_changed(self)
 
-    def _completion_head(self) -> "SimThread | None":
-        """The runnable thread whose segment completes first, or None.
+    def _completion(self, thread: "SimThread | None" = None
+                    ) -> tuple["SimThread | None", float]:
+        """A segment's thread and its seconds to completion at the current rate.
 
-        Pops lazily-invalidated entries (blocked/exited threads, replaced
-        segments) off the front on the way.
+        With no ``thread``, the segment is the group's earliest-completing
+        runnable one (``(None, inf)`` if there is none); stale index
+        entries (blocked/exited threads, replaced segments) are popped
+        off the front on the way.  The one copy of the completion
+        arithmetic: :meth:`SimThread.time_to_completion
+        <repro.kernel.task.SimThread.time_to_completion>` and the
+        scheduler's completion index both read it.
         """
-        heap = self._work_heap
-        while heap:
-            target, _tid, thr = heap[0]
-            if thr.runnable and thr._target == target:
-                return thr
-            heapq.heappop(heap)
-        return None
+        runnable = ThreadState.RUNNABLE
+        if thread is None:
+            heap = self._work_heap
+            while heap:
+                target, _tid, thread = heap[0]
+                if thread.state is runnable and thread._target == target:
+                    break
+                heapq.heappop(heap)
+            else:
+                return None, float("inf")
+        elif thread.state is not runnable:
+            return thread, float("inf")
+        else:
+            target = thread._target
+        rate = self._thread_rate
+        if rate <= 0.0:
+            return thread, float("inf")
+        remaining = target - self.progress_acc
+        if remaining <= WORK_EPS + 1e-15 * target:
+            return thread, 0.0
+        return thread, remaining / rate
 
     def _pop_due(self) -> list["SimThread"]:
         """Pop and return all currently-due runnable threads, tid-sorted."""

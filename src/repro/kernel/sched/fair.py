@@ -68,10 +68,16 @@ __all__ = ["SchedParams", "GroupAlloc", "ROW_FIELDS", "waterfill",
 
 _EPS = 1e-9
 
-#: Completion-heap entries drift from freshly-computed completion times
-#: by float rounding only (~ulp scale); any entry within this window of
-#: the heap head is re-evaluated exactly, so the heap orders candidates
-#: while fresh arithmetic decides, keeping both modes byte-identical.
+#: Any completion-heap entry within this window of the heap head is
+#: re-evaluated exactly, so the heap orders candidates while fresh
+#: arithmetic decides, keeping both modes byte-identical.  Entries drift
+#: from freshly-computed completion times by float rounding: a few ulp
+#: of the estimate, which stays below this window only for estimates up
+#: to ~4e6 s (one ulp there is ~4.7e-10 s).  Beyond that a drifted entry
+#: could fall outside the window, and a reported completion time could
+#: be off by that drift.  That is harmless because no run reaches such
+#: times: the estimates that large are spinners (``assign_work(1e9)``,
+#: 1e9-2e11 s out), which never complete within a run's horizon.
 _CAND_WINDOW = 1e-9
 
 #: A re-push is skipped when the live heap entry was computed from the
@@ -719,6 +725,7 @@ class FairScheduler:
         incremental = self._incremental
         clip_fn = self.policy.throttle_clip
         eps = self.params.eps
+        reindex: list[Cgroup] = []
         for cg, row in zip(members, rows):
             g = pool.get(cg)
             if g is None:
@@ -749,7 +756,7 @@ class FairScheduler:
                         dirty = self._publish_dirty
                         if (dirty is None or cg in dirty
                                 or cg._sched_entry_seq == -1):
-                            self._push_entry(cg)
+                            reindex.append(cg)
                     continue
             g._row = row
             (_, n, g.weight, g.cap, rate, efficiency,
@@ -768,7 +775,9 @@ class FairScheduler:
             cg._thread_rate = occ * efficiency * cg.progress_multiplier
             cg._occ_rate = occ
             if incremental:
-                self._push_entry(cg)
+                reindex.append(cg)
+        if reindex:
+            self._reindex(reindex)
 
     def _policy_solve(self, members: list[Cgroup],
                       capacity: float) -> list[tuple]:
@@ -827,53 +836,83 @@ class FairScheduler:
         (assigning work to an already-runnable thread).
         """
         if self._incremental and cg in self._galloc:
-            self._push_entry(cg)
+            self._reindex((cg,))
 
-    def _push_entry(self, cg: Cgroup) -> None:
-        """(Re)index a group's earliest completion in the group-level heap."""
-        head = cg._completion_head()
-        if head is None:
-            self._due_zero.discard(cg)
-            cg._sched_entry_seq = -1
+    def _reindex(self, groups) -> None:
+        """(Re)index each group's earliest completion in the group-level heap.
+
+        One call per publish, per ``pop_finished`` wave, or per head
+        change.  Push ids follow ``groups`` order.  The heap update is
+        picked by size: a batch at least half as large as the heap (a
+        domain re-solve that moved every member's rate) drops superseded
+        entries and heapifies once, O(heap + batch); a smaller one pushes
+        entry by entry, O(batch log heap), and compacts once superseded
+        entries dominate.  Either way the set of live entries is the
+        same, and that set is all that completion queries read.
+        """
+        now = self._time
+        due_zero = self._due_zero
+        push_ids = self._push_ids
+        inf = float("inf")
+        entries = []
+        for cg in groups:
+            head, ttc = cg._completion()
+            if head is None:
+                due_zero.discard(cg)
+                cg._sched_entry_seq = -1
+                continue
+            if ttc == inf:
+                due_zero.discard(cg)
+                cg._sched_entry_seq = -1
+                if head.segment_finished:
+                    due_zero.add(cg)
+                continue
+            est = now + ttc
+            target = head._target
+            rate = cg._thread_rate
+            if (cg._sched_entry_seq != -1
+                    and cg._sched_entry_rate == rate
+                    and cg._sched_entry_target == target
+                    and abs(est - cg._sched_entry_est) <= _PUSH_SKIP_TOL):
+                # The live heap entry was computed from the same inputs and
+                # fresh arithmetic agrees within a fraction of the candidate
+                # window: re-pushing would only duplicate it.  (A group with
+                # a live entry is never in ``_due_zero``.)
+                continue
+            due_zero.discard(cg)
+            push_id = next(push_ids)
+            cg._sched_entry_seq = push_id
+            cg._sched_entry_target = target
+            cg._sched_entry_rate = rate
+            cg._sched_entry_est = est
+            entries.append((est, push_id, cg))
+        if not entries:
             return
-        ttc = head.time_to_completion()
-        if ttc == float("inf"):
-            self._due_zero.discard(cg)
-            cg._sched_entry_seq = -1
-            if head.segment_finished:
-                self._due_zero.add(cg)
-            return
-        est = self._time + ttc
-        if (cg._sched_entry_seq != -1
-                and cg._sched_entry_rate == cg._thread_rate
-                and cg._sched_entry_target == head._target
-                and abs(est - cg._sched_entry_est) <= _PUSH_SKIP_TOL):
-            # The live heap entry was computed from the same inputs and
-            # fresh arithmetic agrees within a fraction of the candidate
-            # window: re-pushing would only duplicate it.  (A group with
-            # a live entry is never in ``_due_zero``.)
-            return
-        self._due_zero.discard(cg)
-        push_id = next(self._push_ids)
-        cg._sched_entry_seq = push_id
-        cg._sched_entry_target = head._target
-        cg._sched_entry_rate = cg._thread_rate
-        cg._sched_entry_est = est
         heap = self._cheap
-        heapq.heappush(heap, (est, push_id, cg))
+        if 2 * len(entries) >= len(heap):
+            self._rebuild_cheap(entries)
+            return
+        for entry in entries:
+            heapq.heappush(heap, entry)
         # Compact once superseded entries dominate the heap.
         if len(heap) > 64 and len(heap) > 4 * len(self._galloc):
-            live = [e for e in heap if e[1] == e[2]._sched_entry_seq]
-            heapq.heapify(live)
-            self._cheap = live
+            self._rebuild_cheap(())
+
+    def _rebuild_cheap(self, entries) -> None:
+        """Drop superseded heap entries, add ``entries``, heapify once."""
+        live = [e for e in self._cheap if e[1] == e[2]._sched_entry_seq]
+        live += entries
+        heapq.heapify(live)
+        self._cheap = live
 
     def next_completion(self) -> float:
         """Seconds until the earliest runnable segment completes (inf if none)."""
         if not self._incremental:
             best = float("inf")
             for g in self._snapshot:
-                for t in g.cgroup.runnable_threads:
-                    ttc = t.time_to_completion()
+                cg = g.cgroup
+                for t in cg.runnable_threads:
+                    ttc = cg._completion(t)[1]
                     if ttc < best:
                         best = ttc
             return best
@@ -893,9 +932,7 @@ class FairScheduler:
         limit0 = heap[0][0] + _CAND_WINDOW
         if ((n < 2 or heap[1][0] > limit0)
                 and (n < 3 or heap[2][0] > limit0)):
-            head = heap[0][2]._completion_head()
-            return (head.time_to_completion() if head is not None
-                    else float("inf"))
+            return heap[0][2]._completion()[1]
         popped: list[tuple[float, int, Cgroup]] = []
         best = float("inf")
         limit: float | None = None
@@ -910,11 +947,9 @@ class FairScheduler:
             popped.append((t_est, push_id, cg))
             if limit is None:
                 limit = t_est + _CAND_WINDOW
-            head = cg._completion_head()
-            if head is not None:
-                ttc = head.time_to_completion()
-                if ttc < best:
-                    best = ttc
+            ttc = cg._completion()[1]
+            if ttc < best:
+                best = ttc
         for entry in popped:
             heapq.heappush(heap, entry)
         return best
@@ -960,9 +995,10 @@ class FairScheduler:
         if self._due_zero:
             candidates.update(self._due_zero)
         finished = []
-        for cg in sorted(candidates, key=lambda c: c.seq):
+        ordered = sorted(candidates, key=lambda c: c.seq)
+        for cg in ordered:
             finished.extend(cg._pop_due())
-            self._push_entry(cg)
+        self._reindex(ordered)
         return finished
 
     # -- queries ---------------------------------------------------------------

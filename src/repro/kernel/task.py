@@ -192,15 +192,7 @@ class SimThread:
 
     def time_to_completion(self) -> float:
         """Seconds until the current segment completes at the current rate."""
-        if self.state is not ThreadState.RUNNABLE:
-            return float("inf")
-        rate = self.cgroup._thread_rate
-        if rate <= 0.0:
-            return float("inf")
-        remaining = self._target - self.cgroup.progress_acc
-        if remaining <= WORK_EPS + 1e-15 * self._target:
-            return 0.0
-        return remaining / rate
+        return self.cgroup._completion(self)[1]
 
     def _finish_segment(self) -> None:
         """Snap a due segment to exactly zero remaining work."""

@@ -147,6 +147,22 @@ class TestThroughputSizePolicy:
             p.observe_minor(h, gc_wall=0.5, mutator_wall=1.0)
         assert h.young_committed > before
 
+    def test_shrinks_after_major_like_adaptive(self):
+        """Footprint shrinking after a full GC is shared machinery: the
+        throughput strategy releases exactly what the default does."""
+        from repro.jvm.adaptive_sizing import ThroughputSizePolicy
+        sizes = []
+        for policy in (ThroughputSizePolicy(), AdaptiveSizePolicy()):
+            h = heap(initial=gib(4))
+            h.old_used = mib(64)
+            before = (h.young_committed, h.old_committed)
+            policy.observe_minor(h, gc_wall=0.001, mutator_wall=30.0)
+            policy.observe_major(h)
+            assert h.young_committed < before[0]
+            assert h.old_committed < before[1]
+            sizes.append((h.young_committed, h.old_committed))
+        assert sizes[0] == sizes[1]
+
     def test_elastic_jvm_accepts_custom_policy(self):
         from repro.jvm.adaptive_sizing import ThroughputSizePolicy
         from repro.workloads.dacapo import dacapo

@@ -319,6 +319,26 @@ class TestInvariantsFire:
         assert "/docker/c0: published rates (2.0, 1.0, 1.0)" in (
             report.violations[0])
 
+    def test_skipped_reindex_detected(self, monkeypatch):
+        """A publish leaves one group's completion-heap entry at its old
+        rate: the spinners never complete inside the horizon, so both
+        engines still agree and only the index audit can see it."""
+        scn = Scenario(ncpus=2, memory=gib(1), horizon=0.5, ops=[
+            {"t": 0.0, "op": "create", "name": "c0", "workers": 2},
+            {"t": 0.2, "op": "create", "name": "c1", "workers": 2},
+        ])
+        assert run_differential(scn).ok
+        reindex = FairScheduler._reindex
+
+        def skips_c0(self, groups):
+            reindex(self, [cg for cg in groups if not (
+                cg.name == "c0" and cg._sched_entry_seq != -1
+                and cg._sched_entry_rate != cg._thread_rate)])
+        monkeypatch.setattr(FairScheduler, "_reindex", skips_c0)
+        report = run_differential(scn)
+        assert report.fingerprint() == "invariant:incremental:completion_index"
+        assert "/docker/c0: heap estimate" in report.violations[0]
+
     def test_memo_count_not_zeroed_on_clear_detected(self, monkeypatch):
         """The memo table is cleared at the row budget but its running
         row count is not: results stay exact (the table only clears

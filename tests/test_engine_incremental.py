@@ -15,6 +15,9 @@ the brute-force reference, not merely close:
 
 Equal-rate pileups, where whole cohorts finish on one tick, get their
 own property test: both modes must emit the canonical in-batch order.
+A wide-domain lockstep test drives up to 96 groups sharing one cpuset,
+so single publishes re-index about as many groups as the completion
+heap holds.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -259,6 +262,115 @@ class TestTieBreakProperty:
                     sched.reallocate()
             orders.append(order)
         assert orders[0] == orders[1]
+
+
+class _BranchCounting(FairScheduler):
+    """Records which completion-heap update each re-index took.
+
+    A rebuild must leave only live entries in the heap: that is what
+    keeps a heapify's cost O(live + batch) rather than O(history).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.heapified = 0     # batches merged by one heapify
+        self.pushed = 0        # batches pushed entry by entry
+
+    def _reindex(self, groups):
+        heap = self._cheap
+        before = len(heap)
+        super()._reindex(groups)
+        if self._cheap is heap and len(heap) > before:
+            self.pushed += 1
+
+    def _rebuild_cheap(self, entries):
+        super()._rebuild_cheap(entries)
+        if entries:
+            self.heapified += 1
+        stale = [e for e in self._cheap if e[1] != e[2]._sched_entry_seq]
+        assert not stale, f"{len(stale)} superseded entries survived a rebuild"
+
+
+def _lockstep_wide_domain(n_groups: int, ncpus: int, seed: int,
+                          steps: int = 150) -> list[_BranchCounting]:
+    """Burst/think loops on single-thread groups sharing the whole host,
+    stepped in lockstep on both engines; returns the two schedulers.
+
+    A finished burst either thinks (blocks, then wakes with a new burst:
+    the domain re-solves, so one publish moves every member's rate) or
+    chains straight into the next burst (no re-solve: only that group is
+    re-indexed).  Every step asserts both engines report the same
+    ``next_completion()`` and pop the same threads in the same order.
+    """
+    rng = random.Random(seed)
+    shares = [rng.choice((256, 512, 1024, 2048)) for _ in range(n_groups)]
+    sides = []
+    for incremental in (True, False):
+        host = HostCpus(ncpus)
+        root = CgroupRoot(host)
+        sched = _BranchCounting(host, root, incremental=incremental)
+        threads = []
+        for i, w in enumerate(shares):
+            cg = root.root.create_child(f"g{i}")
+            cg.set_cpu_shares(w)
+            threads.append(SimThread(f"t{i}", cg))
+        sides.append((sched, threads))
+    wake_at: dict[int, float] = {i: 0.0 for i in range(n_groups)}
+    now = 0.0
+    for _ in range(steps):
+        woken = sorted(i for i, t in wake_at.items() if t - now <= 1e-12)
+        for i in woken:
+            del wake_at[i]
+            work = rng.expovariate(1.0 / 0.05)
+            for _sched, threads in sides:
+                threads[i].assign_work(work)
+        for sched, _threads in sides:
+            if sched.dirty:
+                sched.reallocate()
+        ttc = [sched.next_completion() for sched, _threads in sides]
+        assert ttc[0] == ttc[1]
+        dt = min(ttc[0], min(wake_at.values(), default=float("inf")) - now)
+        if dt == float("inf"):
+            break
+        for sched, _threads in sides:
+            sched.advance(dt)
+        now += dt
+        done = [sched.pop_finished() for sched, _threads in sides]
+        assert ([t.name for t in done[0]] == [t.name for t in done[1]])
+        for t in done[0]:
+            i = int(t.name[1:])
+            think = rng.random() < 0.6
+            draw = rng.expovariate(1.0 / (0.5 if think else 0.05))
+            for _sched, threads in sides:
+                threads[i]._finish_segment()
+                if think:
+                    threads[i].block()
+                else:
+                    threads[i].assign_work(draw)
+            if think:
+                wake_at[i] = now + draw
+    return [sched for sched, _threads in sides]
+
+
+class TestWideDomainLockstep:
+    """Up to 96 groups in one domain: a publish re-indexes about as many
+    groups as the completion heap holds, a pop or chained burst only
+    one, so both heap updates run against the scan reference."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_groups=st.integers(min_value=2, max_value=96),
+           ncpus=st.integers(min_value=1, max_value=8),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @example(n_groups=96, ncpus=8, seed=0)
+    def test_pop_order_and_next_completion_identical(self, n_groups, ncpus,
+                                                     seed):
+        _lockstep_wide_domain(n_groups, ncpus, seed)
+
+    def test_reaches_both_heap_updates(self):
+        incremental, scan = _lockstep_wide_domain(96, 8, 0)
+        assert incremental.heapified > 0
+        assert incremental.pushed > 0
+        assert scan.heapified == scan.pushed == 0
 
 
 class TestRunUntilAccrual:

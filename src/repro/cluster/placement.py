@@ -71,19 +71,6 @@ class PlacementStrategy:
                 best, best_key = host, key
         return best
 
-    def choose_gang(self, hosts: list[Host],
-                    specs: list[PodSpec]) -> list[tuple[PodSpec, Host]] | None:
-        """Place every rank or nothing.  Non-gang strategies treat the
-        ranks as independent pods (and may therefore strand a partial
-        gang — the failure mode the gang-aware wrapper exists to fix)."""
-        out: list[tuple[PodSpec, Host]] = []
-        for spec in specs:
-            host = self.choose(hosts, spec.footprint())
-            if host is None:
-                return None
-            out.append((spec, host))
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
 

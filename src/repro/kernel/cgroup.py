@@ -366,9 +366,8 @@ class Cgroup:
         runnable one (``(None, inf)`` if there is none); stale index
         entries (blocked/exited threads, replaced segments) are popped
         off the front on the way.  The one copy of the completion
-        arithmetic: :meth:`SimThread.time_to_completion
-        <repro.kernel.task.SimThread.time_to_completion>` and the
-        scheduler's completion index both read it.
+        arithmetic: both modes of the scheduler's completion queries
+        read it.
         """
         runnable = ThreadState.RUNNABLE
         if thread is None:

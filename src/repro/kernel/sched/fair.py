@@ -842,19 +842,15 @@ class FairScheduler:
         """(Re)index each group's earliest completion in the group-level heap.
 
         One call per publish, per ``pop_finished`` wave, or per head
-        change.  Push ids follow ``groups`` order.  The heap update is
-        picked by size: a batch at least half as large as the heap (a
-        domain re-solve that moved every member's rate) drops superseded
-        entries and heapifies once, O(heap + batch); a smaller one pushes
-        entry by entry, O(batch log heap), and compacts once superseded
-        entries dominate.  Either way the set of live entries is the
-        same, and that set is all that completion queries read.
+        change.  Push ids follow ``groups`` order.  Superseded entries
+        stay in the heap (they are skipped by push id) until they
+        dominate it; only the set of live entries is ever read.
         """
         now = self._time
         due_zero = self._due_zero
         push_ids = self._push_ids
+        heap = self._cheap
         inf = float("inf")
-        entries = []
         for cg in groups:
             head, ttc = cg._completion()
             if head is None:
@@ -885,25 +881,12 @@ class FairScheduler:
             cg._sched_entry_target = target
             cg._sched_entry_rate = rate
             cg._sched_entry_est = est
-            entries.append((est, push_id, cg))
-        if not entries:
-            return
-        heap = self._cheap
-        if 2 * len(entries) >= len(heap):
-            self._rebuild_cheap(entries)
-            return
-        for entry in entries:
-            heapq.heappush(heap, entry)
+            heapq.heappush(heap, (est, push_id, cg))
         # Compact once superseded entries dominate the heap.
         if len(heap) > 64 and len(heap) > 4 * len(self._galloc):
-            self._rebuild_cheap(())
-
-    def _rebuild_cheap(self, entries) -> None:
-        """Drop superseded heap entries, add ``entries``, heapify once."""
-        live = [e for e in self._cheap if e[1] == e[2]._sched_entry_seq]
-        live += entries
-        heapq.heapify(live)
-        self._cheap = live
+            live = [e for e in heap if e[1] == e[2]._sched_entry_seq]
+            heapq.heapify(live)
+            self._cheap = live
 
     def next_completion(self) -> float:
         """Seconds until the earliest runnable segment completes (inf if none)."""

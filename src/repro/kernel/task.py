@@ -190,10 +190,6 @@ class SimThread:
                 and self._target - self.cgroup.progress_acc
                 <= WORK_EPS + 1e-15 * self._target)
 
-    def time_to_completion(self) -> float:
-        """Seconds until the current segment completes at the current rate."""
-        return self.cgroup._completion(self)[1]
-
     def _finish_segment(self) -> None:
         """Snap a due segment to exactly zero remaining work."""
         self._target = self.cgroup.progress_acc

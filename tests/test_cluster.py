@@ -112,22 +112,6 @@ class TestGangPlacement:
         assert len(c.placed) == 2
         assert c.metrics.gangs_partial == 1
 
-    def test_gang_blind_choose_gang_places_ranks_independently(self):
-        """The non-gang ``choose_gang``: each rank best-fits on its own,
-        with no reservation for earlier ranks, and one rank that fits
-        nowhere rejects the whole call."""
-        hosts = small_cluster(2, ncpus=4, strategy="static").ledgers
-        static = StaticRequestBinPack()
-        ranks = [pod(f"r{i}", request=3.0, demand=0.1, gang="g")
-                 for i in range(2)]
-        placed = static.choose_gang(hosts, ranks)
-        # Both land on the name-first host: 3 + 3 requested cores on a
-        # 4-core host, because the ranks do not see each other.
-        assert [(s.name, h.name) for s, h in placed] == [
-            ("r0", hosts[0].name), ("r1", hosts[0].name)]
-        ranks.append(pod("r2", request=5.0, demand=0.1, gang="g"))
-        assert static.choose_gang(hosts, ranks) is None
-
     def test_gang_prefers_fewest_hosts(self):
         c = small_cluster(3, ncpus=4, strategy="view-gang", migration=False)
         for i in range(4):

@@ -112,7 +112,7 @@ def _brute_force_next_completion(sched) -> float:
     best = float("inf")
     for g in sched.snapshot:
         for t in g.cgroup.runnable_threads:
-            best = min(best, t.time_to_completion())
+            best = min(best, t.cgroup._completion(t)[1])
     return best
 
 
@@ -264,35 +264,29 @@ class TestTieBreakProperty:
         assert orders[0] == orders[1]
 
 
-class _BranchCounting(FairScheduler):
-    """Records which completion-heap update each re-index took.
+class _CompactionCounting(FairScheduler):
+    """Counts completion-heap compactions.
 
-    A rebuild must leave only live entries in the heap: that is what
-    keeps a heapify's cost O(live + batch) rather than O(history).
+    A compaction must leave only live entries in the heap: that is what
+    bounds the heap by the busy groups rather than by history.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.heapified = 0     # batches merged by one heapify
-        self.pushed = 0        # batches pushed entry by entry
+        self.compacted = 0
 
     def _reindex(self, groups):
         heap = self._cheap
-        before = len(heap)
         super()._reindex(groups)
-        if self._cheap is heap and len(heap) > before:
-            self.pushed += 1
-
-    def _rebuild_cheap(self, entries):
-        super()._rebuild_cheap(entries)
-        if entries:
-            self.heapified += 1
-        stale = [e for e in self._cheap if e[1] != e[2]._sched_entry_seq]
-        assert not stale, f"{len(stale)} superseded entries survived a rebuild"
+        if self._cheap is not heap:
+            self.compacted += 1
+            stale = [e for e in self._cheap
+                     if e[1] != e[2]._sched_entry_seq]
+            assert not stale, f"{len(stale)} superseded entries survived"
 
 
 def _lockstep_wide_domain(n_groups: int, ncpus: int, seed: int,
-                          steps: int = 150) -> list[_BranchCounting]:
+                          steps: int = 150) -> list[_CompactionCounting]:
     """Burst/think loops on single-thread groups sharing the whole host,
     stepped in lockstep on both engines; returns the two schedulers.
 
@@ -308,7 +302,7 @@ def _lockstep_wide_domain(n_groups: int, ncpus: int, seed: int,
     for incremental in (True, False):
         host = HostCpus(ncpus)
         root = CgroupRoot(host)
-        sched = _BranchCounting(host, root, incremental=incremental)
+        sched = _CompactionCounting(host, root, incremental=incremental)
         threads = []
         for i, w in enumerate(shares):
             cg = root.root.create_child(f"g{i}")
@@ -355,7 +349,8 @@ def _lockstep_wide_domain(n_groups: int, ncpus: int, seed: int,
 class TestWideDomainLockstep:
     """Up to 96 groups in one domain: a publish re-indexes about as many
     groups as the completion heap holds, a pop or chained burst only
-    one, so both heap updates run against the scan reference."""
+    one, and the heap is compacted along the way, all against the scan
+    reference."""
 
     @settings(max_examples=20, deadline=None)
     @given(n_groups=st.integers(min_value=2, max_value=96),
@@ -366,11 +361,10 @@ class TestWideDomainLockstep:
                                                      seed):
         _lockstep_wide_domain(n_groups, ncpus, seed)
 
-    def test_reaches_both_heap_updates(self):
+    def test_reaches_compaction(self):
         incremental, scan = _lockstep_wide_domain(96, 8, 0)
-        assert incremental.heapified > 0
-        assert incremental.pushed > 0
-        assert scan.heapified == scan.pushed == 0
+        assert incremental.compacted > 0
+        assert scan.compacted == 0
 
 
 class TestRunUntilAccrual:

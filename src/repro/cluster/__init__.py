@@ -8,6 +8,12 @@ co-placement), ledger-conserving container migration, and a horizontal
 pod autoscaler that layers over the vertical ``serve.Autoscaler`` so
 HPA/VPA interference is a first-class experiment.
 
+There is one record per host (:class:`Host`: its world, its pods and
+the placement surface the strategies read) and one per pod
+(:class:`PlacedPod`, which survives re-homes).  Admissions, bursts and
+migrations are applied to the host worlds as they are decided; each
+epoch barrier refreshes the placement surfaces from the worlds.
+
 Entry points::
 
     python -m repro cluster                 # the exp_cluster experiment
@@ -16,18 +22,18 @@ Entry points::
 
 from repro.cluster.cluster import Cluster, ClusterParams
 from repro.cluster.hpa import HorizontalAutoscaler, HpaParams
-from repro.cluster.host import Host, HostLedger
-from repro.cluster.migration import MigrationRecord, drain_pod, readmit_pod
+from repro.cluster.host import Host
+from repro.cluster.migration import MigrationRecord, migrate_pod
 from repro.cluster.placement import (GangBinPack, PlacementStrategy,
                                      StaticRequestBinPack, ViewBinPack,
                                      make_strategy)
-from repro.cluster.pod import Footprint, PlacedPod, PodRecord, PodSpec
+from repro.cluster.pod import Footprint, PlacedPod, PodSpec
 
 __all__ = [
-    "Cluster", "ClusterParams", "Host", "HostLedger",
-    "PodSpec", "PlacedPod", "PodRecord", "Footprint",
+    "Cluster", "ClusterParams", "Host",
+    "PodSpec", "PlacedPod", "Footprint",
     "PlacementStrategy", "StaticRequestBinPack", "ViewBinPack",
     "GangBinPack", "make_strategy",
-    "MigrationRecord", "drain_pod", "readmit_pod",
+    "MigrationRecord", "migrate_pod",
     "HorizontalAutoscaler", "HpaParams",
 ]

@@ -5,21 +5,23 @@ The :class:`Cluster` advances its hosts in fixed *epochs*.  Each epoch:
 1. demand bursts fire (pods raise/lower their CPU quota);
 2. pending pods are scheduled — gangs first (all-or-nothing when the
    strategy is gang-aware), then singles best-fit-decreasing;
-3. the epoch's command batch is applied and every host world runs to
-   the epoch boundary (independent event loops, identical clocks at
-   the barrier);
-4. each host reports one row of per-pod integrals and views, which
-   refreshes the control plane's shadow ledgers;
+3. every host world runs to the epoch boundary (independent event
+   loops, identical clocks at the barrier);
+4. each host's placement surface is refreshed from its world
+   (:meth:`~repro.cluster.host.Host.barrier`), and the rows it reads
+   are hashed into the epoch sample digest;
 5. per-pod attained CPU rates are sampled against the SLO and packing
    density/utilization samples are recorded;
 6. optionally, the rebalancer migrates pods off hosts whose *live*
    demand exceeds the hot threshold.
 
-Every scheduling decision reads the *shadow ledgers*
-(:class:`~repro.cluster.host.HostLedger` /
-:class:`~repro.cluster.pod.PodRecord`), never a live world: between
-barriers a decision updates the ledgers by the same deterministic
-deltas the worlds will apply, and queues the command for its host.
+A burst, an admission or a migration is applied to its host world
+as soon as it is decided.  Every scheduling decision reads the hosts'
+placement surfaces and the pods' barrier values, never a live world:
+between barriers only the decisions themselves move them, by the same
+deltas they apply to the worlds.  Each host world is independent, so
+per-host order — bursts, then admissions, in decision order — is all
+that matters.
 
 Every placement decision is appended to a JSON-able trace whose digest
 is the determinism contract: the same seed must yield the same trace.
@@ -29,15 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
-from repro.cluster.host import Host, HostLedger
-from repro.cluster.migration import (MigrationRecord, drain_pod,
-                                     pod_container_spec, quota_cores,
-                                     readmit_pod, start_pod_workload)
+from repro.cluster.host import Host
+from repro.cluster.migration import MigrationRecord, migrate_pod
 from repro.cluster.placement import PlacementStrategy, make_strategy
-from repro.cluster.pod import PlacedPod, PodRecord, PodSpec
+from repro.cluster.pod import PlacedPod, PodSpec
 from repro.errors import ClusterError
 from repro.units import gib
 
@@ -116,7 +115,7 @@ class Cluster:
         self.params = params or ClusterParams()
         p = self.params
         width = max(2, len(str(p.n_hosts - 1)))
-        #: The live host worlds, in canonical host order.
+        #: The hosts, in canonical host order.
         self.hosts: list[Host] = [
             Host(f"host{idx:0{width}d}", ncpus=p.host_ncpus,
                  memory=p.host_memory, seed=p.seed,
@@ -125,22 +124,13 @@ class Cluster:
                  sched_policy=p.sched_policy,
                  reclaim_policy=p.reclaim_policy)
             for idx in range(p.n_hosts)]
-        self._host_by_name = {host.name: host for host in self.hosts}
-        #: Control-plane shadow ledgers, one per host, in host order —
-        #: the only state placement strategies ever read.
-        self.ledgers: list[HostLedger] = []
-        for host in self.hosts:
-            ledger = HostLedger(host.name, ncpus=host.ncpus,
-                                mem_capacity=host.mem_capacity)
-            ledger.mem_free = host.free_mem_view()
-            self.ledgers.append(ledger)
         self._now = 0.0
         #: Optional fleet telemetry pipeline (see repro.obs.fleet) and
         #: its per-host samplers, one per host in host order.
         self.telemetry = None
         self._collectors: list = []
         self.strategy = strategy or make_strategy(p.strategy)
-        self.placed: dict[str, PodRecord] = {}
+        self.placed: dict[str, PlacedPod] = {}
         self.pending: list[PodSpec] = []
         self._pending_names: set[str] = set()
         self.rejected: list[str] = []
@@ -152,7 +142,7 @@ class Cluster:
         self.last_epoch_attained: dict[str, tuple[float, float]] = {}
         #: Deterministic event log: (time, event, pod, host) rows.
         self.trace: list[tuple[float, str, str, str]] = []
-        #: Rolling hash over every epoch's barrier report rows.
+        #: Rolling hash over every epoch's barrier rows.
         self._sample_hash = hashlib.sha256()
 
     # -- time -----------------------------------------------------------------
@@ -163,7 +153,7 @@ class Cluster:
 
     @property
     def cpu_capacity(self) -> int:
-        return sum(ledger.ncpus for ledger in self.ledgers)
+        return sum(host.ncpus for host in self.hosts)
 
     # -- submission -----------------------------------------------------------
 
@@ -201,13 +191,17 @@ class Cluster:
         while self._now < until - _EPS:
             epoch_end = min(self._now + self.params.epoch, until)
             epoch_len = epoch_end - self._now
-            #: Per-host command batch for this epoch, in decision order.
-            ops: dict[str, list] = {}
-            self._apply_bursts(ops)
-            self._place_pending(ops)
-            reports = self._run_epoch(ops, epoch_end)
+            self._apply_bursts()
+            self._place_pending()
+            for host in self.hosts:
+                host.world.run(until=epoch_end)
             self._now = epoch_end
-            self._absorb_reports(reports)
+            # Rows come in host order, per-pod entries in sorted-name
+            # order, so the rolling hash is canonical.
+            rows = [host.barrier() for host in self.hosts]
+            self._sample_hash.update(json.dumps(
+                rows, sort_keys=True, separators=(",", ":")).encode())
+            self._sample_hash.update(b"\x00")
             self._sample_epoch(epoch_len)
             if self.params.migration:
                 self._rebalance()
@@ -218,22 +212,9 @@ class Cluster:
                            for c in self._collectors]
                 self.telemetry.on_epoch(self, epoch_len, samples)
 
-    def _run_epoch(self, ops: dict[str, list], until: float) -> list[dict]:
-        """Apply one epoch's command batch, run every world to the
-        barrier, and return one report row per host, in host order."""
-        for host in self.hosts:
-            for kind, target, demand in ops.get(host.name, ()):
-                if kind == "burst":
-                    _set_demand(host.pods[target], demand)
-                else:
-                    _start_pod(host, target, demand)
-        for host in self.hosts:
-            host.world.run(until=until)
-        return [_report(host) for host in self.hosts]
-
     # -- scheduling -----------------------------------------------------------
 
-    def _place_pending(self, ops: dict[str, list]) -> None:
+    def _place_pending(self) -> None:
         """One scheduling round: gangs first, then singles BFD."""
         if not self.pending:
             return
@@ -253,7 +234,7 @@ class Cluster:
         for gang_id in sorted(gangs):
             ranks = gangs[gang_id]
             if self.strategy.gang_aware:
-                assignment = self.strategy.choose_gang(self.ledgers, ranks)
+                assignment = self.strategy.choose_gang(self.hosts, ranks)
                 if assignment is None:
                     self.metrics.gangs_rejected += 1
                     for spec in ranks:
@@ -261,22 +242,21 @@ class Cluster:
                         self.trace.append((self._now, "reject", spec.name,
                                            ""))
                     continue
-                for spec, ledger in assignment:
-                    self._admit(spec, ledger, ops)
+                for spec, host in assignment:
+                    self._admit(spec, host)
                 self.metrics.gangs_placed += 1
             else:
                 # Gang-blind baseline: ranks scheduled independently;
                 # partial gangs are a real (bad) outcome we count.
                 landed = 0
                 for spec in ranks:
-                    ledger = self.strategy.choose(self.ledgers,
-                                                  fps[spec.name])
-                    if ledger is None:
+                    host = self.strategy.choose(self.hosts, fps[spec.name])
+                    if host is None:
                         self.rejected.append(spec.name)
                         self.trace.append((self._now, "reject", spec.name,
                                            ""))
                     else:
-                        self._admit(spec, ledger, ops)
+                        self._admit(spec, host)
                         landed += 1
                 if landed == len(ranks):
                     self.metrics.gangs_placed += 1
@@ -288,69 +268,33 @@ class Cluster:
         # Best-fit-DECREASING: big pods first so fragments stay usable.
         singles.sort(key=lambda s: (-fps[s.name].cpu_live, s.name))
         for spec in singles:
-            ledger = self.strategy.choose(self.ledgers, fps[spec.name])
-            if ledger is None:
+            host = self.strategy.choose(self.hosts, fps[spec.name])
+            if host is None:
                 self.rejected.append(spec.name)
                 self.trace.append((self._now, "reject", spec.name, ""))
             else:
-                self._admit(spec, ledger, ops)
+                self._admit(spec, host)
 
-    def _admit(self, spec: PodSpec, ledger: HostLedger,
-               ops: dict[str, list]) -> None:
-        demand = spec.demand_at(self._now)
-        rec = PodRecord(spec, ledger, self._now)
-        rec.demand = demand
-        rec.quota_cores = quota_cores(demand)
-        # Admission charges exactly mem_demand on the host; mirror it
-        # so same-round placements see the byte already spoken for.
-        rec._live_bytes = spec.mem_demand
-        ledger.account_add(rec)
-        ledger.mem_free -= spec.mem_demand
-        self.placed[spec.name] = rec
-        ops.setdefault(ledger.name, []).append(("admit", spec, demand))
-        self.trace.append((self._now, "place", spec.name, ledger.name))
+    def _admit(self, spec: PodSpec, host: Host) -> None:
+        pod = PlacedPod(spec, self._now)
+        # Incarnation 0 of the pod's span chain; migrations extend it
+        # with follows-linked drain/readmit/lifetime spans.
+        pod.start(host, spec.mem_demand, incarnation=0)
+        host.account_add(pod)
+        # Same-round placements see the bytes already spoken for.
+        host.mem_free -= spec.mem_demand
+        self.placed[spec.name] = pod
+        self.trace.append((self._now, "place", spec.name, host.name))
 
     # -- epoch hooks ----------------------------------------------------------
 
-    def _apply_bursts(self, ops: dict[str, list]) -> None:
-        for rec in self.placed.values():
-            target = rec.spec.demand_at(self._now)
-            if abs(target - rec.demand) < _EPS:
+    def _apply_bursts(self) -> None:
+        for pod in self.placed.values():
+            target = pod.spec.demand_at(self._now)
+            if abs(target - pod.demand) < _EPS:
                 continue
-            ledger = rec.host
-            ledger.demand_cpu += target - rec.demand
-            rec.demand = target
-            rec.quota_cores = quota_cores(target)
-            ledger.set_view(rec.name, rec.view_cpu_footprint())
-            ops.setdefault(ledger.name, []).append(
-                ("burst", rec.name, target))
-            self.trace.append((self._now, "burst", rec.name, ledger.name))
-
-    def _absorb_reports(self, reports: list[dict]) -> None:
-        """Refresh the shadow ledgers from one barrier's report rows.
-
-        Rows arrive in host order with per-pod entries in sorted-name
-        order, so the rolling sample hash and the float-summation order
-        inside each ledger are canonical.
-        """
-        payload = json.dumps(reports, sort_keys=True, separators=(",", ":"))
-        self._sample_hash.update(payload.encode())
-        self._sample_hash.update(b"\x00")
-        for row, ledger in zip(reports, self.ledgers):
-            ledger.mem_free = row["mem_free"]
-            rows = row["pods"]
-            if len(rows) != len(ledger.pods):
-                raise ClusterError(
-                    f"barrier report for host {row['host']!r} lists "
-                    f"{len(rows)} pods, control ledger holds "
-                    f"{len(ledger.pods)}")
-            for name, cpu_time, mem_usage, e_cpu, quota in rows:
-                rec = self.placed[name]
-                rec.live_cpu_time = cpu_time
-                rec._live_bytes = mem_usage
-                rec.e_cpu = e_cpu
-                rec.quota_cores = quota
-            ledger.refresh_views()
+            pod.host.set_demand(pod, target)
+            self.trace.append((self._now, "burst", pod.name, pod.host.name))
 
     def _sample_epoch(self, epoch_len: float) -> None:
         m = self.metrics
@@ -358,21 +302,21 @@ class Cluster:
         attained_total = 0.0
         demand_total = 0.0
         self.last_epoch_attained = {}
-        for rec in self.placed.values():
-            total = rec.total_cpu_time
-            attained = (total - rec.last_cpu_time) / epoch_len
-            rec.last_cpu_time = total
-            window = min(epoch_len, self._now - rec.placed_at)
+        for pod in self.placed.values():
+            total = pod.total_cpu_time
+            attained = (total - pod.last_cpu_time) / epoch_len
+            pod.last_cpu_time = total
+            window = min(epoch_len, self._now - pod.placed_at)
             if window < epoch_len - _EPS:
                 # Partial first epoch: rate over the actual residency.
                 attained = (attained * epoch_len / window) if window > _EPS \
-                    else rec.demand
+                    else pod.demand
             m.pod_epochs += 1
-            demand_total += rec.demand
-            attained_total += min(attained, rec.demand)
-            self.last_epoch_attained[rec.name] = (attained, rec.demand)
-            if attained + _EPS < self.params.slo_frac * rec.demand:
-                rec.violation_epochs += 1
+            demand_total += pod.demand
+            attained_total += min(attained, pod.demand)
+            self.last_epoch_attained[pod.name] = (attained, pod.demand)
+            if attained + _EPS < self.params.slo_frac * pod.demand:
+                pod.violation_epochs += 1
                 m.violations += 1
         cap = float(self.cpu_capacity)
         m.density_sum += demand_total / cap
@@ -382,8 +326,8 @@ class Cluster:
         """Last epoch's (attained, demand) pairs, sliced by current host."""
         out: dict[str, dict[str, tuple[float, float]]] = {}
         for name, rates in self.last_epoch_attained.items():
-            rec = self.placed[name]
-            out.setdefault(rec.host.name, {})[name] = rates
+            pod = self.placed[name]
+            out.setdefault(pod.host.name, {})[name] = rates
         return out
 
     # -- migration ------------------------------------------------------------
@@ -391,26 +335,28 @@ class Cluster:
     def _rebalance(self) -> None:
         """Move the biggest pods off hosts running over the hot threshold.
 
-        Every demand read here is the ledger's incrementally-maintained
-        ``demand_cpu`` — O(1), not the old O(pods) recompute per probe.
+        Every demand read here is the host's running ``demand_cpu`` —
+        O(1) per probe, not an O(pods) recompute.
         """
         moved = 0
         budget = self.params.max_migrations_per_epoch
         hot_frac = self.params.hot_frac
         hot = sorted(
-            (l for l in self.ledgers if l.demand_cpu > hot_frac * l.ncpus),
-            key=lambda l: (-(l.demand_cpu / l.ncpus), l.name))
-        for ledger in hot:
-            while (moved < budget and
-                   ledger.demand_cpu > hot_frac * ledger.ncpus):
-                candidates = sorted(ledger.pods.values(),
+            (h for h in self.hosts if h.demand_cpu > hot_frac * h.ncpus),
+            key=lambda h: (-(h.demand_cpu / h.ncpus), h.name))
+        for host in hot:
+            while moved < budget and host.demand_cpu > hot_frac * host.ncpus:
+                candidates = sorted(host.pods.values(),
                                     key=lambda p: (-p.demand, p.name))
                 target_found = False
-                for rec in candidates:
-                    dst = self._pick_target(rec, exclude=ledger)
+                for pod in candidates:
+                    dst = self._pick_target(pod, exclude=host)
                     if dst is None:
                         continue
-                    self._migrate(rec, ledger, dst)
+                    self.migration_records.append(
+                        migrate_pod(pod, dst, self._now))
+                    self.trace.append((self._now, "migrate", pod.name,
+                                       dst.name))
                     moved += 1
                     target_found = True
                     break
@@ -419,52 +365,23 @@ class Cluster:
             if moved >= budget:
                 break
 
-    def _pick_target(self, rec: PodRecord, *,
-                     exclude: HostLedger) -> HostLedger | None:
-        fp = rec.footprint()
+    def _pick_target(self, pod: PlacedPod, *, exclude: Host) -> Host | None:
+        fp = pod.footprint()
         hot_cap = self.params.hot_frac
-        best: HostLedger | None = None
+        best: Host | None = None
         best_key: tuple[float, str] | None = None
-        for ledger in self.ledgers:
-            if ledger is exclude:
+        for host in self.hosts:
+            if host is exclude:
                 continue
-            if not self.strategy.feasible(ledger, fp):
+            if not self.strategy.feasible(host, fp):
                 continue
             # Don't create a new hotspot while fixing this one.
-            if ledger.demand_cpu + rec.demand > hot_cap * ledger.ncpus:
+            if host.demand_cpu + pod.demand > hot_cap * host.ncpus:
                 continue
-            key = (self.strategy.fit_score(ledger, fp), ledger.name)
+            key = (self.strategy.fit_score(host, fp), host.name)
             if best_key is None or key < best_key:
-                best, best_key = ledger, key
+                best, best_key = host, key
         return best
-
-    def _migrate(self, rec: PodRecord, src: HostLedger,
-                 dst: HostLedger) -> None:
-        placed = self._host_by_name[src.name].pods[rec.name]
-        payload = drain_pod(placed, dst_name=dst.name)
-        readmit_pod(self._host_by_name[dst.name], payload)
-        bytes_moved = payload["bytes_moved"]
-        cpu_at = payload["cpu_time"]
-        src.account_remove(rec)
-        # Fold the source-side CPU integral into the retired ledger so
-        # the pod-lifetime total survives the re-home exactly.
-        rec.cpu_time_retired += cpu_at
-        rec.live_cpu_time = 0.0
-        rec._live_bytes = bytes_moved
-        rec.e_cpu = math.inf
-        rec.quota_cores = quota_cores(rec.demand)
-        rec.migrations += 1
-        rec.bytes_migrated += bytes_moved
-        rec.host = dst
-        dst.account_add(rec)
-        # Byte ledger estimate until the next barrier report: the moved
-        # bytes free up on the source and land on the target.
-        src.mem_free += bytes_moved
-        dst.mem_free -= bytes_moved
-        self.migration_records.append(MigrationRecord(
-            pod=rec.name, src=src.name, dst=dst.name, time=self._now,
-            bytes_moved=bytes_moved, cpu_time=cpu_at))
-        self.trace.append((self._now, "migrate", rec.name, dst.name))
 
     # -- reporting ------------------------------------------------------------
 
@@ -475,11 +392,12 @@ class Cluster:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def epoch_sample_digest(self) -> str:
-        """Rolling SHA-256 over every epoch's barrier report rows.
+        """Rolling SHA-256 over every epoch's barrier rows.
 
-        The rows are everything the shadow ledgers and the SLO sampler
-        consume, so this digest moves whenever the control plane's
-        view of any host does — even where placement does not change.
+        The rows are everything the placement surfaces and the SLO
+        sampler read from the worlds, so this digest moves whenever the
+        scheduler's view of any host does — even where placement does
+        not change.
         """
         return self._sample_hash.copy().hexdigest()
 
@@ -489,7 +407,7 @@ class Cluster:
         epochs = max(1, m.epochs)
         return {
             "strategy": self.strategy.name,
-            "hosts": len(self.ledgers),
+            "hosts": len(self.hosts),
             "submitted": self.submitted,
             "placed": len(self.placed),
             "rejected": len(self.rejected),
@@ -519,15 +437,15 @@ class Cluster:
             rows.append(_host_row(host, live))
         pods = {
             name: {
-                "host": rec.host.name,
-                "migrations": rec.migrations,
-                "total_cpu_time": (rec.cpu_time_retired
+                "host": pod.host.name,
+                "migrations": pod.migrations,
+                "total_cpu_time": (pod.cpu_time_retired
                                    + live[name]["live_cpu_time"]),
-                "cpu_time_retired": rec.cpu_time_retired,
-                "bytes_migrated": rec.bytes_migrated,
+                "cpu_time_retired": pod.cpu_time_retired,
+                "bytes_migrated": pod.bytes_migrated,
                 "mem_usage": live[name]["mem_usage"],
             }
-            for name, rec in sorted(self.placed.items())
+            for name, pod in sorted(self.placed.items())
         }
         return {
             "now": self._now,
@@ -554,49 +472,11 @@ class Cluster:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Cluster t={self._now:.1f}s hosts={len(self.ledgers)} "
+        return (f"<Cluster t={self._now:.1f}s hosts={len(self.hosts)} "
                 f"placed={len(self.placed)} strategy={self.strategy.name}>")
 
 
 # -- per-host bodies ---------------------------------------------------------
-
-def _start_pod(host: Host, spec: PodSpec, demand: float) -> None:
-    """Admit ``spec`` on ``host`` at CPU demand ``demand``."""
-    cspec = pod_container_spec(spec.name, spec, demand)
-    container = host.world.containers.create(cspec)
-    # Incarnation 0 of the pod's span chain; migrations extend it with
-    # follows-linked drain/readmit/lifetime spans.
-    host.world.trace.annotate_span(container.life_span, pod=spec.name,
-                                   incarnation=0)
-    host.world.mm.charge(container.cgroup, spec.mem_demand)
-    pod = PlacedPod(spec, host, container, host.world.now)
-    pod.demand = demand
-    start_pod_workload(pod)
-    host.pods[spec.name] = pod
-
-
-def _set_demand(pod: PlacedPod, demand: float) -> None:
-    """Move a running pod to CPU demand ``demand`` (its CFS quota)."""
-    pod.demand = demand
-    cg = pod.container.cgroup
-    period = cg.cpu.cfs_period_us
-    cg.set_cpu_quota(max(1000, int(round(demand * period))), period)
-
-
-def _report(host: Host) -> dict:
-    """One host's barrier report row: per-pod ``[name, cpu_time,
-    mem_usage, e_cpu, quota]`` in sorted-name order plus free memory."""
-    pods = []
-    for name in sorted(host.pods):
-        pod = host.pods[name]
-        cg = pod.container.cgroup
-        pods.append([name, cg.total_cpu_time,
-                     cg.memory.usage_in_bytes,
-                     float(pod.container.sys_ns.e_cpu),
-                     cg.quota_cores])
-    return {"host": host.name, "now": host.world.now,
-            "mem_free": host.free_mem_view(), "pods": pods}
-
 
 def _host_row(host: Host, live: dict[str, dict]) -> dict:
     """One host's block of :meth:`Cluster.invariant_snapshot`; fills

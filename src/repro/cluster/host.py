@@ -1,26 +1,31 @@
-"""One cluster host and its control-plane shadow.
+"""One cluster host: a simulated world, its pods, and the placement
+surface the scheduler reads.
 
 A :class:`Host` is an independent simulated :class:`~repro.world.World`
 — its own event loop, scheduler and memory manager — plus the pods
 running on it; the :class:`~repro.cluster.cluster.Cluster` advances
-every host in lockstep epochs.  A :class:`HostLedger` is the scheduler's
-view of the same host: declared request totals (for the static
-baseline) and live view/usage totals (for adaptive-view packing), all
-refreshed from the host's report row at each epoch barrier.
+every host in lockstep epochs.
+
+Placement and migration decisions read the host's placement surface:
+declared request totals (for the static baseline) and view/usage totals
+(for adaptive-view packing).  :meth:`Host.barrier` refreshes it from the
+world at each epoch barrier; between barriers only the cluster's own
+decisions move it, by the deltas they apply (admission, burst,
+migration).  A decision never reads the live world, so a pod admitted
+this epoch counts its predicted quota, not its fresh container's view.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.cluster.pod import PlacedPod
 from repro.par.seeds import derive_seed
 from repro.world import World
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.pod import PodRecord
+    from repro.cluster.pod import PlacedPod
 
-__all__ = ["Host", "HostLedger"]
+__all__ = ["Host"]
 
 
 class Host:
@@ -41,61 +46,24 @@ class Host:
         # Stable span addressing: this host's spans are "<name>:<id>",
         # which is what migration chains reference across re-homes.
         self.world.trace.log_id = name
+        self.ncpus = self.world.host.ncpus
+        self.mem_capacity = self.world.mm.available_capacity
         self.pods: dict[str, PlacedPod] = {}
-
-    @property
-    def ncpus(self) -> int:
-        return self.world.host.ncpus
-
-    @property
-    def mem_capacity(self) -> int:
-        return self.world.mm.available_capacity
+        #: Declared request totals (the static scheduler's ledger).
+        self.requested_cpu = 0.0
+        self.requested_mem = 0
+        #: Running Σ pod demand — updated on admit/burst/migrate, so the
+        #: rebalancer's probes are O(1) per host.
+        self.demand_cpu = 0.0
+        #: Free bytes as of the last barrier, moved by admission and
+        #: migration deltas between barriers.
+        self.mem_free = self.world.mm.free
+        #: Running Σ pod view footprint (``min(E_CPU, quota)``).
+        self._view_sum = 0.0
 
     @property
     def now(self) -> float:
         return self.world.now
-
-    def view_cpu_footprint(self) -> float:
-        """Cores occupied per the adaptive views: Σ min(E_CPU, quota)."""
-        return sum(p.view_cpu_footprint() for p in self.pods.values())
-
-    def free_mem_view(self) -> int:
-        """Actually-free bytes on the host (the E_MEM numerator's source)."""
-        return self.world.mm.free
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Host {self.name!r} pods={len(self.pods)} t={self.now:.1f}s>"
-
-
-class HostLedger:
-    """Control-plane shadow of one host.
-
-    The surface the placement strategies read
-    (``free_cpu_request``/``free_cpu_view``/``free_mem_view``/…), backed
-    entirely by barrier-cached values and incremental deltas — no live
-    ``World`` access, so every decision within an epoch sees the same
-    state whatever the worlds are doing.  The incremental ``demand_cpu``
-    sum keeps migration probes O(1) per host.
-    """
-
-    def __init__(self, name: str, *, ncpus: int, mem_capacity: int):
-        self.name = name
-        self.ncpus = ncpus
-        self.mem_capacity = mem_capacity
-        self.pods: dict[str, PodRecord] = {}
-        #: Declared request totals (the static scheduler's ledger).
-        self.requested_cpu = 0.0
-        self.requested_mem = 0
-        #: Incremental Σ live demand — updated on admit/burst/migrate,
-        #: never recomputed O(pods) in the rebalance loop.
-        self.demand_cpu = 0.0
-        #: Barrier-cached free bytes, adjusted by admission/migration
-        #: deltas between barriers.
-        self.mem_free = mem_capacity
-        #: Per-pod view footprints plus their running sum, kept exactly
-        #: consistent: every update goes through :meth:`set_view`.
-        self._view_cpu: dict[str, float] = {}
-        self._view_sum = 0.0
 
     # -- static (request-based) accounting ---------------------------------
 
@@ -105,10 +73,7 @@ class HostLedger:
     def free_mem_request(self) -> int:
         return self.mem_capacity - self.requested_mem
 
-    # -- live (view-based) accounting ---------------------------------------
-
-    def view_cpu_footprint(self) -> float:
-        return self._view_sum
+    # -- view-based accounting ----------------------------------------------
 
     def free_cpu_view(self) -> float:
         return self.ncpus - self._view_sum
@@ -118,36 +83,60 @@ class HostLedger:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def set_view(self, pod_name: str, value: float) -> None:
-        """Set one pod's view footprint, keeping the running sum exact."""
-        self._view_sum += value - self._view_cpu.get(pod_name, 0.0)
-        self._view_cpu[pod_name] = value
+    # A pod's footprint changes only through the methods below and
+    # barrier(), so what each one adds or takes off is exactly the pod's
+    # share of the running sums.
 
-    def account_add(self, rec: "PodRecord") -> None:
-        self.pods[rec.name] = rec
-        self.requested_cpu += rec.spec.cpu_request
-        self.requested_mem += rec.spec.mem_request
-        self.demand_cpu += rec.demand
-        self.set_view(rec.name, rec.view_cpu_footprint())
+    def account_add(self, pod: "PlacedPod") -> None:
+        self.pods[pod.name] = pod
+        self.requested_cpu += pod.spec.cpu_request
+        self.requested_mem += pod.spec.mem_request
+        self.demand_cpu += pod.demand
+        self._view_sum += pod.view_cpu_footprint()
 
-    def account_remove(self, rec: "PodRecord") -> None:
-        del self.pods[rec.name]
-        self.requested_cpu -= rec.spec.cpu_request
-        self.requested_mem -= rec.spec.mem_request
-        self.demand_cpu -= rec.demand
-        self._view_sum -= self._view_cpu.pop(rec.name, 0.0)
+    def account_remove(self, pod: "PlacedPod") -> None:
+        del self.pods[pod.name]
+        self.requested_cpu -= pod.spec.cpu_request
+        self.requested_mem -= pod.spec.mem_request
+        self.demand_cpu -= pod.demand
+        self._view_sum -= pod.view_cpu_footprint()
 
-    def refresh_views(self) -> None:
-        """Recompute the view sum from per-pod records (barrier resync).
+    def set_demand(self, pod: "PlacedPod", demand: float) -> None:
+        """Move one of this host's pods to CPU demand ``demand``."""
+        view = pod.view_cpu_footprint()
+        self.demand_cpu += demand - pod.demand
+        pod.set_demand(demand)
+        self._view_sum += pod.view_cpu_footprint() - view
 
-        Rebuilding in sorted pod order gives a canonical float-summation
-        order, independent of admission and migration history."""
-        self._view_cpu = {name: self.pods[name].view_cpu_footprint()
-                          for name in sorted(self.pods)}
-        self._view_sum = sum(self._view_cpu.values())
-        self.demand_cpu = sum(self.pods[name].demand
-                              for name in sorted(self.pods))
+    def barrier(self) -> dict:
+        """Refresh the placement surface from the world (epoch barrier).
+
+        Reads each pod's CPU time, resident bytes, ``E_CPU`` and quota
+        back from its container, and rebuilds the view and demand sums
+        in sorted pod order — a canonical float-summation order,
+        independent of admission and migration history.  Returns the
+        host's barrier row: per-pod ``[name, cpu_time, mem_usage,
+        e_cpu, quota]`` in sorted-name order plus free memory.
+        """
+        names = sorted(self.pods)
+        rows = []
+        for name in names:
+            pod = self.pods[name]
+            cg = pod.container.cgroup
+            pod.live_cpu_time = cg.total_cpu_time
+            pod.live_bytes = cg.memory.usage_in_bytes
+            pod.e_cpu = float(pod.container.sys_ns.e_cpu)
+            pod.quota_cores = cg.quota_cores
+            rows.append([name, pod.live_cpu_time, pod.live_bytes,
+                         pod.e_cpu, pod.quota_cores])
+        self.mem_free = self.world.mm.free
+        self._view_sum = sum(self.pods[name].view_cpu_footprint()
+                             for name in names)
+        self.demand_cpu = sum(self.pods[name].demand for name in names)
+        return {"host": self.name, "now": self.world.now,
+                "mem_free": self.mem_free, "pods": rows}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<HostLedger {self.name!r} pods={len(self.pods)} "
-                f"req_cpu={self.requested_cpu:.1f}/{self.ncpus}>")
+        return (f"<Host {self.name!r} pods={len(self.pods)} "
+                f"req_cpu={self.requested_cpu:.1f}/{self.ncpus} "
+                f"t={self.now:.1f}s>")

@@ -7,8 +7,9 @@ Three schedulers, one interface:
   of requests rejects new pods even while most of its cores idle.
 * :class:`ViewBinPack` — the paper's signal promoted to the cluster:
   best-fit on the *live* footprint (``min(E_CPU, quota)`` per pod, real
-  free bytes per host).  Overcommits safely because the views track
-  effective, not declared, occupancy.
+  free bytes per host, as of the last epoch barrier plus this epoch's
+  decisions — see :class:`~repro.cluster.host.Host`).  Overcommits
+  safely because the views track effective, not declared, occupancy.
 * :class:`GangBinPack` — a wrapper adding rank-aware co-placement for
   tightly-coupled jobs: all ranks of a gang are placed in one round
   (preferring hosts that already hold sibling ranks, so the gang spans

@@ -1,4 +1,4 @@
-"""Cluster-level workload units: pod specs and placement records.
+"""Cluster-level workload units: pod specs and placed pods.
 
 A :class:`PodSpec` is the cluster analogue of a ``docker run`` request:
 it carries both the *declared* resource requests (what a static
@@ -7,13 +7,12 @@ really consume once running — the signal the adaptive views surface).
 The gap between the two is the overcommit opportunity the view-based
 scheduler exploits.
 
-A :class:`PlacedPod` is the *host-side* runtime record of one admitted
-pod on its current host: the live container handle and its
-incarnation.  A :class:`PodRecord` is the *control-plane* shadow of the
-same pod — no container handle, only the barrier-refreshed values the
-scheduler reads, plus the ledgers that must survive migration
-(cumulative CPU time across hosts, bytes moved) — so placement and
-migration decisions never reach into a live world.
+A :class:`PlacedPod` is one admitted pod for its whole life: the live
+container on its current host, the values placement reads (refreshed
+at each epoch barrier, moved between barriers only by the cluster's
+own decisions), and the ledgers that survive migration (CPU time on
+earlier hosts, bytes moved).  A re-home swaps its host and container;
+the record stays.
 """
 
 from __future__ import annotations
@@ -22,13 +21,26 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.container.spec import ContainerSpec
 from repro.errors import ClusterError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.container.container import Container
-    from repro.cluster.host import Host, HostLedger
+    from repro.cluster.host import Host
 
-__all__ = ["PodSpec", "Footprint", "PlacedPod", "PodRecord"]
+__all__ = ["PodSpec", "Footprint", "PlacedPod", "quota_cores"]
+
+#: CFS period every pod container runs under.
+_PERIOD_US = 100_000
+
+
+def _quota_us(demand: float, period_us: int) -> int:
+    return max(1000, int(round(demand * period_us)))
+
+
+def quota_cores(demand: float) -> float:
+    """The CFS quota (in cores) a pod at ``demand`` actually runs under,
+    including the 1 ms quota floor."""
+    return _quota_us(demand, _PERIOD_US) / _PERIOD_US
 
 
 @dataclass(frozen=True)
@@ -120,55 +132,20 @@ class PodSpec:
 
 
 class PlacedPod:
-    """Runtime record of one admitted pod on its current host."""
+    """One admitted pod, on whichever host it runs now.
 
-    def __init__(self, spec: PodSpec, host: "Host", container: "Container",
-                 placed_at: float):
+    :meth:`start` puts it on a host: a fresh container there, and fresh
+    placement values.  Between epoch barriers those values move only by
+    the cluster's own decisions (admission, burst, migration); at each
+    barrier :meth:`Host.barrier` reads them back from the container.
+    """
+
+    def __init__(self, spec: PodSpec, placed_at: float):
         self.spec = spec
-        self.host = host
-        self.container = container
         self.placed_at = placed_at
         #: Live CPU demand (tracks burst phase changes).
         self.demand = spec.demand_at(placed_at)
         #: Incarnation: how many times the pod has been re-homed.
-        self.migrations = 0
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    def view_cpu_footprint(self) -> float:
-        """The adaptive-view footprint: ``min(E_CPU, quota)`` in cores.
-
-        ``E_CPU`` is what the container can effectively obtain
-        (Algorithm 1); the quota is what it is currently asking the CFS
-        for.  The min is the live cores the pod occupies for packing
-        purposes — it follows bursts (quota raises) and contention
-        (E_CPU shrinks) without trusting the declared request.
-        """
-        return min(float(self.container.sys_ns.e_cpu),
-                   self.container.cgroup.quota_cores)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PlacedPod {self.name!r} on {self.host.name} "
-                f"demand={self.demand:.2f} migrations={self.migrations}>")
-
-
-class PodRecord:
-    """Control-plane shadow of one admitted pod.
-
-    Holds no container handle — only the values the scheduler reads,
-    refreshed from the host's report row at each epoch barrier.  Between
-    barriers the record is updated by the same deterministic deltas the
-    host applies (quota changes on burst, ledger folds on migration).
-    """
-
-    def __init__(self, spec: PodSpec, host: "HostLedger", placed_at: float):
-        self.spec = spec
-        self.host = host
-        self.placed_at = placed_at
-        #: Live CPU demand (tracks burst phase changes).
-        self.demand = spec.demand_at(placed_at)
         self.migrations = 0
         #: CPU seconds consumed on *previous* hosts.
         self.cpu_time_retired = 0.0
@@ -178,22 +155,56 @@ class PodRecord:
         self.last_cpu_time = 0.0
         #: Epochs in which the pod's attained rate missed its SLO.
         self.violation_epochs = 0
-        #: CPU seconds on the *current* host, as of the last barrier.
-        self.live_cpu_time = 0.0
-        #: Barrier-cached E_CPU view.  A fresh container's view is
-        #: unbounded until it has run (sys_ns.e_cpu starts optimistic),
-        #: so the shadow starts at +inf and the quota bounds the
-        #: footprint until the first report lands.
-        self.e_cpu = math.inf
-        #: Barrier-cached CFS quota in cores (control-side predicted
-        #: on admit/burst/migrate, confirmed at every barrier).
-        self.quota_cores = 0.0
-        #: Barrier-cached resident bytes.
-        self._live_bytes = 0
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    def start(self, host: "Host", nbytes: int, **span_fields) -> None:
+        """Run the pod on ``host``: a container at its current demand
+        quota, ``nbytes`` charged, and its demand thread started.
+
+        The pod is modelled as an open-loop CPU sink: one thread with an
+        effectively infinite work segment, throttled by the cgroup quota
+        to the pod's demand.  Attained rate = min(demand, fair share),
+        which is exactly the fluid signal the adaptive views measure.
+        ``span_fields`` annotate the container's lifetime span (the
+        pod's incarnation chain).
+        """
+        world = host.world
+        spec = self.spec
+        self.host = host
+        self.container = world.containers.create(ContainerSpec(
+            name=spec.name,
+            cpu_shares=max(2, int(round(spec.cpu_request * 1024))),
+            cpus=quota_cores(self.demand),
+            cpu_period_us=_PERIOD_US,
+            memory_limit=max(spec.mem_request, spec.mem_demand)))
+        world.trace.annotate_span(self.container.life_span, pod=spec.name,
+                                  **span_fields)
+        world.mm.charge(self.container.cgroup, nbytes)
+        self.container.spawn_thread("main").assign_work(1e15)
+        #: CPU seconds on the current host, as of the last barrier.
+        self.live_cpu_time = 0.0
+        #: Resident bytes, as of the last barrier.
+        self.live_bytes = nbytes
+        #: E_CPU as of the last barrier.  Until its first barrier on
+        #: this host the pod counts +inf, so its quota bounds the
+        #: footprint: a fresh container's E_CPU starts at its lower
+        #: bound (Algorithm 1 line 6) — 1 core unless its quota and
+        #: share are larger — which says nothing about what the pod
+        #: will occupy.
+        self.e_cpu = math.inf
+        #: CFS quota in cores: predicted on start and burst, read back
+        #: at every barrier.
+        self.quota_cores = quota_cores(self.demand)
+
+    def set_demand(self, demand: float) -> None:
+        """Move the running pod to CPU demand ``demand`` (its quota)."""
+        self.demand = demand
+        self.quota_cores = quota_cores(demand)
+        self.container.cgroup.set_cpu_quota(_quota_us(demand, _PERIOD_US),
+                                            _PERIOD_US)
 
     @property
     def total_cpu_time(self) -> float:
@@ -201,18 +212,22 @@ class PodRecord:
         return self.cpu_time_retired + self.live_cpu_time
 
     def view_cpu_footprint(self) -> float:
-        """Shadow of :meth:`PlacedPod.view_cpu_footprint`."""
-        return min(self.e_cpu, self.quota_cores)
+        """The adaptive-view footprint: ``min(E_CPU, quota)`` in cores.
 
-    def live_bytes(self) -> int:
-        return self._live_bytes
+        ``E_CPU`` is what the container can effectively obtain
+        (Algorithm 1); the quota is what it is currently asking the CFS
+        for.  The min is the cores the pod occupies for packing
+        purposes — it follows bursts (quota raises) and contention
+        (E_CPU shrinks) without trusting the declared request.
+        """
+        return min(self.e_cpu, self.quota_cores)
 
     def footprint(self) -> Footprint:
         return Footprint(cpu_request=self.spec.cpu_request,
                          mem_request=self.spec.mem_request,
                          cpu_live=self.view_cpu_footprint(),
-                         mem_live=self.live_bytes())
+                         mem_live=self.live_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<PodRecord {self.name!r} on {self.host.name} "
+        return (f"<PlacedPod {self.name!r} on {self.host.name} "
                 f"demand={self.demand:.2f} migrations={self.migrations}>")

@@ -192,6 +192,11 @@ class HostCollector:
         e_cpu_hist.record_many(e_cpu_vals)
         e_mem_hist.record_many(e_mem_vals)
         stretch_hist.record_many(stretch_vals)
+        # Live Σ min(E_CPU, quota), in the pods' insertion order — the
+        # world's own view, not the placement surface's barrier copy.
+        view_cpu = sum(min(float(pod.container.sys_ns.e_cpu),
+                           pod.container.cgroup.quota_cores)
+                       for pod in host.pods.values())
 
         scalars = {
             "host": host.name,
@@ -201,9 +206,9 @@ class HostCollector:
             "psi_mem_some": root.pressure.memory.avg("some", 10.0),
             "psi_cpu_stall_s": root.pressure.cpu.some_total,
             "psi_mem_stall_s": root.pressure.memory.some_total,
-            "view_cpu": (view_cpu := host.view_cpu_footprint()),
+            "view_cpu": view_cpu,
             "free_cpu_view": host.ncpus - view_cpu,
-            "free_mem": host.free_mem_view(),
+            "free_mem": world.mm.free,
             "throttled_time": throttled_time,
             "nr_throttled": nr_throttled,
             "attained": attained_sum,

@@ -21,7 +21,9 @@ wall-clock time to the engine's subsystems:
   (``ReclaimPolicy.plan_*`` via the ``_policy_plan`` indirection),
   likewise subtracted from ``memcg``;
 * ``placement`` / ``migration`` — the cluster's scheduling round and
-  rebalancer (cluster mode only).
+  rebalancer (cluster mode only), including the containers they create
+  for admitted and re-homed pods (their memcg charges count under
+  ``memcg``).
 
 Policy probes wrap the kernel's *indirection* methods, not the policy
 instances, so a mid-run :meth:`World.swap_policy` neither escapes the

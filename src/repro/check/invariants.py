@@ -254,10 +254,11 @@ class AccrualInputs(Invariant):
     total cached at reallocation.  A publication path that forgot to
     refresh one would accrue from a stale row without breaking any law
     above, so each busy group's cache is recomputed from its current
-    row here.  While no re-solve is pending, the rates publication wrote
-    to each busy cgroup (``cpu_rate``, ``_thread_rate``, ``_occ_rate``)
-    are also recomputed from its row and ``progress_multiplier``, by the
-    ``GroupAlloc`` properties publication writes out inline.
+    row here.  While nothing is pending (no re-solve and no queued
+    rate-only refresh), the rates publication wrote to each busy cgroup
+    (``cpu_rate``, ``_thread_rate``, ``_occ_rate``) are also recomputed
+    from its row and ``progress_multiplier``, by the per-thread
+    ``GroupAlloc`` properties, independently of what publication calls.
     """
 
     name = "accrual_inputs"

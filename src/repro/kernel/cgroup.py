@@ -226,6 +226,9 @@ class Cgroup:
             raise CgroupError(f"cgroup {name!r} already exists under {self.path!r}")
         child = Cgroup(name, self, self.root)
         self.children[name] = child
+        # The newest child is walked right after its parent.
+        live = self.root._live
+        live.insert(live.index(self) + 1, child)
         self.root._notify(CgroupEvent(CgroupEventKind.CREATED, child))
         return child
 
@@ -252,6 +255,7 @@ class Cgroup:
         self.root.retired_cpu_time += self.total_cpu_time
         self.root.retired_throttled_time += self.throttled_time
         del self.parent.children[self.name]
+        self.root._live.remove(self)
         self.root._notify(CgroupEvent(CgroupEventKind.DESTROYED, self))
 
     # -- configuration (the "echo > cgroupfs" surface) -----------------------
@@ -430,6 +434,9 @@ class CgroupRoot:
         self.retired_cpu_time = 0.0
         self.retired_throttled_time = 0.0
         self.root = Cgroup("", None, self)
+        #: Every live cgroup in :meth:`walk` order, kept up to date by
+        #: ``create_child`` and ``destroy``.
+        self._live: list[Cgroup] = [self.root]
 
     def _next_seq(self) -> int:
         return next(self._seq)
@@ -459,20 +466,25 @@ class CgroupRoot:
 
     # -- scheduler coupling -----------------------------------------------------
 
-    def set_dirty_hook(self, fn: Callable[["Cgroup | None", bool], None]) -> None:
+    def set_dirty_hook(self, fn: Callable[["Cgroup | None", bool, bool], None]
+                       ) -> None:
         """Install the scheduler's invalidation callback.
 
-        Called as ``fn(cgroup, topology)``: ``cgroup`` is the group whose
-        runnable set or cpu parameters changed (None = invalidate
-        everything), ``topology=True`` means cpuset structure changed and
-        cached contention domains are host-wide stale.
+        Called as ``fn(cgroup, topology, rates_only)``: ``cgroup`` is the
+        group whose runnable set or cpu parameters changed (None =
+        invalidate everything), ``topology=True`` means cpuset structure
+        changed and cached contention domains are host-wide stale, and
+        ``rates_only=True`` means only the group's
+        ``progress_multiplier`` moved, which scales its published thread
+        rate but is no input of any domain solve.
         """
         self._dirty_hook = fn
 
     def scheduler_dirty(self, cgroup: "Cgroup | None" = None, *,
-                        topology: bool = False) -> None:
+                        topology: bool = False,
+                        rates_only: bool = False) -> None:
         if self._dirty_hook is not None:
-            self._dirty_hook(cgroup, topology)
+            self._dirty_hook(cgroup, topology, rates_only)
 
     def set_completion_hook(self, fn: Callable[["Cgroup"], None]) -> None:
         """Install the scheduler's "completion index changed" callback."""
@@ -484,13 +496,16 @@ class CgroupRoot:
 
     # -- traversal ---------------------------------------------------------------
 
-    def walk(self):
-        """Yield every live cgroup, root first, depth-first."""
-        stack = [self.root]
-        while stack:
-            cg = stack.pop()
-            yield cg
-            stack.extend(cg.children.values())
+    def walk(self) -> list[Cgroup]:
+        """Every live cgroup, root first, depth-first, newest child first.
+
+        A copy of the list ``create_child`` and ``destroy`` keep in this
+        order, so the caller may create or destroy groups while it reads
+        it.  The order is that of a stack walk pushing each group's
+        children oldest first; reclaim depends on it (the last victim of
+        a plan takes the remainder, and ``rebalance`` stops partway).
+        """
+        return self._live.copy()
 
     def lookup(self, path: str) -> Cgroup:
         """Resolve an absolute cgroup path like ``/docker/c1``."""

@@ -110,7 +110,13 @@ class MemoryManager:
     # -- global accounting ------------------------------------------------
 
     def _all_groups(self) -> list[Cgroup]:
-        return [cg for cg in self.cgroups.walk()]
+        """Every live cgroup in walk order (the hierarchy's kept list).
+
+        Reclaim reads it twice per pass, and the order decides bytes:
+        the last victim of a plan takes the remainder, and
+        :meth:`rebalance` stops partway through.
+        """
+        return self.cgroups.walk()
 
     @property
     def total_resident(self) -> int:
@@ -373,7 +379,9 @@ class MemoryManager:
                                             mem.hot_bytes)
         if abs(new_mult - cg.progress_multiplier) > 1e-12:
             cg.progress_multiplier = new_mult
-            self.cgroups.scheduler_dirty(cg)
+            # The multiplier scales the group's published thread rate but
+            # is no solve input: its CPU contention domain stays clean.
+            self.cgroups.scheduler_dirty(cg, rates_only=True)
 
     def _oom_kill(self, cg: Cgroup, requested: int) -> None:
         # The charger dies, mirroring memcg-local OOM.

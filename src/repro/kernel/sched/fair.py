@@ -172,6 +172,19 @@ class GroupAlloc:
             return 0.0
         return self.rate / self.n_threads
 
+    @property
+    def thread_rate(self) -> float:
+        """Per-thread progress under the group's memory slowdown (cores).
+
+        What publication and the rate-only refresh write to the
+        cgroup's ``_thread_rate``: the only published value that reads
+        ``progress_multiplier``.
+        """
+        n = self.n_threads
+        if n == 0:
+            return 0.0
+        return (self.rate / n) * self.efficiency * self.cgroup.progress_multiplier
+
 
 def cpu_stall(g: GroupAlloc, eps: float) -> tuple[float, float, bool]:
     """A published row's PSI cpu inputs ``(some, full, stalled)``.
@@ -369,7 +382,9 @@ class FairScheduler:
         self.memo_bypassed = 0
         self._refresh_solve_cache()
         self._dirty_all = True
-        self._dirty_groups: set[Cgroup] = set()
+        #: Dirty groups -> rates only: True while only the group's
+        #: ``progress_multiplier`` moved since the last reallocate.
+        self._dirty_groups: dict[Cgroup, bool] = {}
         # Cached contention domains (incremental mode).
         self._comps: dict[int, _Component] = {}
         self._comp_of: dict[Cgroup, int] = {}
@@ -398,17 +413,23 @@ class FairScheduler:
     # -- invalidation ----------------------------------------------------------
 
     def mark_dirty(self, cgroup: Cgroup | None = None,
-                   topology: bool = False) -> None:
+                   topology: bool = False, rates_only: bool = False) -> None:
         """Invalidate the allocation.
 
         ``cgroup`` scopes the invalidation to that group's contention
         domain; ``None`` or ``topology=True`` (a cpuset edit changed the
-        domain structure itself) invalidates globally.
+        domain structure itself) invalidates globally.  ``rates_only``
+        says only the group's ``progress_multiplier`` moved: no solve
+        input changed, so incremental mode queues the group for a
+        thread-rate refresh instead of dirtying its domain.  Scan mode
+        re-solves everything regardless.
         """
         if cgroup is None or topology or not self._incremental:
             self._dirty_all = True
+        elif rates_only:
+            self._dirty_groups.setdefault(cgroup, True)
         else:
-            self._dirty_groups.add(cgroup)
+            self._dirty_groups[cgroup] = False
 
     @property
     def dirty(self) -> bool:
@@ -420,20 +441,33 @@ class FairScheduler:
         """Re-solve the allocation for the current runnable set.
 
         Incremental mode re-solves only the contention domains reachable
-        from dirty cgroups; scan mode (and topology/global invalidation)
-        rebuilds everything.  Both paths share :meth:`_solve_component`,
-        so partial re-solves are bit-identical to full ones.
+        from dirty cgroups, then refreshes the thread rates of groups
+        queued as rates-only; scan mode (and topology/global
+        invalidation) rebuilds everything.  Both paths share
+        :meth:`_solve_component`, so partial re-solves are bit-identical
+        to full ones.
         """
         if self._incremental and not self._dirty_all:
+            dirty = set()
+            rated = []
+            for cg, rates_only in self._dirty_groups.items():
+                if rates_only:
+                    rated.append(cg)
+                else:
+                    dirty.add(cg)
+            self._dirty_groups.clear()
             # Publication may skip heap re-pushes for groups outside this
             # set whose solve output is unchanged (their live entries are
             # still exact; head changes notify separately).
-            self._publish_dirty = self._dirty_groups
-            self._solve_partial(self._dirty_groups)
+            self._publish_dirty = dirty
+            self._solve_partial(dirty)
             self._publish_dirty = None
+            if rated:
+                rated.sort(key=lambda c: c.seq)
+                self._refresh_rates(rated)
         else:
             self._solve_full()
-        self._dirty_groups.clear()
+            self._dirty_groups.clear()
         self._dirty_all = False
         if self._members_changed:
             # Publication pools GroupAlloc objects per cgroup, so the
@@ -561,6 +595,27 @@ class FairScheduler:
                     del self._comp_of[cg]
                     pool.append(cg)
         self._register_components(pool)
+
+    def _refresh_rates(self, groups: list[Cgroup]) -> None:
+        """Rewrite the thread rates of groups whose memory slowdown moved.
+
+        ``groups`` (in ``seq`` order) were queued as rates-only: their
+        ``progress_multiplier`` changed, which scales the published
+        thread rate but is no solve input.  Each one still busy takes
+        its rate from the row already published for it; the groups whose
+        rate moved are re-indexed in one call.
+        """
+        galloc = self._galloc
+        changed: list[Cgroup] = []
+        for cg in groups:
+            g = galloc.get(cg)
+            if g is not None:
+                tr = g.thread_rate
+                if tr != cg._thread_rate:
+                    cg._thread_rate = tr
+                    changed.append(cg)
+        if changed:
+            self._reindex(changed)
 
     def _retire(self, cg: Cgroup) -> None:
         """Drop a no-longer-busy group from all engine indexes."""
@@ -739,25 +794,28 @@ class FairScheduler:
                 # pressure moved (the common uncontended-fleet case,
                 # where another group's thread count shifts the shared
                 # pressure but nobody's rates).  Publication can then be
-                # skipped — unless the memory slowdown moved the
-                # progress multiplier underneath the row.
+                # skipped, and if the memory slowdown moved the progress
+                # multiplier underneath the row, only the thread rate is
+                # rewritten: neither the throttle clip nor the cpu stall
+                # reads the pressure or the multiplier.
                 if old[7] != row[7]:
                     g.pressure = row[7]
                 g._row = row
-                n = row[1]
-                tr = ((row[4] / n) * row[5] * cg.progress_multiplier
-                      if n else 0.0)
-                if tr == cg._thread_rate:
+                tr = g.thread_rate
+                if tr != cg._thread_rate:
+                    cg._thread_rate = tr
                     if incremental:
-                        # A clean group with a live heap entry keeps it:
-                        # the entry was computed from these same rates,
-                        # and completion-head changes re-push through
-                        # ``note_completion_change`` regardless.
-                        dirty = self._publish_dirty
-                        if (dirty is None or cg in dirty
-                                or cg._sched_entry_seq == -1):
-                            reindex.append(cg)
-                    continue
+                        reindex.append(cg)
+                elif incremental:
+                    # A clean group with a live heap entry keeps it:
+                    # the entry was computed from these same rates,
+                    # and completion-head changes re-push through
+                    # ``note_completion_change`` regardless.
+                    dirty = self._publish_dirty
+                    if (dirty is None or cg in dirty
+                            or cg._sched_entry_seq == -1):
+                        reindex.append(cg)
+                continue
             g._row = row
             (_, n, g.weight, g.cap, rate, efficiency,
              g.demand, g.pressure, g.quota, g.soft_capped) = row
@@ -769,11 +827,10 @@ class FairScheduler:
             if cg not in galloc:
                 self._members_changed = True
                 galloc[cg] = g
-            # GroupAlloc.per_thread_progress/_occupancy, written out.
-            occ = rate / n if n else 0.0
             cg.cpu_rate = rate
-            cg._thread_rate = occ * efficiency * cg.progress_multiplier
-            cg._occ_rate = occ
+            cg._thread_rate = g.thread_rate
+            # GroupAlloc.per_thread_occupancy, written out.
+            cg._occ_rate = rate / n if n else 0.0
             if incremental:
                 reindex.append(cg)
         if reindex:

@@ -52,6 +52,11 @@ class SchedPolicy:
     A pure policy's rows are memoized exactly as returned, cgroup
     references included (the memo's row budget bounds them), and may
     be published to another domain with identical inputs.
+
+    No :meth:`solve`, pure or not, may read a member's
+    ``progress_multiplier``: the mechanism scales published thread
+    rates by it, and a change to it alone (swap slowdown) re-solves no
+    domain in incremental mode.
     """
 
     #: Registry name; also what ``GroupAlloc`` provenance reports show.

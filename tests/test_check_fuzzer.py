@@ -296,16 +296,40 @@ class TestInvariantsFire:
         assert "/docker/c0: cached cpu stall (0.0, 0.0, False)" in (
             report.violations[0])
 
+    _SWAPPING = Scenario(ncpus=2, memory=gib(1), horizon=0.5, ops=[
+        {"t": 0.0, "op": "create", "name": "c0", "workers": 2},
+        {"t": 0.1, "op": "charge", "name": "c0", "bytes": mib(700)},
+        {"t": 0.2, "op": "create", "name": "c1", "workers": 1},
+        {"t": 0.3, "op": "charge", "name": "c1", "bytes": mib(700)},
+    ])
+
     def test_dropped_progress_multiplier_detected(self, monkeypatch):
+        """The rate-only refresh writes a swapping group's thread rate
+        without its memory slowdown: the group progresses too fast while
+        CPU time, throttling and PSI all still balance."""
+        scn = self._SWAPPING
+        assert run_differential(scn).ok
+        refresh = FairScheduler._refresh_rates
+
+        def unslowed(self, groups):
+            refresh(self, groups)
+            for cg in groups:
+                if cg in self._galloc:
+                    cg._thread_rate = self._galloc[cg].per_thread_progress
+        monkeypatch.setattr(FairScheduler, "_refresh_rates", unslowed)
+        report = run_differential(scn)
+        assert report.fingerprint() == "invariant:incremental:accrual_inputs"
+        assert "op[1]charge" in report.violations[0]
+        assert "/docker/c0: published rates (2.0, 1.0, 1.0)" in (
+            report.violations[0])
+
+    def test_dropped_progress_multiplier_in_publication_detected(
+            self, monkeypatch):
         """Publication writes a swapping group's thread rate without its
-        memory slowdown: the group progresses too fast while CPU time,
-        throttling and PSI all still balance."""
-        scn = Scenario(ncpus=2, memory=gib(1), horizon=0.5, ops=[
-            {"t": 0.0, "op": "create", "name": "c0", "workers": 2},
-            {"t": 0.1, "op": "charge", "name": "c0", "bytes": mib(700)},
-            {"t": 0.2, "op": "create", "name": "c1", "workers": 1},
-            {"t": 0.3, "op": "charge", "name": "c1", "bytes": mib(700)},
-        ])
+        memory slowdown.  A swap-only charge publishes nothing, so the
+        first slowed group to be republished is c0, when c1's creation
+        re-solves their shared domain."""
+        scn = self._SWAPPING
         assert run_differential(scn).ok
         publish = FairScheduler._publish_rows
 
@@ -316,8 +340,9 @@ class TestInvariantsFire:
         monkeypatch.setattr(FairScheduler, "_publish_rows", unslowed)
         report = run_differential(scn)
         assert report.fingerprint() == "invariant:incremental:accrual_inputs"
-        assert "/docker/c0: published rates (2.0, 1.0, 1.0)" in (
-            report.violations[0])
+        assert "op[2]create" in report.violations[0]
+        assert ("/docker/c0: published rates (1.0, 0.47619047619047616, "
+                "0.5)") in report.violations[0]
 
     def test_skipped_reindex_detected(self, monkeypatch):
         """A publish leaves one group's completion-heap entry at its old

@@ -17,7 +17,8 @@ Equal-rate pileups, where whole cohorts finish on one tick, get their
 own property test: both modes must emit the canonical in-batch order.
 A wide-domain lockstep test drives up to 96 groups sharing one cpuset,
 so single publishes re-index about as many groups as the completion
-heap holds.
+heap holds.  A swapping lockstep test moves memory slowdowns under
+burst/think groups, the rate-only refresh that re-solves no domain.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.kernel.cgroup import CgroupRoot
 from repro.kernel.cpu import HostCpus
 from repro.kernel.sched.fair import FairScheduler
 from repro.kernel.task import SimThread
-from repro.units import mib
+from repro.units import gib, mib
 from repro.world import World
 from tests.engine_scenarios import GOLDEN_PATH, run_scenario
 
@@ -365,6 +366,169 @@ class TestWideDomainLockstep:
         incremental, scan = _lockstep_wide_domain(96, 8, 0)
         assert incremental.compacted > 0
         assert scan.compacted == 0
+
+
+def _memory_op(w, groups, op: tuple) -> None:
+    """Apply one drawn memory edit to ``w``: a charge, an uncharge, a
+    hot-set hint with its ``refresh_pressure``, or a swap-in pass."""
+    kind, i, frac = op
+    cg = groups[i % len(groups)]
+    mem = cg.memory
+    if kind == "charge":
+        # Bounded well inside swap, so no charge is OOM-killed.
+        nbytes = int(mib(48) * frac) + 1
+        if w.mm.swap.free > nbytes + mib(64):
+            w.mm.charge(cg, nbytes)
+    elif kind == "uncharge":
+        w.mm.uncharge(cg, int(mem.usage_in_bytes * frac))
+    elif kind == "hot":
+        mem.hot_bytes = (None if frac < 0.2
+                         else int(mem.usage_in_bytes * frac))
+        w.mm.refresh_pressure(cg)
+    else:
+        w.mm.rebalance()
+
+
+def _lockstep_swapping(n_groups: int, ncpus: int, seed: int,
+                       steps: int = 120) -> list[World]:
+    """Burst/think groups in a small-memory world whose charges, uncharges
+    and hot-set hints move swap slowdowns between steps, stepped in
+    lockstep on both engines; returns the two worlds.
+
+    A slowdown that moves while nothing else does re-solves no domain in
+    incremental mode (the rate-only refresh) and the whole host in scan
+    mode.  Every step asserts both engines report the same
+    ``next_completion()`` and pop the same threads in the same order.
+    """
+    rng = random.Random(seed)
+    limits = [rng.choice((None, mib(32), mib(96))) for _ in range(n_groups)]
+    sides = []
+    for engine in ("incremental", "scan"):
+        # 640 MiB less the 512 MiB kernel reserve: reclaim runs early.
+        w = World(ncpus=ncpus, memory=mib(640), engine=engine, seed=seed)
+        groups, threads = [], []
+        for i, limit in enumerate(limits):
+            cg = w.cgroups.root.create_child(f"g{i}")
+            cg.set_memory_limit(limit)
+            cg.set_memory_soft_limit(mib(16))
+            groups.append(cg)
+            threads.append(SimThread(f"t{i}", cg))
+        sides.append((w, groups, threads))
+    wake_at: dict[int, float] = {i: 0.0 for i in range(n_groups)}
+    now = 0.0
+    for _ in range(steps):
+        for _op in range(rng.choice((0, 1, 1, 3))):
+            op = (rng.choice(("charge", "charge", "uncharge", "hot",
+                              "rebalance")),
+                  rng.randrange(n_groups), rng.random())
+            for w, groups, _threads in sides:
+                _memory_op(w, groups, op)
+        woken = sorted(i for i, t in wake_at.items() if t - now <= 1e-12)
+        for i in woken:
+            del wake_at[i]
+            work = rng.expovariate(1.0 / 0.05)
+            for _w, _groups, threads in sides:
+                threads[i].assign_work(work)
+        for w, _groups, _threads in sides:
+            if w.sched.dirty:
+                w.sched.reallocate()
+        ttc = [w.sched.next_completion() for w, _g, _t in sides]
+        assert ttc[0] == ttc[1]
+        dt = min(ttc[0], min(wake_at.values(), default=float("inf")) - now)
+        if dt == float("inf"):
+            break
+        now += dt
+        for w, _groups, _threads in sides:
+            w._accrue_to(now)
+        done = [w.sched.pop_finished() for w, _g, _t in sides]
+        assert [t.name for t in done[0]] == [t.name for t in done[1]]
+        for t in done[0]:
+            i = int(t.name[1:])
+            think = rng.random() < 0.5
+            draw = rng.expovariate(1.0 / (0.2 if think else 0.05))
+            for _w, _groups, threads in sides:
+                threads[i]._finish_segment()
+                if think:
+                    threads[i].block()
+                else:
+                    threads[i].assign_work(draw)
+            if think:
+                wake_at[i] = now + draw
+    return [w for w, _groups, _threads in sides]
+
+
+class TestSwappingLockstep:
+    """Memory slowdowns moving under burst/think groups: the incremental
+    engine refreshes thread rates without re-solving, and must agree
+    with the scan reference step by step and in the final snapshot."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_groups=st.integers(min_value=1, max_value=12),
+           ncpus=st.integers(min_value=1, max_value=6),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @example(n_groups=8, ncpus=4, seed=0)
+    def test_pop_order_and_snapshot_identical(self, n_groups, ncpus, seed):
+        incremental, scan = _lockstep_swapping(n_groups, ncpus, seed)
+        assert incremental.invariant_snapshot() == scan.invariant_snapshot()
+
+    def test_slowdowns_really_move(self, monkeypatch):
+        """The lockstep is not vacuous: reclaim runs, and rate-only
+        refreshes move busy groups' thread rates."""
+        moved = []
+        refresh = FairScheduler._refresh_rates
+
+        def counted(self, groups):
+            before = [cg._thread_rate for cg in groups]
+            refresh(self, groups)
+            moved.extend(cg for cg, tr in zip(groups, before)
+                         if cg._thread_rate != tr)
+        monkeypatch.setattr(FairScheduler, "_refresh_rates", counted)
+        incremental, _scan = _lockstep_swapping(8, 4, 0)
+        assert incremental.mm.kswapd_runs > 0
+        assert incremental.mm.direct_reclaims > 0
+        assert len(moved) > 10
+
+
+class TestRateOnlyRefresh:
+    """A charge that only moves the memory slowdown re-solves nothing in
+    incremental mode, and still re-solves the host in scan mode."""
+
+    @staticmethod
+    def _swapping_charge(engine, monkeypatch):
+        calls = {"_solve_component": 0, "_solve_key": 0}
+        for name in calls:
+            real = getattr(FairScheduler, name)
+
+            def counted(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(FairScheduler, name, counted)
+        w = World(ncpus=2, memory=gib(1), engine=engine)
+        cg = w.cgroups.root.create_child("c")
+        cg.set_memory_limit(mib(64))
+        other = w.cgroups.root.create_child("d")
+        for c in (cg, other):
+            SimThread("t", c).assign_work(1e9)
+        w.sched.reallocate()
+        before = dict(calls)
+        w.mm.charge(cg, mib(96))            # 32 MiB past the hard limit
+        assert cg.progress_multiplier < 1.0
+        assert w.sched.dirty
+        w.sched.reallocate()
+        assert not w.sched.dirty
+        return w, cg, {k: calls[k] - before[k] for k in calls}
+
+    def test_incremental_refreshes_without_solving(self, monkeypatch):
+        w, cg, calls = self._swapping_charge("incremental", monkeypatch)
+        assert calls == {"_solve_component": 0, "_solve_key": 0}
+        g = w.sched._galloc[cg]
+        assert cg._thread_rate == g.thread_rate < g.per_thread_progress
+
+    def test_scan_still_resolves(self, monkeypatch):
+        w, cg, calls = self._swapping_charge("scan", monkeypatch)
+        assert calls["_solve_component"] >= 1
+        g = w.sched._galloc[cg]
+        assert cg._thread_rate == g.thread_rate < g.per_thread_progress
 
 
 class TestRunUntilAccrual:

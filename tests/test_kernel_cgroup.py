@@ -1,6 +1,8 @@
 """Tests for the cgroup hierarchy, controllers, and event bus."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CgroupError
 from repro.kernel.cgroup import (DEFAULT_SHARES, CgroupEventKind, CgroupRoot)
@@ -82,6 +84,48 @@ class TestHierarchy:
         d.create_child("c2")
         paths = {cg.path for cg in root.walk()}
         assert paths == {"/", "/docker", "/docker/c1", "/docker/c2"}
+
+
+def _stack_order(root):
+    """The reference walk: a stack, each group's children pushed oldest
+    first, so the newest child is visited first, depth-first."""
+    order, stack = [], [root.root]
+    while stack:
+        cg = stack.pop()
+        order.append(cg)
+        stack.extend(cg.children.values())
+    return order
+
+
+class TestWalkOrder:
+    """``walk()`` reads a list kept by create/destroy; it must stay the
+    stack-walk order, which reclaim plans depend on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)),
+                        max_size=40))
+    def test_kept_list_matches_stack_walk(self, ops):
+        root = CgroupRoot(HostCpus(4))
+        serial = 0
+        for create, pick in ops:
+            live = _stack_order(root)
+            leaves = [cg for cg in live[1:] if not cg.children]
+            if create or not leaves:
+                serial += 1
+                live[pick % len(live)].create_child(f"g{serial}")
+            else:
+                leaves[pick % len(leaves)].destroy()
+            assert root.walk() == _stack_order(root)
+
+    def test_walk_returns_a_copy(self, root):
+        a = root.root.create_child("a")
+        order = root.walk()
+        order.clear()
+        assert root.walk() == [root.root, a]
+        for cg in root.walk():      # destroying while reading is safe
+            if cg is not root.root:
+                cg.destroy()
+        assert root.walk() == [root.root]
 
 
 class TestCpuController:
@@ -201,7 +245,8 @@ class TestThreadMembership:
 
     def test_dirty_hook_fires_on_state_change(self, root):
         calls = []
-        root.set_dirty_hook(lambda cg, topology: calls.append((cg, topology)))
+        root.set_dirty_hook(
+            lambda cg, topology, rates_only: calls.append((cg, topology)))
         c = root.root.create_child("c")
         t = SimThread("t", c)
         t.assign_work(1.0)

@@ -43,16 +43,7 @@ def _cmd_census(_args) -> int:
 
 def _cmd_run(args) -> int:
     from repro.harness.run_all import main as run_all_main
-    forwarded = list(args.experiments)
-    if args.quick:
-        forwarded.append("--quick")
-    if args.jobs != 1:
-        forwarded.extend(["--jobs", str(args.jobs)])
-    if args.no_cache:
-        forwarded.append("--no-cache")
-    if args.output:
-        forwarded.extend(["--output", args.output])
-    return run_all_main(forwarded)
+    return run_all_main(args.forwarded)
 
 
 def _cmd_demo(_args) -> int:
@@ -260,14 +251,10 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("info", help="package and experiment summary")
     sub.add_parser("census", help="print the Fig. 1 DockerHub census")
-    run_p = sub.add_parser("run", help="run paper experiments")
-    run_p.add_argument("experiments", nargs="*")
-    run_p.add_argument("--quick", action="store_true")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for trial-level fan-out")
-    run_p.add_argument("--no-cache", action="store_true",
-                       help="skip the content-addressed trial cache")
-    run_p.add_argument("--output", type=str, default=None)
+    # ``run`` declares nothing: its arguments go to run_all's parser
+    # unparsed (``repro run --help`` lists them).
+    sub.add_parser("run", add_help=False,
+                   help="run paper experiments (repro.harness.run_all)")
     sub.add_parser("demo", help="run the quickstart scenario")
     serve_p = sub.add_parser(
         "serve", help="serving latency: SLO autoscaler vs static quotas")
@@ -310,7 +297,10 @@ def main(argv: list[str] | None = None) -> int:
     bench_p.add_argument("name", nargs="?", default=None)
     bench_p.add_argument("args", nargs=argparse.REMAINDER,
                          help="forwarded to the benchmark")
-    args = parser.parse_args(argv)
+    args, forwarded = parser.parse_known_args(argv)
+    if forwarded and args.command != "run":
+        parser.error(f"unrecognized arguments: {' '.join(forwarded)}")
+    args.forwarded = forwarded
     handlers = {"info": _cmd_info, "census": _cmd_census,
                 "run": _cmd_run, "demo": _cmd_demo, "serve": _cmd_serve,
                 "cluster": _cmd_cluster, "policy": _cmd_policy,

@@ -1,4 +1,8 @@
-"""One module per paper figure/table; each exposes ``run(params=None)``."""
+"""One module per paper figure/table.
+
+Each exposes ``run(params=None)`` and, if ``run`` takes params, their
+class as ``PARAMS``: ``run_all --quick`` builds its overrides with it.
+"""
 
 from repro.harness.experiments import (ablation, exp_cluster, exp_policy,
                                        exp_serve, fig01_dockerhub,

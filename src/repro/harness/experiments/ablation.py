@@ -59,6 +59,9 @@ class AblationParams:
     seed: int = 0
 
 
+PARAMS = AblationParams
+
+
 def _varying_load_run(params: AblationParams, *,
                       cpu_view: CpuViewParams | None = None,
                       mem_view: MemViewParams | None = None,

@@ -78,7 +78,6 @@ class ClusterExpParams:
     slo_target: float = 0.25         # p99 objective, seconds
 
 
-#: run_all --quick resolves the params class through this hook.
 PARAMS = ClusterExpParams
 
 

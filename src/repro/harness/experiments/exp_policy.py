@@ -68,7 +68,6 @@ class PolicyParams:
     swap_path: tuple[str, ...] = ("default", "burstable", "default")
 
 
-#: run_all --quick resolves the params class through this hook.
 PARAMS = PolicyParams
 
 

@@ -75,7 +75,6 @@ class ServeParams:
         return self.warm + self.spike_len + self.cool
 
 
-#: run_all --quick resolves the params class through this hook.
 PARAMS = ServeParams
 
 

@@ -44,6 +44,9 @@ class Fig02Params:
     seed: int = 0
 
 
+PARAMS = Fig02Params
+
+
 def _gc_configs() -> dict[str, JvmConfig]:
     return {
         "auto_JVM8": JvmConfig.vanilla_jdk8(),

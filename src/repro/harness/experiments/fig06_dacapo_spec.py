@@ -44,6 +44,9 @@ class Fig06Params:
     seed: int = 0
 
 
+PARAMS = Fig06Params
+
+
 def jvm_variants(heap: dict[str, int]) -> dict[str, JvmConfig]:
     """The three JVMs of Figs. 6 and 9 with the paper's heap flags."""
     return {

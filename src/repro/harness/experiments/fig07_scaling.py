@@ -40,6 +40,9 @@ class Fig07Params:
     seed: int = 0
 
 
+PARAMS = Fig07Params
+
+
 def _run_config(bench: str, n: int, mode: str, params: Fig07Params
                 ) -> tuple[float, float]:
     wl = scale_workload(dacapo(bench), params.scale)

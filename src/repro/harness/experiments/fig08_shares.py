@@ -46,6 +46,9 @@ class Fig08Params:
     seed: int = 0
 
 
+PARAMS = Fig08Params
+
+
 def _variants(heap: dict[str, int]) -> dict[str, JvmConfig]:
     return {
         "vanilla": JvmConfig.vanilla_jdk8(**heap),

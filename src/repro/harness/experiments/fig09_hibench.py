@@ -35,6 +35,9 @@ class Fig09Params:
     seed: int = 0
 
 
+PARAMS = Fig09Params
+
+
 def _variants(heap: dict[str, int]) -> dict[str, JvmConfig]:
     """Fig. 9's JVMs: HiBench is incompatible with JDK 9/10, so the
     baseline is plain JDK 8; "dynamic" is the authors' JDK 8 backport of

@@ -51,6 +51,9 @@ class Fig10Params:
     seed: int = 0
 
 
+PARAMS = Fig10Params
+
+
 def _scaled(name: str, scale: float):
     import dataclasses
     wl = npb(name)

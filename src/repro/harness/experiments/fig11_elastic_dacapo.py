@@ -38,6 +38,9 @@ class Fig11Params:
     seed: int = 0
 
 
+PARAMS = Fig11Params
+
+
 def _variants(params: Fig11Params) -> dict[str, JvmConfig]:
     return {
         "vanilla": JvmConfig.vanilla_jdk8(xms=params.initial_heap),

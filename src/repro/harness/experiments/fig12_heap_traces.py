@@ -47,6 +47,9 @@ class Fig12Params:
     seed: int = 0
 
 
+PARAMS = Fig12Params
+
+
 def _workload(params: Fig12Params):
     return heap_micro_benchmark(total_work=params.total_work * params.scale)
 

@@ -33,6 +33,9 @@ class OverheadParams:
     seed: int = 0
 
 
+PARAMS = OverheadParams
+
+
 def make_probe_world():
     """A world with one busy container, for overhead probes."""
     world = testbed()

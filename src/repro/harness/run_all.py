@@ -71,14 +71,7 @@ def run_experiment(key: str, *, quick: bool = False, jobs: int = 1,
     quick_kwargs = _QUICK_KWARGS.get(key)
     if quick_kwargs is None:
         return module.run(**kwargs)
-    # Experiments that import foreign *Params classes pin theirs via a
-    # PARAMS attribute; the dir() scan is the legacy fallback.
-    params_cls = getattr(module, "PARAMS", None) or next(
-        (getattr(module, name) for name in dir(module)
-         if name.endswith("Params")), None)
-    if params_cls is None:
-        return module.run(**kwargs)
-    return module.run(params_cls(**quick_kwargs), **kwargs)
+    return module.run(module.PARAMS(**quick_kwargs), **kwargs)
 
 
 def run_many(keys: list[str], *, quick: bool = False, jobs: int = 1,

@@ -193,14 +193,6 @@ class Cgroup:
         self._work_heap: list[tuple[float, int, "SimThread"]] = []
         #: Push id of this group's latest scheduler completion-heap entry.
         self._sched_entry_seq = -1
-        #: What that entry was computed from (head target, progress rate,
-        #: estimated completion time): a re-push whose inputs match and
-        #: whose fresh estimate agrees within a fraction of the
-        #: scheduler's candidate window is skipped — the live heap entry
-        #: already orders the group correctly.
-        self._sched_entry_target = 0.0
-        self._sched_entry_rate = -1.0
-        self._sched_entry_est = 0.0
         #: Integral of demand the CFS quota clipped (core-seconds): the
         #: fluid analogue of cpu.stat's throttled_time.
         self.throttled_time = 0.0

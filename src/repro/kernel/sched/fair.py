@@ -80,13 +80,6 @@ _EPS = 1e-9
 #: 1e9-2e11 s out), which never complete within a run's horizon.
 _CAND_WINDOW = 1e-9
 
-#: A re-push is skipped when the live heap entry was computed from the
-#: same (head target, progress rate) and its estimate agrees with fresh
-#: arithmetic within this tolerance.  Kept a small fraction of
-#: ``_CAND_WINDOW`` so a retained entry can never move a true candidate
-#: out of the re-evaluation window.
-_PUSH_SKIP_TOL = _CAND_WINDOW / 4.0
-
 #: Budget of the domain-solve memo, in member rows summed over every
 #: entry; the table is cleared wholesale when an insert would pass it.
 #: It is also how many rows one domain may insert without a hit before
@@ -302,15 +295,6 @@ def component_pressures(masks: list[tuple[int, ...]], n_threads: list[int],
             if info is None:
                 info = distinct[key] = [set(key), 0]
         info[1] += n
-    if len(distinct) == 1:
-        # One shared mask (the common fleet shape): the domain is that
-        # mask and every group contends with the whole pool.
-        (key, (cpus, total)), = distinct.items()
-        domain_size = len(cpus)
-        if not domain_size:
-            return [0.0] * len(masks)
-        return [(min(float(n), rate) + float(total - n)) / domain_size
-                for n, rate in zip(n_threads, rates)]
     stats: dict[tuple[int, ...], tuple[int, int]] = {}
     items = list(distinct.items())
     for key, (cpus, _n) in items:
@@ -400,7 +384,6 @@ class FairScheduler:
         #: finite completion time yet must still fire.
         self._due_zero: set[Cgroup] = set()
         self._time = 0.0               # internal timebase (sum of advances)
-        self._offline_pressure: dict[Cgroup, float] = {}
         self.total_idle_time = 0.0      # integral of unallocated capacity
         self.window_idle = 0.0          # idle capacity since last sys_ns window reset
         cgroups.set_dirty_hook(self.mark_dirty)
@@ -478,7 +461,6 @@ class FairScheduler:
             self._members_changed = False
         self._n_run_total = sum(g.n_threads for g in self._snapshot)
         self._allocated = sum(g.rate for g in self._snapshot)
-        self._offline_pressure.clear()
         return self._snapshot
 
     def _solve_full(self) -> None:
@@ -910,35 +892,15 @@ class FairScheduler:
         inf = float("inf")
         for cg in groups:
             head, ttc = cg._completion()
-            if head is None:
-                due_zero.discard(cg)
-                cg._sched_entry_seq = -1
-                continue
+            due_zero.discard(cg)
             if ttc == inf:
-                due_zero.discard(cg)
                 cg._sched_entry_seq = -1
-                if head.segment_finished:
+                if head is not None and head.segment_finished:
                     due_zero.add(cg)
                 continue
-            est = now + ttc
-            target = head._target
-            rate = cg._thread_rate
-            if (cg._sched_entry_seq != -1
-                    and cg._sched_entry_rate == rate
-                    and cg._sched_entry_target == target
-                    and abs(est - cg._sched_entry_est) <= _PUSH_SKIP_TOL):
-                # The live heap entry was computed from the same inputs and
-                # fresh arithmetic agrees within a fraction of the candidate
-                # window: re-pushing would only duplicate it.  (A group with
-                # a live entry is never in ``_due_zero``.)
-                continue
-            due_zero.discard(cg)
             push_id = next(push_ids)
             cg._sched_entry_seq = push_id
-            cg._sched_entry_target = target
-            cg._sched_entry_rate = rate
-            cg._sched_entry_est = est
-            heapq.heappush(heap, (est, push_id, cg))
+            heapq.heappush(heap, (now + ttc, push_id, cg))
         # Compact once superseded entries dominate the heap.
         if len(heap) > 64 and len(heap) > 4 * len(self._galloc):
             live = [e for e in heap if e[1] == e[2]._sched_entry_seq]
@@ -958,40 +920,31 @@ class FairScheduler:
             return best
         if self.dirty:
             self.reallocate()
+        # Every live entry within ``_CAND_WINDOW`` of the earliest live
+        # one is a candidate, and fresh arithmetic decides among them.
+        # By the heap property the entries up to that limit form a
+        # subtree hanging from the root, so a best-first walk over heap
+        # indices visits them in estimate order and stops at the first
+        # one past the limit, without popping anything.
         heap = self._cheap
-        while heap and heap[0][1] != heap[0][2]._sched_entry_seq:
-            heapq.heappop(heap)
-        if not heap:
-            return float("inf")
-        # Single-candidate fast path: the second-smallest estimate in a
-        # binary heap is one of the root's two children, so if both lie
-        # beyond the re-evaluation window only the head is a candidate
-        # and fresh arithmetic decides alone (exactly what the general
-        # loop would compute, minus the pop/re-push churn).
         n = len(heap)
-        limit0 = heap[0][0] + _CAND_WINDOW
-        if ((n < 2 or heap[1][0] > limit0)
-                and (n < 3 or heap[2][0] > limit0)):
-            return heap[0][2]._completion()[1]
-        popped: list[tuple[float, int, Cgroup]] = []
-        best = float("inf")
-        limit: float | None = None
-        while heap:
-            t_est, push_id, cg = heap[0]
-            if push_id != cg._sched_entry_seq:
-                heapq.heappop(heap)
-                continue
-            if limit is not None and t_est > limit:
+        inf = float("inf")
+        best = limit = inf
+        frontier = [(heap[0][0], 0)] if n else []
+        while frontier:
+            t_est, i = heapq.heappop(frontier)
+            if t_est > limit:
                 break
-            heapq.heappop(heap)
-            popped.append((t_est, push_id, cg))
-            if limit is None:
-                limit = t_est + _CAND_WINDOW
-            ttc = cg._completion()[1]
-            if ttc < best:
-                best = ttc
-        for entry in popped:
-            heapq.heappush(heap, entry)
+            _, push_id, cg = heap[i]
+            if push_id == cg._sched_entry_seq:
+                if limit == inf:
+                    limit = t_est + _CAND_WINDOW
+                ttc = cg._completion()[1]
+                if ttc < best:
+                    best = ttc
+            for c in (2 * i + 1, 2 * i + 2):
+                if c < n:
+                    heapq.heappush(frontier, (heap[c][0], c))
         return best
 
     def pop_finished(self) -> "list[SimThread]":
@@ -1015,25 +968,16 @@ class FairScheduler:
             self.reallocate()
         heap = self._cheap
         limit = self._time + _CAND_WINDOW
-        while heap and heap[0][1] != heap[0][2]._sched_entry_seq:
-            heapq.heappop(heap)
-        if not self._due_zero and (not heap or heap[0][0] > limit):
-            return []
-        candidates: set[Cgroup] = set()
+        candidates = set(self._due_zero)
         while heap:
             t_est, push_id, cg = heap[0]
-            if push_id != cg._sched_entry_seq:
-                heapq.heappop(heap)
-                continue
-            if t_est > limit:
-                break
+            if push_id == cg._sched_entry_seq:
+                if t_est > limit:
+                    break
+                candidates.add(cg)
             heapq.heappop(heap)
-            # The entry is gone from the heap for good: mark it invalid
-            # so the re-push below cannot be skipped as redundant.
-            cg._sched_entry_seq = -1
-            candidates.add(cg)
-        if self._due_zero:
-            candidates.update(self._due_zero)
+        if not candidates:
+            return []
         finished = []
         ordered = sorted(candidates, key=lambda c: c.seq)
         for cg in ordered:
@@ -1216,33 +1160,23 @@ class FairScheduler:
         """The current contention-domain pressure around ``cgroup``.
 
         Used by runtimes whose synchronizing phases (stop-the-world GC)
-        are more interference-sensitive than independent threads.
-        Memoized per snapshot: busy groups read the value computed at
-        solve time; offline groups (e.g. mutators parked at a safepoint)
-        are computed once per snapshot and cached until the next
-        reallocation.
+        are more interference-sensitive than independent threads.  A
+        busy group reads the value computed at solve time.  An offline
+        group (e.g. mutators parked at a safepoint) gets the pressure its
+        threads would face on its cpuset: its row of
+        :func:`component_pressures` when it joins the busy groups with
+        no runnable thread of its own.
         """
         if self.dirty:
             self.reallocate()
         g = self._galloc.get(cgroup)
         if g is not None:
             return g.pressure
-        cached = self._offline_pressure.get(cgroup)
-        if cached is not None:
-            return cached
-        # Not runnable right now: measure the pressure its threads would
-        # face on its cpuset.
-        mask = set(cgroup.effective_cpuset())
-        domain = set(mask)
-        threads = 0.0
-        for g in self._snapshot:
-            other = set(g.cgroup.effective_cpuset())
-            if mask & other:
-                domain |= other
-                threads += g.n_threads
-        value = threads / len(domain) if domain else 0.0
-        self._offline_pressure[cgroup] = value
-        return value
+        groups = [g.cgroup for g in self._snapshot] + [cgroup]
+        masks = [cg.effective_cpuset().as_tuple() for cg in groups]
+        n_threads = [g.n_threads for g in self._snapshot] + [0]
+        return component_pressures(masks, n_threads,
+                                   [0.0] * len(groups))[-1]
 
     def fair_share_estimate(self, cgroup: Cgroup) -> float:
         """Steady-state cores this cgroup can count on while contended.

@@ -33,7 +33,10 @@ The report also carries the domain-solve memo's activity since attach
 (``solve_memo``: hits, misses, solves of domains no longer keyed, and
 the rows the tables hold now), read from the schedulers' own counters.
 
-A lightweight flight recorder samples ``(wall, steps, sim-time)`` every
+``steps`` counts the engine steps that fired: a ``World.step`` call
+that found nothing due returns False and is not counted, so the count
+equals the growth of ``World.steps`` over the profiled worlds.  A
+lightweight flight recorder samples ``(wall, steps, sim-time)`` every
 ``flight_every`` engine steps into a bounded ring, yielding a
 steps-per-second timeline for spotting slowdowns mid-run.
 
@@ -148,11 +151,12 @@ class EngineProfiler:
         orig = world.step
         prior = world.__dict__.get("step", _MISSING)
 
-        def step_wrapper():
-            fired = orig()
-            self.steps += 1
-            if self.steps % self.flight_every == 0:
-                self._flight_sample()
+        def step_wrapper(until=None):
+            fired = orig(until)
+            if fired:
+                self.steps += 1
+                if self.steps % self.flight_every == 0:
+                    self._flight_sample()
             return fired
 
         setattr(world, "step", step_wrapper)

@@ -91,11 +91,6 @@ class World:
         self.sys_ns_update_period = sys_ns_update_period
         self.containers = ContainerRuntime(self)
         self.steps = 0
-        #: Next-time pair (clock.now, t_event, ttc) computed by
-        #: :meth:`_step_clamped` and consumed by the :meth:`step` it
-        #: invokes, so clamped stepping does not price the event heap
-        #: and the completion index twice per step.
-        self._pending_step: tuple[float, float | None, float] | None = None
 
     # -- thread helpers ------------------------------------------------------
 
@@ -106,23 +101,26 @@ class World:
 
     # -- main loop ------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Advance to the next event/completion.  False when nothing to do."""
+    def step(self, until: float | None = None) -> bool:
+        """Advance to the next event/completion, never past ``until``.
+
+        Returns False, without counting a step, when nothing is left to
+        do or the next event/completion lies beyond ``until``; in the
+        latter case accounting is first accrued up to ``until``.
+        """
         if self.sched.dirty:
             self.sched.reallocate()
         now = self.clock.now
-        pending = self._pending_step
-        if pending is not None and pending[0] == now:
-            self._pending_step = None
-            t_event, ttc = pending[1], pending[2]
-        else:
-            t_event = self.events.next_event_time()
-            ttc = self.sched.next_completion()
-        t_completion = now + ttc if ttc != float("inf") else None
-        if t_event is None and t_completion is None:
+        t_event = self.events.next_event_time()
+        t = now + self.sched.next_completion()
+        if t_event is not None and t_event < t:
+            t = t_event
+        if t == float("inf"):
             return False
-        candidates = [t for t in (t_event, t_completion) if t is not None]
-        t = min(candidates)
+        if until is not None and t > until:
+            if until > now:
+                self._accrue_to(until)
+            return False
         if t > now:
             self._accrue_to(t)
         # Handle completed segments before timers due at the same instant,
@@ -140,9 +138,10 @@ class World:
     def _accrue_to(self, t: float) -> None:
         """Advance accounting (CPU usage, loadavg) and the clock to ``t``.
 
-        The single accrual path: every way time passes — a normal step, a
-        clamped step hitting its deadline, or ``run(until=...)`` draining
-        the tail — routes through here so no interval is ever skipped.
+        The single accrual path: every way time passes — a step reaching
+        its event, a step stopping at ``until``, or ``run(until=...)``
+        draining the tail — routes through here so no interval is ever
+        skipped.
         """
         if self.sched.dirty:
             self.sched.reallocate()
@@ -187,42 +186,14 @@ class World:
                 break
             if max_steps is not None and steps >= max_steps:
                 break
-            if until is not None:
-                # Don't let a far-future event overshoot the deadline:
-                # clamp by draining only up to `until`.
-                if not self._step_clamped(until):
-                    break
-            else:
-                if not self.step():
-                    break
+            if not self.step(until):
+                break
             steps += 1
         if until is not None and self.clock.now < until:
             # Accrue the trailing gap (usage, pressure, loadavg), not just
             # the clock: otherwise the stretch between the last event and
             # the deadline would vanish from every integral.
             self._accrue_to(until)
-
-    def _step_clamped(self, deadline: float) -> bool:
-        """Like :meth:`step` but never advances past ``deadline``."""
-        if self.sched.dirty:
-            self.sched.reallocate()
-        now = self.clock.now
-        t_event = self.events.next_event_time()
-        ttc = self.sched.next_completion()
-        t_completion = now + ttc if ttc != float("inf") else None
-        candidates = [t for t in (t_event, t_completion) if t is not None]
-        if not candidates:
-            return False
-        t = min(candidates)
-        if t > deadline:
-            # Advance accounting up to the deadline and stop.
-            if deadline > now:
-                self._accrue_to(deadline)
-            return False
-        # Hand the freshly-priced next-times to step(); nothing can
-        # invalidate them between here and the step consuming them.
-        self._pending_step = (now, t_event, ttc)
-        return self.step()
 
     def run_until(self, predicate: Callable[[], bool], *,
                   timeout: float = 1e7) -> bool:
@@ -231,7 +202,7 @@ class World:
         while not predicate():
             if self.clock.now >= deadline:
                 return False
-            if not self._step_clamped(deadline):
+            if not self.step(deadline):
                 return predicate()
         return True
 

@@ -357,8 +357,7 @@ class TestInvariantsFire:
 
         def skips_c0(self, groups):
             reindex(self, [cg for cg in groups if not (
-                cg.name == "c0" and cg._sched_entry_seq != -1
-                and cg._sched_entry_rate != cg._thread_rate)])
+                cg.name == "c0" and cg._sched_entry_seq != -1)])
         monkeypatch.setattr(FairScheduler, "_reindex", skips_c0)
         report = run_differential(scn)
         assert report.fingerprint() == "invariant:incremental:completion_index"

@@ -30,6 +30,26 @@ class TestCli:
         assert cli_main(["run", "--quick", "fig01"]) == 0
         assert "DockerHub" in capsys.readouterr().out
 
+    def test_run_export_writes_json(self, tmp_path, capsys):
+        assert cli_main(["run", "--export", str(tmp_path), "--no-cache",
+                         "fig01"]) == 0
+        assert (tmp_path / "fig01.json").is_file()
+
+    def test_run_passes_arguments_through_unparsed(self, monkeypatch):
+        import repro.harness.run_all as run_all
+        seen = []
+        monkeypatch.setattr(run_all, "main",
+                            lambda argv: seen.append(argv) or 0)
+        argv = ["fig07", "fig08", "fig10", "ablation", "--quick",
+                "--jobs", "4"]
+        assert cli_main(["run", *argv]) == 0
+        assert seen == [argv]
+
+    def test_other_commands_reject_unknown_arguments(self):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["demo", "--export", "x"])
+        assert exc.value.code == 2
+
     def test_no_command_prints_help(self, capsys):
         assert cli_main([]) == 2
         assert "usage" in capsys.readouterr().out

@@ -19,10 +19,13 @@ A wide-domain lockstep test drives up to 96 groups sharing one cpuset,
 so single publishes re-index about as many groups as the completion
 heap holds.  A swapping lockstep test moves memory slowdowns under
 burst/think groups, the rate-only refresh that re-solves no domain.
+``World.step(until)`` and the read-only completion walk have their own
+property tests.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 import subprocess
@@ -37,6 +40,7 @@ import repro
 from repro.container.spec import ContainerSpec
 from repro.kernel.cgroup import CgroupRoot
 from repro.kernel.cpu import HostCpus
+from repro.kernel.sched import fair
 from repro.kernel.sched.fair import FairScheduler
 from repro.kernel.task import SimThread
 from repro.units import gib, mib
@@ -552,3 +556,134 @@ class TestRunUntilAccrual:
         world.run(until=60.0)
         # 4 runnable threads sustained for a minute: load_1 approaches 4.
         assert world.loadavg.load_1 > 2.0
+
+
+class TestStepUntil:
+    """``World.step(until)``, the one stepping path: a step whose next
+    event or completion lies beyond ``until`` accrues up to ``until``
+    and reports that nothing fired."""
+
+    @staticmethod
+    def _busy_world(seed: int):
+        world = World(ncpus=2, seed=seed)
+        c = world.containers.create(ContainerSpec("c"))
+        rng = random.Random(seed)
+        for i in range(3):
+            c.spawn_thread(f"w{i}").assign_work(rng.uniform(0.001, 0.05))
+        return world, c
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16),
+           fracs=st.lists(st.floats(min_value=0.0, max_value=2.0),
+                          min_size=1, max_size=30))
+    @example(seed=0, fracs=[0.5, 1.5, 0.0, 0.99, 2.0])
+    def test_never_passes_until(self, seed, fracs):
+        world, c = self._busy_world(seed)
+        for frac in fracs:
+            now = world.now
+            t_event = world.events.next_event_time()
+            nxt = min(now + world.sched.next_completion(),
+                      float("inf") if t_event is None else t_event)
+            until = now + frac * (nxt - now)
+            steps, cpu = world.steps, c.cgroup.total_cpu_time
+            busy = c.cgroup.n_runnable() > 0
+            fired = world.step(until)
+            if nxt > until:
+                assert fired is False
+                assert world.steps == steps
+                assert world.now == until
+                assert world.sched.elapsed == pytest.approx(until, abs=1e-9)
+                if busy and until > now:
+                    assert c.cgroup.total_cpu_time > cpu
+            else:
+                assert fired is True
+                assert world.steps == steps + 1
+                # Events within the same-instant window of the step's
+                # target fire with it, never further.
+                assert world.now <= until + 1e-9
+
+    def test_idle_world_neither_steps_nor_accrues(self):
+        world = World(ncpus=2)
+        assert world.step(5.0) is False
+        assert world.step() is False
+        assert world.now == 0.0
+        assert world.sched.elapsed == 0.0
+        assert world.steps == 0
+
+
+class TestReadOnlyCompletionWalk:
+    """``next_completion()`` walks the completion heap without popping:
+    superseded entries inside the candidate window stay where they are,
+    and the answer is the fresh minimum over the live in-window entries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(works=st.lists(st.sampled_from((0.5, 1.0, 1.0, 2.0)),
+                          min_size=2, max_size=12),
+           shares=st.lists(st.sampled_from((512, 1024, 1024)),
+                           min_size=12, max_size=12),
+           edits=st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                                    st.sampled_from((None, 0.5, 1.0, 3.0))),
+                          max_size=16))
+    def test_read_only_and_fresh_minimum(self, works, shares, edits):
+        host = HostCpus(4)
+        root = CgroupRoot(host)
+        sched = FairScheduler(host, root)
+        threads = []
+        for i, work in enumerate(works):
+            cg = root.root.create_child(f"g{i}")
+            cg.set_cpu_shares(shares[i])
+            t = SimThread(f"t{i}", cg)
+            t.assign_work(work)
+            threads.append(t)
+        sched.reallocate()
+        for i, work in edits:
+            t = threads[i % len(threads)]
+            if work is None:
+                # Re-index with nothing changed: the old entry goes stale
+                # at the very same estimate.
+                sched.note_completion_change(t.cgroup)
+            else:
+                # A new segment supersedes the old entry, earlier or later.
+                t.assign_work(work)
+            if sched.dirty:
+                sched.reallocate()
+        heap = sched._cheap
+        live = [e for e in heap if e[1] == e[2]._sched_entry_seq]
+        head = min(live)
+        # Guarantee a stale entry inside the window: supersede the head.
+        sched.note_completion_change(head[2])
+        heap = sched._cheap
+        before = list(heap)
+        live = [e for e in heap if e[1] == e[2]._sched_entry_seq]
+        limit = min(e[0] for e in live) + fair._CAND_WINDOW
+        assert any(e[1] != e[2]._sched_entry_seq and e[0] <= limit
+                   for e in heap)
+        got = sched.next_completion()
+        assert sched._cheap is heap and heap == before
+        assert got == min(e[2]._completion()[1] for e in live
+                          if e[0] <= limit)
+        assert got == _brute_force_next_completion(sched)
+
+    def test_fresh_arithmetic_decides_within_the_window(self):
+        """A head whose estimate drifted below another candidate's is
+        not taken on trust: every in-window entry is recomputed."""
+        host = HostCpus(2)
+        root = CgroupRoot(host)
+        sched = FairScheduler(host, root)
+        groups = []
+        for i, work in enumerate((1.0, 1.0 + 1e-10)):
+            cg = root.root.create_child(f"g{i}")
+            SimThread(f"t{i}", cg).assign_work(work)
+            groups.append(cg)
+        sched.reallocate()
+        early, late = groups
+        est = next(e[0] for e in sched._cheap
+                   if e[1] == early._sched_entry_seq)
+        # Supersede the later group's entry with one drifted a quarter
+        # window below the earlier group's estimate.
+        late._sched_entry_seq = push_id = 1 << 40
+        heapq.heappush(sched._cheap,
+                       (est - fair._CAND_WINDOW / 4, push_id, late))
+        assert sched._cheap[0][2] is late
+        got = sched.next_completion()
+        assert got == early._completion()[1] < late._completion()[1]

@@ -106,6 +106,23 @@ class TestExperimentRegistry:
         for module in ALL_EXPERIMENTS.values():
             assert hasattr(module, "run")
 
+    def test_quick_overrides_build_the_declared_params(self):
+        """Every experiment with quick overrides names its params class
+        as ``PARAMS``: the class its ``run`` takes, and one that accepts
+        those overrides."""
+        import inspect
+
+        from repro.harness.experiments import ALL_EXPERIMENTS
+        from repro.harness.run_all import _QUICK_KWARGS
+        for key, kwargs in _QUICK_KWARGS.items():
+            module = ALL_EXPERIMENTS[key]
+            params = module.PARAMS(**kwargs)
+            for name, value in kwargs.items():
+                assert getattr(params, name) == value
+            annotation = inspect.signature(
+                module.run).parameters["params"].annotation
+            assert annotation == f"{module.PARAMS.__name__} | None", key
+
     def test_fig01_headline(self):
         from repro.harness.experiments.fig01_dockerhub import run
         result = run()

@@ -29,6 +29,7 @@ from repro.obs.fleet import (FLEET_SERIES, FleetCollector,
                              FleetTelemetryParams, RingSeries,
                              format_epoch_line)
 from repro.obs.profile import SUBSYSTEMS, EngineProfiler
+from repro.world import World
 
 
 def _quick_run(seed=0, **kwargs):
@@ -270,6 +271,27 @@ class TestEngineProfiler:
             pytest.approx(report["wall_s"], rel=1e-6)
         table = profiler.format_report()
         assert "fair_solver" in table and "steps/s" in table
+
+    def test_steps_equal_world_step_increments(self):
+        """Only steps that fired count: a drained ``run()`` ends on a
+        ``step()`` that returns False, and bounded runs stop on one."""
+        world = World(ncpus=2)
+        threads = [world.spawn_host_thread(f"t{i}") for i in range(3)]
+        for i, t in enumerate(threads):
+            t.assign_work(0.1 * (i + 1))
+        world.events.call_at(0.25, lambda: threads[0].assign_work(0.05))
+        profiler = EngineProfiler().attach_world(world)
+        deltas = []
+        for drive in (lambda: world.run(until=0.2),
+                      lambda: world.run_until(lambda: world.now >= 0.25),
+                      world.run):
+            before = world.steps
+            drive()
+            deltas.append(world.steps - before)
+        profiler.detach()
+        assert all(deltas)
+        assert world.step() is False
+        assert profiler.steps == sum(deltas)
 
     def test_detach_is_idempotent_and_reports_frozen_wall(self):
         profiler = EngineProfiler()

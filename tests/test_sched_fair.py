@@ -417,3 +417,48 @@ class TestComponentPressuresAgainstReference:
         rates = [rate for _, _, rate, _ in groups]
         assert (component_pressures(masks, n_threads, rates)
                 == self._reference(masks, n_threads, rates))
+
+
+class TestOfflineContentionPressure:
+    """A group with no runnable thread reads the pressure its threads
+    would face on its cpuset: exactly what the pairwise overlap loop
+    over the busy groups computes, on random masks."""
+
+    @staticmethod
+    def _overlap_loop(sched, cgroup):
+        mask = set(cgroup.effective_cpuset())
+        domain = set(mask)
+        threads = 0.0
+        for g in sched.snapshot:
+            other = set(g.cgroup.effective_cpuset())
+            if mask & other:
+                domain |= other
+                threads += g.n_threads
+        return threads / len(domain) if domain else 0.0
+
+    @staticmethod
+    def _cpuset(cg, bits):
+        # 0 leaves the cpuset unset: the group inherits the whole host.
+        if bits:
+            cg.set_cpuset(",".join(str(c) for c in range(8) if bits >> c & 1))
+
+    @given(groups=st.lists(st.tuples(st.integers(min_value=0, max_value=255),
+                                     st.integers(min_value=0, max_value=5)),
+                           max_size=10),
+           offline=st.integers(min_value=0, max_value=255))
+    def test_matches_overlap_loop(self, groups, offline):
+        host = HostCpus(8)
+        root = CgroupRoot(host)
+        sched = FairScheduler(host, root)
+        for i, (bits, n) in enumerate(groups):
+            cg = root.root.create_child(f"g{i}")
+            self._cpuset(cg, bits)
+            for j in range(n):
+                SimThread(f"t{i}.{j}", cg).assign_work(1.0)
+        parked = root.root.create_child("parked")
+        self._cpuset(parked, offline)
+        SimThread("mutator", parked)
+        sched.reallocate()
+        assert parked not in {g.cgroup for g in sched.snapshot}
+        assert (sched.contention_pressure(parked)
+                == self._overlap_loop(sched, parked))

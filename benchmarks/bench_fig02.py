@@ -2,14 +2,20 @@
 
 from repro.harness.experiments.fig02_motivation import (Fig02Params, run_gc_threads,
                                                         run_heap_size)
+from repro.harness.results import ExperimentResult
 
 PARAMS = Fig02Params(scale=0.5, benchmarks=("h2", "lusearch", "xalan"))
 
 
-def test_fig02a_gc_thread_configuration(benchmark):
-    table = benchmark.pedantic(lambda: run_gc_threads(PARAMS), rounds=1,
-                               iterations=1, warmup_rounds=0)
-    benchmark.extra_info["rows"] = [dict(r) for r in table.rows]
+def fig02_part(key, runner):
+    """One panel of Figure 2 as its own result, so each test pins one table."""
+    result = ExperimentResult(experiment="fig02", description=f"Figure 2 {key}")
+    result.add_table(key, runner(PARAMS))
+    return result
+
+
+def test_fig02a_gc_thread_configuration(attach):
+    table = attach(lambda: fig02_part("gc_threads", run_gc_threads)).tables["gc_threads"]
     for row in table.rows:
         # Hand-optimised GC threads beat both auto-configurations.
         assert row["opt_JVM8"] < row["auto_JVM8"]
@@ -18,10 +24,8 @@ def test_fig02a_gc_thread_configuration(benchmark):
         assert row["auto_JVM8"] > 0.95
 
 
-def test_fig02b_heap_configuration(benchmark):
-    table = benchmark.pedantic(lambda: run_heap_size(PARAMS), rounds=1,
-                               iterations=1, warmup_rounds=0)
-    benchmark.extra_info["rows"] = [dict(r) for r in table.rows]
+def test_fig02b_heap_configuration(attach):
+    table = attach(lambda: fig02_part("heap_size", run_heap_size)).tables["heap_size"]
     h2 = table.row_for("benchmark", "h2")
     assert h2["auto_JVM9"] is None          # OOM: the missing bar
     assert h2["auto_JVM8"] > 3.0            # swap collapse

@@ -7,26 +7,128 @@ scaled-down workloads (simulated time is unaffected by scaling the
 The benchmark fixture measures the wall time of regenerating the
 experiment; the experiment's own tables are attached to the benchmark's
 ``extra_info`` so the run output doubles as the reproduction report.
+
+The ``attach`` fixture also pins every table byte for byte against
+``figure_digests.json``: a digest over the exact ``repr`` of each cell,
+keyed by test name.  The shape assertions of the figure tests are loose
+on purpose; the pins catch any change that moves one bit of a figure.
+A mismatch names the experiment, the table, both digests, the first
+differing cell and the table's largest relative drift.  To re-pin on
+purpose, delete the test's entry from the JSON and run the test once:
+it records the new tables and fails, so the new pin is always reviewed.
 """
 
 from __future__ import annotations
 
+import json
+import math
+from hashlib import sha256
+from pathlib import Path
+
 import pytest
 
+from repro.harness.results import ResultTable
 
-def run_and_attach(benchmark, fn, *, rounds: int = 1):
-    """Benchmark ``fn`` (an experiment runner) and attach its tables."""
+DIGESTS = Path(__file__).with_name("figure_digests.json")
+
+
+def table_cells(table: ResultTable) -> list[list[str]]:
+    """The table as exact reprs: its title, its columns, then its rows."""
+    return [[table.title], list(table.columns),
+            *([repr(row[c]) for c in table.columns] for row in table.rows)]
+
+
+def cells_digest(cells: list[list[str]]) -> str:
+    return sha256(json.dumps(cells).encode()).hexdigest()
+
+
+def _relative_drift(old: str, new: str) -> float:
+    """|new - old| / |old| for two float reprs; inf if either is not one."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def _table_mismatch(name: str, pinned: dict, cells: list[list[str]]) -> str:
+    old = pinned["cells"]
+    lines = [f"{name}: pinned {pinned['digest']} now {cells_digest(cells)}"]
+    if len(old) != len(cells) or old[:2] != cells[:2]:
+        lines.append(f"  shape changed: {len(old) - 2} -> {len(cells) - 2} "
+                     f"rows, columns {old[1]} -> {cells[1]}")
+        return "\n".join(lines)
+    columns = cells[1]
+    diffs = [(i - 2, col, a, b)
+             for i, (old_row, new_row) in enumerate(zip(old, cells))
+             for col, a, b in zip(columns, old_row, new_row) if a != b]
+    row, col, a, b = diffs[0]
+    drift = max(_relative_drift(a, b) for *_, a, b in diffs)
+    lines.append(f"  first differing cell: row {row} column {col!r}: "
+                 f"old {a} new {b}")
+    lines.append(f"  {len(diffs)} cells differ; max relative drift {drift:.3g}")
+    return "\n".join(lines)
+
+
+def check_pins(test_name: str, experiment: str,
+               tables: dict[str, ResultTable]) -> None:
+    """Assert ``tables`` against the test's pin, or record a missing pin."""
+    cells = {key: table_cells(t) for key, t in tables.items()}
+    data = json.loads(DIGESTS.read_text())
+    pin = data["pins"].get(test_name)
+    if pin is None:
+        data["pins"][test_name] = {
+            "experiment": experiment,
+            "tables": {key: {"digest": cells_digest(c), "cells": c}
+                       for key, c in cells.items()}}
+        _write_pins(data)
+        pytest.fail(f"{test_name}: no pin; recorded one in {DIGESTS.name} "
+                    f"(review and commit it)", pytrace=False)
+    pinned = pin["tables"]
+    errors = [f"{key}: table added" for key in cells if key not in pinned]
+    errors += [f"{key}: table removed" for key in pinned if key not in cells]
+    errors += [_table_mismatch(key, pinned[key], cells[key])
+               for key in cells if key in pinned
+               and pinned[key]["digest"] != cells_digest(cells[key])]
+    if errors:
+        pytest.fail(f"{experiment} ({test_name}) moved off its figure pin:\n"
+                    + "\n".join(errors), pytrace=False)
+
+
+def _write_pins(data: dict) -> None:
+    """Write the pins sorted by test, one table row per line."""
+    out = ['{', f'  "comment": {json.dumps(data["comment"])},', '  "pins": {']
+    tests = sorted(data["pins"].items())
+    for t, (test, pin) in enumerate(tests):
+        out.append(f'    {json.dumps(test)}: {{"experiment": '
+                   f'{json.dumps(pin["experiment"])}, "tables": {{')
+        tables = list(pin["tables"].items())
+        for k, (key, table) in enumerate(tables):
+            out.append(f'      {json.dumps(key)}: {{"digest": '
+                       f'{json.dumps(table["digest"])}, "cells": [')
+            rows = [f'        {json.dumps(r)}' for r in table["cells"]]
+            out.append(",\n".join(rows))
+            out.append('      ]}' + (',' if k < len(tables) - 1 else ''))
+        out.append('    }}' + (',' if t < len(tests) - 1 else ''))
+    out += ['  }', '}', '']
+    DIGESTS.write_text("\n".join(out))
+
+
+def run_and_attach(benchmark, fn, test_name: str, *, rounds: int = 1):
+    """Benchmark ``fn`` (an experiment runner), attach and pin its tables."""
     result = benchmark.pedantic(fn, rounds=rounds, iterations=1,
                                 warmup_rounds=0)
-    if result is not None:
-        benchmark.extra_info["experiment"] = result.experiment
-        for key, table in result.tables.items():
-            benchmark.extra_info[key] = [dict(r) for r in table.rows]
+    benchmark.extra_info["experiment"] = result.experiment
+    for key, table in result.tables.items():
+        benchmark.extra_info[key] = [dict(r) for r in table.rows]
+    check_pins(test_name, result.experiment, result.tables)
     return result
 
 
 @pytest.fixture
-def attach(benchmark):
+def attach(benchmark, request):
     def _attach(fn, rounds: int = 1):
-        return run_and_attach(benchmark, fn, rounds=rounds)
+        return run_and_attach(benchmark, fn, request.node.name, rounds=rounds)
     return _attach

@@ -8,7 +8,6 @@ from repro.jvm.elastic_heap import ElasticHeapController
 from repro.jvm.flags import CpuDetectMode, GcThreadMode, HeapDetectMode, JvmConfig
 from repro.jvm.gc.parallel_scavenge import (GcCostModel, dynamic_active_workers,
                                             major_gc_work, minor_gc_work)
-from repro.jvm.gc.task_queue import GCTask, GCTaskManager, GCTaskQueue
 from repro.jvm.gc.threads import GcWorkerPool
 from repro.jvm.heap import Heap, HeapSnapshot
 from repro.jvm.jvm import Jvm, JvmStats
@@ -20,6 +19,6 @@ __all__ = [
     "ElasticHeapController",
     "CpuDetectMode", "GcThreadMode", "HeapDetectMode", "JvmConfig",
     "GcCostModel", "dynamic_active_workers", "major_gc_work", "minor_gc_work",
-    "GCTask", "GCTaskManager", "GCTaskQueue", "GcWorkerPool",
+    "GcWorkerPool",
     "Heap", "HeapSnapshot", "Jvm", "JvmStats",
 ]

@@ -1,11 +1,8 @@
 """Parallel Scavenge garbage collection."""
 
 from repro.jvm.gc.parallel_scavenge import (GcCostModel, dynamic_active_workers,
-                                            major_gc_work, make_grain_tasks,
-                                            minor_gc_work)
-from repro.jvm.gc.task_queue import GCTask, GCTaskManager, GCTaskQueue
+                                            major_gc_work, minor_gc_work)
 from repro.jvm.gc.threads import GcWorkerPool
 
 __all__ = ["GcCostModel", "dynamic_active_workers", "major_gc_work",
-           "make_grain_tasks", "minor_gc_work", "GCTask", "GCTaskManager",
-           "GCTaskQueue", "GcWorkerPool"]
+           "minor_gc_work", "GcWorkerPool"]

@@ -1,10 +1,10 @@
 """Parallel Scavenge cost model and collection arithmetic.
 
 A collection's serial CPU work is derived from the bytes it must scan
-and copy; the work is then split into queue grains executed by the
-activated GC threads (see :mod:`repro.jvm.gc.threads`), so wall-clock GC
-time emerges from the CFS model: threads beyond the container's CPU
-allocation time-slice (and pay the context-switch penalty), while each
+and copy; the work is then split evenly over the activated GC threads
+(see :mod:`repro.jvm.gc.threads`), so wall-clock GC time emerges from
+the CFS model: threads beyond the container's CPU allocation
+time-slice (and pay the context-switch penalty), while each
 activated thread also pays a synchronization/barrier cost that grows
 with the team size — the two effects that make over-threading slow and
 under-threading wasteful, with the optimum at the container's effective
@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import JvmError
-from repro.jvm.gc.task_queue import GCTask
 from repro.units import GiB, MiB
 
-__all__ = ["GcCostModel", "minor_gc_work", "major_gc_work", "make_grain_tasks",
+__all__ = ["GcCostModel", "minor_gc_work", "major_gc_work",
            "dynamic_active_workers"]
 
 
@@ -61,8 +60,6 @@ class GcCostModel:
     #: co-runner count rises (Fig. 7(f)-(j)) even though execution time
     #: still favours the adaptive JVM.
     interference_sensitivity: float = 0.4
-    #: Queue grains per activated worker (dynamic work assignment).
-    grains_per_thread: int = 4
     #: HotSpot's HeapSizePerGCThread analogue for dynamic GC threads.
     heap_bytes_per_gc_thread: int = 96 * MiB
 
@@ -81,22 +78,6 @@ def major_gc_work(old_used: int, model: GcCostModel) -> float:
     if old_used < 0:
         raise JvmError("GC byte counts cannot be negative")
     return model.major_fixed + old_used * model.major_per_byte
-
-
-def make_grain_tasks(total_work: float, n_threads: int,
-                     model: GcCostModel, *, kind: str) -> list[GCTask]:
-    """Split a collection's serial work into queue grains.
-
-    More grains than threads lets faster workers fetch more tasks (the
-    dynamic work assignment §4.1 highlights).
-    """
-    if total_work < 0:
-        raise JvmError("total GC work cannot be negative")
-    if n_threads < 1:
-        raise JvmError("n_threads must be >= 1")
-    n_grains = max(1, n_threads * model.grains_per_thread)
-    grain = total_work / n_grains
-    return [GCTask(work=grain, kind=kind) for _ in range(n_grains)]
 
 
 def gc_work_inflation(n_threads: int, cores_available: float,

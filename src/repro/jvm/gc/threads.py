@@ -1,11 +1,20 @@
-"""The GC worker pool: simulated GC threads driving the task queue.
+"""The GC worker pool: simulated GC threads running one collection.
 
 Workers are created once at JVM launch ("we launch as many GC threads as
 possible according to the number of online CPUs, retaining the potential
 to expand the JVM with more CPUs", §4.1) and sleep between collections.
 Each collection activates a *subset* of them — the count chosen by the
-static/dynamic/adaptive policy — exactly the variable-activation design
-the GCTaskManager enables.
+static/dynamic/adaptive policy — and gives each active worker one
+segment: an equal share of the collection's work plus the barrier cost,
+which grows with the team size.  The last worker to finish ends the
+collection.
+
+HotSpot feeds its workers from a central task queue so that faster
+threads fetch more tasks.  The fluid scheduler runs every thread of a
+container at one rate and the workers start together, so such a queue
+would always deal the grains out evenly; one equal segment per worker
+gives the same timing in one completion per worker (EXPERIMENTS.md,
+known deviation 8).
 """
 
 from __future__ import annotations
@@ -14,7 +23,6 @@ from typing import Callable
 
 from repro.container.container import Container
 from repro.errors import JvmError
-from repro.jvm.gc.task_queue import GCTask, GCTaskManager, GCTaskQueue
 from repro.kernel.task import SimThread
 
 __all__ = ["GcWorkerPool"]
@@ -32,63 +40,39 @@ class GcWorkerPool:
         self.sync_per_thread = sync_per_thread
         self.workers: list[SimThread] = [
             container.spawn_thread(f"{name}-worker{i}") for i in range(n_created)]
-        self._manager: GCTaskManager | None = None
-        self._queue: GCTaskQueue | None = None
         self._on_done: Callable[[], None] | None = None
-        self._active_ids: dict[int, SimThread] = {}
-        self._team_size = 0
+        self._running = 0
 
     @property
     def collecting(self) -> bool:
-        return self._manager is not None
+        return self._on_done is not None
 
-    def collect(self, tasks: list[GCTask], n_active: int,
+    def collect(self, work: float, n_active: int,
                 on_done: Callable[[], None]) -> None:
-        """Run one collection with ``n_active`` workers, then call back."""
+        """Run ``work`` cpu-seconds on ``n_active`` workers, then call back."""
         if self.collecting:
             raise JvmError("a collection is already in progress")
-        n_active = max(1, min(n_active, self.n_created))
-        self._queue = GCTaskQueue(tasks)
-        self._manager = GCTaskManager(self._queue, n_active)
+        if work < 0:
+            raise JvmError(f"GC work cannot be negative: {work}")
+        n = max(1, min(n_active, self.n_created))
         self._on_done = on_done
-        self._team_size = n_active
-        self._active_ids = {}
-        for wid in range(n_active):
-            worker = self.workers[wid]
-            self._active_ids[wid] = worker
-            self._manager.worker_started(wid)
-            self._fetch_next(wid, worker)
+        self._running = n
+        segment = work / n + self.sync_per_thread * n
+        for worker in self.workers[:n]:
+            worker.assign_work(segment, self._worker_done)
 
-    # -- worker loop ------------------------------------------------------
-
-    def _fetch_next(self, wid: int, worker: SimThread) -> None:
-        assert self._queue is not None and self._manager is not None
-        task = self._queue.pop()
-        if task is not None:
-            worker.assign_work(task.work,
-                               lambda _t, w=wid, th=worker: self._fetch_next(w, th))
-            return
-        # Queue drained: the worker runs the termination/barrier protocol,
-        # whose cost grows with the team size.
-        sync_work = self.sync_per_thread * self._team_size
-        worker.assign_work(sync_work,
-                           lambda _t, w=wid, th=worker: self._worker_done(w, th))
-
-    def _worker_done(self, wid: int, worker: SimThread) -> None:
-        assert self._manager is not None
+    def _worker_done(self, worker: SimThread) -> None:
         worker.block()
-        self._manager.worker_finished(wid)
-        if self._manager.all_idle:
+        self._running -= 1
+        if self._running == 0:
             on_done = self._on_done
-            self._manager = None
-            self._queue = None
             self._on_done = None
-            self._active_ids = {}
             assert on_done is not None
             on_done()
 
     def shutdown(self) -> None:
-        """Terminate all workers (JVM exit)."""
+        """Terminate all workers (JVM exit), dropping any collection in flight."""
+        self._on_done = None
         for w in self.workers:
             if w.state.value != "exited":
                 w.exit()

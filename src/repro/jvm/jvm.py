@@ -39,7 +39,7 @@ from repro.jvm.elastic_heap import MIN_VIRTUAL_MAX, ElasticHeapController
 from repro.jvm.flags import GcThreadMode, HeapDetectMode, JvmConfig
 from repro.jvm.gc.parallel_scavenge import (GcCostModel, dynamic_active_workers,
                                             gc_work_inflation, major_gc_work,
-                                            make_grain_tasks, minor_gc_work)
+                                            minor_gc_work)
 from repro.jvm.gc.threads import GcWorkerPool
 from repro.jvm.heap import Heap, HeapSnapshot
 from repro.kernel.task import SimThread, ThreadState
@@ -349,9 +349,7 @@ class Jvm:
         work = minor_gc_work(heap.eden_used, surviving, self.cost_model)
         work *= gc_work_inflation(n_gc, self._gc_cores_available(), self.cost_model,
                                   domain_pressure=self._gc_domain_pressure())
-        tasks = make_grain_tasks(work, n_gc, self.cost_model, kind="minor")
-        self._pool.collect(tasks, n_gc,
-                           lambda s=surviving: self._on_minor_done(s))
+        self._pool.collect(work, n_gc, lambda s=surviving: self._on_minor_done(s))
 
     def _surviving_bytes(self, eden_used: int) -> int:
         """Minor-GC survivors: rate-based but capped by the young live set."""
@@ -414,8 +412,7 @@ class Jvm:
         work = major_gc_work(heap.old_used, self.cost_model)
         work *= gc_work_inflation(n_gc, self._gc_cores_available(), self.cost_model,
                                   domain_pressure=self._gc_domain_pressure())
-        tasks = make_grain_tasks(work, n_gc, self.cost_model, kind="major")
-        self._pool.collect(tasks, n_gc, self._on_major_done)
+        self._pool.collect(work, n_gc, self._on_major_done)
 
     def _on_major_done(self) -> None:
         assert self.heap is not None
@@ -588,6 +585,11 @@ class Jvm:
         for t in [*self._mutators, *self._jit_threads]:
             if t.state is not ThreadState.EXITED:
                 t.exit()
+        if self._in_gc:
+            # A kill mid-collection: close the collection's span with the
+            # reason, or it stays open for the life of the world.
+            self.world.trace.end_span(self._gc_span, killed=self.stats.oom_reason)
+            self._in_gc = False
         if self._pool is not None:
             self._pool.shutdown()
         if self._charged > 0:

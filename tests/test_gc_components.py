@@ -1,73 +1,17 @@
-"""Tests for GC building blocks: task queue, cost model, worker pool."""
+"""Tests for GC building blocks: cost model, worker pool."""
 
 import pytest
 
 from repro.errors import JvmError
 from repro.jvm.gc.parallel_scavenge import (GcCostModel, dynamic_active_workers,
                                             gc_work_inflation, major_gc_work,
-                                            make_grain_tasks, minor_gc_work)
-from repro.jvm.gc.task_queue import GCTask, GCTaskManager, GCTaskQueue
+                                            minor_gc_work)
 from repro.jvm.gc.threads import GcWorkerPool
 from repro.container.spec import ContainerSpec
 from repro.units import gib, mib
 from repro.world import World
 
 CM = GcCostModel()
-
-
-class TestTaskQueue:
-    def test_fifo(self):
-        q = GCTaskQueue([GCTask(1.0, "a"), GCTask(2.0, "b")])
-        assert q.pop().work == 1.0
-        assert q.pop().work == 2.0
-        assert q.pop() is None
-        assert q.empty
-
-    def test_push_counts(self):
-        q = GCTaskQueue()
-        q.push(GCTask(0.5))
-        assert q.enqueued == 1 and len(q) == 1
-        q.pop()
-        assert q.dequeued == 1
-
-    def test_negative_work_rejected(self):
-        with pytest.raises(JvmError):
-            GCTask(-1.0)
-
-
-class TestTaskManager:
-    def test_all_idle_lifecycle(self):
-        q = GCTaskQueue()
-        m = GCTaskManager(q, 2)
-        m.worker_started(0)
-        m.worker_started(1)
-        assert not m.all_idle
-        m.worker_finished(0)
-        assert not m.all_idle
-        m.worker_finished(1)
-        assert m.all_idle
-
-    def test_not_idle_with_pending_tasks(self):
-        q = GCTaskQueue([GCTask(1.0)])
-        m = GCTaskManager(q, 1)
-        m.worker_started(0)
-        m.worker_finished(0)
-        assert not m.all_idle  # queue not drained
-
-    def test_double_start_rejected(self):
-        m = GCTaskManager(GCTaskQueue(), 2)
-        m.worker_started(0)
-        with pytest.raises(JvmError):
-            m.worker_started(0)
-
-    def test_finish_without_start_rejected(self):
-        m = GCTaskManager(GCTaskQueue(), 1)
-        with pytest.raises(JvmError):
-            m.worker_finished(0)
-
-    def test_zero_workers_rejected(self):
-        with pytest.raises(JvmError):
-            GCTaskManager(GCTaskQueue(), 0)
 
 
 class TestCostModel:
@@ -92,18 +36,6 @@ class TestCostModel:
             minor_gc_work(-1, 0, CM)
         with pytest.raises(JvmError):
             major_gc_work(-1, CM)
-
-    def test_grain_tasks_conserve_work(self):
-        tasks = make_grain_tasks(1.0, 4, CM, kind="minor")
-        assert len(tasks) == 4 * CM.grains_per_thread
-        assert sum(t.work for t in tasks) == pytest.approx(1.0)
-        assert all(t.kind == "minor" for t in tasks)
-
-    def test_grain_tasks_validation(self):
-        with pytest.raises(JvmError):
-            make_grain_tasks(-1.0, 4, CM, kind="x")
-        with pytest.raises(JvmError):
-            make_grain_tasks(1.0, 0, CM, kind="x")
 
 
 class TestWorkInflation:
@@ -165,48 +97,81 @@ class TestWorkerPool:
         container = world.containers.create(ContainerSpec("c0"))
         return world, container
 
+    def _cpu(self, pool):
+        return [w.cpu_time for w in pool.workers]
+
     def test_collection_completes_and_calls_back(self):
         world, c = self._world()
         pool = GcWorkerPool(c, 4, sync_per_thread=1e-4)
         done = []
-        tasks = make_grain_tasks(0.4, 2, CM, kind="minor")
-        pool.collect(tasks, 2, lambda: done.append(world.now))
+        pool.collect(0.4, 2, lambda: done.append(world.now))
         world.run(until=10.0)
         assert len(done) == 1
-        # 0.4 cpu-sec over 2 workers on idle 4 cores: ~0.2s + sync.
-        assert done[0] == pytest.approx(0.2 + 2e-4, rel=0.05)
+        # 0.4 cpu-sec over 2 workers on idle 4 cores: 0.2s + 2 x 1e-4 sync.
+        assert done[0] == pytest.approx(0.2 + 2e-4, rel=1e-9)
         assert not pool.collecting
+
+    def test_each_active_worker_charged_share_plus_barrier(self):
+        for work, n_active, sync in [(0.4, 2, 1e-4), (1.0, 3, 2e-4),
+                                     (0.3, 1, 5e-4), (0.0, 4, 1e-3)]:
+            world, c = self._world()
+            pool = GcWorkerPool(c, 4, sync_per_thread=sync)
+            calls = []
+            pool.collect(work, n_active, lambda: calls.append(world.now))
+            world.run(until=10.0)
+            assert len(calls) == 1
+            expected = work / n_active + sync * n_active
+            cpu = self._cpu(pool)
+            assert cpu[:n_active] == pytest.approx([expected] * n_active, rel=1e-9)
+            assert cpu[n_active:] == [0.0] * (4 - n_active)
+
+    def test_callback_fires_once_per_collection(self):
+        world, c = self._world()
+        pool = GcWorkerPool(c, 3, sync_per_thread=1e-4)
+        calls = []
+        pool.collect(0.3, 3, lambda: calls.append("a"))
+        world.run(until=5.0)
+        pool.collect(0.3, 2, lambda: calls.append("b"))
+        world.run(until=10.0)
+        assert calls == ["a", "b"]
 
     def test_single_worker_serializes(self):
         world, c = self._world()
         pool = GcWorkerPool(c, 4, sync_per_thread=0.0)
         done = []
-        pool.collect(make_grain_tasks(0.4, 1, CM, kind="m"), 1,
-                     lambda: done.append(world.now))
+        pool.collect(0.4, 1, lambda: done.append(world.now))
         world.run(until=10.0)
         assert done[0] == pytest.approx(0.4, rel=0.01)
 
     def test_team_larger_than_pool_clamped(self):
         world, c = self._world()
-        pool = GcWorkerPool(c, 2, sync_per_thread=0.0)
+        pool = GcWorkerPool(c, 2, sync_per_thread=1e-4)
         done = []
-        pool.collect(make_grain_tasks(0.2, 8, CM, kind="m"), 8,
-                     lambda: done.append(True))
+        pool.collect(0.2, 8, lambda: done.append(True))
         world.run(until=10.0)
-        assert done
+        assert done == [True]
+        # Clamped to the pool's 2 workers, which also sets the barrier.
+        assert self._cpu(pool) == pytest.approx([0.1 + 2e-4] * 2, rel=1e-9)
+
+    def test_negative_work_rejected(self):
+        world, c = self._world()
+        pool = GcWorkerPool(c, 2, sync_per_thread=0.0)
+        with pytest.raises(JvmError):
+            pool.collect(-1.0, 1, lambda: None)
+        assert not pool.collecting
 
     def test_concurrent_collection_rejected(self):
         world, c = self._world()
         pool = GcWorkerPool(c, 2, sync_per_thread=0.0)
-        pool.collect([GCTask(1.0)], 1, lambda: None)
+        pool.collect(1.0, 1, lambda: None)
         with pytest.raises(JvmError):
-            pool.collect([GCTask(1.0)], 1, lambda: None)
+            pool.collect(1.0, 1, lambda: None)
 
     def test_workers_sleep_between_collections(self):
         world, c = self._world()
         pool = GcWorkerPool(c, 3, sync_per_thread=0.0)
         done = []
-        pool.collect([GCTask(0.1)], 2, lambda: done.append(True))
+        pool.collect(0.1, 2, lambda: done.append(True))
         world.run(until=5.0)
         assert done
         assert all(not w.runnable for w in pool.workers)
@@ -216,6 +181,17 @@ class TestWorkerPool:
         pool = GcWorkerPool(c, 2, sync_per_thread=0.0)
         pool.shutdown()
         assert all(w.state.value == "exited" for w in pool.workers)
+
+    def test_shutdown_mid_collection_drops_it(self):
+        world, c = self._world()
+        pool = GcWorkerPool(c, 2, sync_per_thread=0.0)
+        done = []
+        pool.collect(1.0, 2, lambda: done.append(True))
+        world.run(until=0.1)
+        pool.shutdown()
+        assert not pool.collecting
+        world.run(until=5.0)
+        assert done == []
 
     def test_empty_pool_rejected(self):
         world, c = self._world()

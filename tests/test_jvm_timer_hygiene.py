@@ -4,7 +4,9 @@ A JVM parked in the elastic grow-and-retry loop holds a one-shot
 promotion-retry event; killing the JVM at exactly that point must
 cancel it, or every kill leaks a dead callback that keeps the event
 loop non-idle (and a long-lived serving world accretes one per OOM
-kill).  These tests pin the full timer hygiene of the JVM lifecycle.
+kill).  A kill in the middle of a stop-the-world collection must
+likewise close the collection's trace span and drop the collection.
+These tests pin the full timer hygiene of the JVM lifecycle.
 """
 
 from repro.container.spec import ContainerSpec
@@ -88,3 +90,24 @@ class TestPromotionRetryCancellation:
         names = [h.name for _, _, h in world.events._heap if h.active]
         assert all("jvm" not in n and "promotion" not in n and "elastic" not in n
                    for n in names), names
+
+
+class TestKillMidCollection:
+    def test_kill_mid_gc_closes_span_and_drops_collection(self):
+        world = World(ncpus=8, memory=gib(16), trace=True)
+        c = world.containers.create(ContainerSpec("c0", memory_limit=gib(1)))
+        wl = JavaWorkload(name="allocator", app_threads=2, total_work=5.0,
+                          alloc_rate=mib(400), live_set=mib(64),
+                          min_heap=mib(128))
+        jvm = Jvm(c, wl, JvmConfig.adaptive())
+        jvm.launch()
+        assert world.run_until(lambda: jvm._in_gc or jvm.finished, timeout=100)
+        assert jvm._in_gc, "JVM finished without collecting"
+        assert len(world.trace.open_spans("jvm.gc")) == 1
+        jvm.kill("oom-killer")
+        assert world.trace.open_spans("jvm.gc") == []
+        assert world.trace.spans("jvm.gc")[-1].fields["killed"] == "oom-killer"
+        assert not jvm._pool.collecting
+        world.run(until=world.now + 5.0)
+        assert world.trace.open_spans("jvm.gc") == []
+        assert not jvm.stats.completed

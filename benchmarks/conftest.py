@@ -9,37 +9,32 @@ experiment; the experiment's own tables are attached to the benchmark's
 ``extra_info`` so the run output doubles as the reproduction report.
 
 The ``attach`` fixture also pins every table byte for byte against
-``figure_digests.json``: a digest over the exact ``repr`` of each cell,
-keyed by test name.  The shape assertions of the figure tests are loose
-on purpose; the pins catch any change that moves one bit of a figure.
-A mismatch names the experiment, the table, both digests, the first
-differing cell and the table's largest relative drift.  To re-pin on
-purpose, delete the test's entry from the JSON and run the test once:
-it records the new tables and fails, so the new pin is always reviewed.
+``figure_digests.json``: the exact ``repr`` of each cell, keyed by test
+name.  The shape assertions of the figure tests are loose on purpose;
+the pins catch any change that moves one bit of a figure.  A mismatch
+names the experiment, the table, the first differing cell and the
+table's largest relative drift.  To re-pin on purpose, delete the
+test's entry from the JSON and run the test once: it records the new
+tables and fails, so the new pin is always reviewed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
 from repro.harness.results import ResultTable
 
-DIGESTS = Path(__file__).with_name("figure_digests.json")
+PINS = Path(__file__).with_name("figure_digests.json")
 
 
 def table_cells(table: ResultTable) -> list[list[str]]:
     """The table as exact reprs: its title, its columns, then its rows."""
     return [[table.title], list(table.columns),
             *([repr(row[c]) for c in table.columns] for row in table.rows)]
-
-
-def cells_digest(cells: list[list[str]]) -> str:
-    return sha256(json.dumps(cells).encode()).hexdigest()
 
 
 def _relative_drift(old: str, new: str) -> float:
@@ -53,12 +48,13 @@ def _relative_drift(old: str, new: str) -> float:
     return abs(b - a) / abs(a) if a else math.inf
 
 
-def _table_mismatch(name: str, pinned: dict, cells: list[list[str]]) -> str:
-    old = pinned["cells"]
-    lines = [f"{name}: pinned {pinned['digest']} now {cells_digest(cells)}"]
+def _table_mismatch(name: str, old: list[list[str]],
+                    cells: list[list[str]]) -> str:
+    lines = [f"{name}:"]
     if len(old) != len(cells) or old[:2] != cells[:2]:
-        lines.append(f"  shape changed: {len(old) - 2} -> {len(cells) - 2} "
-                     f"rows, columns {old[1]} -> {cells[1]}")
+        lines.append(f"  shape changed: title {old[0][0]!r} -> {cells[0][0]!r}, "
+                     f"{len(old) - 2} -> {len(cells) - 2} rows, "
+                     f"columns {old[1]} -> {cells[1]}")
         return "\n".join(lines)
     columns = cells[1]
     diffs = [(i - 2, col, a, b)
@@ -76,44 +72,21 @@ def check_pins(test_name: str, experiment: str,
                tables: dict[str, ResultTable]) -> None:
     """Assert ``tables`` against the test's pin, or record a missing pin."""
     cells = {key: table_cells(t) for key, t in tables.items()}
-    data = json.loads(DIGESTS.read_text())
+    data = json.loads(PINS.read_text())
     pin = data["pins"].get(test_name)
     if pin is None:
-        data["pins"][test_name] = {
-            "experiment": experiment,
-            "tables": {key: {"digest": cells_digest(c), "cells": c}
-                       for key, c in cells.items()}}
-        _write_pins(data)
-        pytest.fail(f"{test_name}: no pin; recorded one in {DIGESTS.name} "
+        data["pins"][test_name] = {"experiment": experiment, "tables": cells}
+        PINS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        pytest.fail(f"{test_name}: no pin; recorded one in {PINS.name} "
                     f"(review and commit it)", pytrace=False)
     pinned = pin["tables"]
     errors = [f"{key}: table added" for key in cells if key not in pinned]
     errors += [f"{key}: table removed" for key in pinned if key not in cells]
     errors += [_table_mismatch(key, pinned[key], cells[key])
-               for key in cells if key in pinned
-               and pinned[key]["digest"] != cells_digest(cells[key])]
+               for key in cells if key in pinned and pinned[key] != cells[key]]
     if errors:
         pytest.fail(f"{experiment} ({test_name}) moved off its figure pin:\n"
                     + "\n".join(errors), pytrace=False)
-
-
-def _write_pins(data: dict) -> None:
-    """Write the pins sorted by test, one table row per line."""
-    out = ['{', f'  "comment": {json.dumps(data["comment"])},', '  "pins": {']
-    tests = sorted(data["pins"].items())
-    for t, (test, pin) in enumerate(tests):
-        out.append(f'    {json.dumps(test)}: {{"experiment": '
-                   f'{json.dumps(pin["experiment"])}, "tables": {{')
-        tables = list(pin["tables"].items())
-        for k, (key, table) in enumerate(tables):
-            out.append(f'      {json.dumps(key)}: {{"digest": '
-                       f'{json.dumps(table["digest"])}, "cells": [')
-            rows = [f'        {json.dumps(r)}' for r in table["cells"]]
-            out.append(",\n".join(rows))
-            out.append('      ]}' + (',' if k < len(tables) - 1 else ''))
-        out.append('    }}' + (',' if t < len(tests) - 1 else ''))
-    out += ['  }', '}', '']
-    DIGESTS.write_text("\n".join(out))
 
 
 def run_and_attach(benchmark, fn, test_name: str, *, rounds: int = 1):

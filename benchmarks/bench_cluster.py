@@ -18,9 +18,9 @@ numbers can never come from changed results.  Run directly to produce
 
     PYTHONPATH=src python benchmarks/bench_cluster.py --quick
 
-``benchmarks/check_cluster_regression.py`` compares a fresh run
-against the committed baseline (wall clock within 2x, digests
-matching, traces repeating).
+``benchmarks/check_regression.py`` compares a fresh run against the
+committed baseline (wall clock within 2x, digests matching, traces
+repeating, no failed trial).
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def run_speedup(name: str, specs: list[TrialSpec], *, jobs: int) -> dict:
         "scenario": name, "trials": len(specs), "jobs": jobs,
         "serial_wall_s": serial_wall, "parallel_wall_s": parallel_wall,
         "speedup": serial_wall / parallel_wall if parallel_wall else 0.0,
-        "digest": serial_digest,
         "digest_match": serial_digest == parallel_digest,
         "failures": serial_failures + parallel_failures,
     }
@@ -118,7 +117,6 @@ def run_repeat(*, quick: bool) -> dict:
         "placed": placed,
         "first_wall_s": walls[0], "second_wall_s": walls[1],
         "pods_per_s": placed / walls[0] if walls[0] else 0.0,
-        "digest": digests[0],
         "digest_match": digests[0] == digests[1],
     }
     print(f"repeat: {placed} pods placed in {walls[0]:.2f}s "
@@ -147,8 +145,7 @@ def run_profile(*, quick: bool) -> dict:
     profiler.detach()
     print(profiler.format_report(), file=sys.stderr)
     record = profiler.report()
-    record.update(scenario="profile", digest=cluster.trace_digest(),
-                  digest_match=True)
+    record.update(scenario="profile", digest_match=True)
     return record
 
 

@@ -10,15 +10,21 @@ Two scenarios stress the two scaling axes of the discrete-event engine:
   threads plus steady create/destroy churn and a few pinned cpusets,
   the regime ARC-style vertical adaptivity papers evaluate against.
 
+Whenever the incremental engine runs, ``fleet`` also runs under the
+non-default policy bundles (``fleet[burstable]``, ``fleet[intent]``):
+their throughput floor catches the SchedPolicy/ReclaimPolicy dispatch
+growing into real work.  The ``default`` bundle is the plain
+incremental ``fleet`` row.
+
 Run directly to produce ``BENCH_engine.json``::
 
-    PYTHONPATH=src python benchmarks/bench_engine.py --quick
+    PYTHONPATH=src python benchmarks/bench_engine.py --quick --mode both
 
 ``--mode scan`` runs the brute-force reference engine (full re-solve +
 thread scans) for before/after comparisons; ``--mode both`` runs each
 scenario under incremental and scan.
-``benchmarks/check_engine_regression.py`` compares a fresh run against
-the committed baseline.
+``benchmarks/check_regression.py`` compares a fresh run against the
+committed baseline.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.container.spec import ContainerSpec  # noqa: E402
+from repro.policy import resolve_bundle  # noqa: E402
 from repro.serve import autoscaler as vertical  # noqa: E402
 from repro.serve.balancer import Balancer  # noqa: E402
 from repro.serve.latency import LatencyRecorder  # noqa: E402
@@ -159,6 +166,14 @@ def run_churn(*, quick: bool = False, engine: str | None = None,
 
 SCENARIOS = {"fleet": run_fleet, "churn": run_churn}
 
+#: Policy bundles ``fleet`` also runs under, on the incremental engine.
+BUNDLES = ("burstable", "intent")
+
+
+def _report(key: str, rec: dict) -> None:
+    print(f"{key}: {rec['steps']} steps in {rec['wall_s']:.2f}s "
+          f"-> {rec['steps_per_sec']:.0f} steps/s", file=sys.stderr)
+
 
 def run_all(*, quick: bool, modes: list[str | None],
             profile: bool = False) -> dict:
@@ -169,9 +184,17 @@ def run_all(*, quick: bool, modes: list[str | None],
             key = name if len(modes) == 1 else f"{name}[{label}]"
             results[key] = fn(quick=quick, engine=mode, profile=profile)
             results[key]["engine"] = label
-            rec = results[key]
-            print(f"{key}: {rec['steps']} steps in {rec['wall_s']:.2f}s "
-                  f"-> {rec['steps_per_sec']:.0f} steps/s", file=sys.stderr)
+            _report(key, results[key])
+    if "incremental" in modes:
+        for bundle in BUNDLES:
+            sched, reclaim = resolve_bundle(bundle)
+            key = f"fleet[{bundle}]"
+            results[key] = run_fleet(quick=quick, engine="incremental",
+                                     profile=profile, sched_policy=sched,
+                                     reclaim_policy=reclaim)
+            results[key].update(bundle=bundle, sched_policy=sched,
+                                reclaim_policy=reclaim)
+            _report(key, results[key])
     return results
 
 

@@ -23,8 +23,8 @@ measurements.  Run directly to produce ``BENCH_obs.json``::
 
     PYTHONPATH=src python benchmarks/bench_obs.py --quick
 
-``benchmarks/check_obs_regression.py`` compares a fresh run against
-the committed baseline and enforces the overhead budget in CI.
+``benchmarks/check_regression.py`` compares a fresh run against the
+committed baseline and enforces the overhead budget in CI.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.obs.profile import EngineProfiler  # noqa: E402
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_obs.json"
 
 #: The committed overhead budget: telemetry-on wall must stay within
-#: this factor of telemetry-off (checked by check_obs_regression.py).
+#: this factor of telemetry-off (checked by check_regression.py).
 BUDGET_RATIO = 1.05
 
 #: Benchmark scale, denser than the CLI demo: the per-epoch collector
@@ -126,7 +126,6 @@ def run_telemetry(*, quick: bool, repeats: int, seed: int = 3) -> dict:
         "scenario": "telemetry", "repeats": repeats,
         "off_wall_s": off["wall_s"], "on_wall_s": on["wall_s"],
         "overhead_ratio": ratio, "budget_ratio": BUDGET_RATIO,
-        "digest": off["digest"],
         "digest_match": off["digest"] == on["digest"],
         "epochs": on["epochs"], "migrations": on["migrations"],
         "records_streamed": on["records_streamed"],
@@ -153,7 +152,6 @@ def run_profiler(*, quick: bool, repeats: int, seed: int = 3) -> dict:
         "scenario": "profiler", "repeats": repeats,
         "off_wall_s": off["wall_s"], "on_wall_s": on["wall_s"],
         "overhead_ratio": ratio,
-        "digest": off["digest"],
         "digest_match": off["digest"] == on["digest"],
         "steps_per_s": on["steps_per_s"],
         "attributed_frac": on["attributed_frac"],

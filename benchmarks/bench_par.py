@@ -17,9 +17,9 @@ come from changed results.  Run directly to produce
 
     PYTHONPATH=src python benchmarks/bench_par.py --quick
 
-``benchmarks/check_par_regression.py`` compares a fresh run against
-the committed baseline (wall clock within 2x, digests matching,
-warm cache fully hit).
+``benchmarks/check_regression.py`` compares a fresh run against the
+committed baseline (wall clock within 2x, digests matching, no failed
+trial, warm cache fully hit, speedup floors on enough cores).
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ def run_speedup(name: str, specs: list[TrialSpec], *, jobs: int) -> dict:
         "scenario": name, "trials": len(specs), "jobs": jobs,
         "serial_wall_s": serial_wall, "parallel_wall_s": parallel_wall,
         "speedup": serial_wall / parallel_wall if parallel_wall else 0.0,
-        "digest": serial_digest,
         "digest_match": serial_digest == parallel_digest,
         "failures": serial_failures + parallel_failures,
     }

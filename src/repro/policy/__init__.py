@@ -18,7 +18,7 @@ Built-in policies::
 
 Bundles name a (sched, reclaim) pair for tools that sweep whole
 configurations (the policy-diff fuzzer, ``exp_policy``,
-``bench_policy``)::
+``bench_engine``'s fleet rows)::
 
     python -m repro check --policy-diff default,burstable --seeds 50
 

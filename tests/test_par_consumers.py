@@ -156,58 +156,3 @@ class TestBenchSubcommand:
         from repro.__main__ import main
         assert main(["bench", "definitely-not-a-benchmark"]) == 2
         assert "unknown benchmark" in capsys.readouterr().out
-
-
-class TestBenchParRegressionChecker:
-    def _payload(self, **scenario_overrides):
-        fuzz = {"trials": 4, "jobs": 4, "serial_wall_s": 1.0,
-                "parallel_wall_s": 0.5, "speedup": 2.0,
-                "digest_match": True}
-        figure = dict(fuzz)
-        cache = {"trials": 4, "jobs": 4, "cold_wall_s": 1.0,
-                 "warm_wall_s": 0.01, "warm_hits": 4, "warm_misses": 0,
-                 "digest_match": True}
-        scenarios = {"fuzz": fuzz, "figure": figure, "cache": cache}
-        for key, overrides in scenario_overrides.items():
-            scenarios[key] = dict(scenarios[key], **overrides)
-        return {"benchmark": "bench_par", "quick": True, "jobs": 4,
-                "cpu_count": 8, "scenarios": scenarios}
-
-    def _check(self, tmp_path, baseline, current):
-        import json
-        import sys
-        sys.path.insert(0, "benchmarks")
-        try:
-            import check_par_regression as checker
-        finally:
-            sys.path.pop(0)
-        base_path = tmp_path / "base.json"
-        now_path = tmp_path / "now.json"
-        base_path.write_text(json.dumps(baseline))
-        now_path.write_text(json.dumps(current))
-        return checker.check(now_path, base_path)
-
-    def test_clean_run_passes(self, tmp_path):
-        assert self._check(tmp_path, self._payload(), self._payload()) == []
-
-    def test_slowdown_fails(self, tmp_path):
-        slow = self._payload(fuzz={"serial_wall_s": 10.0})
-        failures = self._check(tmp_path, self._payload(), slow)
-        assert any("serial_wall_s" in f for f in failures)
-
-    def test_digest_mismatch_fails(self, tmp_path):
-        bad = self._payload(figure={"digest_match": False})
-        failures = self._check(tmp_path, self._payload(), bad)
-        assert any("diverged" in f for f in failures)
-
-    def test_cold_cache_fails(self, tmp_path):
-        cold = self._payload(cache={"warm_hits": 1})
-        failures = self._check(tmp_path, self._payload(), cold)
-        assert any("cache" in f for f in failures)
-
-    def test_low_speedup_fails_only_with_cores(self, tmp_path):
-        slowpool = self._payload(fuzz={"speedup": 1.0})
-        failures = self._check(tmp_path, self._payload(), slowpool)
-        assert any("speedup" in f for f in failures)
-        single = dict(slowpool, cpu_count=1)
-        assert self._check(tmp_path, self._payload(), single) == []

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -437,73 +436,6 @@ class TestClusterWiring:
         for host in cluster.hosts:
             assert host.world.sched.policy.name == "burstable"
             assert host.world.mm.policy.name == "intent"
-
-
-class TestGateHelpers:
-    @pytest.fixture(autouse=True)
-    def _gate(self):
-        sys.path.insert(0, "benchmarks")
-        try:
-            import gate
-            self.gate = gate
-            yield
-        finally:
-            sys.path.pop(0)
-
-    def _pair(self, tmp_path, current: dict, baseline: dict):
-        cur = tmp_path / "cur.json"
-        base = tmp_path / "base.json"
-        cur.write_text(json.dumps(current))
-        base.write_text(json.dumps(baseline))
-        return cur, base
-
-    def test_load_pair_and_quick_mismatch(self, tmp_path):
-        cur, base = self._pair(tmp_path,
-                               {"quick": True, "scenarios": {}},
-                               {"quick": False, "scenarios": {}})
-        current, baseline = self.gate.load_pair(cur, base)
-        msgs = self.gate.quick_mismatch(current, baseline, "bench_x.py")
-        assert msgs and "quick" in msgs[0]
-        assert not self.gate.quick_mismatch(current, current, "bench_x.py")
-
-    def test_iter_scenarios_flags_missing(self):
-        baseline = {"scenarios": {"a": {"x": 1}, "b": {"x": 2}}}
-        current = {"scenarios": {"a": {"x": 1}}}
-        failures: list[str] = []
-        seen = [k for k, _, _ in
-                self.gate.iter_scenarios(baseline, current, failures)]
-        assert seen == ["a"]
-        assert failures and "b" in failures[0]
-
-    def test_trial_drift(self):
-        base = {"trials": 5, "failures": 0}
-        assert self.gate.trial_drift("k", base, dict(base)) == []
-        msgs = self.gate.trial_drift("k", base, {"trials": 4, "failures": 0})
-        assert msgs and "k" in msgs[0]
-
-    def test_wall_ceilings(self):
-        base = {"wall_s": 1.0}
-        ok = self.gate.wall_ceilings("k", base, {"wall_s": 1.5}, ("wall_s",),
-                                     max_slowdown=2.0, grace_s=0.25)
-        assert ok == []
-        bad = self.gate.wall_ceilings("k", base, {"wall_s": 3.0}, ("wall_s",),
-                                      max_slowdown=2.0, grace_s=0.25)
-        assert bad and "k" in bad[0]
-
-    def test_report_exit_codes(self, capsys):
-        assert self.gate.report([], "all good") == 0
-        assert "all good" in capsys.readouterr().out
-        assert self.gate.report(["broke"], "unused") == 1
-        assert "broke" in capsys.readouterr().err
-
-    def test_all_checkers_share_the_gate(self):
-        import check_cluster_regression
-        import check_engine_regression
-        import check_obs_regression
-        import check_policy_regression
-        for mod in (check_engine_regression, check_cluster_regression,
-                    check_obs_regression, check_policy_regression):
-            assert mod.MAX_SLOWDOWN == self.gate.MAX_SLOWDOWN
 
 
 class TestCheckCli:

@@ -1,12 +1,8 @@
-"""Benchmark: design-choice ablations (see harness.experiments.ablation)."""
-
-from repro.harness.experiments.ablation import AblationParams, run
-
-PARAMS = AblationParams(scale=1.0)
+"""Figure test: design-choice ablations (see harness.experiments.ablation)."""
 
 
-def test_ablations(attach):
-    result = attach(lambda: run(PARAMS))
+def test_ablations(pinned):
+    result = pinned("ablation")
 
     svd = result.tables["static_vs_dynamic"]
     static = svd.row_for("view", "static-bounds")

@@ -10,19 +10,19 @@ Two scenarios stress the two scaling axes of the discrete-event engine:
   threads plus steady create/destroy churn and a few pinned cpusets,
   the regime ARC-style vertical adaptivity papers evaluate against.
 
-Whenever the incremental engine runs, ``fleet`` also runs under the
-non-default policy bundles (``fleet[burstable]``, ``fleet[intent]``):
-their throughput floor catches the SchedPolicy/ReclaimPolicy dispatch
-growing into real work.  The ``default`` bundle is the plain
-incremental ``fleet`` row.
+Each scenario runs under the incremental engine and the brute-force
+``scan`` reference engine (full re-solve + thread scans), as
+``fleet[incremental]``, ``fleet[scan]``, ``churn[incremental]`` and
+``churn[scan]``.  ``fleet`` also runs on the incremental engine under
+the non-default policy bundles (``fleet[burstable]``,
+``fleet[intent]``): their throughput floor catches the
+SchedPolicy/ReclaimPolicy dispatch growing into real work.  The
+``default`` bundle is the ``fleet[incremental]`` row.
 
 Run directly to produce ``BENCH_engine.json``::
 
-    PYTHONPATH=src python benchmarks/bench_engine.py --quick --mode both
+    PYTHONPATH=src python benchmarks/bench_engine.py --quick
 
-``--mode scan`` runs the brute-force reference engine (full re-solve +
-thread scans) for before/after comparisons; ``--mode both`` runs each
-scenario under incremental and scan.
 ``benchmarks/check_regression.py`` compares a fresh run against the
 committed baseline.
 """
@@ -166,6 +166,9 @@ def run_churn(*, quick: bool = False, engine: str | None = None,
 
 SCENARIOS = {"fleet": run_fleet, "churn": run_churn}
 
+#: Engines every scenario runs under.
+ENGINES = ("incremental", "scan")
+
 #: Policy bundles ``fleet`` also runs under, on the incremental engine.
 BUNDLES = ("burstable", "intent")
 
@@ -175,26 +178,23 @@ def _report(key: str, rec: dict) -> None:
           f"-> {rec['steps_per_sec']:.0f} steps/s", file=sys.stderr)
 
 
-def run_all(*, quick: bool, modes: list[str | None],
-            profile: bool = False) -> dict:
+def run_all(*, quick: bool, profile: bool = False) -> dict:
     results: dict[str, dict] = {}
-    for mode in modes:
-        label = mode or "default"
+    for engine in ENGINES:
         for name, fn in SCENARIOS.items():
-            key = name if len(modes) == 1 else f"{name}[{label}]"
-            results[key] = fn(quick=quick, engine=mode, profile=profile)
-            results[key]["engine"] = label
+            key = f"{name}[{engine}]"
+            results[key] = fn(quick=quick, engine=engine, profile=profile)
+            results[key]["engine"] = engine
             _report(key, results[key])
-    if "incremental" in modes:
-        for bundle in BUNDLES:
-            sched, reclaim = resolve_bundle(bundle)
-            key = f"fleet[{bundle}]"
-            results[key] = run_fleet(quick=quick, engine="incremental",
-                                     profile=profile, sched_policy=sched,
-                                     reclaim_policy=reclaim)
-            results[key].update(bundle=bundle, sched_policy=sched,
-                                reclaim_policy=reclaim)
-            _report(key, results[key])
+    for bundle in BUNDLES:
+        sched, reclaim = resolve_bundle(bundle)
+        key = f"fleet[{bundle}]"
+        results[key] = run_fleet(quick=quick, engine="incremental",
+                                 profile=profile, sched_policy=sched,
+                                 reclaim_policy=reclaim)
+        results[key].update(bundle=bundle, sched_policy=sched,
+                            reclaim_policy=reclaim)
+        _report(key, results[key])
     return results
 
 
@@ -202,20 +202,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
                     help="smaller scenarios for CI smoke runs")
-    ap.add_argument("--mode",
-                    choices=["incremental", "scan", "both"],
-                    default="incremental")
     ap.add_argument("--profile", action="store_true",
                     help="attach the engine self-profiler and report "
                          "per-subsystem wall-clock attribution")
     ap.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = ap.parse_args(argv)
-    modes: list[str | None]
-    if args.mode == "both":
-        modes = ["incremental", "scan"]
-    else:
-        modes = [args.mode]
-    results = run_all(quick=args.quick, modes=modes, profile=args.profile)
+    results = run_all(quick=args.quick, profile=args.profile)
     payload = {"benchmark": "bench_engine", "quick": args.quick,
                "scenarios": results}
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

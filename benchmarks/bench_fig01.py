@@ -1,10 +1,8 @@
-"""Benchmark: regenerate Figure 1 (DockerHub census)."""
-
-from repro.harness.experiments.fig01_dockerhub import run
+"""Figure test: Figure 1 (DockerHub census)."""
 
 
-def test_fig01_dockerhub_census(attach):
-    result = attach(run, rounds=3)
+def test_fig01_dockerhub_census(pinned):
+    result = pinned("fig01")
     census = result.tables["census"]
     assert sum(census.column("total")) == 100
     assert sum(census.column("affected")) == 62

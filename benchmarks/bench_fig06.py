@@ -1,14 +1,8 @@
-"""Benchmark: regenerate Figure 6 (vanilla/dynamic/adaptive on 5 containers)."""
-
-from repro.harness.experiments.fig06_dacapo_spec import Fig06Params, run
-
-PARAMS = Fig06Params(scale=0.5,
-                     dacapo_benchmarks=("h2", "lusearch", "sunflow"),
-                     specjvm_benchmarks=("derby", "mpegaudio"))
+"""Figure test: Figure 6 (vanilla/dynamic/adaptive on 5 containers)."""
 
 
-def test_fig06_vanilla_dynamic_adaptive(attach):
-    result = attach(lambda: run(PARAMS))
+def test_fig06_vanilla_dynamic_adaptive(pinned):
+    result = pinned("fig06")
     exec_t = result.tables["dacapo_time"]
     for row in exec_t.rows:
         # Adaptive is fastest; dynamic sits between vanilla and adaptive.

@@ -1,16 +1,11 @@
-"""Benchmark: regenerate Figure 7 (cpuset JVM9 vs adaptive, 2-10 containers)."""
-
-from repro.harness.experiments.fig07_scaling import Fig07Params, run
-
-PARAMS = Fig07Params(scale=0.5, benchmarks=("h2", "lusearch"),
-                     container_counts=(2, 6, 10))
+"""Figure test: Figure 7 (cpuset JVM9 vs adaptive, 2-10 containers)."""
 
 
-def test_fig07_scaling_containers(attach):
-    result = attach(lambda: run(PARAMS))
+def test_fig07_scaling_containers(pinned):
+    result = pinned("fig07")
     exec_t = result.tables["execution_time"]
     gc_t = result.tables["gc_time"]
-    for bench in PARAMS.benchmarks:
+    for bench in ("h2", "lusearch"):
         rows = [r for r in exec_t.rows if r["benchmark"] == bench]
         # JVM9 is flat (isolated cpuset); adaptive grows with co-runners.
         jvm9 = [r["jvm9"] for r in rows]

@@ -1,16 +1,8 @@
-"""Benchmark: regenerate Figure 8 (static shares vs effective CPU)."""
-
-from repro.harness.experiments.fig08_shares import Fig08Params, run
-
-# Full scale: the vanilla-vs-jvm10 GC comparison depends on how much of
-# the run happens while sysbench co-runners are still alive, so the
-# workload and the co-runner mix must keep the paper's proportions.
-PARAMS = Fig08Params(scale=1.0, benchmarks=("h2", "sunflow"),
-                     trace_benchmark="sunflow")
+"""Figure test: Figure 8 (static shares vs effective CPU)."""
 
 
-def test_fig08_varying_cpu_availability(attach):
-    result = attach(lambda: run(PARAMS))
+def test_fig08_varying_cpu_availability(pinned):
+    result = pinned("fig08")
     gc = result.tables["gc_time"]
     for row in gc.rows:
         # Container awareness (JVM10) and adaptive both beat vanilla's

@@ -1,12 +1,8 @@
-"""Benchmark: regenerate Figure 9 (HiBench big-data workloads)."""
-
-from repro.harness.experiments.fig09_hibench import Fig09Params, run
-
-PARAMS = Fig09Params(scale=0.25, benchmarks=("kmeans", "als"))
+"""Figure test: Figure 9 (HiBench big-data workloads)."""
 
 
-def test_fig09_hibench(attach):
-    result = attach(lambda: run(PARAMS))
+def test_fig09_hibench(pinned):
+    result = pinned("fig09")
     exec_t = result.tables["execution_time"]
     gc = result.tables["gc_time"]
     for row in exec_t.rows:

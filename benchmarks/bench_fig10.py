@@ -1,12 +1,8 @@
-"""Benchmark: regenerate Figure 10 (NPB/OpenMP thread policies)."""
-
-from repro.harness.experiments.fig10_npb import Fig10Params, run
-
-PARAMS = Fig10Params(scale=0.5, benchmarks=("is", "ep", "cg"))
+"""Figure test: Figure 10 (NPB/OpenMP thread policies)."""
 
 
-def test_fig10_npb_policies(attach):
-    result = attach(lambda: run(PARAMS))
+def test_fig10_npb_policies(pinned):
+    result = pinned("fig10")
     for key in ("five_containers", "one_container"):
         for row in result.tables[key].rows:
             # Adaptive is the baseline (1.0); static over-threads,

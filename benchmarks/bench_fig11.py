@@ -1,13 +1,8 @@
-"""Benchmark: regenerate Figure 11 (elastic heap vs vanilla, 1GB limit)."""
-
-from repro.harness.experiments.fig11_elastic_dacapo import Fig11Params, run
-
-PARAMS = Fig11Params(scale=0.5,
-                     benchmarks=("h2", "jython", "lusearch", "xalan"))
+"""Figure test: Figure 11 (elastic heap vs vanilla, 1GB limit)."""
 
 
-def test_fig11_elastic_heap(attach):
-    result = attach(lambda: run(PARAMS))
+def test_fig11_elastic_heap(pinned):
+    result = pinned("fig11")
     table = result.tables["elastic"]
     for bench in ("lusearch", "xalan"):
         row = table.row_for("benchmark", bench)

@@ -1,12 +1,8 @@
-"""Benchmark: regenerate Figure 12 (heap micro-benchmark traces)."""
-
-from repro.harness.experiments.fig12_heap_traces import Fig12Params, run
-
-PARAMS = Fig12Params(scale=0.25)
+"""Figure test: Figure 12 (heap micro-benchmark traces)."""
 
 
-def test_fig12_heap_traces(attach):
-    result = attach(lambda: run(PARAMS))
+def test_fig12_heap_traces(pinned):
+    result = pinned("fig12")
     summary = result.tables["summary"]
     for row in summary.rows:
         assert row["completed"] and not row["oom"]

@@ -1,4 +1,4 @@
-"""Benchmark: the serving experiment's headline claim.
+"""Figure test: the serving experiment's headline claim.
 
 Under a 4x load spike, SLO-driven vertical scaling on adaptive views
 achieves lower p99 latency than a static quota with the *same average*
@@ -6,16 +6,12 @@ reservation — and the whole run is bit-identical across repeated
 invocations with the same seed.
 """
 
-from repro.harness.experiments.exp_serve import ServeParams, run, run_one
-
-# Quick-scale scenario: same shape as the default (steady / 4x spike /
-# steady), small enough to run three policies plus a repeat in seconds.
-PARAMS = ServeParams(ncpus=8, replicas=2, workers=2, base_rate=20.0,
-                     warm=5.0, spike_len=8.0, cool=12.0, max_cores=3.0)
+from repro.harness.experiments.exp_serve import run_one
+from repro.harness.run_all import quick_params
 
 
-def test_serve_adaptive_beats_static_equal(attach):
-    result = attach(lambda: run(PARAMS))
+def test_serve_adaptive_beats_static_equal(pinned):
+    result = pinned("exp_serve")
     rows = {r["mode"]: r for r in result.tables["latency"].rows}
     adaptive, equal, peak = (rows["adaptive"], rows["static-equal"],
                              rows["static-peak"])
@@ -42,8 +38,9 @@ def test_serve_adaptive_beats_static_equal(attach):
 
 
 def test_serve_bit_identical_across_runs():
-    first = run_one(PARAMS, static_cores=None)
-    second = run_one(PARAMS, static_cores=None)
+    params = quick_params("exp_serve")
+    first = run_one(params, static_cores=None)
+    second = run_one(params, static_cores=None)
     # Bit-identical: the full latency distribution (bucket counts, exact
     # sum, min/max), the quota trace, and the reservation integral — not
     # just summary statistics.

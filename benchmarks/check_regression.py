@@ -1,6 +1,6 @@
 r"""Compare a fresh benchmark run against its committed baseline. ::
 
-    PYTHONPATH=src python benchmarks/bench_engine.py --quick --mode both \
+    PYTHONPATH=src python benchmarks/bench_engine.py --quick \
         --output /tmp/engine.json
     python benchmarks/check_regression.py /tmp/engine.json
 

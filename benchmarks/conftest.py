@@ -1,14 +1,13 @@
-"""Shared benchmark configuration.
+"""Shared figure-test configuration.
 
-Each ``bench_figXX.py`` regenerates one figure/table of the paper using
-scaled-down workloads (simulated time is unaffected by scaling the
-*wall* cost; scaling shortens the simulated benchmarks so a full
-``pytest benchmarks/ --benchmark-only`` stays in the minutes range).
-The benchmark fixture measures the wall time of regenerating the
-experiment; the experiment's own tables are attached to the benchmark's
-``extra_info`` so the run output doubles as the reproduction report.
+Each ``bench_figXX.py`` (and ``bench_ablation.py``, ``bench_serve.py``,
+``bench_exp_cluster.py``, ``bench_exp_policy.py``) asserts the shape
+of one experiment's tables at the scale ``python -m repro run --quick``
+prints: the ``pinned`` fixture builds them with
+``run_experiment(key, quick=True)``, so the tests, the quick sweep and
+the pins share one parameter set (``run_all._QUICK_KWARGS``).
 
-The ``attach`` fixture also pins every table byte for byte against
+The ``pinned`` fixture also pins every table byte for byte against
 ``figure_digests.json``: the exact ``repr`` of each cell, keyed by test
 name.  The shape assertions of the figure tests are loose on purpose;
 the pins catch any change that moves one bit of a figure.  A mismatch
@@ -27,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.results import ResultTable
+from repro.harness.run_all import run_experiment
 
 PINS = Path(__file__).with_name("figure_digests.json")
 
@@ -89,19 +89,11 @@ def check_pins(test_name: str, experiment: str,
                     + "\n".join(errors), pytrace=False)
 
 
-def run_and_attach(benchmark, fn, test_name: str, *, rounds: int = 1):
-    """Benchmark ``fn`` (an experiment runner), attach and pin its tables."""
-    result = benchmark.pedantic(fn, rounds=rounds, iterations=1,
-                                warmup_rounds=0)
-    benchmark.extra_info["experiment"] = result.experiment
-    for key, table in result.tables.items():
-        benchmark.extra_info[key] = [dict(r) for r in table.rows]
-    check_pins(test_name, result.experiment, result.tables)
-    return result
-
-
 @pytest.fixture
-def attach(benchmark, request):
-    def _attach(fn, rounds: int = 1):
-        return run_and_attach(benchmark, fn, request.node.name, rounds=rounds)
-    return _attach
+def pinned(request):
+    """``pinned(key)``: the experiment's quick-scale result, its tables pinned."""
+    def _run(key: str):
+        result = run_experiment(key, quick=True)
+        check_pins(request.node.name, result.experiment, result.tables)
+        return result
+    return _run

@@ -3,12 +3,8 @@
 Subcommands::
 
     python -m repro info                 # package and experiment summary
-    python -m repro census               # the Fig. 1 DockerHub census
     python -m repro run [EXPERIMENTS]    # forwards to repro.harness.run_all
     python -m repro demo                 # the quickstart scenario
-    python -m repro serve                # the SLO-autoscaling comparison
-    python -m repro cluster              # cluster placement + HPA/VPA interplay
-    python -m repro policy               # policy bundles + mid-run hot-swap
     python -m repro obs                  # observability demo + exporters
     python -m repro check                # differential fuzzer + invariants
     python -m repro bench [NAME]         # dispatch to benchmarks/ scripts
@@ -17,6 +13,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 __all__ = ["main"]
@@ -32,12 +29,6 @@ def _cmd_info(_args) -> int:
         doc = (module.__doc__ or "").strip().splitlines()[0]
         print(f"  {key:10s} {doc}")
     print("\nrun them with: python -m repro run [--quick] [names...]")
-    return 0
-
-
-def _cmd_census(_args) -> int:
-    from repro.harness.experiments.fig01_dockerhub import run
-    print(run().to_text())
     return 0
 
 
@@ -59,33 +50,6 @@ def _cmd_demo(_args) -> int:
         print(f"container {c.name}: {view.ncpus()} effective CPUs "
               f"(host has {world.host.ncpus}), "
               f"{view.total_memory() / gib(1):.1f} GiB effective memory")
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    from repro.harness.experiments.exp_serve import ServeParams, run
-    from repro.harness.run_all import _QUICK_KWARGS
-    kwargs = dict(_QUICK_KWARGS["exp_serve"]) if args.quick else {}
-    kwargs["seed"] = args.seed
-    print(run(ServeParams(**kwargs)).to_text())
-    return 0
-
-
-def _cmd_cluster(args) -> int:
-    from repro.harness.experiments.exp_cluster import ClusterExpParams, run
-    from repro.harness.run_all import _QUICK_KWARGS
-    kwargs = dict(_QUICK_KWARGS["exp_cluster"]) if args.quick else {}
-    kwargs["seed"] = args.seed
-    print(run(ClusterExpParams(**kwargs), jobs=args.jobs).to_text())
-    return 0
-
-
-def _cmd_policy(args) -> int:
-    from repro.harness.experiments.exp_policy import PolicyParams, run
-    from repro.harness.run_all import _QUICK_KWARGS
-    kwargs = dict(_QUICK_KWARGS["exp_policy"]) if args.quick else {}
-    kwargs["seed"] = args.seed
-    print(run(PolicyParams(**kwargs), jobs=args.jobs).to_text())
     return 0
 
 
@@ -206,11 +170,10 @@ def _cmd_bench(args) -> int:
     """Dispatch to a benchmarks/ script without knowing file paths.
 
     Script-style benchmarks (``bench_engine``, ``bench_par``) run
-    directly; pytest-benchmark suites (``bench_serve``, the per-figure
-    ``bench_figXX``) run under ``pytest --benchmark-only``.  Extra
-    arguments after the name are forwarded.
+    directly; figure tests (``bench_serve``, the per-figure
+    ``bench_figXX``) run under ``pytest``.  Extra arguments after the
+    name are forwarded.
     """
-    import os
     import subprocess
     bench_dir = _benchmarks_dir()
     if bench_dir is None:
@@ -241,8 +204,7 @@ def _cmd_bench(args) -> int:
     if "def main(" in path.read_text():
         cmd = [sys.executable, str(path), *args.args]
     else:
-        cmd = [sys.executable, "-m", "pytest", str(path), "-q",
-               "--benchmark-only", *args.args]
+        cmd = [sys.executable, "-m", "pytest", str(path), "-q", *args.args]
     return subprocess.call(cmd, env=env)
 
 
@@ -250,31 +212,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("info", help="package and experiment summary")
-    sub.add_parser("census", help="print the Fig. 1 DockerHub census")
     # ``run`` declares nothing: its arguments go to run_all's parser
     # unparsed (``repro run --help`` lists them).
     sub.add_parser("run", add_help=False,
                    help="run paper experiments (repro.harness.run_all)")
     sub.add_parser("demo", help="run the quickstart scenario")
-    serve_p = sub.add_parser(
-        "serve", help="serving latency: SLO autoscaler vs static quotas")
-    serve_p.add_argument("--quick", action="store_true",
-                         help="scaled-down scenario for a fast smoke run")
-    serve_p.add_argument("--seed", type=int, default=0)
-    cluster_p = sub.add_parser(
-        "cluster", help="cluster placement + HPA/VPA interplay experiment")
-    cluster_p.add_argument("--quick", action="store_true",
-                           help="scaled-down sweep for a fast smoke run")
-    cluster_p.add_argument("--seed", type=int, default=0)
-    cluster_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="worker processes for trial-level fan-out")
-    policy_p = sub.add_parser(
-        "policy", help="kernel policy bundles + mid-run hot-swap experiment")
-    policy_p.add_argument("--quick", action="store_true",
-                          help="scaled-down sweep for a fast smoke run")
-    policy_p.add_argument("--seed", type=int, default=0)
-    policy_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="worker processes for trial-level fan-out")
     obs_p = sub.add_parser(
         "obs", help="observability demo: pressure, histograms, exporters")
     obs_p.add_argument("mode", nargs="?", default="demo",
@@ -301,14 +243,21 @@ def main(argv: list[str] | None = None) -> int:
     if forwarded and args.command != "run":
         parser.error(f"unrecognized arguments: {' '.join(forwarded)}")
     args.forwarded = forwarded
-    handlers = {"info": _cmd_info, "census": _cmd_census,
-                "run": _cmd_run, "demo": _cmd_demo, "serve": _cmd_serve,
-                "cluster": _cmd_cluster, "policy": _cmd_policy,
+    handlers = {"info": _cmd_info, "run": _cmd_run, "demo": _cmd_demo,
                 "obs": _cmd_obs, "check": _cmd_check, "bench": _cmd_bench}
     if args.command is None:
         parser.print_help()
         return 2
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro info | head``): stop
+        # quietly, and point stdout at /dev/null so the interpreter's
+        # final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

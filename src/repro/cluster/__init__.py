@@ -16,8 +16,8 @@ epoch barrier refreshes the placement surfaces from the worlds.
 
 Entry points::
 
-    python -m repro cluster                 # the exp_cluster experiment
-    python -m repro cluster --quick --jobs 4   # trials across 4 processes
+    python -m repro run exp_cluster                  # the experiment
+    python -m repro run exp_cluster --quick --jobs 4 # trials across 4 processes
 """
 
 from repro.cluster.cluster import Cluster, ClusterParams

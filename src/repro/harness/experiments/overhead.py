@@ -11,8 +11,8 @@ We measure the same operations of *our* implementation with
 ``time.perf_counter_ns``.  Absolute numbers are Python-vs-kernel
 apples-to-oranges; the shape to check is update ≈ cheap, CPU query
 cheap, memory query noticeably more expensive (our memory path also
-touches several counters).  ``benchmarks/bench_overhead.py`` repeats the
-measurement under pytest-benchmark.
+touches several counters).  The table is host-timed, so it is the one
+experiment without a byte pin in ``benchmarks/figure_digests.json``.
 """
 
 from __future__ import annotations

@@ -181,16 +181,11 @@ def _as_result(raw: dict, *, cached: bool = False) -> TrialResult:
 class ParallelRunner:
     """Executes trial sweeps across ``jobs`` worker processes."""
 
-    def __init__(self, jobs: int = 1, cache: ResultCache | None = None,
-                 batch_size: int | None = None):
+    def __init__(self, jobs: int = 1, cache: ResultCache | None = None):
         if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
-        if batch_size is not None and batch_size < 1:
-            raise ReproError(f"batch_size must be >= 1, got {batch_size}")
         self.jobs = jobs
         self.cache = cache
-        #: Trials per worker submission; ``None`` = auto-chunk.
-        self.batch_size = batch_size
 
     def _resolve_batch_size(self, n_pending: int) -> int:
         """Auto-chunking: amortize pool/pickling overhead on small trials.
@@ -203,8 +198,6 @@ class ParallelRunner:
         worker so stragglers level out, capped at 16 so a dead worker
         never takes more than one small batch down with it.
         """
-        if self.batch_size is not None:
-            return self.batch_size
         if self.jobs == 1:
             return 1
         if n_pending <= self.jobs * 4:
@@ -315,12 +308,10 @@ class ParallelRunner:
 
 def run_trials(specs: list[TrialSpec], *, jobs: int = 1,
                cache: ResultCache | None = None,
-               batch_size: int | None = None,
                on_result=None) -> list[TrialResult]:
     """Convenience wrapper: ``ParallelRunner(jobs, cache).run(specs)``."""
-    return ParallelRunner(jobs=jobs, cache=cache,
-                          batch_size=batch_size).run(specs,
-                                                     on_result=on_result)
+    return ParallelRunner(jobs=jobs, cache=cache).run(specs,
+                                                      on_result=on_result)
 
 
 def result_digest(results: list[TrialResult]) -> str:

@@ -1,5 +1,10 @@
 """Tests for the CLI entry point, extra procfs paths, and Jvm.kill."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main as cli_main
@@ -17,10 +22,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fig06" in out and "HPDC" in out
 
-    def test_census(self, capsys):
-        assert cli_main(["census"]) == 0
-        assert "62" in capsys.readouterr().out
-
     def test_demo(self, capsys):
         assert cli_main(["demo"]) == 0
         out = capsys.readouterr().out
@@ -28,7 +29,8 @@ class TestCli:
 
     def test_run_forwards(self, capsys):
         assert cli_main(["run", "--quick", "fig01"]) == 0
-        assert "DockerHub" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "DockerHub" in out and "62" in out
 
     def test_run_export_writes_json(self, tmp_path, capsys):
         assert cli_main(["run", "--export", str(tmp_path), "--no-cache",
@@ -53,6 +55,18 @@ class TestCli:
     def test_no_command_prints_help(self, capsys):
         assert cli_main([]) == 2
         assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["info"], ["bench"]])
+    def test_closed_pipe_exits_without_traceback(self, command):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen([sys.executable, "-m", "repro", *command],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()           # the reader leaves before any write
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 class TestProcfs:

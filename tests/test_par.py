@@ -196,9 +196,11 @@ class TestCache:
 
 class TestBatching:
     def test_digest_identical_across_batch_sizes(self):
-        base = run_trials(toy_specs(9), jobs=1)
-        for batch in (1, 2, 4, 16):
-            batched = run_trials(toy_specs(9), jobs=3, batch_size=batch)
+        # The auto-chunk rule picks batches of 1 (3 trials on 3 jobs),
+        # 2 (4 on 2), 3 (9 on 3) and 4 (8 on 2).
+        for n, jobs in ((3, 3), (4, 2), (9, 3), (8, 2)):
+            base = run_trials(toy_specs(n), jobs=1)
+            batched = run_trials(toy_specs(n), jobs=jobs)
             assert result_digest(batched) == result_digest(base)
             assert [r.trial_id for r in batched] == [r.trial_id for r in base]
 
@@ -208,8 +210,6 @@ class TestBatching:
         assert runner._resolve_batch_size(64) == 4    # 4 waves per worker
         assert runner._resolve_batch_size(10_000) == 16  # capped
         assert ParallelRunner(jobs=1)._resolve_batch_size(100) == 1
-        explicit = ParallelRunner(jobs=4, batch_size=7)
-        assert explicit._resolve_batch_size(1_000) == 7
 
     def test_small_sweep_gets_one_wave(self):
         # Figure-sized sweeps take exactly one batch per worker so a
@@ -219,22 +219,18 @@ class TestBatching:
         assert runner._resolve_batch_size(16) == 4    # 4 futures of 4
         assert runner._resolve_batch_size(17) == 2    # big sweep: 4 waves
 
-    def test_batch_size_validation(self):
-        with pytest.raises(ReproError, match="batch_size"):
-            ParallelRunner(jobs=2, batch_size=0)
-
     def test_exception_in_batch_isolated(self):
         specs = toy_specs(6, fn=CRASH_FN)
         specs[2] = TrialSpec(fn=CRASH_FN, experiment="toy", trial_id="t2",
                              config={"x": 2, "boom": True})
-        results = run_trials(specs, jobs=2, batch_size=3)
+        results = run_trials(specs, jobs=2)     # two batches of 3
         assert [r.ok for r in results] == [True, True, False, True, True, True]
 
     def test_worker_death_in_batch_retried_solo(self):
         specs = toy_specs(6, fn=DIE_FN)
         specs[1] = TrialSpec(fn=DIE_FN, experiment="toy", trial_id="t1",
                              config={"x": 1, "die": True})
-        results = run_trials(specs, jobs=2, batch_size=3)
+        results = run_trials(specs, jobs=2)     # two batches of 3
         by_id = {r.trial_id: r for r in results}
         assert not by_id["t1"].ok
         assert "WorkerDied" in by_id["t1"].error
@@ -261,7 +257,7 @@ class TestWarmPool:
         specs = toy_specs(3, fn=DIE_FN)
         specs[0] = TrialSpec(fn=DIE_FN, experiment="toy", trial_id="t0",
                              config={"x": 0, "die": True})
-        run_trials(specs, jobs=2, batch_size=1)
+        run_trials(specs, jobs=2)
         # The worker death broke the warm pool; it must not be handed out
         # again.
         broken = runner_mod._POOLS.get(2)

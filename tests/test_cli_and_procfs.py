@@ -22,6 +22,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fig06" in out and "HPDC" in out
 
+    def test_census(self, capsys):
+        # The census table comes from `repro run fig01`; the old
+        # `repro census` shortcut is gone.
+        assert cli_main(["run", "--quick", "fig01"]) == 0
+        assert "62" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["census"])
+        assert exc.value.code == 2
+
     def test_demo(self, capsys):
         assert cli_main(["demo"]) == 0
         out = capsys.readouterr().out
@@ -29,8 +38,7 @@ class TestCli:
 
     def test_run_forwards(self, capsys):
         assert cli_main(["run", "--quick", "fig01"]) == 0
-        out = capsys.readouterr().out
-        assert "DockerHub" in out and "62" in out
+        assert "DockerHub" in capsys.readouterr().out
 
     def test_run_export_writes_json(self, tmp_path, capsys):
         assert cli_main(["run", "--export", str(tmp_path), "--no-cache",

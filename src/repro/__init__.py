@@ -26,7 +26,6 @@ from repro.errors import (ContainerError, JvmError, OpenMpError, OutOfMemoryErro
                           PolicyError, ReproError, WorkloadError)
 from repro.kernel import CpuSet, Sysconf
 from repro.kernel.mm import MmParams
-from repro.kernel.sched import SchedParams
 from repro.metrics import Histogram, MetricsRecorder, Series
 from repro.policy import (ReclaimPolicy, SchedPolicy, make_reclaim_policy,
                           make_sched_policy, register_reclaim_policy,
@@ -53,7 +52,7 @@ __all__ = [
     "SchedPolicy", "ReclaimPolicy", "resolve_bundle",
     "make_sched_policy", "make_reclaim_policy",
     "register_sched_policy", "register_reclaim_policy",
-    "CpuSet", "Sysconf", "MmParams", "SchedParams",
+    "CpuSet", "Sysconf", "MmParams",
     "KiB", "MiB", "GiB", "kib", "mib", "gib",
     "__version__",
 ]

@@ -17,7 +17,6 @@ Entry points::
     python -m repro check --seeds 200       # fixed-seed sweep (CI fast tier)
     python -m repro check --smoke 60        # randomized smoke, seed printed
     python -m repro check --replay FIX.json # re-run a committed fixture
-    python -m repro check --backend-diff incremental,scan --seeds 60
     python -m repro check --policy-diff default,burstable --seeds 50
     python -m repro check --cluster --seeds 50      # generated clusters
 """

@@ -1,12 +1,10 @@
 """``python -m repro check`` — drive the differential oracle from the command line.
 
 Every mode runs scenarios under one *variant list* and judges them with
-the oracle that list implies (see :mod:`repro.check.differ`).  At most
-one pair flag picks the list — naming two is an argparse error, and an
-unknown engine or policy name is rejected before any trial runs:
+the oracle that list implies (see :mod:`repro.check.differ`).  An
+unknown policy name is rejected before any trial runs:
 
 * default: engines ``incremental`` vs ``scan``, exact equality;
-* ``--backend-diff A,B``: two engines, exact equality;
 * ``--policy-diff A,B``: two policy bundles, each run lawful under its
   own invariant suite, drift recorded.
 
@@ -22,7 +20,7 @@ content-cached under ``results/.cache`` unless ``--no-cache``), one
 seed (``--seed S``), a randomized smoke (``--smoke SECONDS`` of fresh
 OS-random seeds, each printed so a CI failure is reproducible), and
 ``--replay FIXTURE.json``, which re-runs a fixture under its own
-variants or under the list a pair flag names.  A fixture is the
+variants or under the pair ``--policy-diff`` names.  A fixture is the
 scenario dict — a world :class:`~repro.check.scenario.Scenario` (it
 has ``ops``) or a cluster scenario — plus ``"variants": [...]``, left
 out for the default pair.
@@ -63,14 +61,12 @@ def _parse_pair(spec: str) -> tuple[str, str]:
     return (parts[0], parts[1])
 
 
-def _pair_of(field: str):
+def _policy_pair(spec: str) -> list[Variant]:
     """argparse ``type`` turning ``A,B`` into two validated variants."""
-    def parse(spec: str) -> list[Variant]:
-        try:
-            return [Variant(**{field: name}) for name in _parse_pair(spec)]
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return parse
+    try:
+        return [Variant(policy=name) for name in _parse_pair(spec)]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -85,16 +81,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "wall-clock budget is spent")
     parser.add_argument("--replay", type=str, default=None, metavar="FIXTURE",
                         help="re-run a regression fixture JSON file")
-    pair = parser.add_mutually_exclusive_group()
-    pair.add_argument("--backend-diff", dest="variants",
-                      type=_pair_of("engine"), metavar="A,B",
-                      help="run under two engine backends in the given "
-                           "order (e.g. incremental,scan, the default "
-                           "pair)")
-    pair.add_argument("--policy-diff", dest="variants",
-                      type=_pair_of("policy"), metavar="A,B",
-                      help="run under two policy bundles (e.g. "
-                           "default,burstable); the oracle is lawfulness")
+    parser.add_argument("--policy-diff", dest="variants",
+                        type=_policy_pair, metavar="A,B",
+                        help="run under two policy bundles (e.g. "
+                             "default,burstable); the oracle is lawfulness")
     parser.add_argument("--cluster", action="store_true",
                         help="generate multi-host cluster scenarios "
                              "instead of single worlds (cluster "

@@ -22,22 +22,24 @@ from repro.check.scenario import Scenario
 
 __all__ = ["shrink"]
 
+#: Oracle calls one shrink may spend before it returns its best so far.
+MAX_CHECKS = 400
+
 Oracle = Callable[[Scenario], str | None]
 
 
-def shrink(scenario: Scenario, oracle: Oracle, *,
-           max_checks: int = 400) -> Scenario:
+def shrink(scenario: Scenario, oracle: Oracle) -> Scenario:
     """Return a smaller scenario with the same failure fingerprint.
 
     ``oracle`` maps a scenario to a failure fingerprint (or None if it
     passes).  The input scenario must fail; the result is the smallest
-    variant found within ``max_checks`` oracle calls that fails with the
+    variant found within ``MAX_CHECKS`` oracle calls that fails with the
     *same* fingerprint.
     """
     target = oracle(scenario)
     if target is None:
         raise ValueError("cannot shrink a passing scenario")
-    budget = [max_checks]
+    budget = [MAX_CHECKS]
 
     def still_fails(cand: Scenario) -> bool:
         if budget[0] <= 0:

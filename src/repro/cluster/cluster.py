@@ -44,6 +44,9 @@ __all__ = ["ClusterParams", "Cluster"]
 
 _EPS = 1e-9
 
+#: A pod-epoch violates when attained < SLO_FRAC * demand.
+SLO_FRAC = 0.95
+
 
 @dataclass(frozen=True)
 class ClusterParams:
@@ -54,16 +57,12 @@ class ClusterParams:
     host_memory: int = gib(128)
     #: Scheduling/sampling interval (simulated seconds).
     epoch: float = 1.0
-    #: Adaptive-view refresh period on every host (None = track CFS).
-    view_update_period: float | None = 1.0
     strategy: str = "view"
     #: Enable the hot-host rebalancer.
     migration: bool = True
     #: A host is hot when live pod demand exceeds this fraction of cores.
     hot_frac: float = 0.85
     max_migrations_per_epoch: int = 4
-    #: A pod-epoch violates when attained < slo_frac * demand.
-    slo_frac: float = 0.95
     seed: int = 0
     engine: str = "incremental"
     #: Enable per-host trace logs (spans/events).  Purely passive: the
@@ -90,9 +89,6 @@ class ClusterParams:
         if not 0.0 < self.hot_frac <= 1.0:
             raise ClusterError(
                 f"hot_frac must be in (0, 1], got {self.hot_frac}")
-        if not 0.0 < self.slo_frac <= 1.0:
-            raise ClusterError(
-                f"slo_frac must be in (0, 1], got {self.slo_frac}")
 
 
 @dataclass
@@ -119,7 +115,6 @@ class Cluster:
         self.hosts: list[Host] = [
             Host(f"host{idx:0{width}d}", ncpus=p.host_ncpus,
                  memory=p.host_memory, seed=p.seed,
-                 view_update_period=p.view_update_period,
                  engine=p.engine, trace=p.trace,
                  sched_policy=p.sched_policy,
                  reclaim_policy=p.reclaim_policy)
@@ -315,7 +310,7 @@ class Cluster:
             demand_total += pod.demand
             attained_total += min(attained, pod.demand)
             self.last_epoch_attained[pod.name] = (attained, pod.demand)
-            if attained + _EPS < self.params.slo_frac * pod.demand:
+            if attained + _EPS < SLO_FRAC * pod.demand:
                 pod.violation_epochs += 1
                 m.violations += 1
         cap = float(self.cpu_capacity)

@@ -27,19 +27,21 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Host"]
 
+#: Adaptive-view refresh period of every host world, in seconds.
+VIEW_UPDATE_PERIOD = 1.0
+
 
 class Host:
     """A simulated machine in the cluster: one world and its pods."""
 
     def __init__(self, name: str, *, ncpus: int, memory: int, seed: int = 0,
-                 view_update_period: float | None = 1.0,
                  engine: str = "incremental", trace: bool = False,
                  sched_policy: str = "default",
                  reclaim_policy: str = "default"):
         self.name = name
         self.world = World(ncpus, memory,
                            seed=derive_seed("cluster-host", name, seed),
-                           sys_ns_update_period=view_update_period,
+                           sys_ns_update_period=VIEW_UPDATE_PERIOD,
                            engine=engine, trace=trace,
                            sched_policy=sched_policy,
                            reclaim_policy=reclaim_policy)

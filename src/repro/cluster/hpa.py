@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["HpaParams", "HorizontalAutoscaler"]
 
+UP_BURN = 1.0           # scale out when burn exceeds this (with a queue)
+DOWN_BURN = 0.3         # scale in only when burn is below this...
+SCALE_IN_UTIL = 0.4     # ...and utilization below this
+
 
 @dataclass(frozen=True)
 class HpaParams:
@@ -42,10 +46,7 @@ class HpaParams:
     period: float = 1.0          # control-loop tick, seconds
     min_replicas: int = 1
     max_replicas: int = 8
-    up_burn: float = 1.0         # scale out when burn exceeds this...
-    queue_high: int = 8          # ...or backlog reaches this
-    down_burn: float = 0.3       # scale in only when burn is below this
-    scale_in_util: float = 0.4   # ...and utilization below this
+    queue_high: int = 8          # scale out when backlog reaches this
     cooldown: float = 3.0        # min seconds between scaling actions
 
     def __post_init__(self) -> None:
@@ -142,11 +143,11 @@ class HorizontalAutoscaler:
         in_cooldown = now - self._last_action < p.cooldown
         if (not in_cooldown and n < p.max_replicas
                 and (backlog >= p.queue_high
-                     or (burn > p.up_burn and queued > 0))):
+                     or (burn > UP_BURN and queued > 0))):
             self._scale_out(now)
         elif (not in_cooldown and n > p.min_replicas
-              and burn < p.down_burn and queued == 0
-              and utilization < p.scale_in_util):
+              and burn < DOWN_BURN and queued == 0
+              and utilization < SCALE_IN_UTIL):
             self._scale_in(now)
         self.replica_history.append((now, self.replicas))
         self.world.trace.emit(

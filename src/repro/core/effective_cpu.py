@@ -36,15 +36,16 @@ __all__ = ["UTIL_THRESHOLD", "CpuViewParams", "CpuBounds", "cpu_bounds_key",
 #: The paper's empirically chosen UTIL_THRSHD.
 UTIL_THRESHOLD = 0.95
 
+#: Host idle capacity (core-seconds per window second) above which the
+#: system is considered to have slack.
+SLACK_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class CpuViewParams:
     """Tunables of the effective-CPU update rule."""
 
     util_threshold: float = UTIL_THRESHOLD
-    #: Host idle capacity (core-seconds per window second) above which the
-    #: system is considered to have slack.
-    slack_eps: float = 1e-6
     #: Disable the dynamic adjustment: E_CPU stays pinned at the static
     #: lower bound.  This is the LXCFS / cgroup-namespace behaviour the
     #: paper contrasts against ("these approaches only export the
@@ -127,7 +128,7 @@ def step_effective_cpu(e_cpu: int, bounds: CpuBounds, *, usage: float,
     e_cpu = bounds.clamp(e_cpu)
     if not p.dynamic:
         return bounds.lower
-    if slack > p.slack_eps:
+    if slack > SLACK_EPS:
         utilization = usage / capacity_window if capacity_window > 0 else 0.0
         if utilization > p.util_threshold and e_cpu < bounds.upper:
             return e_cpu + 1

@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 __all__ = ["MemViewParams", "MemorySample", "step_effective_memory"]
 
+#: Usage fraction of effective memory above which expansion is considered.
+USAGE_THRESHOLD = 0.90
+
 
 @dataclass(frozen=True)
 class MemViewParams:
     """Tunables of the effective-memory update rule."""
 
-    #: Usage fraction of effective memory above which expansion is considered.
-    usage_threshold: float = 0.90
     #: Expansion step as a fraction of the remaining headroom to the hard limit.
     increment_frac: float = 0.10
     #: Clamp on the free-memory-impact ratio (guards the prediction when the
@@ -95,7 +96,7 @@ def step_effective_memory(e_mem: int, *, soft_limit: int, hard_limit: int,
     if e_mem >= hard_limit:
         return hard_limit
     usage_frac = sample.cmem / e_mem if e_mem > 0 else 1.0
-    if usage_frac <= p.usage_threshold:
+    if usage_frac <= USAGE_THRESHOLD:
         return e_mem
     headroom = hard_limit - e_mem
     # Snap the last sub-MiB of headroom so E actually reaches the hard

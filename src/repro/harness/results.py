@@ -66,12 +66,12 @@ class ResultTable:
 
     # -- rendering ----------------------------------------------------------
 
-    def to_text(self, *, float_fmt: str = "{:.3f}") -> str:
+    def to_text(self) -> str:
         def fmt(v: Any) -> str:
             if isinstance(v, bool):
                 return str(v)
             if isinstance(v, float):
-                return float_fmt.format(v)
+                return f"{v:.3f}"
             return str(v)
 
         header = list(self.columns)

@@ -21,35 +21,29 @@ and as a secondary growth trigger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.jvm.heap import Heap
 
-__all__ = ["SizingParams", "BaseSizePolicy", "AdaptiveSizePolicy",
-           "ThroughputSizePolicy"]
+__all__ = ["BaseSizePolicy", "AdaptiveSizePolicy", "ThroughputSizePolicy"]
 
+# Feedback thresholds of the size policy.
 
-@dataclass(frozen=True)
-class SizingParams:
-    """Feedback thresholds of the size policy."""
-
-    #: Minor collections closer together than this trigger young growth.
-    target_minor_interval: float = 0.25
-    #: Minor collections farther apart than this (with low occupancy)
-    #: allow the young generation to shrink.
-    shrink_minor_interval: float = 2.0
-    #: Secondary trigger: grow when GC overhead exceeds this target.
-    gc_overhead_target: float = 0.10
-    #: Young-generation growth factor.
-    young_grow_factor: float = 1.5
-    #: Shrink factor when far under target and under-occupied.
-    young_shrink_factor: float = 0.8
-    #: Old generation keeps this much headroom over its occupancy.
-    old_headroom: float = 1.3
-    #: Old shrinks when occupancy falls below this fraction of committed.
-    old_shrink_occupancy: float = 0.35
-    #: Smoothing weight for the GC-overhead moving average.
-    ema_weight: float = 0.3
+#: Minor collections closer together than this trigger young growth.
+TARGET_MINOR_INTERVAL = 0.25
+#: Minor collections farther apart than this (with low occupancy)
+#: allow the young generation to shrink.
+SHRINK_MINOR_INTERVAL = 2.0
+#: Secondary trigger: grow when GC overhead exceeds this target.
+GC_OVERHEAD_TARGET = 0.10
+#: Young-generation growth factor.
+YOUNG_GROW_FACTOR = 1.5
+#: Shrink factor when far under target and under-occupied.
+YOUNG_SHRINK_FACTOR = 0.8
+#: Old generation keeps this much headroom over its occupancy.
+OLD_HEADROOM = 1.3
+#: Old shrinks when occupancy falls below this fraction of committed.
+OLD_SHRINK_OCCUPANCY = 0.35
+#: Smoothing weight for the GC-overhead moving average.
+EMA_WEIGHT = 0.3
 
 
 class BaseSizePolicy:
@@ -62,8 +56,7 @@ class BaseSizePolicy:
     rebalancing are common to all of them.
     """
 
-    def __init__(self, params: SizingParams | None = None):
-        self.params = params or SizingParams()
+    def __init__(self):
         self.gc_overhead_ema = 0.0
         self.minor_gcs_observed = 0
         self._last_mutator_wall = float("inf")
@@ -82,8 +75,8 @@ class BaseSizePolicy:
     def _update_overhead(self, gc_wall: float, mutator_wall: float) -> float:
         total = gc_wall + mutator_wall
         overhead = gc_wall / total if total > 0 else 0.0
-        w = self.params.ema_weight
-        self.gc_overhead_ema = (1 - w) * self.gc_overhead_ema + w * overhead
+        self.gc_overhead_ema = ((1 - EMA_WEIGHT) * self.gc_overhead_ema
+                                + EMA_WEIGHT * overhead)
         self.minor_gcs_observed += 1
         self._last_mutator_wall = mutator_wall
         return overhead
@@ -97,14 +90,13 @@ class BaseSizePolicy:
         cannot ... shrink the heap in response to memory pressure in a
         container").
         """
-        p = self.params
-        if heap.old_used < int(heap.old_committed * p.old_shrink_occupancy):
-            heap.resize_old(int(heap.old_used * p.old_headroom))
+        if heap.old_used < int(heap.old_committed * OLD_SHRINK_OCCUPANCY):
+            heap.resize_old(int(heap.old_used * OLD_HEADROOM))
         else:
             self._track_old(heap)
-        if (self._last_mutator_wall > p.shrink_minor_interval
+        if (self._last_mutator_wall > SHRINK_MINOR_INTERVAL
                 and heap.young_used < heap.young_committed // 4):
-            heap.resize_young(int(heap.young_committed * p.young_shrink_factor))
+            heap.resize_young(int(heap.young_committed * YOUNG_SHRINK_FACTOR))
 
     def shrink_young_for_promotion(self, heap: Heap, incoming: int) -> bool:
         """Last-resort generation rebalancing before an OOM.
@@ -131,12 +123,12 @@ class BaseSizePolicy:
         needed = heap.old_used + incoming
         if needed <= heap.old_committed:
             return True
-        heap.resize_old(int(needed * self.params.old_headroom))
+        heap.resize_old(int(needed * OLD_HEADROOM))
         return heap.old_committed >= needed
 
     def _track_old(self, heap: Heap) -> None:
         """Keep promotion headroom above old occupancy."""
-        target = int(heap.old_used * self.params.old_headroom)
+        target = int(heap.old_used * OLD_HEADROOM)
         if target > heap.old_committed:
             heap.resize_old(target)
 
@@ -152,11 +144,10 @@ class AdaptiveSizePolicy(BaseSizePolicy):
 
     def observe_minor(self, heap: Heap, *, gc_wall: float,
                       mutator_wall: float) -> None:
-        p = self.params
         self._update_overhead(gc_wall, mutator_wall)
-        if (mutator_wall < p.target_minor_interval
-                or self.gc_overhead_ema > p.gc_overhead_target):
-            heap.resize_young(int(heap.young_committed * p.young_grow_factor))
+        if (mutator_wall < TARGET_MINOR_INTERVAL
+                or self.gc_overhead_ema > GC_OVERHEAD_TARGET):
+            heap.resize_young(int(heap.young_committed * YOUNG_GROW_FACTOR))
         self._track_old(heap)
 
     def observe_major(self, heap: Heap) -> None:
@@ -176,9 +167,8 @@ class ThroughputSizePolicy(BaseSizePolicy):
     def observe_minor(self, heap: Heap, *, gc_wall: float,
                       mutator_wall: float) -> None:
         self._update_overhead(gc_wall, mutator_wall)
-        if self.gc_overhead_ema > self.params.gc_overhead_target:
-            heap.resize_young(int(heap.young_committed
-                                  * self.params.young_grow_factor))
+        if self.gc_overhead_ema > GC_OVERHEAD_TARGET:
+            heap.resize_young(int(heap.young_committed * YOUNG_GROW_FACTOR))
         self._track_old(heap)
 
     def observe_major(self, heap: Heap) -> None:

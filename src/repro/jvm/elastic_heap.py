@@ -4,7 +4,7 @@ Every ``poll_interval`` (10 s in the paper) the controller reads the
 container's effective memory from its ``sys_namespace`` and moves the
 heap's dynamic bound::
 
-    VirtualMax = E_MEM - non_heap_overhead
+    VirtualMax = E_MEM - NON_HEAP_OVERHEAD
     YoungMax   = VirtualMax / 3,   OldMax = 2*VirtualMax / 3
 
 Expansion is trivial — raise ``VirtualMax`` and let the adaptive sizing
@@ -32,6 +32,9 @@ __all__ = ["ElasticHeapController"]
 
 #: VirtualMax never shrinks below this floor (a heap must exist).
 MIN_VIRTUAL_MAX = mib(16)
+
+#: Native (non-heap) memory a JVM occupies: metaspace, code cache, stacks.
+NON_HEAP_OVERHEAD = mib(64)
 
 
 class ElasticHeapController:
@@ -62,7 +65,7 @@ class ElasticHeapController:
     def target_virtual_max(self) -> int:
         """VirtualMax derived from the current effective memory."""
         e_mem = self.jvm.container.e_mem
-        return max(MIN_VIRTUAL_MAX, e_mem - self.jvm.non_heap_overhead)
+        return max(MIN_VIRTUAL_MAX, e_mem - NON_HEAP_OVERHEAD)
 
     def poll(self) -> None:
         self.polls += 1

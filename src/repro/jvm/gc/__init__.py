@@ -1,8 +1,8 @@
 """Parallel Scavenge garbage collection."""
 
-from repro.jvm.gc.parallel_scavenge import (GcCostModel, dynamic_active_workers,
+from repro.jvm.gc.parallel_scavenge import (dynamic_active_workers,
                                             major_gc_work, minor_gc_work)
 from repro.jvm.gc.threads import GcWorkerPool
 
-__all__ = ["GcCostModel", "dynamic_active_workers", "major_gc_work",
-           "minor_gc_work", "GcWorkerPool"]
+__all__ = ["dynamic_active_workers", "major_gc_work", "minor_gc_work",
+           "GcWorkerPool"]

@@ -30,14 +30,15 @@ from dataclasses import dataclass, field
 
 from repro.container.container import Container
 from repro.errors import JvmError, OutOfMemoryError
-from repro.jvm.adaptive_sizing import (AdaptiveSizePolicy, BaseSizePolicy,
-                                       SizingParams)
+from repro.jvm.adaptive_sizing import AdaptiveSizePolicy, BaseSizePolicy
 from repro.jvm.detect import (detect_cpus, detect_max_heap,
                               hotspot_ci_compiler_count,
                               hotspot_parallel_gc_threads)
-from repro.jvm.elastic_heap import MIN_VIRTUAL_MAX, ElasticHeapController
+from repro.jvm.elastic_heap import (MIN_VIRTUAL_MAX, NON_HEAP_OVERHEAD,
+                                    ElasticHeapController)
 from repro.jvm.flags import GcThreadMode, HeapDetectMode, JvmConfig
-from repro.jvm.gc.parallel_scavenge import (GcCostModel, dynamic_active_workers,
+from repro.jvm.gc.parallel_scavenge import (SYNC_PER_THREAD,
+                                            dynamic_active_workers,
                                             gc_work_inflation, major_gc_work,
                                             minor_gc_work)
 from repro.jvm.gc.threads import GcWorkerPool
@@ -47,9 +48,6 @@ from repro.units import mib
 from repro.workloads.base import JavaWorkload
 
 __all__ = ["JvmStats", "Jvm"]
-
-#: Native (non-heap) memory a JVM occupies: metaspace, code cache, stacks.
-DEFAULT_NON_HEAP_OVERHEAD = mib(64)
 
 #: Fraction of the live set resident in the young generation at any
 #: instant.  Survivors of a minor GC are capped by this: objects die
@@ -118,10 +116,8 @@ class Jvm:
     """One JVM process running a :class:`JavaWorkload` inside a container."""
 
     def __init__(self, container: Container, workload: JavaWorkload,
-                 config: JvmConfig, *, cost_model: GcCostModel | None = None,
-                 sizing_params: SizingParams | None = None,
+                 config: JvmConfig, *,
                  name: str | None = None, trace_heap: bool = False,
-                 non_heap_overhead: int = DEFAULT_NON_HEAP_OVERHEAD,
                  work_jitter: float = 0.0,
                  jit_warmup_work: float = 0.0,
                  sizing_policy: BaseSizePolicy | None = None):
@@ -129,12 +125,10 @@ class Jvm:
         self.world = container.world
         self.workload = workload
         self.config = config
-        self.cost_model = cost_model or GcCostModel()
         self.sizing = (sizing_policy if sizing_policy is not None
-                       else AdaptiveSizePolicy(sizing_params))
+                       else AdaptiveSizePolicy())
         self.name = name or f"{container.name}.jvm"
         self.trace_heap = trace_heap
-        self.non_heap_overhead = non_heap_overhead
         self.stats = JvmStats()
         self.heap: Heap | None = None
         self.launched = False
@@ -198,7 +192,7 @@ class Jvm:
         if self.config.heap_detect is HeapDetectMode.ELASTIC and self.config.xmx is None:
             virtual_max = max(MIN_VIRTUAL_MAX,
                               min(reserved,
-                                  self.container.e_mem - self.non_heap_overhead))
+                                  self.container.e_mem - NON_HEAP_OVERHEAD))
         else:
             virtual_max = reserved
         initial = self.config.xms or max(virtual_max // 4, mib(16))
@@ -206,7 +200,7 @@ class Jvm:
                          virtual_max=virtual_max)
 
         self._pool = GcWorkerPool(self.container, n_created,
-                                  sync_per_thread=self.cost_model.sync_per_thread,
+                                  sync_per_thread=SYNC_PER_THREAD,
                                   name=self.name)
         self._mutators = [self.container.spawn_thread(f"{self.name}-mutator{i}")
                           for i in range(self.workload.app_threads)]
@@ -238,7 +232,7 @@ class Jvm:
         Returns False if the charge OOM-killed the JVM.
         """
         assert self.heap is not None
-        target = self.heap.committed_total + self.non_heap_overhead
+        target = self.heap.committed_total + NON_HEAP_OVERHEAD
         delta = target - self._charged
         try:
             if delta > 0:
@@ -254,7 +248,7 @@ class Jvm:
         # recycled) young generation plus native overhead.
         self.container.cgroup.memory.hot_bytes = (
             self.workload.live_set + self.heap.young_committed
-            + self.non_heap_overhead)
+            + NON_HEAP_OVERHEAD)
         self.world.mm.refresh_pressure(self.container.cgroup)
         return True
 
@@ -326,7 +320,7 @@ class Jvm:
         if mode is GcThreadMode.STATIC:
             return n
         n_active = dynamic_active_workers(n, self.workload.app_threads,
-                                          heap_used, self.cost_model)
+                                          heap_used)
         if mode is GcThreadMode.DYNAMIC:
             return min(n, n_active)
         # ADAPTIVE: N_gc = min(N, N_active, E_CPU) — the §4.1 formula.
@@ -346,8 +340,8 @@ class Jvm:
         self._gc_span = self.world.trace.begin_span(
             "jvm.gc", f"{self.name} minor GC", team=n_gc)
         surviving = self._surviving_bytes(heap.eden_used)
-        work = minor_gc_work(heap.eden_used, surviving, self.cost_model)
-        work *= gc_work_inflation(n_gc, self._gc_cores_available(), self.cost_model,
+        work = minor_gc_work(heap.eden_used, surviving)
+        work *= gc_work_inflation(n_gc, self._gc_cores_available(),
                                   domain_pressure=self._gc_domain_pressure())
         self._pool.collect(work, n_gc, lambda s=surviving: self._on_minor_done(s))
 
@@ -409,8 +403,8 @@ class Jvm:
         self._gc_started_at = now
         self._gc_span = self.world.trace.begin_span(
             "jvm.gc", f"{self.name} major GC", team=n_gc)
-        work = major_gc_work(heap.old_used, self.cost_model)
-        work *= gc_work_inflation(n_gc, self._gc_cores_available(), self.cost_model,
+        work = major_gc_work(heap.old_used)
+        work *= gc_work_inflation(n_gc, self._gc_cores_available(),
                                   domain_pressure=self._gc_domain_pressure())
         self._pool.collect(work, n_gc, self._on_major_done)
 
@@ -476,7 +470,7 @@ class Jvm:
         can_grow = (self._elastic is not None
                     and self._promotion_retries < self.MAX_PROMOTION_RETRIES
                     and heap.virtual_max
-                    < self.container.sys_ns.hard_limit - self.non_heap_overhead)
+                    < self.container.sys_ns.hard_limit - NON_HEAP_OVERHEAD)
         if can_grow:
             self._await_heap_growth(promoted)
             return False

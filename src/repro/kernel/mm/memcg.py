@@ -26,12 +26,13 @@ progress rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import MemoryError_, OutOfMemoryError
 from repro.kernel.cgroup import Cgroup, CgroupEventKind, CgroupRoot
-from repro.kernel.mm.swap import SwapDevice, SwapParams, swap_slowdown_multiplier
+from repro.kernel.mm.swap import (SWAP_PENALTY, SwapDevice,
+                                  swap_slowdown_multiplier)
 from repro.kernel.mm.watermarks import Watermarks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,15 +45,10 @@ __all__ = ["MmParams", "MemoryManager"]
 class MmParams:
     """Memory-manager tunables."""
 
-    #: Watermark fractions of total memory.
-    min_watermark_frac: float = 0.008
-    low_watermark_frac: float = 0.015
-    high_watermark_frac: float = 0.03
     #: Memory the kernel itself keeps (never allocatable to cgroups).
     kernel_reserved: int = 512 * 1024 * 1024
     #: Swap capacity as a multiple of total memory.
     swap_factor: float = 2.0
-    swap: SwapParams = field(default_factory=SwapParams)
 
 
 class MemoryManager:
@@ -71,12 +67,7 @@ class MemoryManager:
         self.params = params or MmParams()
         if self.params.kernel_reserved >= self.total:
             raise MemoryError_("kernel_reserved exceeds total memory")
-        self.watermarks = Watermarks.for_total(
-            self.total,
-            min_frac=self.params.min_watermark_frac,
-            low_frac=self.params.low_watermark_frac,
-            high_frac=self.params.high_watermark_frac,
-        )
+        self.watermarks = Watermarks.for_total(self.total)
         self.swap = SwapDevice(capacity=int(self.total * self.params.swap_factor))
         self.kswapd_runs = 0
         self.direct_reclaims = 0
@@ -375,7 +366,7 @@ class MemoryManager:
     def _after_change(self, cg: Cgroup) -> None:
         mem = cg.memory
         new_mult = swap_slowdown_multiplier(mem.resident, mem.swapped,
-                                            self.params.swap.penalty,
+                                            SWAP_PENALTY,
                                             mem.hot_bytes)
         if abs(new_mult - cg.progress_multiplier) > 1e-12:
             cg.progress_multiplier = new_mult

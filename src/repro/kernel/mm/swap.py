@@ -8,7 +8,7 @@ pages in and out, so its useful progress rate is scaled by
 
     1 / (1 + penalty * swapped / (resident + swapped))
 
-With the default ``penalty`` a mostly-swapped working set runs one to
+With ``penalty = SWAP_PENALTY`` a mostly-swapped working set runs one to
 two orders of magnitude slower — the "performance collapse" of §5.3.
 """
 
@@ -18,16 +18,11 @@ from dataclasses import dataclass, field
 
 from repro.errors import MemoryError_
 
-__all__ = ["SwapParams", "SwapDevice", "swap_slowdown_multiplier"]
+__all__ = ["SWAP_PENALTY", "SwapDevice", "swap_slowdown_multiplier"]
 
-
-@dataclass(frozen=True)
-class SwapParams:
-    """Swap tunables."""
-
-    #: Slowdown coefficient: progress multiplier is 1/(1 + penalty*frac),
-    #: where frac is the hot-working-set fraction that is swapped out.
-    penalty: float = 25.0
+#: Slowdown coefficient: progress multiplier is 1/(1 + penalty*frac),
+#: where frac is the hot-working-set fraction that is swapped out.
+SWAP_PENALTY = 25.0
 
 
 @dataclass

@@ -44,6 +44,13 @@ __all__ = ["FleetTelemetryParams", "RingSeries", "HostCollector",
 
 _STRETCH_CAP = 100.0
 
+#: Histogram layout for E_CPU samples (cores).
+E_CPU_LO = 1e-2
+E_CPU_HI = 1e3
+#: Histogram layout for stretch/E_MEM-fraction samples.
+RATIO_LO = 1e-3
+RATIO_HI = 1e3
+
 
 @dataclass(frozen=True)
 class FleetTelemetryParams:
@@ -53,12 +60,7 @@ class FleetTelemetryParams:
     ring_capacity: int = 512
     #: Stream epoch records to the sink once this many are pending.
     flush_watermark: int = 64
-    #: Histogram layout for E_CPU samples (cores).
-    e_cpu_lo: float = 1e-2
-    e_cpu_hi: float = 1e3
-    #: Histogram layout for stretch/E_MEM-fraction samples.
-    ratio_lo: float = 1e-3
-    ratio_hi: float = 1e3
+    #: Histogram buckets per decade.
     per_decade: int = 5
 
     def __post_init__(self) -> None:
@@ -128,11 +130,9 @@ class HostCollector:
         # via Histogram.like, skipping the pow-heavy bounds construction
         # on the per-epoch hot path (and guaranteeing merge
         # compatibility by construction).
-        self._tmpl_cpu = Histogram("tmpl", lo=params.e_cpu_lo,
-                                   hi=params.e_cpu_hi,
+        self._tmpl_cpu = Histogram("tmpl", lo=E_CPU_LO, hi=E_CPU_HI,
                                    per_decade=params.per_decade)
-        self._tmpl_ratio = Histogram("tmpl", lo=params.ratio_lo,
-                                     hi=params.ratio_hi,
+        self._tmpl_ratio = Histogram("tmpl", lo=RATIO_LO, hi=RATIO_HI,
                                      per_decade=params.per_decade)
 
     def sample(self, attained: dict[str, tuple[float, float]]
@@ -249,9 +249,9 @@ class FleetCollector:
             name: RingSeries(name, p.ring_capacity) for name in FLEET_SERIES}
         #: Cumulative fleet distributions, exact merges of per-epoch
         #: per-host histograms.
-        ref_cpu = Histogram("fleet.e_cpu", lo=p.e_cpu_lo, hi=p.e_cpu_hi,
+        ref_cpu = Histogram("fleet.e_cpu", lo=E_CPU_LO, hi=E_CPU_HI,
                             per_decade=p.per_decade)
-        ref_ratio = Histogram("fleet.stretch", lo=p.ratio_lo, hi=p.ratio_hi,
+        ref_ratio = Histogram("fleet.stretch", lo=RATIO_LO, hi=RATIO_HI,
                               per_decade=p.per_decade)
         self.histograms: dict[str, Histogram] = {
             "fleet.e_cpu": ref_cpu,

@@ -43,6 +43,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["AutoscalerParams", "ManagedService", "Autoscaler"]
 
+UP_BURN = 1.0           # scale up when burn rate exceeds this
+DOWN_BURN = 0.5         # scale down only when burn is below this
+GROW_MIN = 1.5          # min multiplicative scale-up when triggered
+UTIL_TARGET = 0.65      # utilization the scale-down law converges to
+UTIL_HIGH = 0.85        # burn only counts when this capacity-bound
+PRESSURE_HIGH = 0.10    # avg10 some-stall fraction threshold
+
 
 @dataclass(frozen=True)
 class AutoscalerParams:
@@ -52,24 +59,17 @@ class AutoscalerParams:
     min_cores: float = 0.5       # per-replica quota floor
     max_cores: float = 4.0       # per-replica quota ceiling
     host_reserve: float = 1.0    # cores left unreserved on the host
-    up_burn: float = 1.0         # scale up when burn rate exceeds this
-    down_burn: float = 0.5       # scale down only when burn is below this
     queue_high: int = 8          # per-replica outstanding that forces scale-up
     grow: float = 2.0            # max multiplicative scale-up per tick
-    grow_min: float = 1.5        # min multiplicative scale-up when triggered
     step_down: float = 0.5       # max additive scale-down, cores per tick
-    util_target: float = 0.65    # utilization the scale-down law converges to
-    util_high: float = 0.85      # burn only counts when this capacity-bound
     #: Accept PSI cpu pressure (avg10 some-stall fraction above
-    #: ``pressure_high``) as capacity-bound evidence alongside
+    #: ``PRESSURE_HIGH``) as capacity-bound evidence alongside
     #: utilization and queueing.  Stall time is the signal utilization
     #: cannot fake: a replica at 60% utilization that still accumulates
     #: stall is quota-throttled at its bursts, exactly the case
     #: "CPU-limits kill performance" documents.  Off by default;
     #: ablated in exp_serve.
     use_pressure: bool = False
-    pressure_high: float = 0.10  # avg10 some-stall fraction threshold
-    manage_memory: bool = True
     mem_headroom: float = 1.5    # memory limit = headroom * resident
     mem_floor: int = 64 * 1024 * 1024
 
@@ -90,9 +90,6 @@ class AutoscalerParams:
             raise ServeError(
                 f"mem_headroom must be >= 1.1 (limits below usage OOM), "
                 f"got {self.mem_headroom}")
-        if not 0.0 < self.pressure_high <= 1.0:
-            raise ServeError(
-                f"pressure_high must be in (0, 1], got {self.pressure_high}")
 
 
 @dataclass
@@ -260,22 +257,22 @@ class Autoscaler:
                       for r in service.replicas)
             desired = service.cores
             overloaded = backlog >= p.queue_high
-            capacity_bound = (utilization > p.util_high or queued > 0
-                              or (p.use_pressure and psi > p.pressure_high))
-            burning = burn > p.up_burn and capacity_bound
+            capacity_bound = (utilization > UTIL_HIGH or queued > 0
+                              or (p.use_pressure and psi > PRESSURE_HIGH))
+            burning = burn > UP_BURN and capacity_bound
             if overloaded or burning:
                 # Growth proportional to how hard the budget burns: a
                 # marginal violation nudges capacity, a deep spike (or a
                 # stalled queue, where burn lags) doubles it.
                 factor = p.grow if overloaded else min(
-                    p.grow, max(p.grow_min, burn))
+                    p.grow, max(GROW_MIN, burn))
                 desired = service.cores * factor
-            elif burn < p.down_burn and queued == 0:
+            elif burn < DOWN_BURN and queued == 0:
                 # Shrink toward the quota at which the windowed
-                # consumption would sit at util_target — never below
+                # consumption would sit at UTIL_TARGET — never below
                 # measured demand, so the down-path cannot oscillate
                 # under the workload — rate-limited to step_down/tick.
-                floor = usage / (p.util_target * len(service.replicas))
+                floor = usage / (UTIL_TARGET * len(service.replicas))
                 desired = max(floor, service.cores - p.step_down)
             desired = max(p.min_cores, min(p.max_cores, desired))
             desired = self._clamp_to_host(service, desired)
@@ -293,8 +290,7 @@ class Autoscaler:
                     service.scale_span = 0
             self._apply_cores(service, desired)
             service.cores_history.append((now, service.cores))
-            if p.manage_memory:
-                self._manage_memory(service)
+            self._manage_memory(service)
             self.world.trace.emit(
                 "autoscaler.tick", service.name, burn=round(burn, 4),
                 backlog=backlog, view_cpu=view_cpu,

@@ -60,36 +60,15 @@ NPB: dict[str, OmpWorkload] = {
 
 NPB_NAMES: tuple[str, ...] = tuple(NPB)
 
-#: Work multipliers of the standard NPB problem classes relative to
-#: class A (approximate: each class step is ~4x the work).
-NPB_CLASSES: dict[str, float] = {"S": 0.02, "W": 0.2, "A": 1.0, "B": 4.0,
-                                 "C": 16.0}
 
+def npb(name: str) -> OmpWorkload:
+    """Look up an NPB program model by name.
 
-def npb(name: str, problem_class: str = "A") -> OmpWorkload:
-    """Look up an NPB program model by name and problem class.
-
-    The paper runs a single (unstated) class; class A is the default
-    here.  Other classes scale the per-region work, preserving the
-    region structure and synchronization profile.
+    The paper runs a single (unstated) problem class; the models are
+    sized as class A.
     """
     try:
-        base = NPB[name]
+        return NPB[name]
     except KeyError:
         raise WorkloadError(
             f"unknown NPB program {name!r}; available: {NPB_NAMES}") from None
-    try:
-        factor = NPB_CLASSES[problem_class.upper()]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown NPB class {problem_class!r}; available: "
-            f"{tuple(NPB_CLASSES)}") from None
-    if factor == 1.0:
-        return base
-    regions = tuple(OmpRegion(serial_work=r.serial_work * factor,
-                              parallel_work=r.parallel_work * factor)
-                    for r in base.regions)
-    return OmpWorkload(name=f"{base.name}.{problem_class.upper()}",
-                       regions=regions, iterations=base.iterations,
-                       sync_per_thread=base.sync_per_thread,
-                       description=base.description)

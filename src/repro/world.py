@@ -30,7 +30,7 @@ from repro.kernel.cpu import HostCpus
 from repro.kernel.loadavg import LoadAvgParams, LoadTracker
 from repro.kernel.mm.memcg import MemoryManager, MmParams
 from repro.kernel.proc import ProcessTable
-from repro.kernel.sched.fair import FairScheduler, SchedParams
+from repro.kernel.sched.fair import FairScheduler
 from repro.kernel.sysfs import HostSysfs, SysfsRegistry
 from repro.kernel.task import SimThread, ThreadState
 from repro.sim.clock import SimClock
@@ -47,7 +47,6 @@ class World:
     """A simulated host machine."""
 
     def __init__(self, ncpus: int = 20, memory: int = gib(128), *,
-                 sched_params: SchedParams | None = None,
                  mm_params: MmParams | None = None,
                  loadavg_params: LoadAvgParams | None = None,
                  cpu_view_params: CpuViewParams | None = None,
@@ -69,7 +68,7 @@ class World:
         self.host = HostCpus(ncpus)
         self.cgroups = CgroupRoot(self.host)
         self.cgroups.bind_clock(self.clock)
-        self.sched = FairScheduler(self.host, self.cgroups, sched_params,
+        self.sched = FairScheduler(self.host, self.cgroups,
                                    incremental=(engine != "scan"),
                                    policy=sched_policy)
         self.mm = MemoryManager(memory, self.cgroups, mm_params,

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.container.spec import ContainerSpec
-from repro.jvm.adaptive_sizing import AdaptiveSizePolicy, SizingParams
-from repro.jvm.elastic_heap import MIN_VIRTUAL_MAX, ElasticHeapController
+from repro.jvm.adaptive_sizing import OLD_HEADROOM, AdaptiveSizePolicy
+from repro.jvm.elastic_heap import (MIN_VIRTUAL_MAX, NON_HEAP_OVERHEAD,
+                                    ElasticHeapController)
 from repro.jvm.flags import JvmConfig
 from repro.jvm.heap import Heap
 from repro.jvm.jvm import Jvm
@@ -26,7 +27,7 @@ class TestAdaptiveSizePolicy:
         assert h.young_committed > before
 
     def test_grows_on_high_overhead(self):
-        p = AdaptiveSizePolicy(SizingParams(target_minor_interval=0.0))
+        p = AdaptiveSizePolicy()
         h = heap()
         before = h.young_committed
         for _ in range(5):
@@ -73,7 +74,7 @@ class TestAdaptiveSizePolicy:
         h = heap()
         h.old_used = h.old_committed  # full
         p.observe_minor(h, gc_wall=0.001, mutator_wall=1.0)
-        assert h.old_committed >= int(h.old_used * p.params.old_headroom) \
+        assert h.old_committed >= int(h.old_used * OLD_HEADROOM) \
             or h.old_committed == h.old_max
 
     def test_ensure_promotion_room(self):
@@ -105,14 +106,14 @@ class TestElasticHeapController:
     def test_initial_virtual_max_from_soft_limit(self):
         _, c, jvm = self._jvm()
         assert jvm.heap.virtual_max == pytest.approx(
-            gib(1) - jvm.non_heap_overhead, rel=0.01)
+            gib(1) - NON_HEAP_OVERHEAD, rel=0.01)
 
     def test_poll_expands_with_effective_memory(self):
         world, c, jvm = self._jvm()
         world.mm.charge(c.cgroup, int(gib(0.85)))  # push usage over 90% of E
         world.run(until=30.0)
         assert c.e_mem > gib(1)
-        assert jvm.heap.virtual_max > gib(1) - jvm.non_heap_overhead
+        assert jvm.heap.virtual_max > gib(1) - NON_HEAP_OVERHEAD
 
     def test_min_virtual_max_floor(self):
         world, c, jvm = self._jvm(soft=mib(8), hard=mib(64))
@@ -130,7 +131,7 @@ class TestElasticHeapController:
         _, c, jvm = self._jvm()
         ctrl = ElasticHeapController(jvm)
         assert ctrl.target_virtual_max() == max(
-            MIN_VIRTUAL_MAX, c.e_mem - jvm.non_heap_overhead)
+            MIN_VIRTUAL_MAX, c.e_mem - NON_HEAP_OVERHEAD)
 
 
 class TestThroughputSizePolicy:

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import JvmError
-from repro.jvm.gc.parallel_scavenge import (GcCostModel, dynamic_active_workers,
+from repro.jvm.gc.parallel_scavenge import (INTERFERENCE_SENSITIVITY,
+                                            LHP_OVERSUB_CAP,
+                                            LOCK_HOLDER_PREEMPTION,
+                                            MAJOR_FIXED, MINOR_FIXED,
+                                            dynamic_active_workers,
                                             gc_work_inflation, major_gc_work,
                                             minor_gc_work)
 from repro.jvm.gc.threads import GcWorkerPool
@@ -11,84 +15,81 @@ from repro.container.spec import ContainerSpec
 from repro.units import gib, mib
 from repro.world import World
 
-CM = GcCostModel()
-
-
 class TestCostModel:
     def test_minor_work_monotone_in_bytes(self):
-        a = minor_gc_work(mib(100), mib(10), CM)
-        b = minor_gc_work(mib(200), mib(10), CM)
-        c = minor_gc_work(mib(200), mib(40), CM)
-        assert CM.minor_fixed < a < b < c
+        a = minor_gc_work(mib(100), mib(10))
+        b = minor_gc_work(mib(200), mib(10))
+        c = minor_gc_work(mib(200), mib(40))
+        assert MINOR_FIXED < a < b < c
 
     def test_copy_dominates_scan(self):
         """A surviving byte costs far more than a scanned one."""
-        scan_only = minor_gc_work(mib(100), 0, CM) - CM.minor_fixed
-        copy_only = minor_gc_work(0, mib(100), CM) - CM.minor_fixed
+        scan_only = minor_gc_work(mib(100), 0) - MINOR_FIXED
+        copy_only = minor_gc_work(0, mib(100)) - MINOR_FIXED
         assert copy_only > 10 * scan_only
 
     def test_major_work(self):
-        assert major_gc_work(0, CM) == CM.major_fixed
-        assert major_gc_work(gib(1), CM) > major_gc_work(mib(100), CM)
+        assert major_gc_work(0) == MAJOR_FIXED
+        assert major_gc_work(gib(1)) > major_gc_work(mib(100))
 
     def test_negative_rejected(self):
         with pytest.raises(JvmError):
-            minor_gc_work(-1, 0, CM)
+            minor_gc_work(-1, 0)
         with pytest.raises(JvmError):
-            major_gc_work(-1, CM)
+            major_gc_work(-1)
 
 
 class TestWorkInflation:
     def test_no_inflation_when_fitting(self):
-        assert gc_work_inflation(4, 4.0, CM) == 1.0
-        assert gc_work_inflation(2, 8.0, CM) == 1.0
+        assert gc_work_inflation(4, 4.0) == 1.0
+        assert gc_work_inflation(2, 8.0) == 1.0
 
     def test_inflation_grows_with_oversubscription(self):
-        a = gc_work_inflation(6, 4.0, CM)
-        b = gc_work_inflation(9, 4.0, CM)
+        a = gc_work_inflation(6, 4.0)
+        b = gc_work_inflation(9, 4.0)
         assert 1.0 < a < b
 
     def test_inflation_saturates(self):
         """15 threads and 10 threads on 4 cores are almost equally bad
         (the Fig. 2(a) auto_JVM8 ~ auto_JVM9 effect)."""
-        b = gc_work_inflation(10, 4.0, CM)
-        c = gc_work_inflation(15, 4.0, CM)
+        b = gc_work_inflation(10, 4.0)
+        c = gc_work_inflation(15, 4.0)
         assert c == pytest.approx(b, rel=0.12)
-        assert c == 1.0 + CM.lock_holder_preemption * CM.lhp_oversub_cap
+        assert c == 1.0 + LOCK_HOLDER_PREEMPTION * LHP_OVERSUB_CAP
 
     def test_interference_term(self):
-        calm = gc_work_inflation(4, 4.0, CM, domain_pressure=1.0)
-        busy = gc_work_inflation(4, 4.0, CM, domain_pressure=3.0)
+        calm = gc_work_inflation(4, 4.0, domain_pressure=1.0)
+        busy = gc_work_inflation(4, 4.0, domain_pressure=3.0)
         assert calm == 1.0
-        assert busy == pytest.approx(1.0 + CM.interference_sensitivity * 2.0)
+        assert busy == pytest.approx(1.0 + INTERFERENCE_SENSITIVITY * 2.0)
 
     def test_validation(self):
         with pytest.raises(JvmError):
-            gc_work_inflation(0, 4.0, CM)
+            gc_work_inflation(0, 4.0)
         with pytest.raises(JvmError):
-            gc_work_inflation(4, 0.0, CM)
+            gc_work_inflation(4, 0.0)
 
 
 class TestDynamicActiveWorkers:
     def test_scales_with_mutators(self):
-        few = dynamic_active_workers(16, 2, mib(10), CM)
-        many = dynamic_active_workers(16, 12, mib(10), CM)
+        few = dynamic_active_workers(16, 2, mib(10))
+        many = dynamic_active_workers(16, 12, mib(10))
         assert few < many
 
     def test_scales_with_heap(self):
-        small = dynamic_active_workers(16, 1, mib(50), CM)
-        big = dynamic_active_workers(16, 1, gib(2), CM)
+        small = dynamic_active_workers(16, 1, mib(50))
+        big = dynamic_active_workers(16, 1, gib(2))
         assert small < big
 
     def test_capped_by_pool(self):
-        assert dynamic_active_workers(4, 100, gib(64), CM) == 4
+        assert dynamic_active_workers(4, 100, gib(64)) == 4
 
     def test_at_least_one(self):
-        assert dynamic_active_workers(8, 1, 0, CM) >= 1
+        assert dynamic_active_workers(8, 1, 0) >= 1
 
     def test_bad_pool_rejected(self):
         with pytest.raises(JvmError):
-            dynamic_active_workers(0, 1, 0, CM)
+            dynamic_active_workers(0, 1, 0)
 
 
 class TestWorkerPool:

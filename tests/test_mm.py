@@ -8,7 +8,8 @@ from repro.kernel.cpu import HostCpus
 from repro.kernel.mm.kswapd import (plan_background_reclaim, plan_direct_reclaim,
                                     soft_limit_victims)
 from repro.kernel.mm.memcg import MemoryManager, MmParams
-from repro.kernel.mm.swap import SwapDevice, swap_slowdown_multiplier
+from repro.kernel.mm.swap import (SWAP_PENALTY, SwapDevice,
+                                  swap_slowdown_multiplier)
 from repro.kernel.mm.watermarks import Watermarks
 from repro.units import gib, mib
 
@@ -130,7 +131,9 @@ class TestHardLimit:
         c = root.root.create_child("c")
         c.set_memory_limit(gib(1))
         mm.charge(c, gib(2))
-        assert c.progress_multiplier < 0.1  # half swapped at penalty 40
+        # Half the charge is swapped and all of it is hot (no hint).
+        assert c.memory.resident == c.memory.swapped == gib(1)
+        assert c.progress_multiplier == 1 / (1 + SWAP_PENALTY * 0.5)
 
     def test_uncharge_prefers_swap(self, env):
         root, mm = env

@@ -137,18 +137,6 @@ class TestNpbCatalog:
         with pytest.raises(WorkloadError):
             npb("nope")
 
-    def test_problem_classes_scale_work(self):
-        a = npb("cg")
-        b = npb("cg", "B")
-        s = npb("cg", "s")  # case-insensitive
-        assert b.name == "cg.B"
-        assert b.total_parallel_work == pytest.approx(4 * a.total_parallel_work)
-        assert s.total_parallel_work == pytest.approx(0.02 * a.total_parallel_work)
-        assert b.iterations == a.iterations
-        assert b.sync_per_thread == a.sync_per_thread
-        with pytest.raises(WorkloadError):
-            npb("cg", "Z")
-
     def test_ep_is_coarse_grained(self):
         """ep has few large regions and the lightest sync cost."""
         ep = npb("ep")

@@ -59,7 +59,7 @@ def test_hibench_catalog_runs(name):
 
 @pytest.mark.parametrize("name", NPB_NAMES)
 def test_npb_catalog_runs(name):
-    wl = npb(name, "S")  # the small problem class
+    wl = npb(name)
     world = World(ncpus=8, memory=gib(16))
     c = world.containers.create(ContainerSpec("c0"))
     rt = OpenMpRuntime(c, wl, OmpPolicy.ADAPTIVE)

@@ -29,6 +29,9 @@ __all__ = ["MemViewParams", "MemorySample", "step_effective_memory"]
 
 #: Usage fraction of effective memory above which expansion is considered.
 USAGE_THRESHOLD = 0.90
+#: Clamp on the free-memory-impact ratio (guards the prediction when the
+#: previous window had tiny or negative usage growth).
+MAX_IMPACT_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -37,9 +40,6 @@ class MemViewParams:
 
     #: Expansion step as a fraction of the remaining headroom to the hard limit.
     increment_frac: float = 0.10
-    #: Clamp on the free-memory-impact ratio (guards the prediction when the
-    #: previous window had tiny or negative usage growth).
-    max_impact_ratio: float = 10.0
     #: Disable the dynamic expansion: E_MEM stays pinned at the soft
     #: limit (the static-limits view of LXCFS / cgroup namespaces).
     dynamic: bool = True
@@ -55,20 +55,20 @@ class MemorySample:
     pmem: int    # container usage at the previous update
 
 
-def _impact_ratio(sample: MemorySample, params: MemViewParams) -> float:
+def _impact_ratio(sample: MemorySample) -> float:
     """Estimated host-free-memory bytes consumed per byte of growth.
 
     Algorithm 2 line 8 uses ``(pfree - cfree) / (cmem - pmem)``.  The
     paper notes this "could be an over-estimation"; we additionally guard
     the degenerate windows: no usage growth defaults the ratio to 1 (a
     byte of growth costs a byte of free memory), and the ratio is clamped
-    to ``[0, max_impact_ratio]``.
+    to ``[0, MAX_IMPACT_RATIO]``.
     """
     d_mem = sample.cmem - sample.pmem
     if d_mem <= 0:
         return 1.0
     ratio = (sample.pfree - sample.cfree) / d_mem
-    return min(max(ratio, 0.0), params.max_impact_ratio)
+    return min(max(ratio, 0.0), MAX_IMPACT_RATIO)
 
 
 def step_effective_memory(e_mem: int, *, soft_limit: int, hard_limit: int,
@@ -104,7 +104,7 @@ def step_effective_memory(e_mem: int, *, soft_limit: int, hard_limit: int,
     delta = headroom if headroom <= 1 << 20 else int(headroom * p.increment_frac)
     if delta <= 0:
         return e_mem
-    predicted_drop = int(_impact_ratio(sample, p) * delta)
+    predicted_drop = int(_impact_ratio(sample) * delta)
     if sample.cfree - predicted_drop > high_mark:
         return min(hard_limit, e_mem + delta)
     return e_mem

@@ -1,6 +1,6 @@
 """The elastic heap controller (§4.2).
 
-Every ``poll_interval`` (10 s in the paper) the controller reads the
+Every :data:`POLL_INTERVAL` (10 s in the paper) the controller reads the
 container's effective memory from its ``sys_namespace`` and moves the
 heap's dynamic bound::
 
@@ -36,13 +36,16 @@ MIN_VIRTUAL_MAX = mib(16)
 #: Native (non-heap) memory a JVM occupies: metaspace, code cache, stacks.
 NON_HEAP_OVERHEAD = mib(64)
 
+#: Seconds between polls (§4.2 queries sys_namespace every 10 s); also the
+#: JVM's wait before retrying a promotion that found no room.
+POLL_INTERVAL = 10.0
+
 
 class ElasticHeapController:
     """Periodically retargets ``VirtualMax`` to the effective memory."""
 
-    def __init__(self, jvm: "Jvm", *, poll_interval: float = 10.0):
+    def __init__(self, jvm: "Jvm"):
         self.jvm = jvm
-        self.poll_interval = poll_interval
         self._timer: EventHandle | None = None
         self.polls = 0
         self.shrink_gcs_requested = 0
@@ -52,7 +55,7 @@ class ElasticHeapController:
     def start(self, events: EventLoop) -> None:
         if self._timer is not None and self._timer.active:
             return
-        self._timer = events.call_every(self.poll_interval, self.poll,
+        self._timer = events.call_every(POLL_INTERVAL, self.poll,
                                         name=f"elastic-heap:{self.jvm.name}")
 
     def stop(self) -> None:

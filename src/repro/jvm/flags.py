@@ -66,8 +66,6 @@ class JvmConfig:
     xms: int | None = None
     xmx: int | None = None
     gc_threads: int | None = None
-    #: Elastic-heap poll interval (§4.2 queries sys_namespace every 10 s).
-    elastic_poll_interval: float = 10.0
 
     def __post_init__(self) -> None:
         if self.xms is not None and self.xms <= 0:
@@ -78,8 +76,6 @@ class JvmConfig:
             raise JvmError(f"-Xms {self.xms} exceeds -Xmx {self.xmx}")
         if self.gc_threads is not None and self.gc_threads < 1:
             raise JvmError(f"ParallelGCThreads must be >= 1, got {self.gc_threads}")
-        if self.elastic_poll_interval <= 0:
-            raise JvmError("elastic_poll_interval must be positive")
 
     # -- presets matching the labels used in the paper's figures ------------
 

@@ -35,7 +35,7 @@ from repro.jvm.detect import (detect_cpus, detect_max_heap,
                               hotspot_ci_compiler_count,
                               hotspot_parallel_gc_threads)
 from repro.jvm.elastic_heap import (MIN_VIRTUAL_MAX, NON_HEAP_OVERHEAD,
-                                    ElasticHeapController)
+                                    POLL_INTERVAL, ElasticHeapController)
 from repro.jvm.flags import GcThreadMode, HeapDetectMode, JvmConfig
 from repro.jvm.gc.parallel_scavenge import (SYNC_PER_THREAD,
                                             dynamic_active_workers,
@@ -218,8 +218,7 @@ class Jvm:
             return
         if (self.config.heap_detect is HeapDetectMode.ELASTIC
                 and self.config.xmx is None):
-            self._elastic = ElasticHeapController(
-                self, poll_interval=self.config.elastic_poll_interval)
+            self._elastic = ElasticHeapController(self)
             self._elastic.start(self.world.events)
         self._record_heap(now)
         self._begin_phase()
@@ -507,7 +506,7 @@ class Jvm:
             return
         self._record_heap(self.world.clock.now)
         self._retry_handle = self.world.events.call_after(
-            self.config.elastic_poll_interval, self._retry_promotion,
+            POLL_INTERVAL, self._retry_promotion,
             name=f"{self.name}:promotion-retry")
 
     def _retry_promotion(self) -> None:

@@ -10,14 +10,13 @@ exported through :func:`repro.obs.export.jsonl_export`.
 The exported JSONL is the determinism contract: identical seeds must
 produce byte-identical output across runs *and across engine modes*
 (``incremental`` vs the brute-force ``scan`` reference).  The committed
-fixture pins it across commits::
-
-    PYTHONPATH=src python -m tests.engine_scenarios --write   # regenerate
+fixture :data:`GOLDEN_PATH` pins it across commits through the ``pin``
+fixture of the root ``conftest.py``, whose docstring gives the re-pin
+procedure.
 """
 
 from __future__ import annotations
 
-import argparse
 from pathlib import Path
 
 from repro.container.spec import ContainerSpec
@@ -129,23 +128,3 @@ def run_scenario(engine: str = "incremental") -> str:
     return jsonl_export(recorder, histograms=histograms,
                         tracelog=world.trace, world=world)
 
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--write", action="store_true",
-                    help=f"regenerate {GOLDEN_PATH}")
-    ap.add_argument("--engine", default="incremental",
-                    choices=["incremental", "scan"])
-    args = ap.parse_args(argv)
-    text = run_scenario(engine=args.engine)
-    if args.write:
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(text)
-        print(f"wrote {GOLDEN_PATH} ({len(text)} bytes)")
-    else:
-        print(f"scenario produced {len(text)} bytes of telemetry")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

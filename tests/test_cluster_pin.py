@@ -1,29 +1,38 @@
-"""Absolute byte pin for the in-process cluster.
+"""Byte pin for the in-process cluster.
 
-One SHA-256 over everything a cluster run exposes: for each generated
-cluster scenario (``generate_cluster`` seeds 0-19, run through
-``check.runner.run_cluster``) the final placement trace digest, the
-epoch sample digest, the telemetry epoch count and the canonical JSON
-of every per-epoch ``invariant_snapshot()``; then one run of the
-bursty 16-host churn workload and one traced run with a
-``FleetCollector`` attached, rollups included.
+Everything a cluster run exposes is pinned in ``tests/golden/pins.json``
+(format and re-pin procedure: the ``pin`` fixture in the root
+``conftest.py``), one entry per scenario:
 
-The constant was recorded before the sharded execution path was
-folded into ``Cluster``; any change to placement, migration, barrier
-reports or telemetry that moves a single byte fails here.
+* ``seed00`` ... ``seed19``: each ``generate_cluster`` seed run through
+  ``check.runner.run_cluster``.  Its ``log`` (placement trace digest,
+  epoch sample digest, telemetry epoch count) and its ``final``
+  ``invariant_snapshot()`` are stored as cells; ``epochs_sha256`` is
+  one hash over the canonical JSON of its per-epoch snapshots.
+* ``churn``: the bursty 16-host, 1,400-pod workload.  Its
+  ``trace_digest`` and its ``snapshot`` as cells, except the per-pod
+  ``pods`` dict, which is ``pods_sha256``; the per-host CPU time and
+  memory cells still show any drift.
+* ``telemetry``: a traced run with a ``FleetCollector`` attached: the
+  snapshot, the epoch records, the summary and the histograms, as cells.
+
+Any change to placement, migration, barrier reports or telemetry that
+moves one byte fails here, and the report names the scenario and the
+first value that moved.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 from repro.check import generate_cluster, run_cluster
 from repro.cluster import Cluster, ClusterParams, PodSpec
 from repro.obs.fleet import FleetCollector
 from repro.units import gib, mib
 
-CLUSTER_PIN = "936dbc4866e2efe15455e9cc76364a6f6c5545f01a61eda935d55c279bcd3b40"
+PINS = Path(__file__).with_name("golden") / "pins.json"
 
 
 def _canon(obj) -> bytes:
@@ -65,42 +74,44 @@ def _traced_specs() -> list[PodSpec]:
     return specs
 
 
-def _fold_cluster(h, cluster: Cluster) -> None:
-    h.update(cluster.trace_digest().encode())
-    h.update(cluster.epoch_sample_digest().encode())
-    h.update(_canon(cluster.invariant_snapshot()))
-
-
-def cluster_pin() -> str:
+def _sha256(*blobs: bytes) -> str:
     h = hashlib.sha256()
-    for seed in range(20):
-        res = run_cluster(generate_cluster(seed))
-        assert res.ok, res.violations[:3]
-        h.update(_canon(res.log))
-        for snap in res.snapshots:
-            h.update(_canon(snap))
-
-    params, specs, horizon = churn_workload()
-    cluster = Cluster(params)
-    cluster.submit_all(specs)
-    cluster.run(until=horizon)
-    _fold_cluster(h, cluster)
-
-    cluster = Cluster(ClusterParams(
-        n_hosts=5, host_ncpus=4, host_memory=gib(4), epoch=0.5,
-        hot_frac=0.7, seed=11, trace=True))
-    collector = FleetCollector()
-    cluster.attach_telemetry(collector)
-    cluster.submit_all(_traced_specs())
-    cluster.run(until=5.0)
-    _fold_cluster(h, cluster)
-    h.update(_canon(list(collector.epoch_records)))
-    h.update(_canon(collector.summary()))
-    for name in sorted(collector.histograms):
-        hist = collector.histograms[name]
-        h.update(_canon([name, hist.counts, hist.count, hist.total]))
+    for blob in blobs:
+        h.update(blob)
     return h.hexdigest()
 
 
-def test_cluster_bytes_pinned():
-    assert cluster_pin() == CLUSTER_PIN
+def test_cluster_bytes_pinned(pin):
+    entries = {}
+    for seed in range(20):
+        res = run_cluster(generate_cluster(seed))
+        assert res.ok, res.violations[:3]
+        entries[f"seed{seed:02d}"] = {
+            "log": pin.cells(res.log), "final": pin.cells(res.snapshots[-1]),
+            "epochs_sha256": _sha256(*map(_canon, res.snapshots))}
+
+    params, specs, horizon = churn_workload()
+    churn = Cluster(params)
+    churn.submit_all(specs)
+    churn.run(until=horizon)
+    snapshot = churn.invariant_snapshot()
+    pods = snapshot.pop("pods")
+    entries["churn"] = {"trace_digest": churn.trace_digest(),
+                        "snapshot": pin.cells(snapshot),
+                        "pods_sha256": _sha256(_canon(pods))}
+
+    traced = Cluster(ClusterParams(
+        n_hosts=5, host_ncpus=4, host_memory=gib(4), epoch=0.5,
+        hot_frac=0.7, seed=11, trace=True))
+    collector = FleetCollector()
+    traced.attach_telemetry(collector)
+    traced.submit_all(_traced_specs())
+    traced.run(until=5.0)
+    entries["telemetry"] = {
+        "trace_digest": traced.trace_digest(),
+        "snapshot": pin.cells(traced.invariant_snapshot()),
+        "epoch_records": pin.cells(list(collector.epoch_records)),
+        "summary": pin.cells(collector.summary()),
+        "histograms": pin.cells({name: [h.counts, h.count, h.total]
+                                 for name, h in collector.histograms.items()})}
+    pin(PINS, entries)

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.effective_memory import (MemorySample, MemViewParams,
+from repro.core.effective_memory import (MAX_IMPACT_RATIO, MemorySample,
                                          step_effective_memory)
 from repro.units import gib, mib
 
@@ -99,16 +99,20 @@ class TestExpansion:
         assert e == e0  # ratio 1: cfree - delta == HIGH - 1MiB, not > HIGH
 
     def test_ratio_clamped(self):
-        params = MemViewParams(max_impact_ratio=2.0)
         e0 = SOFT
         delta = int((HARD - e0) * 0.10)
         # Wild ratio 100 in the previous window would block everything;
-        # clamped to 2 it only needs cfree > HIGH + 2*delta.
-        s = MemorySample(cfree=HIGH + 3 * delta, pfree=HIGH + 3 * delta + 100 * delta,
-                         cmem=int(e0 * 0.95), pmem=int(e0 * 0.95) - delta)
-        e = step_effective_memory(e0, soft_limit=SOFT, hard_limit=HARD, sample=s,
-                                  low_mark=LOW, high_mark=HIGH, params=params)
-        assert e == e0 + delta
+        # clamped to MAX_IMPACT_RATIO = 10 it needs cfree > HIGH + 10*delta.
+        assert MAX_IMPACT_RATIO == 10.0
+
+        def step(cfree):
+            s = MemorySample(cfree=cfree, pfree=cfree + 100 * delta,
+                             cmem=int(e0 * 0.95), pmem=int(e0 * 0.95) - delta)
+            return step_effective_memory(e0, soft_limit=SOFT, hard_limit=HARD,
+                                         sample=s, low_mark=LOW, high_mark=HIGH)
+
+        assert step(HIGH + 10 * delta + 1) == e0 + delta
+        assert step(HIGH + 10 * delta) == e0
 
 
 class TestConvergence:

@@ -4,9 +4,9 @@ Three layers of evidence that the O(changed) engine is *identical* to
 the brute-force reference, not merely close:
 
 * **Golden trace** — a committed JSONL fixture that both engine modes
-  must reproduce byte-for-byte, run after run (regenerate only for an
-  intentional behaviour change: ``python -m tests.engine_scenarios
-  --write``).
+  must reproduce byte-for-byte, run after run, pinned through the root
+  ``conftest.py``'s ``pin`` fixture (re-pin procedure in its
+  docstring); a mismatch names the first line and value that moved.
 * **Property tests** — the two-level completion index against a
   brute-force scan over every runnable thread, on randomized fleets.
 * **Paired stepping** — two worlds (one per engine) driven through the
@@ -49,11 +49,11 @@ from tests.engine_scenarios import GOLDEN_PATH, run_scenario
 
 
 class TestGoldenTrace:
-    def test_incremental_matches_committed_fixture(self):
-        assert run_scenario("incremental") == GOLDEN_PATH.read_text()
+    def test_incremental_matches_committed_fixture(self, pin):
+        pin.jsonl(GOLDEN_PATH, run_scenario("incremental"))
 
-    def test_scan_matches_committed_fixture(self):
-        assert run_scenario("scan") == GOLDEN_PATH.read_text()
+    def test_scan_matches_committed_fixture(self, pin):
+        pin.jsonl(GOLDEN_PATH, run_scenario("scan"))
 
     def test_repeat_runs_byte_identical(self):
         assert run_scenario("incremental") == run_scenario("incremental")

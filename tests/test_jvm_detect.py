@@ -145,5 +145,3 @@ class TestJvmConfig:
             JvmConfig(xms=gib(2), xmx=gib(1))
         with pytest.raises(JvmError):
             JvmConfig(gc_threads=0)
-        with pytest.raises(JvmError):
-            JvmConfig(elastic_poll_interval=0)

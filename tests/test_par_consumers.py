@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 
 import pytest
 
@@ -79,12 +80,28 @@ class TestRunAllTiming:
 
     def test_main_prints_timing_summary_and_cache_stats(self, tmp_path,
                                                         capsys, monkeypatch):
+        # Every fanned-out experiment but fig07 (its pool and cache are
+        # held by test_fig07_cached_rerun_identical), run twice on one
+        # cache: every trial misses, then every trial hits, and the
+        # tables are the same.
         from repro.harness.run_all import main
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(["--quick", "fig01"]) == 0
-        out = capsys.readouterr().out
-        assert "per-experiment wall clock:" in out
-        assert "trial cache:" in out
+        keys = ["fig08", "fig10", "ablation", "exp_cluster", "exp_policy"]
+        outs = []
+        for _ in range(2):
+            assert main(["--quick", "--jobs", "2", *keys]) == 0
+            outs.append(capsys.readouterr().out)
+        for out, stats in zip(outs, ("0 hits, 49 misses",
+                                     "49 hits, 0 misses")):
+            assert "per-experiment wall clock:" in out
+            assert f"trial cache: {stats} (" in out
+        tables = [re.sub(r"\[\w+ finished in .*\]\n", "",
+                         out.split("per-experiment wall clock:")[0])
+                  for out in outs]
+        for title in ("Figure 8(a)", "Figure 10", "exp_cluster",
+                      "exp_policy"):
+            assert title in tables[0]
+        assert tables[0] == tables[1]
 
     def test_jobs_forwarded_only_to_supporting_experiments(self):
         import inspect

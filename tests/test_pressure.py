@@ -6,7 +6,9 @@ or double-decay), the windowed averages fold over split intervals, and
 a clock-bound (lazy) accumulator reads identically to an eager one.
 """
 
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +182,8 @@ class TestCgroupPressure:
 #: Generator scenario seeds whose every cgroup's PSI accumulators are pinned.
 PIN_SEEDS = range(20)
 
+PINS = Path(__file__).with_name("golden") / "pins.json"
+
 
 def _psi_fields(world):
     """Raw PSI state of every live cgroup, root included, in seq order.
@@ -249,38 +253,41 @@ class TestPsiAveragePin:
 
     ``invariant_snapshot()`` and the benchmark digests carry only the
     stall totals, and the golden trace covers one 5-container host.
-    This hashes the raw accumulators of every cgroup at every op
-    boundary of :data:`PIN_SEEDS` (the fuzzer's own runner) and of a
-    churned host that swaps, so any change to the accrual arithmetic,
-    down to one rounding, changes the digest.
+    This samples the raw accumulators of every cgroup (:func:`_psi_fields`)
+    at every op boundary of each :data:`PIN_SEEDS` scenario (the
+    fuzzer's own runner; keys ``seed00`` ... ``seed19``) and of a churned
+    host that swaps (``churned_host``, every 0.1 s), and pins them in
+    ``tests/golden/pins.json`` (format and re-pin procedure: the ``pin``
+    fixture in the root ``conftest.py``): the ``final`` fields as cells,
+    and ``trail_sha256``, one hash over the fields at every op boundary.
+    Any change to the accrual arithmetic, down to one rounding, moves
+    the pin.
     """
 
-    DIGEST = "7d0a4ac2010b3cfd"
-
-    def test_psi_state_matches_pinned_digest(self, monkeypatch):
-        import hashlib
-
+    def test_psi_state_matches_pinned_digest(self, pin, monkeypatch):
         from repro.check import runner
         from repro.check.generator import generate
 
-        h = hashlib.sha256()
-
-        def sample(world):
-            h.update(repr(_psi_fields(world)).encode())
-
+        trail: list = []
+        trails: dict[str, list] = {}
         real_check_all = runner.check_all
 
         def sampling_check_all(suite, world, snap, prev):
-            sample(world)
+            trail.append(_psi_fields(world))
             return real_check_all(suite, world, snap, prev)
 
         monkeypatch.setattr(runner, "check_all", sampling_check_all)
         for seed in PIN_SEEDS:
             assert not runner.run_scenario(generate(seed)).violations
-        world = _churned_host(sample)
+            trails[f"seed{seed:02d}"], trail = trail, []
+        world = _churned_host(lambda w: trail.append(_psi_fields(w)))
         swapped = world.cgroups.root.pressure.memory.some_total
         assert swapped > 0.0, "the churned host must stall on swap"
-        assert h.hexdigest()[:16] == self.DIGEST
+        trails["churned_host"] = trail
+        pin(PINS, {name: {"final": pin.cells(t[-1]),
+                          "trail_sha256": hashlib.sha256(b"".join(
+                              repr(f).encode() for f in t)).hexdigest()}
+                   for name, t in trails.items()})
 
 
 # -- the scheduler's inline accrual against the reference recurrence ------------

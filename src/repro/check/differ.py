@@ -28,7 +28,8 @@ from repro.errors import PolicyError
 from repro.policy import resolve_bundle
 
 __all__ = ["Variant", "DEFAULT_VARIANTS", "DiffReport",
-           "diff_snapshots", "run_variants", "run_differential"]
+           "diff_snapshots", "snapshots_equal", "run_variants",
+           "run_differential"]
 
 ENGINES = ("incremental", "scan")
 
@@ -161,8 +162,31 @@ def diff_snapshots(a: dict | list | object, b: dict | list | object,
     return []
 
 
+def snapshots_equal(a: dict | list | object, b: dict | list | object) -> bool:
+    """``diff_snapshots(a, b) == []``, without building a path or a report.
+
+    The same walk and the same tests: types compared with ``is`` (so
+    ``1`` differs from ``1.0`` and ``True`` from ``1``), dict key sets
+    compared in any order, list lengths, then leaves with ``!=`` (so a
+    NaN differs from itself and ``-0.0`` equals ``0.0``).
+    """
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(
+            snapshots_equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(snapshots_equal, a, b))
+    return not a != b
+
+
 def _diff_runs(a: RunResult, b: RunResult) -> list[str]:
-    """The first log mismatch and the first diverging snapshot's paths."""
+    """The first log mismatch and the first diverging snapshot's paths.
+
+    Each snapshot pair is first tested by :func:`snapshots_equal`; only
+    a pair that differs is walked again by :func:`diff_snapshots` for
+    its report.
+    """
     out = []
     if a.log != b.log:
         first = next((i for i, (x, y) in enumerate(zip(a.log, b.log))
@@ -171,6 +195,8 @@ def _diff_runs(a: RunResult, b: RunResult) -> list[str]:
                    if first is None else
                    f"log[{first}] {a.log[first]!r} != {b.log[first]!r}")
     for i, (sa, sb) in enumerate(zip(a.snapshots, b.snapshots)):
+        if snapshots_equal(sa, sb):
+            continue
         found = diff_snapshots(sa, sb, f"snapshot[{i}]")
         if found:
             # Later snapshots inherit the first divergence; stop at the

@@ -250,15 +250,20 @@ class AccrualInputs(Invariant):
     """Publication-cached accrual inputs match their row, from scratch.
 
     The accrual step reads per-row values computed once at publication
-    (the throttle clip, the cpu stall fractions) and the snapshot's rate
-    total cached at reallocation.  A publication path that forgot to
+    (the throttle clip, the cpu stall fractions), the snapshot's rate
+    total cached at reallocation, and the stall fractions each PSI
+    accumulator holds as its rates.  A publication path that forgot to
     refresh one would accrue from a stale row without breaking any law
     above, so each busy group's cache is recomputed from its current
-    row here.  While nothing is pending (no re-solve and no queued
-    rate-only refresh), the rates publication wrote to each busy cgroup
-    (``cpu_rate``, ``_thread_rate``, ``_occ_rate``) are also recomputed
-    from its row and ``progress_multiplier``, by the per-thread
-    ``GroupAlloc`` properties, independently of what publication calls.
+    row here, and so are the PSI rates: a busy non-root group's cpu
+    pair is its row's stall, an idle group's pairs are zero, and the
+    root's cpu pair is the host-wide stall of the snapshot.  While
+    nothing is pending (no re-solve and no queued rate-only refresh),
+    the rates publication wrote to each busy cgroup (``cpu_rate``,
+    ``_thread_rate``, ``_occ_rate``) are also recomputed from its row
+    and ``progress_multiplier``, by the per-thread ``GroupAlloc``
+    properties, independently of what publication calls, and so are
+    the memory PSI rates, from the swap slowdown.
     """
 
     name = "accrual_inputs"
@@ -269,19 +274,35 @@ class AccrualInputs(Invariant):
         eps = sched.params.eps
         clip_fn = sched.policy.throttle_clip
         dirty = sched.dirty
+
+        def rates(path, resource, stall, want):
+            held = (stall.some_rate, stall.full_rate)
+            if held != want:
+                out.append(self._v(
+                    f"{path}: {resource} PSI rates {held!r}, want {want!r}"))
+
+        total_demand = 0.0
+        mem_some, mem_full = 0.0, (1.0 if sched.snapshot else 0.0)
         for g in sched.snapshot:
-            cached = (g._cpu_some, g._cpu_full, g._cpu_stalled)
+            cg = g.cgroup
+            cached = (g._cpu_some, g._cpu_full)
             want = cpu_stall(g, eps)
             if cached != want:
                 out.append(self._v(
-                    f"{g.cgroup.path}: cached cpu stall {cached!r}, "
+                    f"{cg.path}: cached cpu stall {cached!r}, "
                     f"row gives {want!r}"))
             if g._clip != clip_fn(g):
                 out.append(self._v(
-                    f"{g.cgroup.path}: cached throttle clip {g._clip!r}, "
+                    f"{cg.path}: cached throttle clip {g._clip!r}, "
                     f"row gives {clip_fn(g)!r}"))
+            total_demand += g.demand
+            mem = min(1.0, max(0.0, 1.0 - cg.progress_multiplier))
+            mem_some, mem_full = max(mem_some, mem), min(mem_full, mem)
+            if cg.parent is not None:
+                rates(cg.path, "cpu", cg.pressure.cpu, want)
+                if not dirty:
+                    rates(cg.path, "memory", cg.pressure.memory, (mem, mem))
             if not dirty:
-                cg = g.cgroup
                 published = (cg.cpu_rate, cg._thread_rate, cg._occ_rate)
                 want = (g.rate,
                         g.per_thread_progress * cg.progress_multiplier,
@@ -290,11 +311,24 @@ class AccrualInputs(Invariant):
                     out.append(self._v(
                         f"{cg.path}: published rates {published!r}, row "
                         f"gives {want!r}"))
+        busy = {g.cgroup for g in sched.snapshot}
+        for cg in world.cgroups.walk():
+            if cg.parent is not None and cg not in busy:
+                rates(cg.path, "cpu", cg.pressure.cpu, (0.0, 0.0))
+                rates(cg.path, "memory", cg.pressure.memory, (0.0, 0.0))
         total = sum(g.rate for g in sched.snapshot)
         if sched.total_allocated() != total:
             out.append(self._v(
                 f"cached total_allocated {sched.total_allocated()!r}, "
                 f"snapshot rates sum to {total!r}"))
+        root = world.cgroups.root
+        some = (min(1.0, max(0.0, total_demand - total) / total_demand)
+                if total_demand > 0 else 0.0)
+        full = 1.0 if total_demand > 0 and total <= eps else 0.0
+        rates("/ (host)", "cpu", root.pressure.cpu, (some, min(some, full)))
+        if not dirty:
+            rates("/ (host)", "memory", root.pressure.memory,
+                  (mem_some, min(mem_some, mem_full)))
         return out
 
 

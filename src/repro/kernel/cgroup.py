@@ -434,10 +434,10 @@ class CgroupRoot:
         return next(self._seq)
 
     def bind_clock(self, clock: "SimClock") -> None:
-        """Attach the sim clock so idle PSI averages can decay lazily.
+        """Attach the sim clock the PSI accumulators fold against.
 
-        Without a clock (standalone scheduler/cgroup tests) pressure
-        accumulators keep their eager advance-only semantics.
+        A :class:`~repro.kernel.sched.fair.FairScheduler` built on a root
+        with no clock binds one that reads its own accrued time.
         """
         self._clock = clock
         for cg in self.walk():

@@ -48,16 +48,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from bisect import insort
 from dataclasses import dataclass, field
-from operator import is_not, itemgetter
+from operator import attrgetter, is_not, itemgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import PolicyError
 from repro.kernel.cgroup import Cgroup, CgroupRoot
 from repro.kernel.cpu import HostCpus
-from repro.obs.pressure import PSI_WINDOWS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.task import SimThread
@@ -145,11 +143,9 @@ class GroupAlloc:
     #: without calling back into the policy.
     _clip: float = field(default=0.0, repr=False, compare=False)
     #: :func:`cpu_stall` of the row, evaluated at publication: the
-    #: group's PSI cpu ``some``/``full`` inputs (already clamped) and
-    #: whether the unclamped pair was nonzero (the zero-stall skip).
+    #: group's PSI cpu ``some``/``full`` fractions (already clamped).
     _cpu_some: float = field(default=0.0, repr=False, compare=False)
     _cpu_full: float = field(default=0.0, repr=False, compare=False)
-    _cpu_stalled: bool = field(default=False, repr=False, compare=False)
 
     @property
     def per_thread_progress(self) -> float:
@@ -179,22 +175,20 @@ class GroupAlloc:
         return (self.rate / n) * self.efficiency * self.cgroup.progress_multiplier
 
 
-def cpu_stall(g: GroupAlloc, eps: float) -> tuple[float, float, bool]:
-    """A published row's PSI cpu inputs ``(some, full, stalled)``.
+def cpu_stall(g: GroupAlloc, eps: float) -> tuple[float, float]:
+    """A published row's PSI cpu fractions ``(some, full)``.
 
     ``some`` is the unmet share of runnable demand and ``full`` is 1 when
     the group is runnable but making no progress, both clamped the way
-    :meth:`~repro.obs.pressure.PressureStall.advance` clamps them;
-    ``stalled`` says whether the unclamped pair was nonzero, which is
-    what the zero-stall skip tests.  A function of row fields only, so
-    publication evaluates it once for every accrual step until the next.
+    :meth:`~repro.obs.pressure.PressureStall.advance` clamps them.  A
+    function of row fields only, so publication evaluates it once for
+    every accrual step until the next.
     """
     demand = g.demand
     rate = g.rate
     unmet = demand - rate
     some = unmet / demand if unmet > 0.0 and demand > 0 else 0.0
     full = 1.0 if (g.n_threads > 0 and rate <= eps) else 0.0
-    stalled = some != 0.0 or full != 0.0
     # Branchy clamps: same values as min(1, max(0, x)), fewer calls.
     if not some > 0.0:
         some = 0.0
@@ -204,7 +198,20 @@ def cpu_stall(g: GroupAlloc, eps: float) -> tuple[float, float, bool]:
         full = 0.0
     if full > some:
         full = some
-    return some, full, stalled
+    return some, full
+
+
+class _ElapsedClock:
+    """The clock of a scheduler run outside a world: its accrued time."""
+
+    __slots__ = ("_sched",)
+
+    def __init__(self, sched: "FairScheduler"):
+        self._sched = sched
+
+    @property
+    def now(self) -> float:
+        return self._sched._time
 
 
 @dataclass
@@ -364,6 +371,11 @@ class FairScheduler:
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_bypassed = 0
+        #: PSI activity since construction, for the profiler report:
+        #: accumulators restalled (their averages folded) and busy rows
+        #: accrued, summed over steps.
+        self.psi_folds = 0
+        self.psi_row_steps = 0
         self._refresh_solve_cache()
         self._dirty_all = True
         #: Dirty groups -> rates only: True while only the group's
@@ -386,6 +398,10 @@ class FairScheduler:
         self._time = 0.0               # internal timebase (sum of advances)
         self.total_idle_time = 0.0      # integral of unallocated capacity
         self.window_idle = 0.0          # idle capacity since last sys_ns window reset
+        if cgroups._clock is None:
+            # Outside a world the PSI accumulators fold against the
+            # time accrued here; a world binds its own clock instead.
+            cgroups.bind_clock(_ElapsedClock(self))
         cgroups.set_dirty_hook(self.mark_dirty)
         cgroups.set_completion_hook(self.note_completion_change)
 
@@ -459,9 +475,64 @@ class FairScheduler:
             self._snapshot = sorted(self._galloc.values(),
                                     key=lambda g: g.cgroup.seq)
             self._members_changed = False
-        self._n_run_total = sum(g.n_threads for g in self._snapshot)
-        self._allocated = sum(g.rate for g in self._snapshot)
+        self._n_run_total = sum(map(attrgetter("n_threads"), self._snapshot))
+        self._allocated = sum(map(attrgetter("rate"), self._snapshot))
+        self._restall_host()
         return self._snapshot
+
+    def _restall_host(self) -> None:
+        """Point the root's PSI pair at the snapshot's host-wide stall.
+
+        The root cgroup carries host-wide pressure, mirroring how
+        /proc/pressure reads the root group in Linux: cpu ``some`` is
+        the unmet share of total runnable demand, ``full`` is 1 while
+        demand gets no CPU at all; memory ``some``/``full`` are the
+        worst and the best group's swap slowdown.  Demands are whole
+        cores, so their sum is exact in any order, and ``1 - m`` is
+        monotone in ``m``, so the slowdown extremes come from the
+        multipliers' extremes.
+        """
+        snapshot = self._snapshot
+        allocated = self._allocated
+        total_demand = sum(map(attrgetter("demand"), snapshot))
+        if total_demand > 0:
+            # The clamps of the reference PressureStall.advance.
+            some = min(1.0, max(0.0, total_demand - allocated) / total_demand)
+            full = min(some, 1.0 if allocated <= self.params.eps else 0.0)
+        else:
+            some = full = 0.0
+        root = self.cgroups.root.pressure
+        p = root.cpu
+        if some != p.some_rate or full != p.full_rate:
+            p.restall(some, full)
+            self.psi_folds += 1
+        if snapshot:
+            mults = list(map(attrgetter("cgroup.progress_multiplier"),
+                             snapshot))
+            some = min(1.0, max(0.0, 1.0 - min(mults)))
+            full = min(some, max(0.0, 1.0 - max(mults)))
+        else:
+            some = full = 0.0
+        p = root.memory
+        if some != p.some_rate or full != p.full_rate:
+            p.restall(some, full)
+            self.psi_folds += 1
+
+    def _restall_memory(self, cg: Cgroup, gap_decays: dict) -> None:
+        """Point a busy non-root group's memory PSI at its swap slowdown.
+
+        The slowdown ``1 - progress_multiplier``, clamped to [0, 1], hits
+        every thread uniformly, so ``some == full``.
+        """
+        frac = 1.0 - cg.progress_multiplier
+        if frac < 0.0:
+            frac = 0.0
+        elif frac > 1.0:
+            frac = 1.0
+        p = cg.pressure.memory
+        if frac != p.some_rate:
+            p.restall(frac, frac, gap_decays)
+            self.psi_folds += 1
 
     def _solve_full(self) -> None:
         for cg in list(self._galloc):
@@ -589,9 +660,12 @@ class FairScheduler:
         """
         galloc = self._galloc
         changed: list[Cgroup] = []
+        gap_decays: dict[float, tuple[float, ...]] = {}
         for cg in groups:
             g = galloc.get(cg)
             if g is not None:
+                if cg.parent is not None:
+                    self._restall_memory(cg, gap_decays)
                 tr = g.thread_rate
                 if tr != cg._thread_rate:
                     cg._thread_rate = tr
@@ -600,9 +674,19 @@ class FairScheduler:
             self._reindex(changed)
 
     def _retire(self, cg: Cgroup) -> None:
-        """Drop a no-longer-busy group from all engine indexes."""
+        """Drop a no-longer-busy group from all engine indexes.
+
+        Its PSI accumulators stop stalling: from here their averages
+        decay, folded on the next read or restall.
+        """
         if self._galloc.pop(cg, None) is not None:
             self._members_changed = True
+        if cg.parent is not None:
+            pressure = cg.pressure
+            for p in (pressure.cpu, pressure.memory):
+                if p.some_rate or p.full_rate:
+                    p.restall(0.0, 0.0)
+                    self.psi_folds += 1
         self._gpool.pop(cg, None)
         self._comp_of.pop(cg, None)
         self._due_zero.discard(cg)
@@ -756,6 +840,14 @@ class FairScheduler:
         Row ``i`` is published to ``members[i]``; its own cgroup field
         is ignored, so a memo hit solved for another domain with the
         same inputs publishes correctly.
+
+        Each non-root group's PSI pair is pointed at the published
+        stall: its cpu fractions (:func:`cpu_stall`) and its swap
+        slowdown (:meth:`_restall_memory`), which can move under an
+        unchanged row.  An accumulator whose fractions change folds its
+        averages up to now (:meth:`PressureStall.restall
+        <repro.obs.pressure.PressureStall.restall>`); the folds of one
+        call share their window decays.
         """
         galloc = self._galloc
         pool = self._gpool
@@ -763,6 +855,8 @@ class FairScheduler:
         clip_fn = self.policy.throttle_clip
         eps = self.params.eps
         reindex: list[Cgroup] = []
+        gap_decays: dict[float, tuple[float, ...]] = {}
+        folds = 0
         for cg, row in zip(members, rows):
             g = pool.get(cg)
             if g is None:
@@ -783,6 +877,10 @@ class FairScheduler:
                 if old[7] != row[7]:
                     g.pressure = row[7]
                 g._row = row
+                if cg.parent is not None and (
+                        cg.progress_multiplier != 1.0
+                        or cg.pressure.memory.some_rate):
+                    self._restall_memory(cg, gap_decays)
                 tr = g.thread_rate
                 if tr != cg._thread_rate:
                     cg._thread_rate = tr
@@ -805,7 +903,16 @@ class FairScheduler:
             g.rate = rate
             g.efficiency = efficiency
             g._clip = clip_fn(g)
-            g._cpu_some, g._cpu_full, g._cpu_stalled = cpu_stall(g, eps)
+            g._cpu_some, g._cpu_full = some, full = cpu_stall(g, eps)
+            if cg.parent is not None:
+                p = cg.pressure.cpu
+                if some != p.some_rate or full != p.full_rate:
+                    p.restall(some, full, gap_decays)
+                    folds += 1
+                # Unslowed and already at zero: nothing to restall.
+                if (cg.progress_multiplier != 1.0
+                        or cg.pressure.memory.some_rate):
+                    self._restall_memory(cg, gap_decays)
             if cg not in galloc:
                 self._members_changed = True
                 galloc[cg] = g
@@ -815,6 +922,7 @@ class FairScheduler:
             cg._occ_rate = rate / n if n else 0.0
             if incremental:
                 reindex.append(cg)
+        self.psi_folds += folds
         if reindex:
             self._reindex(reindex)
 
@@ -1034,53 +1142,27 @@ class FairScheduler:
 
         O(busy groups) in one flat loop: per-group progress/occupancy
         integrals advance here; threads resolve their own accounting
-        against them lazily.  Idle groups' PSI averages decay lazily on
-        read (the accumulators are bound to the cgroup root's clock), so
-        no hierarchy walk happens per event.
+        against them lazily.  No hierarchy walk happens per event.
 
-        Each busy group's two PSI accumulators take the recurrence of
-        :meth:`PressureStall.advance <repro.obs.pressure.PressureStall.advance>`
-        written out inline, one statement per window, with its zero-stall
-        skip and clamps.  Every accumulator shares this ``dt``, so the
-        window decays ``d_i = exp(-dt/W_i)`` and their complements are
-        evaluated once; the cpu stall fractions are fixed per row and
-        come from publication (:func:`cpu_stall`).  The operands and
-        their order are those of the reference, so every bit matches.
+        PSI stall totals are exact integrals and accrue here, each
+        accumulator at the fractions it was restalled to at the last
+        publication (:meth:`_publish_rows`, :meth:`_restall_host`).  The
+        windowed averages take no work per step: they are folded only
+        when a group's fractions change, or on read.
         """
         if dt <= 0.0:
             return
         self._time += dt
-        allocated = self._allocated
-        idle = max(0.0, self.host.capacity - allocated)
+        idle = max(0.0, self.host.capacity - self._allocated)
         self.total_idle_time += idle * dt
         self.window_idle += idle * dt
-        total_demand = 0.0
-        mem_some = 0.0
-        mem_full = 1.0 if self._snapshot else 0.0
-        w0, w1, w2 = PSI_WINDOWS
-        d0 = math.exp(-dt / w0)
-        d1 = math.exp(-dt / w1)
-        d2 = math.exp(-dt / w2)
-        c0 = 1.0 - d0
-        c1 = 1.0 - d1
-        c2 = 1.0 - d2
-        # Every bound accumulator is bound to the cgroup root's clock.
-        clock = self.cgroups._clock
-        if clock is not None:
-            now = clock.now
-            # A bound accumulator accrues [now, now + dt] ahead of the
-            # clock tick (the world integrates before the jump lands).
-            synced = now + dt
-            # Accumulators behind the clock decay their untouched stretch
-            # first; most share its length, so they share its decays.
-            gap_decays: dict[float, tuple[float, ...]] = {}
-        for g in self._snapshot:
+        snapshot = self._snapshot
+        self.psi_row_steps += len(snapshot)
+        for g in snapshot:
             cg = g.cgroup
-            rate = g.rate
-            used = rate * dt
+            used = g.rate * dt
             cg.total_cpu_time += used
             cg.window_usage += used
-            total_demand += g.demand
             # Throttle accounting is a policy decision (the default
             # policy clips demand at the quota; burstable only accrues
             # while a soft cap is asserted), evaluated at publication.
@@ -1090,71 +1172,25 @@ class FairScheduler:
                 cg.throttled_wall += dt
             cg.progress_acc += cg._thread_rate * dt
             cg.occupancy_acc += cg._occ_rate * dt
-            # Memory stall is the swap/reclaim slowdown, which hits every
-            # thread uniformly (some == full).  The multiplier can move
-            # under an unchanged row, so it is read live.
-            mem_frac = 1.0 - cg.progress_multiplier
-            if mem_frac < 0.0:
-                mem_frac = 0.0
-            if mem_frac > mem_some:
-                mem_some = mem_frac
-            if mem_frac < mem_full:
-                mem_full = mem_frac
             if cg.parent is None:
                 continue
             pressure = cg.pressure
-            # CPU some: unmet share of runnable demand; full: runnable
-            # but making no progress.  A bound accumulator skips a
-            # zero-stall step (its lazy decay covers it) and first decays
-            # any untouched stretch since it last synced.
             p = pressure.cpu
-            bound = p._clock is not None
-            if g._cpu_stalled or not bound:
-                if bound and p._synced < now:
-                    p._sync(gap_decays)
-                some = g._cpu_some
-                full = g._cpu_full
+            some = p.some_rate
+            if some:
                 p.some_total += some * dt
-                p.full_total += full * dt
-                avg = p._some_avg
-                avg[0] = avg[0] * d0 + some * c0
-                avg[1] = avg[1] * d1 + some * c1
-                avg[2] = avg[2] * d2 + some * c2
-                avg = p._full_avg
-                avg[0] = avg[0] * d0 + full * c0
-                avg[1] = avg[1] * d1 + full * c1
-                avg[2] = avg[2] * d2 + full * c2
-                if bound:
-                    p._synced = synced
+                p.full_total += p.full_rate * dt
             p = pressure.memory
-            bound = p._clock is not None
-            if mem_frac != 0.0 or not bound:
-                if bound and p._synced < now:
-                    p._sync(gap_decays)
-                # The reference clamps: mem_frac is already >= 0, and
-                # full (== some on input) clamps to the same value.
-                some = mem_frac if mem_frac < 1.0 else 1.0
+            some = p.some_rate
+            if some:
                 p.some_total += some * dt
-                p.full_total += some * dt
-                avg = p._some_avg
-                avg[0] = avg[0] * d0 + some * c0
-                avg[1] = avg[1] * d1 + some * c1
-                avg[2] = avg[2] * d2 + some * c2
-                avg = p._full_avg
-                avg[0] = avg[0] * d0 + some * c0
-                avg[1] = avg[1] * d1 + some * c1
-                avg[2] = avg[2] * d2 + some * c2
-                if bound:
-                    p._synced = synced
-        # The root cgroup carries host-wide pressure, mirroring how
-        # /proc/pressure reads the root group in Linux.  Two accumulators
-        # per step: they take the reference recurrence itself.
-        some = (max(0.0, total_demand - allocated) / total_demand
-                if total_demand > 0 else 0.0)
-        full = 1.0 if (total_demand > 0 and allocated <= self.params.eps) else 0.0
-        root = self.cgroups.root
-        root.pressure.cpu.maybe_advance(dt, some, full)
-        root.pressure.memory.maybe_advance(dt, mem_some, mem_full)
+                p.full_total += p.full_rate * dt
+        root = self.cgroups.root.pressure
+        for p in (root.cpu, root.memory):
+            some = p.some_rate
+            if some:
+                p.some_total += some * dt
+                p.full_total += p.full_rate * dt
 
     def contention_pressure(self, cgroup: Cgroup) -> float:
         """The current contention-domain pressure around ``cgroup``.

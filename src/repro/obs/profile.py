@@ -31,7 +31,9 @@ profiler nor breaks detach.
 
 The report also carries the domain-solve memo's activity since attach
 (``solve_memo``: hits, misses, solves of domains no longer keyed, and
-the rows the tables hold now), read from the schedulers' own counters.
+the rows the tables hold now) and the PSI averages' (``psi``: folds,
+i.e. accumulators whose stall fractions changed, and busy rows accrued,
+summed over steps), read from the schedulers' own counters.
 
 ``steps`` counts the engine steps that fired: a ``World.step`` call
 that found nothing due returns False and is not counted, so the count
@@ -105,8 +107,8 @@ class EngineProfiler:
             maxlen=flight_capacity)
         self._stack: list[list] = []          # [name, last_mark]
         self._patched: list[tuple[object, str, object]] = []
-        #: (world, sim time and memo counters at attach)
-        self._worlds: list[tuple["World", float, tuple[int, int, int]]] = []
+        #: (world, sim time, memo and PSI counters at attach)
+        self._worlds: list[tuple["World", float, tuple[int, ...]]] = []
         self._t0 = perf_counter()
         self._wall_total: float | None = None
 
@@ -171,7 +173,7 @@ class EngineProfiler:
 
     def _solve_memo(self) -> dict:
         hits = misses = bypassed = rows = 0
-        for world, _start, (hits0, misses0, bypassed0) in self._worlds:
+        for world, _start, (hits0, misses0, bypassed0, *_) in self._worlds:
             sched = world.sched
             hits += sched.memo_hits - hits0
             misses += sched.memo_misses - misses0
@@ -179,6 +181,13 @@ class EngineProfiler:
             rows += sched.memo_rows
         return {"hits": hits, "misses": misses, "bypassed": bypassed,
                 "rows": rows}
+
+    def _psi(self) -> dict:
+        folds = row_steps = 0
+        for world, _start, (*_, folds0, row_steps0) in self._worlds:
+            folds += world.sched.psi_folds - folds0
+            row_steps += world.sched.psi_row_steps - row_steps0
+        return {"folds": folds, "row_steps": row_steps}
 
     def attach_world(self, world: "World") -> "EngineProfiler":
         """Probe one world's engine subsystems.  Chainable."""
@@ -188,7 +197,8 @@ class EngineProfiler:
             self._t0 = perf_counter()
         sched = world.sched
         self._worlds.append((world, world.now, (
-            sched.memo_hits, sched.memo_misses, sched.memo_bypassed)))
+            sched.memo_hits, sched.memo_misses, sched.memo_bypassed,
+            sched.psi_folds, sched.psi_row_steps)))
         self._wrap(world, "run", "event_loop")
         self._wrap(world, "run_until", "event_loop")
         self._wrap(world.sched, "reallocate", "fair_solver")
@@ -279,6 +289,7 @@ class EngineProfiler:
             "unattributed_s": max(0.0, wall - attributed),
             "subsystems": subsystems,
             "solve_memo": self._solve_memo(),
+            "psi": self._psi(),
             "flight": self.flight_rows(),
         }
 
@@ -304,6 +315,11 @@ class EngineProfiler:
         lines.append(f"solve memo: {memo['hits']} hits, {memo['misses']} "
                      f"misses, {memo['bypassed']} unkeyed solves, "
                      f"{memo['rows']} rows held")
+        psi = rep["psi"]
+        lines.append(f"psi: {psi['folds']} folds over {psi['row_steps']} "
+                     f"row-steps"
+                     + (f" ({psi['folds'] / psi['row_steps']:.2f} per "
+                        f"row-step)" if psi["row_steps"] else ""))
         tail = rep["flight"][-3:]
         if tail:
             lines.append("flight recorder (last samples): " + "  ".join(

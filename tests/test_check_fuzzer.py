@@ -17,6 +17,7 @@ import pytest
 from repro.check import (DEFAULT_VARIANTS, Scenario, Variant, default_suite,
                          diff_snapshots, generate, generate_cluster,
                          run_differential, run_scenario, run_variants, shrink)
+from repro.check.differ import snapshots_equal
 from repro.check.sweep import dump_fixture, load_fixture
 from repro.check.generator import generate as generate2
 from repro.core.effective_cpu import compute_cpu_bounds
@@ -115,6 +116,11 @@ class TestRunner:
         assert len(res.snapshots) == len(scn.ops) + 2  # initial + per-op + final
 
 
+#: One NaN object: containers holding it compare equal under ``==``
+#: (identity comes first), yet the snapshot diff reports it.
+_NAN = float("nan")
+
+
 class TestDiffer:
     def test_diff_snapshots_finds_nested_mismatch(self):
         a = {"x": [1, {"y": 2.0}], "z": "s"}
@@ -125,6 +131,29 @@ class TestDiffer:
     def test_diff_snapshots_equal(self):
         snap = run_scenario(generate(1)).snapshots[-1]
         assert diff_snapshots(snap, snap) == []
+
+    @pytest.mark.parametrize("a, b", [
+        (1, 1.0), (True, 1), (1.0, 1.0), (float("nan"), float("nan")),
+        ([float("nan")], [float("nan")]), ({"x": float("nan")},) * 2,
+        ([_NAN], [_NAN]), ([[_NAN]],) * 2,
+        (-0.0, 0.0), ({"x": -0.0}, {"x": 0.0}),
+        ({"x": 1, "y": 2}, {"y": 2, "x": 1}), ({"x": 1}, {"x": 1, "y": 2}),
+        ([1, 2], [1, 2, 3]), ([1, 2], [1, 2]), ([], [1]), ((1, 2), [1, 2]),
+        ((1, float("nan")), (1, float("nan"))), ("s", "s"), ("s", "t"),
+        (None, None), (None, 0), ({"x": [1, {"y": 2.0}]},) * 2,
+        ({"x": [1, {"y": 2.0}]}, {"x": [1, {"y": 2.5}]}),
+    ], ids=repr)
+    def test_snapshots_equal_agrees_with_diff(self, a, b):
+        """The lean pass says equal exactly when the report is empty."""
+        assert snapshots_equal(a, b) is (diff_snapshots(a, b) == [])
+        assert snapshots_equal(b, a) is (diff_snapshots(b, a) == [])
+
+    def test_snapshots_equal_on_real_runs(self):
+        """Every snapshot of one run against its neighbour and itself."""
+        snaps = run_scenario(generate(3)).snapshots
+        for a, b in zip(snaps, snaps[1:] + snaps[:1]):
+            assert snapshots_equal(a, b) is (diff_snapshots(a, b) == [])
+            assert snapshots_equal(a, a) is (diff_snapshots(a, a) == [])
 
     def test_sweep_passes_on_both_engines(self):
         for seed in range(SWEEP_SEEDS):
@@ -283,18 +312,44 @@ class TestInvariantsFire:
 
         def stale(self, members, rows):
             pool = self._gpool
-            kept = {cg: (pool[cg]._cpu_some, pool[cg]._cpu_full,
-                         pool[cg]._cpu_stalled)
+            kept = {cg: (pool[cg]._cpu_some, pool[cg]._cpu_full)
                     for cg in members if cg in pool}
             publish(self, members, rows)
-            for cg, (some, full, stalled) in kept.items():
+            for cg, (some, full) in kept.items():
                 g = pool[cg]
-                g._cpu_some, g._cpu_full, g._cpu_stalled = some, full, stalled
+                g._cpu_some, g._cpu_full = some, full
         monkeypatch.setattr(FairScheduler, "_publish_rows", stale)
         report = run_differential(scn)
         assert report.fingerprint() == "invariant:incremental:accrual_inputs"
-        assert "/docker/c0: cached cpu stall (0.0, 0.0, False)" in (
+        assert "/docker/c0: cached cpu stall (0.0, 0.0)" in (
             report.violations[0])
+
+    def test_retire_keeping_psi_rates_detected(self, monkeypatch):
+        """A group that goes idle keeps stalling in PSI: its averages
+        climb toward the old fractions instead of decaying, while every
+        total and accounting law still holds (idle groups accrue no
+        totals)."""
+        scn = Scenario(ncpus=1, memory=gib(1), horizon=0.5, ops=[
+            {"t": 0.0, "op": "create", "name": "c0", "workers": 2},
+            {"t": 0.0, "op": "create", "name": "c1", "workers": 1},
+            {"t": 0.2, "op": "block", "name": "c0", "worker": 0},
+            {"t": 0.2, "op": "block", "name": "c0", "worker": 1},
+        ])
+        assert run_differential(scn).ok
+        retire = FairScheduler._retire
+
+        def keeping(self, cg):
+            pressure = cg.pressure
+            kept = [(p, p.some_rate, p.full_rate)
+                    for p in (pressure.cpu, pressure.memory)]
+            retire(self, cg)
+            for p, some, full in kept:
+                p.some_rate, p.full_rate = some, full
+        monkeypatch.setattr(FairScheduler, "_retire", keeping)
+        report = run_differential(scn)
+        assert report.fingerprint() == "invariant:incremental:accrual_inputs"
+        assert report.violations[0].endswith(
+            "/docker/c0: cpu PSI rates (0.5, 0.0), want (0.0, 0.0)")
 
     _SWAPPING = Scenario(ncpus=2, memory=gib(1), horizon=0.5, ops=[
         {"t": 0.0, "op": "create", "name": "c0", "workers": 2},

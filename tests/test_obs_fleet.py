@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.check.span_tree import check_span_tree
+from repro.container.spec import ContainerSpec
 from repro.errors import ReproError
 from repro.metrics import Histogram, Series
 from repro.obs.demo import build_fleet_cluster, fleet_horizon, run_fleet_demo
@@ -292,6 +293,28 @@ class TestEngineProfiler:
         assert all(deltas)
         assert world.step() is False
         assert profiler.steps == sum(deltas)
+
+    def test_report_counts_psi_folds_since_attach(self):
+        """``psi`` holds the schedulers' fold and row-step counters,
+        taken as differences from attach, as plain ints."""
+        world = World(ncpus=2)
+        hog = world.containers.create(ContainerSpec("hog", cpus=0.5))
+        for i in range(2):
+            hog.spawn_thread(f"t{i}").assign_work(1e9)
+        world.run(until=0.1)
+        sched = world.sched
+        before = (sched.psi_folds, sched.psi_row_steps)
+        profiler = EngineProfiler().attach_world(world)
+        hog.cgroup.set_cpu_quota(150_000)
+        world.run(until=0.3)
+        profiler.detach()
+        psi = profiler.report()["psi"]
+        assert psi == {"folds": sched.psi_folds - before[0],
+                       "row_steps": sched.psi_row_steps - before[1]}
+        assert psi["folds"] > 0 and psi["row_steps"] > 0
+        assert all(type(v) is int for v in psi.values())
+        assert f"psi: {psi['folds']} folds over {psi['row_steps']} row-steps" \
+            in profiler.format_report()
 
     def test_detach_is_idempotent_and_reports_frozen_wall(self):
         profiler = EngineProfiler()

@@ -1,9 +1,10 @@
-"""PSI accumulator semantics: zero-dt re-entry, EMA folding, lazy decay.
+"""PSI accumulator semantics: zero-dt re-entry, EMA folding, lazy folds.
 
 These pin the properties the invariant checker leans on: stall totals
 are exact integrals (re-entrant same-tick calls must not double-count
-or double-decay), the windowed averages fold over split intervals, and
-a clock-bound (lazy) accumulator reads identically to an eager one.
+or double-decay), the windowed averages fold over split intervals, a
+clock-bound accumulator's folds read like the eager recurrence, and
+reads never move a later bit.
 """
 
 import hashlib
@@ -112,28 +113,78 @@ class TestLazyVsEager:
                 eager.avg("full", w), rel=1e-9)
         assert lazy.some_total == eager.some_total
 
-    def test_maybe_advance_skips_only_pure_decay(self):
+    def test_restall_folds_the_closed_form(self):
+        """A stretch at a fixed fraction reads ``f + (a0 - f)·exp(-T/W)``
+        and, up to rounding, what the eager recurrence gives step by step."""
         clock = FakeClock()
-        a, b = PressureStall(), PressureStall()
-        a.bind_clock(clock)
-        b.bind_clock(clock)
-        a.advance(0.5, 0.6, 0.0)
-        b.advance(0.5, 0.6, 0.0)
-        clock.now = 0.5
-        a.maybe_advance(2.0, 0.0, 0.0)        # skipped: lazy decay covers it
-        b.advance(2.0, 0.0, 0.0)              # taken eagerly
-        clock.now = 2.5
-        for w in PSI_WINDOWS:
-            assert a.avg("some", w) == pytest.approx(
-                b.avg("some", w), rel=1e-9)
-        assert a.some_total == b.some_total
+        lazy, eager = PressureStall(), PressureStall()
+        lazy.bind_clock(clock)
+        lazy.advance(1.0, 0.8, 0.3)
+        eager.advance(1.0, 0.8, 0.3)
+        clock.now = 1.0
+        a0 = lazy.averages()
+        lazy.restall(0.4, 0.1)
+        for _ in range(30):
+            eager.advance(0.1, 0.4, 0.1)
+        clock.now = 4.0
+        some, full = lazy.averages()
+        for i, w in enumerate(PSI_WINDOWS):
+            d = math.exp(-3.0 / w)
+            assert some[i] == pytest.approx(0.4 + (a0[0][i] - 0.4) * d,
+                                            rel=1e-15)
+            assert full[i] == pytest.approx(0.1 + (a0[1][i] - 0.1) * d,
+                                            rel=1e-15)
+            assert some[i] == pytest.approx(eager.avg("some", w), rel=1e-12)
+            assert full[i] == pytest.approx(eager.avg("full", w), rel=1e-12)
 
-    def test_unbound_maybe_advance_never_skips(self):
+    def test_restall_to_zero_is_the_idle_decay(self):
+        """Idle decay is the ``f = 0`` fold: bit for bit ``avg·exp(-T/W)``."""
+        clock = FakeClock()
         p = PressureStall()
-        p.advance(1.0, 1.0, 0.0)
-        before = p.avg("some", 10.0)
-        p.maybe_advance(5.0, 0.0, 0.0)
-        assert p.avg("some", 10.0) < before   # decay was applied eagerly
+        p.bind_clock(clock)
+        p.restall(0.6, 0.2)
+        clock.now = 2.0
+        p.restall(0.0, 0.0)
+        stored = (list(p._some_avg), list(p._full_avg))
+        clock.now = 7.0
+        some, full = p.averages()
+        for i, w in enumerate(PSI_WINDOWS):
+            d = math.exp(-5.0 / w)
+            assert some[i] == stored[0][i] * d
+            assert full[i] == stored[1][i] * d
+
+    def test_equal_stretches_share_decays_bit_for_bit(self):
+        """Restalls passing one ``gap_decays`` dict equal separate ones."""
+        clock = FakeClock()
+        shared, alone = PressureStall(), PressureStall()
+        for p in (shared, alone):
+            p.bind_clock(clock)
+            p.restall(0.5, 0.5)
+        clock.now = 0.3
+        decays: dict = {}
+        for fracs in ((0.25, 0.0), (1.0, 1.0)):
+            shared.restall(*fracs, decays)
+            alone.restall(*fracs)
+            clock.now += 0.3
+        assert list(decays) == [0.3]
+        assert shared.averages() == alone.averages()
+
+    def test_reads_store_nothing(self):
+        """``avg``, ``format`` and ``as_dict`` fold up to now without
+        writing the result back: the stored state is untouched."""
+        clock = FakeClock()
+        cp = CgroupPressure()
+        cp.bind_clock(clock)
+        cp.cpu.restall(0.7, 0.2)
+        clock.now = 1.5
+        before = repr([(s._some_avg, s._full_avg, s._synced)
+                       for s in (cp.cpu, cp.memory)])
+        cp.cpu.avg("some", 10.0)
+        cp.cpu.format()
+        cp.as_dict()
+        assert repr([(s._some_avg, s._full_avg, s._synced)
+                     for s in (cp.cpu, cp.memory)]) == before
+        assert cp.as_dict()["cpu"]["some_avg10"] == cp.cpu.avg("some", 10.0)
 
     def test_avg_read_is_stable(self):
         """Reading avg() twice at the same instant returns the same value
@@ -186,16 +237,17 @@ PINS = Path(__file__).with_name("golden") / "pins.json"
 
 
 def _psi_fields(world):
-    """Raw PSI state of every live cgroup, root included, in seq order.
+    """PSI state of every live cgroup, root included, in seq order.
 
-    Reads the fields directly: :meth:`PressureStall.avg` syncs the lazy
-    decay, and syncing changes the history the next accrual builds on.
+    The totals and the averages as read at the world's clock
+    (:meth:`PressureStall.averages`, which stores nothing).
     """
     out = []
     for cg in sorted(world.cgroups.walk(), key=lambda c: c.seq):
         for stall in (cg.pressure.cpu, cg.pressure.memory):
+            some, full = stall.averages()
             out.append((cg.seq, stall.some_total, stall.full_total,
-                        tuple(stall._some_avg), tuple(stall._full_avg)))
+                        tuple(some), tuple(full)))
     return out
 
 
@@ -253,7 +305,7 @@ class TestPsiAveragePin:
 
     ``invariant_snapshot()`` and the benchmark digests carry only the
     stall totals, and the golden trace covers one 5-container host.
-    This samples the raw accumulators of every cgroup (:func:`_psi_fields`)
+    This samples the accumulators of every cgroup (:func:`_psi_fields`)
     at every op boundary of each :data:`PIN_SEEDS` scenario (the
     fuzzer's own runner; keys ``seed00`` ... ``seed19``) and of a churned
     host that swaps (``churned_host``, every 0.1 s), and pins them in
@@ -290,31 +342,28 @@ class TestPsiAveragePin:
                    for name, t in trails.items()})
 
 
-# -- the scheduler's inline accrual against the reference recurrence ------------
+# -- the scheduler's folds against the per-step reference recurrence -----------
 
-def _psi_state(p):
-    return repr((p.some_total, p.full_total, p._some_avg, p._full_avg,
-                 p._synced))
+#: Largest relative gap allowed between a folded average and the
+#: per-step replay: one fold over a stretch and the product of its steps'
+#: decays round differently, by a few ulp per fold.
+AVG_REL_TOL = 1e-10
+#: Absolute gap allowed besides: an average built over a stretch short
+#: against its window carries the rounding of ``1 - exp(-T/W)``, about
+#: one ulp of 1.0 (2.2e-16) absolute, in the replay and the fold alike,
+#: which is a large share of a value as small as ``T/W``.
+AVG_ABS_TOL = 1e-14
 
 
-def _reference_step(sched, dt):
-    """Each accumulator ``sched.advance(dt)`` should touch, with the state
-    :meth:`PressureStall.maybe_advance` gives a copy of it.
+def _reference_fractions(sched):
+    """``(accumulator, some, full)`` for each accumulator a step accrues.
 
-    The stall fractions are recomputed from each row here, not read from
-    what publication cached, and each accumulator is replayed alone.
+    The stall fractions are recomputed from each row and the swap
+    multipliers here, not read from what publication cached or what the
+    accumulators hold; the root carries the host-wide pair.
     """
     eps = sched.params.eps
-    expected = []
-
-    def replay(p, some, full):
-        q = PressureStall()
-        q.some_total, q.full_total = p.some_total, p.full_total
-        q._some_avg, q._full_avg = list(p._some_avg), list(p._full_avg)
-        q._clock, q._synced = p._clock, p._synced
-        q.maybe_advance(dt, some, full)
-        expected.append((p, _psi_state(q)))
-
+    out = []
     allocated = sum(g.rate for g in sched.snapshot)
     total_demand = 0.0
     mem_some = 0.0
@@ -330,42 +379,73 @@ def _reference_step(sched, dt):
         unmet = g.demand - g.rate
         some = unmet / g.demand if unmet > 0.0 and g.demand > 0 else 0.0
         full = 1.0 if (g.n_threads > 0 and g.rate <= eps) else 0.0
-        replay(cg.pressure.cpu, some, full)
-        replay(cg.pressure.memory, mem_frac, mem_frac)
+        out.append((cg.pressure.cpu, some, full))
+        out.append((cg.pressure.memory, mem_frac, mem_frac))
     some = (max(0.0, total_demand - allocated) / total_demand
             if total_demand > 0 else 0.0)
     full = 1.0 if (total_demand > 0 and allocated <= eps) else 0.0
     root = sched.cgroups.root
-    replay(root.pressure.cpu, some, full)
-    replay(root.pressure.memory, mem_some, mem_full)
-    return expected
+    out.append((root.pressure.cpu, some, full))
+    out.append((root.pressure.memory, mem_some, mem_full))
+    return out
 
 
 class AccrualAudit:
-    """Wraps ``FairScheduler.advance``: after every step, each accumulator
-    must equal the reference replay bit for bit."""
+    """Wraps ``FairScheduler.advance`` with a per-step reference replay.
+
+    Every accumulator a step accrues has a shadow :class:`PressureStall`
+    bound to the same clock, which takes :meth:`PressureStall.advance`
+    itself at the step's from-scratch fractions on every step (the
+    eager recurrence the scheduler's folds replace); between steps it
+    decays like an idle group.  Before each step, and at :meth:`finish`,
+    every accumulator must equal its shadow: stall totals bit for bit
+    and averages read at the clock within :data:`AVG_REL_TOL`.
+    """
 
     def __init__(self, monkeypatch):
         from repro.kernel.sched.fair import FairScheduler
         self.steps = 0
         self.mismatches: list[str] = []
         self.stalls = {"cpu_full": 0, "mem": 0, "throttled": 0}
+        self.shadows: dict[PressureStall, PressureStall] = {}
         real = FairScheduler.advance
 
         def audited(sched, dt):
-            expected = _reference_step(sched, dt) if dt > 0.0 else []
+            self.compare()
+            if dt > 0.0:
+                for p, some, full in _reference_fractions(sched):
+                    q = self.shadows.get(p)
+                    if q is None:
+                        q = self.shadows[p] = PressureStall()
+                        q.bind_clock(p._clock)
+                    q.advance(dt, some, full)
             real(sched, dt)
             self.steps += 1
-            for p, want in expected:
-                if _psi_state(p) != want:
-                    self.mismatches.append(
-                        f"step {self.steps}: {_psi_state(p)} != {want}")
             for g in sched.snapshot:
                 self.stalls["cpu_full"] += g._cpu_full == 1.0
                 self.stalls["mem"] += g.cgroup.progress_multiplier < 1.0
                 self.stalls["throttled"] += g._clip > 0.0
 
         monkeypatch.setattr(FairScheduler, "advance", audited)
+
+    def compare(self) -> None:
+        for p, q in self.shadows.items():
+            got = (p.some_total, p.full_total)
+            want = (q.some_total, q.full_total)
+            if got != want:
+                self.mismatches.append(
+                    f"before step {self.steps}: totals {got} != {want}")
+            for a, b in zip(sum(p.averages(), []), sum(q.averages(), [])):
+                if not math.isclose(a, b, rel_tol=AVG_REL_TOL,
+                                    abs_tol=AVG_ABS_TOL):
+                    self.mismatches.append(
+                        f"before step {self.steps}: average {a!r} != {b!r}")
+
+    def finish(self) -> list[str]:
+        """The last comparison; returns every mismatch found."""
+        self.compare()
+        assert self.shadows, "the audit saw no accrual"
+        return self.mismatches
 
 
 def _starved_host(seed, bound):
@@ -429,9 +509,10 @@ def _starved_host(seed, bound):
 
 
 class TestAccrualMatchesReference:
-    """``FairScheduler.advance`` writes the PSI recurrence out inline and
-    reads stall fractions cached at publication; every accumulator must
-    still equal a per-group replay of :meth:`PressureStall.advance`."""
+    """``FairScheduler.advance`` accrues stall totals at the fractions
+    publication set and folds averages only when they change; every
+    accumulator must stay within a bounded drift of a per-step replay of
+    :meth:`PressureStall.advance` (:class:`AccrualAudit`)."""
 
     def test_fuzzer_worlds_both_engines(self, monkeypatch):
         from repro.check.generator import generate
@@ -441,21 +522,22 @@ class TestAccrualMatchesReference:
         for seed in range(12):
             for engine in ("incremental", "scan"):
                 run_scenario(generate(seed), engine)
-        assert audit.mismatches == []
+        assert audit.finish() == []
         assert audit.stalls["throttled"] > 0
 
     def test_churned_host_with_swap_slowdown(self, monkeypatch):
         audit = AccrualAudit(monkeypatch)
         _churned_host(lambda world: None)
-        assert audit.mismatches == []
+        assert audit.finish() == []
         assert audit.stalls["mem"] > 0
 
     @pytest.mark.parametrize("bound", [True, False], ids=["bound", "unbound"])
     def test_starved_groups_and_multiplier_edits(self, monkeypatch, bound):
+        """``unbound``: the scheduler folds against its own accrued time."""
         audit = AccrualAudit(monkeypatch)
         for seed in range(3):
             _starved_host(seed, bound)
-        assert audit.mismatches == []
+        assert audit.finish() == []
         assert audit.stalls["cpu_full"] > 0 and audit.stalls["mem"] > 0
 
     def test_multiplier_edit_on_skipped_publication(self, monkeypatch):
@@ -468,7 +550,8 @@ class TestAccrualMatchesReference:
 
         host = HostCpus(2)
         cgroups = CgroupRoot(host)
-        cgroups.bind_clock(FakeClock())
+        clock = FakeClock()
+        cgroups.bind_clock(clock)
         sched = fair.FairScheduler(host, cgroups)
         cg = cgroups.root.create_child("starved")
         cg.set_cpu_quota(1, 10 ** 10)
@@ -486,14 +569,16 @@ class TestAccrualMatchesReference:
         cgroups.scheduler_dirty(cg)
         sched.reallocate()
         assert evaluated == []                # the skip path was taken
+        assert cg.pressure.memory.some_rate == 0.5
         audit = AccrualAudit(monkeypatch)
         sched.advance(0.5)
-        assert audit.mismatches == []
+        clock.now = 0.5
+        assert audit.finish() == []
         assert cg.pressure.memory.some_total == 0.25
 
     def test_planted_stale_fraction_is_caught(self, monkeypatch):
-        """The audit is not vacuous: a cached cpu fraction left over from
-        an older row makes the step diverge from the reference."""
+        """The audit is not vacuous: a rate left over from an older row
+        makes the totals diverge from the reference."""
         from repro.kernel.cgroup import CgroupRoot
         from repro.kernel.cpu import HostCpus
         from repro.kernel.sched.fair import FairScheduler
@@ -501,16 +586,64 @@ class TestAccrualMatchesReference:
 
         host = HostCpus(2)
         cgroups = CgroupRoot(host)
-        cgroups.bind_clock(FakeClock())
+        clock = FakeClock()
+        cgroups.bind_clock(clock)
         sched = FairScheduler(host, cgroups)
         for name in ("a", "b"):
             cg = cgroups.root.create_child(name)
             for i in range(2):
                 SimThread(f"t{i}", cg).assign_work(1e9)
         sched.reallocate()
-        g = sched.snapshot[0]
-        assert g._cpu_some == 0.5
-        g._cpu_some = 0.25                    # stale: an older row's value
+        p = sched.snapshot[0].cgroup.pressure.cpu
+        assert p.some_rate == 0.5
+        p.some_rate = 0.25                    # stale: an older row's value
         audit = AccrualAudit(monkeypatch)
         sched.advance(0.1)
-        assert len(audit.mismatches) == 1
+        clock.now = 0.1
+        found = audit.finish()
+        assert found[0] == "before step 1: totals (0.025, 0.0) != (0.05, 0.0)"
+        assert len(found) == 4                # and the three averages of some
+
+    def test_planted_skipped_fold_is_caught(self, monkeypatch):
+        """Switching fractions without folding the stretch behind them
+        keeps every total exact but moves the averages off the replay."""
+        def unfolded(self, some, full, gap_decays=None):
+            self._synced = self._clock.now
+            self.some_rate, self.full_rate = some, full
+
+        audit = AccrualAudit(monkeypatch)
+        monkeypatch.setattr(PressureStall, "restall", unfolded)
+        _starved_host(0, True)
+        found = audit.finish()
+        assert found and all("average" in m for m in found)
+
+
+class TestReadsArePassive:
+    def test_reads_every_step_move_no_bit(self, monkeypatch):
+        """The same run with and without a read of every accumulator
+        before every step ends with bit-identical PSI state."""
+        from repro.kernel.sched.fair import FairScheduler
+
+        def state(world):
+            return repr([(cg.seq, s.some_total, s.full_total, s._some_avg,
+                          s._full_avg, s._synced, s.some_rate, s.full_rate,
+                          s.averages())
+                         for cg in sorted(world.cgroups.walk(),
+                                          key=lambda c: c.seq)
+                         for s in (cg.pressure.cpu, cg.pressure.memory)])
+
+        quiet = state(_churned_host(lambda world: None))
+        real = FairScheduler.advance
+        reads = [0]
+
+        def reading(sched, dt):
+            for cg in sched.cgroups.walk():
+                for s in (cg.pressure.cpu, cg.pressure.memory):
+                    s.avg("some", 10.0)
+                    s.format()
+                    reads[0] += 1
+            real(sched, dt)
+
+        monkeypatch.setattr(FairScheduler, "advance", reading)
+        assert state(_churned_host(lambda world: None)) == quiet
+        assert reads[0] > 1000

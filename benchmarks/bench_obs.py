@@ -40,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs.demo import build_fleet_cluster  # noqa: E402
 from repro.obs.export import JsonlStreamWriter  # noqa: E402
-from repro.obs.fleet import FleetCollector, FleetTelemetryParams  # noqa: E402
+from repro.obs.fleet import FleetCollector  # noqa: E402
 from repro.obs.profile import EngineProfiler  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_obs.json"
@@ -71,7 +71,7 @@ def _timed_run(seed: int, *, quick: bool, telemetry: bool,
     if telemetry:
         sink = (JsonlStreamWriter(stream_path) if stream_path is not None
                 else None)
-        collector = FleetCollector(FleetTelemetryParams(), sink=sink)
+        collector = FleetCollector(sink=sink)
         cluster.attach_telemetry(collector)
     profiler = EngineProfiler().attach_cluster(cluster) if profile else None
 

@@ -25,7 +25,6 @@ from repro.core import (CpuBounds, CpuViewParams, MemorySample, MemViewParams,
 from repro.errors import (ContainerError, JvmError, OpenMpError, OutOfMemoryError,
                           PolicyError, ReproError, WorkloadError)
 from repro.kernel import CpuSet, Sysconf
-from repro.kernel.mm import MmParams
 from repro.metrics import Histogram, MetricsRecorder, Series
 from repro.policy import (ReclaimPolicy, SchedPolicy, make_reclaim_policy,
                           make_sched_policy, register_reclaim_policy,
@@ -52,7 +51,7 @@ __all__ = [
     "SchedPolicy", "ReclaimPolicy", "resolve_bundle",
     "make_sched_policy", "make_reclaim_policy",
     "register_sched_policy", "register_reclaim_policy",
-    "CpuSet", "Sysconf", "MmParams",
+    "CpuSet", "Sysconf",
     "KiB", "MiB", "GiB", "kib", "mib", "gib",
     "__version__",
 ]

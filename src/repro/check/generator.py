@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 
 from repro.check.scenario import Scenario
+from repro.kernel.mm.memcg import KERNEL_RESERVED
 from repro.par.seeds import derive_seed
 from repro.units import gib, mib
 
@@ -28,8 +29,6 @@ __all__ = ["generate", "generate_cluster"]
 
 _NCPUS_CHOICES = (2, 3, 4, 8)
 _MEMORY_CHOICES = (gib(1), gib(2), gib(3))
-#: Default MmParams.kernel_reserved; sizes are fractions of what's left.
-_RESERVED = mib(512)
 
 
 def _rand_cpuset(rng: random.Random, ncpus: int) -> str:
@@ -43,7 +42,7 @@ def generate(seed: int) -> Scenario:
     rng = random.Random(seed)
     ncpus = rng.choice(_NCPUS_CHOICES)
     memory = rng.choice(_MEMORY_CHOICES)
-    avail = memory - _RESERVED
+    avail = memory - KERNEL_RESERVED  # sizes are fractions of what's left
     horizon = round(rng.uniform(1.0, 3.0), 3)
     # A third of the worlds get tight swap so charge bursts can exhaust
     # it and exercise the OOM-kill paths on both engines.

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.effective_cpu import compute_cpu_bounds
 from repro.kernel.sched import fair
-from repro.kernel.sched.fair import cpu_stall
+from repro.kernel.sched.fair import EPS, cpu_stall
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.world import World
@@ -249,21 +249,21 @@ class ViewBounds(Invariant):
 class AccrualInputs(Invariant):
     """Publication-cached accrual inputs match their row, from scratch.
 
-    The accrual step reads per-row values computed once at publication
-    (the throttle clip, the cpu stall fractions), the snapshot's rate
-    total cached at reallocation, and the stall fractions each PSI
-    accumulator holds as its rates.  A publication path that forgot to
-    refresh one would accrue from a stale row without breaking any law
-    above, so each busy group's cache is recomputed from its current
-    row here, and so are the PSI rates: a busy non-root group's cpu
-    pair is its row's stall, an idle group's pairs are zero, and the
-    root's cpu pair is the host-wide stall of the snapshot.  While
-    nothing is pending (no re-solve and no queued rate-only refresh),
-    the rates publication wrote to each busy cgroup (``cpu_rate``,
-    ``_thread_rate``, ``_occ_rate``) are also recomputed from its row
-    and ``progress_multiplier``, by the per-thread ``GroupAlloc``
-    properties, independently of what publication calls, and so are
-    the memory PSI rates, from the swap slowdown.
+    The accrual step reads the throttle clip computed once at
+    publication, the snapshot's rate total cached at reallocation, and
+    the stall fractions each PSI accumulator holds as its rates.  A
+    publication path that forgot to refresh one would accrue from a
+    stale row without breaking any law above, so each busy group's clip
+    is recomputed from its current row here, and so are the PSI rates:
+    a busy non-root group's cpu pair is its row's stall, an idle
+    group's pairs are zero, and the root's cpu pair is the host-wide
+    stall of the snapshot.  While nothing is pending (no re-solve and
+    no queued rate-only refresh), the rates publication wrote to each
+    busy cgroup (``cpu_rate``, ``_thread_rate``, ``_occ_rate``) are
+    also recomputed from its row and ``progress_multiplier``, by the
+    per-thread ``GroupAlloc`` properties, independently of what
+    publication calls, and so are the memory PSI rates, from the swap
+    slowdown.
     """
 
     name = "accrual_inputs"
@@ -271,7 +271,6 @@ class AccrualInputs(Invariant):
     def check(self, world, snap, prev):
         out = []
         sched = world.sched
-        eps = sched.params.eps
         clip_fn = sched.policy.throttle_clip
         dirty = sched.dirty
 
@@ -285,12 +284,6 @@ class AccrualInputs(Invariant):
         mem_some, mem_full = 0.0, (1.0 if sched.snapshot else 0.0)
         for g in sched.snapshot:
             cg = g.cgroup
-            cached = (g._cpu_some, g._cpu_full)
-            want = cpu_stall(g, eps)
-            if cached != want:
-                out.append(self._v(
-                    f"{cg.path}: cached cpu stall {cached!r}, "
-                    f"row gives {want!r}"))
             if g._clip != clip_fn(g):
                 out.append(self._v(
                     f"{cg.path}: cached throttle clip {g._clip!r}, "
@@ -299,7 +292,7 @@ class AccrualInputs(Invariant):
             mem = min(1.0, max(0.0, 1.0 - cg.progress_multiplier))
             mem_some, mem_full = max(mem_some, mem), min(mem_full, mem)
             if cg.parent is not None:
-                rates(cg.path, "cpu", cg.pressure.cpu, want)
+                rates(cg.path, "cpu", cg.pressure.cpu, cpu_stall(g))
                 if not dirty:
                     rates(cg.path, "memory", cg.pressure.memory, (mem, mem))
             if not dirty:
@@ -324,7 +317,7 @@ class AccrualInputs(Invariant):
         root = world.cgroups.root
         some = (min(1.0, max(0.0, total_demand - total) / total_demand)
                 if total_demand > 0 else 0.0)
-        full = 1.0 if total_demand > 0 and total <= eps else 0.0
+        full = 1.0 if total_demand > 0 and total <= EPS else 0.0
         rates("/ (host)", "cpu", root.pressure.cpu, (some, min(some, full)))
         if not dirty:
             rates("/ (host)", "memory", root.pressure.memory,

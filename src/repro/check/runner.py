@@ -171,9 +171,8 @@ def run_scenario(scenario: Scenario, engine: str = "incremental", *,
     """Run ``scenario`` on a fresh world; return snapshots + violations."""
     scenario.validate()
     suite = default_suite()
-    from repro.kernel.mm.memcg import MmParams
     world = World(ncpus=scenario.ncpus, memory=scenario.memory, engine=engine,
-                  mm_params=MmParams(swap_factor=scenario.swap_factor),
+                  swap_factor=scenario.swap_factor,
                   sched_policy=sched_policy, reclaim_policy=reclaim_policy)
     interp = _Interp(world)
     result = RunResult(engine=engine)

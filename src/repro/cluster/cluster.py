@@ -58,8 +58,6 @@ class ClusterParams:
     #: Scheduling/sampling interval (simulated seconds).
     epoch: float = 1.0
     strategy: str = "view"
-    #: Enable the hot-host rebalancer.
-    migration: bool = True
     #: A host is hot when live pod demand exceeds this fraction of cores.
     hot_frac: float = 0.85
     max_migrations_per_epoch: int = 4
@@ -178,8 +176,7 @@ class Cluster:
         from repro.obs.fleet import HostCollector
         self.telemetry = collector
         collector.bind(self)
-        self._collectors = [HostCollector(host, collector.params)
-                            for host in self.hosts]
+        self._collectors = [HostCollector(host) for host in self.hosts]
 
     def run(self, *, until: float) -> None:
         """Advance all hosts in lockstep epochs to ``until``."""
@@ -198,8 +195,7 @@ class Cluster:
                 rows, sort_keys=True, separators=(",", ":")).encode())
             self._sample_hash.update(b"\x00")
             self._sample_epoch(epoch_len)
-            if self.params.migration:
-                self._rebalance()
+            self._rebalance()
             if self.telemetry is not None:
                 attained = self._attained_by_host()
                 samples = [(c.host.name,

@@ -37,6 +37,7 @@ __all__ = ["HpaParams", "HorizontalAutoscaler"]
 UP_BURN = 1.0           # scale out when burn exceeds this (with a queue)
 DOWN_BURN = 0.3         # scale in only when burn is below this...
 SCALE_IN_UTIL = 0.4     # ...and utilization below this
+QUEUE_HIGH = 8          # scale out when backlog reaches this
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class HpaParams:
     period: float = 1.0          # control-loop tick, seconds
     min_replicas: int = 1
     max_replicas: int = 8
-    queue_high: int = 8          # scale out when backlog reaches this
     cooldown: float = 3.0        # min seconds between scaling actions
 
     def __post_init__(self) -> None:
@@ -142,7 +142,7 @@ class HorizontalAutoscaler:
         n = self.replicas
         in_cooldown = now - self._last_action < p.cooldown
         if (not in_cooldown and n < p.max_replicas
-                and (backlog >= p.queue_high
+                and (backlog >= QUEUE_HIGH
                      or (burn > UP_BURN and queued > 0))):
             self._scale_out(now)
         elif (not in_cooldown and n > p.min_replicas

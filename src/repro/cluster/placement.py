@@ -26,7 +26,10 @@ from repro.cluster.pod import Footprint, PodSpec
 from repro.errors import ClusterError
 
 __all__ = ["PlacementStrategy", "StaticRequestBinPack", "ViewBinPack",
-           "GangBinPack", "make_strategy"]
+           "GangBinPack", "make_strategy", "MEM_HEADROOM"]
+
+#: Fraction of host memory :class:`ViewBinPack` leaves unpacked.
+MEM_HEADROOM = 0.05
 
 
 class PlacementStrategy:
@@ -97,23 +100,17 @@ class StaticRequestBinPack(PlacementStrategy):
 class ViewBinPack(PlacementStrategy):
     """Best-fit-decreasing on the live adaptive-view footprint.
 
-    ``mem_headroom`` keeps a fraction of host memory unpacked so demand
-    growth after admission does not immediately trigger reclaim.
+    :data:`MEM_HEADROOM` keeps a fraction of host memory unpacked so
+    demand growth after admission does not immediately trigger reclaim.
     """
 
     name = "view"
-
-    def __init__(self, mem_headroom: float = 0.05):
-        if not 0.0 <= mem_headroom < 1.0:
-            raise ClusterError(
-                f"mem_headroom must be in [0, 1), got {mem_headroom}")
-        self.mem_headroom = mem_headroom
 
     def free_cpu(self, host: Host) -> float:
         return host.free_cpu_view()
 
     def free_mem(self, host: Host) -> float:
-        return host.free_mem_view() - self.mem_headroom * host.mem_capacity
+        return host.free_mem_view() - MEM_HEADROOM * host.mem_capacity
 
     def cpu_need(self, fp: Footprint) -> float:
         return fp.cpu_live

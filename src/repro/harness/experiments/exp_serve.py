@@ -66,7 +66,6 @@ class ServeParams:
     max_cores: float = 4.0
     host_reserve: float = 1.0
     autoscale_period: float = 0.5
-    queue_high: int = 8
     metrics_period: float = 0.5
     drain_timeout: float = 300.0
 
@@ -153,7 +152,7 @@ def run_one(params: ServeParams, *, static_cores: float | None,
         scaler = vertical.Autoscaler(world, vertical.AutoscalerParams(
             period=params.autoscale_period, min_cores=params.min_cores,
             max_cores=params.max_cores, host_reserve=params.host_reserve,
-            queue_high=params.queue_high, use_pressure=use_pressure))
+            use_pressure=use_pressure))
         slo = Slo(target=params.slo_target, percentile=99.0,
                   window=max(2.0, 3 * params.autoscale_period))
         service = scaler.manage(workload.name, replicas, balancer, recorder,

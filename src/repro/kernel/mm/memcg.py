@@ -26,7 +26,6 @@ progress rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import MemoryError_, OutOfMemoryError
@@ -38,24 +37,21 @@ from repro.kernel.mm.watermarks import Watermarks
 if TYPE_CHECKING:  # pragma: no cover
     from repro.policy.base import ReclaimPolicy
 
-__all__ = ["MmParams", "MemoryManager"]
+__all__ = ["KERNEL_RESERVED", "SWAP_FACTOR", "MemoryManager"]
 
-
-@dataclass(frozen=True)
-class MmParams:
-    """Memory-manager tunables."""
-
-    #: Memory the kernel itself keeps (never allocatable to cgroups).
-    kernel_reserved: int = 512 * 1024 * 1024
-    #: Swap capacity as a multiple of total memory.
-    swap_factor: float = 2.0
+#: Memory the kernel itself keeps (never allocatable to cgroups): kernel
+#: text plus a slab floor.
+KERNEL_RESERVED = 512 * 1024 * 1024
+#: Default swap capacity as a multiple of total memory: ample, so OOM
+#: kills only happen when a test or scenario asks for tight swap.
+SWAP_FACTOR = 2.0
 
 
 class MemoryManager:
     """Byte-granular model of the kernel memory subsystem."""
 
-    def __init__(self, total: int, cgroups: CgroupRoot,
-                 params: MmParams | None = None, *,
+    def __init__(self, total: int, cgroups: CgroupRoot, *,
+                 swap_factor: float = SWAP_FACTOR,
                  policy: "ReclaimPolicy | str | None" = None):
         from repro.policy import make_reclaim_policy
         self.policy = make_reclaim_policy(
@@ -64,11 +60,12 @@ class MemoryManager:
             raise MemoryError_(f"total memory must be positive, got {total}")
         self.total = int(total)
         self.cgroups = cgroups
-        self.params = params or MmParams()
-        if self.params.kernel_reserved >= self.total:
-            raise MemoryError_("kernel_reserved exceeds total memory")
+        if KERNEL_RESERVED >= self.total:
+            raise MemoryError_(
+                f"total memory {self.total} does not exceed the kernel "
+                f"reserve {KERNEL_RESERVED}")
         self.watermarks = Watermarks.for_total(self.total)
-        self.swap = SwapDevice(capacity=int(self.total * self.params.swap_factor))
+        self.swap = SwapDevice(capacity=int(self.total * swap_factor))
         self.kswapd_runs = 0
         self.direct_reclaims = 0
         self.oom_kills = 0
@@ -121,12 +118,12 @@ class MemoryManager:
     @property
     def free(self) -> int:
         """Allocatable free memory on the host."""
-        return self.total - self.params.kernel_reserved - self.total_resident
+        return self.total - KERNEL_RESERVED - self.total_resident
 
     @property
     def available_capacity(self) -> int:
         """Memory usable by cgroups (total minus kernel reservation)."""
-        return self.total - self.params.kernel_reserved
+        return self.total - KERNEL_RESERVED
 
     # -- public charging API -----------------------------------------------
 

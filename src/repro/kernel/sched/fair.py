@@ -18,7 +18,8 @@ The model keeps the two properties Algorithm 1 of the paper depends on:
 
 Oversubscribed groups (more runnable threads than allocated cores) pay a
 context-switch efficiency penalty: occupancy stays at the allocation but
-useful *progress* is scaled by ``1/(1 + csw_overhead*(n/alloc - 1))``.
+useful *progress* is scaled by ``1/(1 + CSW_OVERHEAD*(n/alloc - 1))``
+(:data:`repro.policy.default.CSW_OVERHEAD`).
 This is what makes over-threading (15 GC threads on a 4-core share)
 mechanically slower, reproducing the paper's motivation experiments.
 
@@ -61,10 +62,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.task import SimThread
     from repro.policy.base import SchedPolicy
 
-__all__ = ["SchedParams", "GroupAlloc", "ROW_FIELDS", "waterfill",
+__all__ = ["GroupAlloc", "ROW_FIELDS", "waterfill",
            "component_pressures", "cpu_stall", "FairScheduler"]
 
-_EPS = 1e-9
+#: Allocation below this is treated as zero.
+EPS = 1e-9
 
 #: Any completion-heap entry within this window of the heap head is
 #: re-evaluated exactly, so the heap orders candidates while fresh
@@ -92,26 +94,6 @@ _SOLVE_CACHE_ROWS = 16384
 #: order; publication copies it into the member's pooled GroupAlloc.
 ROW_FIELDS = ("cgroup", "n_threads", "weight", "cap", "rate", "efficiency",
               "demand", "pressure", "quota", "soft_capped")
-
-
-@dataclass(frozen=True)
-class SchedParams:
-    """Tunables of the fluid CFS model."""
-
-    #: Context-switch overhead coefficient for oversubscribed groups.
-    csw_overhead: float = 0.05
-    #: Cross-container interference coefficient.  Groups whose cpusets
-    #: overlap other busy groups lose efficiency proportionally to the
-    #: oversubscription of their contention domain (cache pollution,
-    #: wake-up latency).  A container with a *dedicated* cpuset is immune
-    #: — which is why the paper observes that JDK 9's CPU-affinity
-    #: isolation yields steadier GC times than the work-conserving
-    #: adaptive approach as co-runner count grows (§5.2, Fig. 7).
-    #: Independent threads tolerate interference fairly well; the GC cost
-    #: model layers an extra sensitivity on top for synchronizing teams.
-    interference: float = 0.05
-    #: Allocation below this is treated as zero.
-    eps: float = _EPS
 
 
 @dataclass(slots=True)
@@ -142,10 +124,6 @@ class GroupAlloc:
     #: throttled_time accrual rate the mechanism applies each step
     #: without calling back into the policy.
     _clip: float = field(default=0.0, repr=False, compare=False)
-    #: :func:`cpu_stall` of the row, evaluated at publication: the
-    #: group's PSI cpu ``some``/``full`` fractions (already clamped).
-    _cpu_some: float = field(default=0.0, repr=False, compare=False)
-    _cpu_full: float = field(default=0.0, repr=False, compare=False)
 
     @property
     def per_thread_progress(self) -> float:
@@ -175,7 +153,7 @@ class GroupAlloc:
         return (self.rate / n) * self.efficiency * self.cgroup.progress_multiplier
 
 
-def cpu_stall(g: GroupAlloc, eps: float) -> tuple[float, float]:
+def cpu_stall(g: GroupAlloc) -> tuple[float, float]:
     """A published row's PSI cpu fractions ``(some, full)``.
 
     ``some`` is the unmet share of runnable demand and ``full`` is 1 when
@@ -188,7 +166,7 @@ def cpu_stall(g: GroupAlloc, eps: float) -> tuple[float, float]:
     rate = g.rate
     unmet = demand - rate
     some = unmet / demand if unmet > 0.0 and demand > 0 else 0.0
-    full = 1.0 if (g.n_threads > 0 and rate <= eps) else 0.0
+    full = 1.0 if (g.n_threads > 0 and rate <= EPS) else 0.0
     # Branchy clamps: same values as min(1, max(0, x)), fewer calls.
     if not some > 0.0:
         some = 0.0
@@ -248,14 +226,14 @@ def waterfill(weights: list[float], caps: list[float], capacity: float) -> list[
     if n != len(caps):
         raise ValueError("weights and caps must have equal length")
     alloc = [0.0] * n
-    active = [i for i in range(n) if caps[i] > _EPS and weights[i] > 0.0]
+    active = [i for i in range(n) if caps[i] > EPS and weights[i] > 0.0]
     remaining = float(capacity)
-    while active and remaining > _EPS:
+    while active and remaining > EPS:
         total_w = sum(weights[i] for i in active)
         # Entries whose weighted fair share would exceed their cap are
         # frozen at the cap; if none, the fair split is final.
         frozen = [i for i in active
-                  if caps[i] <= remaining * weights[i] / total_w + _EPS]
+                  if caps[i] <= remaining * weights[i] / total_w + EPS]
         if not frozen:
             for i in active:
                 alloc[i] = remaining * weights[i] / total_w
@@ -282,7 +260,7 @@ def component_pressures(masks: list[tuple[int, ...]], n_threads: list[int],
     time-slicing pollutes caches and preempts this group's lock
     holders); the group's *own* threads count only up to its own
     allocation — time-slicing among your own threads is the
-    ``csw_overhead`` term, not cross-container interference.  A group
+    ``CSW_OVERHEAD`` term, not cross-container interference.  A group
     with a dedicated cpuset therefore never pays interference,
     however many threads it runs (JDK 9's isolation in Fig. 7).
 
@@ -334,13 +312,11 @@ class FairScheduler:
     audited state.
     """
 
-    def __init__(self, host: HostCpus, cgroups: CgroupRoot,
-                 params: SchedParams | None = None, *,
+    def __init__(self, host: HostCpus, cgroups: CgroupRoot, *,
                  incremental: bool = True,
                  policy: "SchedPolicy | str | None" = None):
         self.host = host
         self.cgroups = cgroups
-        self.params = params or SchedParams()
         from repro.policy import make_sched_policy
         self.policy = make_sched_policy(
             "default" if policy is None else policy)
@@ -498,7 +474,7 @@ class FairScheduler:
         if total_demand > 0:
             # The clamps of the reference PressureStall.advance.
             some = min(1.0, max(0.0, total_demand - allocated) / total_demand)
-            full = min(some, 1.0 if allocated <= self.params.eps else 0.0)
+            full = min(some, 1.0 if allocated <= EPS else 0.0)
         else:
             some = full = 0.0
         root = self.cgroups.root.pressure
@@ -822,8 +798,7 @@ class FairScheduler:
     def _solve_key(self, members: list[Cgroup], capacity: float):
         """Hashable domain-solve inputs, for the pure-policy memo table.
 
-        A pure policy's solve is a function of exactly these values (plus
-        ``self.params``, immutable for the scheduler's lifetime): the
+        A pure policy's solve is a function of exactly these values: the
         seq-ordered members' shares, quota, mask, and runnable count, and
         the domain capacity.  ``progress_multiplier`` is deliberately
         absent — it scales published rates, not the solve.
@@ -853,7 +828,6 @@ class FairScheduler:
         pool = self._gpool
         incremental = self._incremental
         clip_fn = self.policy.throttle_clip
-        eps = self.params.eps
         reindex: list[Cgroup] = []
         gap_decays: dict[float, tuple[float, ...]] = {}
         folds = 0
@@ -903,7 +877,7 @@ class FairScheduler:
             g.rate = rate
             g.efficiency = efficiency
             g._clip = clip_fn(g)
-            g._cpu_some, g._cpu_full = some, full = cpu_stall(g, eps)
+            some, full = cpu_stall(g)
             if cg.parent is not None:
                 p = cg.pressure.cpu
                 if some != p.some_rate or full != p.full_rate:
@@ -935,7 +909,7 @@ class FairScheduler:
         :meth:`set_policy` because the indirection, not the policy
         instance, carries the instrumentation.
         """
-        return self.policy.solve(members, capacity, self.params)
+        return self.policy.solve(members, capacity)
 
     def set_policy(self, policy: "SchedPolicy | str") -> dict:
         """Hot-swap the scheduling policy (plugsched-style).

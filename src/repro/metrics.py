@@ -19,7 +19,10 @@ from repro.errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.world import World
 
-__all__ = ["Series", "Histogram", "MetricsRecorder"]
+__all__ = ["Series", "Histogram", "MetricsRecorder", "PER_DECADE"]
+
+#: Histogram buckets per decade.
+PER_DECADE = 5
 
 
 @dataclass
@@ -81,7 +84,7 @@ class Series:
 class Histogram:
     """Fixed log-spaced-bucket histogram (an HdrHistogram-lite).
 
-    Buckets are ``per_decade`` geometrically-spaced upper bounds from
+    Buckets are :data:`PER_DECADE` geometrically-spaced upper bounds from
     ``lo`` to at least ``hi``, plus an underflow bucket ``(0, lo]``
     (bounds[0]) and an overflow bucket above the last bound.  Because
     the bucket layout is fixed at construction, merging, exporting, and
@@ -95,15 +98,12 @@ class Histogram:
 
     __slots__ = ("name", "bounds", "counts", "count", "total", "vmin", "vmax")
 
-    def __init__(self, name: str, *, lo: float = 1e-4, hi: float = 1e3,
-                 per_decade: int = 5):
+    def __init__(self, name: str, *, lo: float = 1e-4, hi: float = 1e3):
         if lo <= 0 or hi <= lo:
             raise ReproError(f"need 0 < lo < hi, got [{lo}, {hi}]")
-        if per_decade < 1:
-            raise ReproError(f"per_decade must be >= 1, got {per_decade}")
         self.name = name
-        n = math.ceil(math.log10(hi / lo) * per_decade)
-        self.bounds = [lo * 10.0 ** (i / per_decade) for i in range(n + 1)]
+        n = math.ceil(math.log10(hi / lo) * PER_DECADE)
+        self.bounds = [lo * 10.0 ** (i / PER_DECADE) for i in range(n + 1)]
         self.counts = [0] * (len(self.bounds) + 1)  # +1 overflow bucket
         self.count = 0
         self.total = 0.0

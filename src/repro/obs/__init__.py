@@ -17,9 +17,8 @@ subsystem — both strictly passive with respect to the simulation.
 
 from repro.obs.export import (JsonlStreamWriter, TelemetryDump, jsonl_export,
                               jsonl_import, prometheus_text)
-from repro.obs.fleet import (FLEET_SERIES, FleetCollector,
-                             FleetTelemetryParams, HostCollector, RingSeries,
-                             format_epoch_line)
+from repro.obs.fleet import (FLEET_SERIES, FleetCollector, HostCollector,
+                             RingSeries, format_epoch_line)
 from repro.obs.pressure import PSI_WINDOWS, CgroupPressure, PressureStall
 from repro.obs.profile import SUBSYSTEMS, EngineProfiler
 
@@ -33,7 +32,6 @@ __all__ = [
     "TelemetryDump",
     "JsonlStreamWriter",
     "FLEET_SERIES",
-    "FleetTelemetryParams",
     "RingSeries",
     "HostCollector",
     "FleetCollector",

@@ -35,7 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.world import World
 
 __all__ = ["prometheus_text", "jsonl_export", "jsonl_import",
-           "TelemetryDump", "JsonlStreamWriter"]
+           "TelemetryDump", "JsonlStreamWriter", "BUFFER_RECORDS"]
+
+#: Records a :class:`JsonlStreamWriter` buffers before it spills them.
+BUFFER_RECORDS = 256
 
 _UNSAFE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -254,7 +257,7 @@ class JsonlStreamWriter:
     """Incremental JSONL telemetry sink with a durability contract.
 
     Records buffer in memory and spill to the underlying file every
-    ``buffer_records`` writes; leaving the writer as a context manager
+    :data:`BUFFER_RECORDS` writes; leaving the writer as a context manager
     (or calling :meth:`close`) flushes the tail and ``fsync``\\ s the
     file, so an interrupted run keeps every record up to the last write
     instead of silently truncating at an OS buffer boundary.
@@ -264,11 +267,7 @@ class JsonlStreamWriter:
     :meth:`export_histograms` as a run progresses.
     """
 
-    def __init__(self, path_or_file: "str | os.PathLike | IO[str]", *,
-                 buffer_records: int = 256):
-        if buffer_records < 1:
-            raise ReproError(
-                f"buffer_records must be >= 1, got {buffer_records}")
+    def __init__(self, path_or_file: "str | os.PathLike | IO[str]"):
         if hasattr(path_or_file, "write"):
             self._fh: IO[str] = path_or_file  # type: ignore[assignment]
             self._owns_fh = False
@@ -276,7 +275,6 @@ class JsonlStreamWriter:
             self._fh = open(path_or_file, "w")
             self._owns_fh = True
         self._buffer: list[str] = []
-        self._buffer_records = buffer_records
         self.records_written = 0
         self.flushes = 0
         self.closed = False
@@ -289,7 +287,7 @@ class JsonlStreamWriter:
             raise ReproError("write_record on a closed JsonlStreamWriter")
         self._buffer.append(_dump_line(record) + "\n")
         self.records_written += 1
-        if len(self._buffer) >= self._buffer_records:
+        if len(self._buffer) >= BUFFER_RECORDS:
             self.flush()
 
     def flush(self, *, sync: bool = False) -> None:

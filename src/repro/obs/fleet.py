@@ -11,9 +11,9 @@ and a :class:`FleetCollector` merges them into fleet-level rollups:
   is exact: merging N host histograms equals histogramming the
   concatenated samples);
 * **ring series** — bounded :class:`RingSeries` buffers holding the
-  most recent ``ring_capacity`` epoch samples of each fleet signal;
+  most recent :data:`RING_CAPACITY` epoch samples of each fleet signal;
 * **a stream** — one ``fleet_epoch`` JSON record per epoch, buffered to
-  a ``flush_watermark`` and spilled through a
+  :data:`FLUSH_WATERMARK` and spilled through a
   :class:`~repro.obs.export.JsonlStreamWriter`, so a run of any length
   exports complete telemetry in O(ring + watermark) memory instead of
   buffering everything until the end.
@@ -28,7 +28,6 @@ telemetry is attached or not — the property the overhead benchmark
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
@@ -39,8 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
     from repro.obs.export import JsonlStreamWriter
 
-__all__ = ["FleetTelemetryParams", "RingSeries", "HostCollector",
-           "FleetCollector", "format_epoch_line"]
+__all__ = ["RingSeries", "HostCollector", "FleetCollector",
+           "format_epoch_line", "RING_CAPACITY", "FLUSH_WATERMARK"]
 
 _STRETCH_CAP = 100.0
 
@@ -50,26 +49,10 @@ E_CPU_HI = 1e3
 #: Histogram layout for stretch/E_MEM-fraction samples.
 RATIO_LO = 1e-3
 RATIO_HI = 1e3
-
-
-@dataclass(frozen=True)
-class FleetTelemetryParams:
-    """Shape and memory bounds of the fleet pipeline."""
-
-    #: Samples retained per fleet series (the in-memory ring bound).
-    ring_capacity: int = 512
-    #: Stream epoch records to the sink once this many are pending.
-    flush_watermark: int = 64
-    #: Histogram buckets per decade.
-    per_decade: int = 5
-
-    def __post_init__(self) -> None:
-        if self.ring_capacity < 1:
-            raise ReproError(
-                f"ring_capacity must be >= 1, got {self.ring_capacity}")
-        if self.flush_watermark < 1:
-            raise ReproError(
-                f"flush_watermark must be >= 1, got {self.flush_watermark}")
+#: Samples retained per fleet series (the in-memory ring bound).
+RING_CAPACITY = 512
+#: Stream epoch records to the sink once this many are pending.
+FLUSH_WATERMARK = 64
 
 
 class RingSeries:
@@ -123,17 +106,14 @@ class HostCollector:
     engine's most recent reallocation, at most one event stale.
     """
 
-    def __init__(self, host: "Host", params: FleetTelemetryParams):
+    def __init__(self, host: "Host"):
         self.host = host
-        self.params = params
         # Layout templates built once; per-epoch histograms clone them
         # via Histogram.like, skipping the pow-heavy bounds construction
         # on the per-epoch hot path (and guaranteeing merge
         # compatibility by construction).
-        self._tmpl_cpu = Histogram("tmpl", lo=E_CPU_LO, hi=E_CPU_HI,
-                                   per_decade=params.per_decade)
-        self._tmpl_ratio = Histogram("tmpl", lo=RATIO_LO, hi=RATIO_HI,
-                                     per_decade=params.per_decade)
+        self._tmpl_cpu = Histogram("tmpl", lo=E_CPU_LO, hi=E_CPU_HI)
+        self._tmpl_ratio = Histogram("tmpl", lo=RATIO_LO, hi=RATIO_HI)
 
     def sample(self, attained: dict[str, tuple[float, float]]
                ) -> tuple[dict, dict[str, Histogram]]:
@@ -237,29 +217,24 @@ class FleetCollector:
     close the sink) at end of run to drain the pending tail.
     """
 
-    def __init__(self, params: FleetTelemetryParams | None = None, *,
-                 sink: "JsonlStreamWriter | None" = None):
-        self.params = params or FleetTelemetryParams()
+    def __init__(self, *, sink: "JsonlStreamWriter | None" = None):
         self.sink = sink
         self.cluster: "Cluster | None" = None
         self.epochs = 0
         self.records_streamed = 0
-        p = self.params
         self.series: dict[str, RingSeries] = {
-            name: RingSeries(name, p.ring_capacity) for name in FLEET_SERIES}
+            name: RingSeries(name, RING_CAPACITY) for name in FLEET_SERIES}
         #: Cumulative fleet distributions, exact merges of per-epoch
         #: per-host histograms.
-        ref_cpu = Histogram("fleet.e_cpu", lo=E_CPU_LO, hi=E_CPU_HI,
-                            per_decade=p.per_decade)
-        ref_ratio = Histogram("fleet.stretch", lo=RATIO_LO, hi=RATIO_HI,
-                              per_decade=p.per_decade)
+        ref_cpu = Histogram("fleet.e_cpu", lo=E_CPU_LO, hi=E_CPU_HI)
+        ref_ratio = Histogram("fleet.stretch", lo=RATIO_LO, hi=RATIO_HI)
         self.histograms: dict[str, Histogram] = {
             "fleet.e_cpu": ref_cpu,
             "fleet.stretch": ref_ratio,
             "fleet.e_mem_frac": Histogram.like(ref_ratio, "fleet.e_mem_frac"),
         }
         #: Most recent epoch records (ring-bounded, mirrors the stream).
-        self.epoch_records: deque[dict] = deque(maxlen=p.ring_capacity)
+        self.epoch_records: deque[dict] = deque(maxlen=RING_CAPACITY)
         self._pending: list[dict] = []
 
     # -- lifecycle ---------------------------------------------------------
@@ -333,8 +308,7 @@ class FleetCollector:
             self.series[name].append(now, record[name.removeprefix("fleet.")])
         self.epoch_records.append(record)
         self._pending.append(record)
-        if self.sink is not None and len(self._pending) >= \
-                self.params.flush_watermark:
+        if self.sink is not None and len(self._pending) >= FLUSH_WATERMARK:
             self.flush()
 
     # -- streaming ---------------------------------------------------------
@@ -343,7 +317,7 @@ class FleetCollector:
         """Drain pending epoch records to the sink (no-op without one)."""
         if self.sink is None:
             # Bounded even without a sink: pending mirrors the ring.
-            overflow = len(self._pending) - self.params.ring_capacity
+            overflow = len(self._pending) - RING_CAPACITY
             if overflow > 0:
                 del self._pending[:overflow]
             return 0

@@ -39,8 +39,9 @@ summed over steps), read from the schedulers' own counters.
 that found nothing due returns False and is not counted, so the count
 equals the growth of ``World.steps`` over the profiled worlds.  A
 lightweight flight recorder samples ``(wall, steps, sim-time)`` every
-``flight_every`` engine steps into a bounded ring, yielding a
-steps-per-second timeline for spotting slowdowns mid-run.
+``flight_every`` engine steps into a ring of the newest
+:data:`FLIGHT_CAPACITY` samples, yielding a steps-per-second timeline
+for spotting slowdowns mid-run.
 
 The profiler measures wall-clock *only*: wrappers delegate to the
 original bound methods and never touch simulation state, so golden
@@ -62,11 +63,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
     from repro.world import World
 
-__all__ = ["EngineProfiler", "SUBSYSTEMS"]
+__all__ = ["EngineProfiler", "SUBSYSTEMS", "FLIGHT_CAPACITY"]
 
 #: Buckets the profiler attributes time to, in report order.
 SUBSYSTEMS = ("event_loop", "fair_solver", "sched_policy", "psi_accrual",
               "memcg", "reclaim_policy", "placement", "migration")
+
+#: Flight-recorder samples kept (the newest ones).
+FLIGHT_CAPACITY = 512
 
 _MISSING = object()
 
@@ -89,14 +93,10 @@ class EngineProfiler:
     sum to the observed wall time.
     """
 
-    def __init__(self, *, flight_every: int = 4096,
-                 flight_capacity: int = 512):
+    def __init__(self, *, flight_every: int = 4096):
         if flight_every < 1:
             raise ReproError(
                 f"flight_every must be >= 1, got {flight_every}")
-        if flight_capacity < 2:
-            raise ReproError(
-                f"flight_capacity must be >= 2, got {flight_capacity}")
         self.flight_every = flight_every
         #: name -> [calls, exclusive wall seconds]
         self.buckets: dict[str, list] = {
@@ -104,7 +104,7 @@ class EngineProfiler:
         self.steps = 0
         #: (wall_s, steps, sim_s) samples, ring-bounded.
         self.flight: deque[tuple[float, int, float]] = deque(
-            maxlen=flight_capacity)
+            maxlen=FLIGHT_CAPACITY)
         self._stack: list[list] = []          # [name, last_mark]
         self._patched: list[tuple[object, str, object]] = []
         #: (world, sim time, memo and PSI counters at attach)

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.cgroup import Cgroup
-    from repro.kernel.sched.fair import GroupAlloc, SchedParams
+    from repro.kernel.sched.fair import GroupAlloc
 
 __all__ = ["SchedPolicy", "ReclaimPolicy"]
 
@@ -63,15 +63,14 @@ class SchedPolicy:
     name = "sched-policy"
 
     #: Declares :meth:`solve` a pure function of the domain-solve key
-    #: (members' shares/quota/mask/runnable count, capacity, params).
+    #: (members' shares/quota/mask/runnable count, capacity).
     #: Pure policies may be memoized by the scheduler: identical inputs
     #: are answered from a cache of previously-solved rows instead of
     #: re-running :meth:`solve`.  A policy whose allocations depend on
     #: anything else must leave this False.
     pure = False
 
-    def solve(self, members: "list[Cgroup]", capacity: float,
-              params: "SchedParams") -> "list[tuple]":
+    def solve(self, members: "list[Cgroup]", capacity: float) -> "list[tuple]":
         """Allocate ``capacity`` cores over ``members``: one row each."""
         raise NotImplementedError
 

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.kernel.sched.fair import GroupAlloc
+from repro.kernel.sched.fair import EPS, GroupAlloc
 from repro.policy.base import SchedPolicy
 from repro.policy.default import share_out
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.cgroup import Cgroup
-    from repro.kernel.sched.fair import SchedParams
 
 __all__ = ["BurstableSchedPolicy"]
 
@@ -48,8 +47,7 @@ class BurstableSchedPolicy(SchedPolicy):
     #: inputs every solve, so memoization is sound.
     pure = True
 
-    def solve(self, members: "list[Cgroup]", capacity: float,
-              params: "SchedParams") -> list[tuple]:
+    def solve(self, members: "list[Cgroup]", capacity: float) -> list[tuple]:
         ns: list[int] = []
         weights: list[float] = []
         caps: list[float] = []
@@ -72,16 +70,15 @@ class BurstableSchedPolicy(SchedPolicy):
             masks.append(mask)
             burst_total += burst_cap
         soft_capped = None
-        if burst_total > capacity + params.eps:
+        if burst_total > capacity + EPS:
             # The domain is under pressure: quotas re-assert as soft caps
             # (and only now can throttle time accrue).
-            eps = params.eps
-            soft_capped = [quota < cap - eps
+            soft_capped = [quota < cap - EPS
                            for quota, cap in zip(quotas, caps)]
             caps = [min(quota, cap) if soft else cap
                     for quota, cap, soft in zip(quotas, caps, soft_capped)]
         return share_out(members, ns, weights, caps, demands, quotas, masks,
-                         capacity, params, soft_capped)
+                         capacity, soft_capped)
 
     def throttle_clip(self, g: GroupAlloc) -> float:
         # Same clipping arithmetic as the default policy, but only for

@@ -23,21 +23,35 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from repro.kernel.mm.kswapd import plan_background_reclaim, plan_direct_reclaim
-from repro.kernel.sched.fair import GroupAlloc, component_pressures, waterfill
+from repro.kernel.sched.fair import (EPS, GroupAlloc, component_pressures,
+                                     waterfill)
 from repro.policy.base import ReclaimPolicy, SchedPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.cgroup import Cgroup
-    from repro.kernel.sched.fair import SchedParams
 
-__all__ = ["DefaultSchedPolicy", "DefaultReclaimPolicy", "share_out"]
+__all__ = ["DefaultSchedPolicy", "DefaultReclaimPolicy", "share_out",
+           "CSW_OVERHEAD", "INTERFERENCE"]
+
+#: Context-switch overhead coefficient (κ) for oversubscribed groups:
+#: progress is scaled by ``1/(1 + κ·(n/rate − 1))``.
+CSW_OVERHEAD = 0.05
+#: Cross-container interference coefficient (γ).  Groups whose cpusets
+#: overlap other busy groups lose efficiency proportionally to the
+#: oversubscription of their contention domain (cache pollution,
+#: wake-up latency).  A container with a *dedicated* cpuset is immune
+#: — which is why the paper observes that JDK 9's CPU-affinity
+#: isolation yields steadier GC times than the work-conserving
+#: adaptive approach as co-runner count grows (§5.2, Fig. 7).
+#: Independent threads tolerate interference fairly well; the GC cost
+#: model layers an extra sensitivity on top for synchronizing teams.
+INTERFERENCE = 0.05
 
 
 def share_out(members: "list[Cgroup]", n_threads: list[int],
               weights: list[float], caps: list[float],
               demands: list[float], quotas: list[float],
               masks: list[tuple[int, ...]], capacity: float,
-              params: "SchedParams",
               soft_capped: list[bool] | None = None) -> list[tuple]:
     """Waterfill ``capacity`` over capped columns and emit solve rows.
 
@@ -45,8 +59,9 @@ def share_out(members: "list[Cgroup]", n_threads: list[int],
     gathered its members' columns (index ``i`` is ``members[i]``) and
     set their caps: rates from :func:`waterfill`, domain pressures from
     :func:`component_pressures`, then one pass that applies the
-    context-switch penalty for oversubscribed groups and the
-    interference penalty from the domain pressure, and appends each
+    context-switch penalty (:data:`CSW_OVERHEAD`) for oversubscribed
+    groups and the interference penalty (:data:`INTERFERENCE`) from the
+    domain pressure, and appends each
     member's row in :data:`~repro.kernel.sched.fair.ROW_FIELDS` order.
     ``soft_capped`` is the rows' flag column (all False when omitted).
     """
@@ -54,9 +69,9 @@ def share_out(members: "list[Cgroup]", n_threads: list[int],
         soft_capped = repeat(False)
     rates = waterfill(weights, caps, capacity)
     pressures = component_pressures(masks, n_threads, rates)
-    kappa = params.csw_overhead
-    gamma = params.interference
-    eps = params.eps
+    kappa = CSW_OVERHEAD
+    gamma = INTERFERENCE
+    eps = EPS
     rows = []
     append = rows.append
     for cg, n, weight, cap, rate, demand, pressure, quota, soft in zip(
@@ -82,8 +97,7 @@ class DefaultSchedPolicy(SchedPolicy):
     #: so the scheduler may memoize per-domain solves.
     pure = True
 
-    def solve(self, members: "list[Cgroup]", capacity: float,
-              params: "SchedParams") -> list[tuple]:
+    def solve(self, members: "list[Cgroup]", capacity: float) -> list[tuple]:
         ns: list[int] = []
         weights: list[float] = []
         caps: list[float] = []
@@ -104,7 +118,7 @@ class DefaultSchedPolicy(SchedPolicy):
             quotas.append(quota)
             masks.append(mask)
         return share_out(members, ns, weights, caps, demands, quotas, masks,
-                         capacity, params)
+                         capacity)
 
     def throttle_clip(self, g: GroupAlloc) -> float:
         # Throttling: demand the quota clipped (the fluid analogue of

@@ -46,6 +46,11 @@ __all__ = ["AutoscalerParams", "ManagedService", "Autoscaler"]
 UP_BURN = 1.0           # scale up when burn rate exceeds this
 DOWN_BURN = 0.5         # scale down only when burn is below this
 GROW_MIN = 1.5          # min multiplicative scale-up when triggered
+GROW_MAX = 2.0          # max multiplicative scale-up per tick
+STEP_DOWN = 0.5         # max additive scale-down, cores per tick
+QUEUE_HIGH = 8          # per-replica outstanding that forces scale-up
+MEM_HEADROOM = 1.5      # memory limit = headroom * resident
+MEM_FLOOR = 64 * 1024 * 1024    # memory limit floor, bytes
 UTIL_TARGET = 0.65      # utilization the scale-down law converges to
 UTIL_HIGH = 0.85        # burn only counts when this capacity-bound
 PRESSURE_HIGH = 0.10    # avg10 some-stall fraction threshold
@@ -59,9 +64,6 @@ class AutoscalerParams:
     min_cores: float = 0.5       # per-replica quota floor
     max_cores: float = 4.0       # per-replica quota ceiling
     host_reserve: float = 1.0    # cores left unreserved on the host
-    queue_high: int = 8          # per-replica outstanding that forces scale-up
-    grow: float = 2.0            # max multiplicative scale-up per tick
-    step_down: float = 0.5       # max additive scale-down, cores per tick
     #: Accept PSI cpu pressure (avg10 some-stall fraction above
     #: ``PRESSURE_HIGH``) as capacity-bound evidence alongside
     #: utilization and queueing.  Stall time is the signal utilization
@@ -70,8 +72,6 @@ class AutoscalerParams:
     #: "CPU-limits kill performance" documents.  Off by default;
     #: ablated in exp_serve.
     use_pressure: bool = False
-    mem_headroom: float = 1.5    # memory limit = headroom * resident
-    mem_floor: int = 64 * 1024 * 1024
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -82,14 +82,6 @@ class AutoscalerParams:
                 f"[{self.min_cores}, {self.max_cores}]")
         if self.host_reserve < 0:
             raise ServeError(f"host_reserve cannot be negative, got {self.host_reserve}")
-        if self.grow <= 1.0:
-            raise ServeError(f"grow must exceed 1.0, got {self.grow}")
-        if self.step_down <= 0:
-            raise ServeError(f"step_down must be positive, got {self.step_down}")
-        if self.mem_headroom < 1.1:
-            raise ServeError(
-                f"mem_headroom must be >= 1.1 (limits below usage OOM), "
-                f"got {self.mem_headroom}")
 
 
 @dataclass
@@ -256,7 +248,7 @@ class Autoscaler:
             psi = max(r.container.cgroup.pressure.cpu.avg("some", 10.0)
                       for r in service.replicas)
             desired = service.cores
-            overloaded = backlog >= p.queue_high
+            overloaded = backlog >= QUEUE_HIGH
             capacity_bound = (utilization > UTIL_HIGH or queued > 0
                               or (p.use_pressure and psi > PRESSURE_HIGH))
             burning = burn > UP_BURN and capacity_bound
@@ -264,16 +256,16 @@ class Autoscaler:
                 # Growth proportional to how hard the budget burns: a
                 # marginal violation nudges capacity, a deep spike (or a
                 # stalled queue, where burn lags) doubles it.
-                factor = p.grow if overloaded else min(
-                    p.grow, max(GROW_MIN, burn))
+                factor = GROW_MAX if overloaded else min(
+                    GROW_MAX, max(GROW_MIN, burn))
                 desired = service.cores * factor
             elif burn < DOWN_BURN and queued == 0:
                 # Shrink toward the quota at which the windowed
                 # consumption would sit at UTIL_TARGET — never below
                 # measured demand, so the down-path cannot oscillate
-                # under the workload — rate-limited to step_down/tick.
+                # under the workload — rate-limited to STEP_DOWN/tick.
                 floor = usage / (UTIL_TARGET * len(service.replicas))
-                desired = max(floor, service.cores - p.step_down)
+                desired = max(floor, service.cores - STEP_DOWN)
             desired = max(p.min_cores, min(p.max_cores, desired))
             desired = self._clamp_to_host(service, desired)
             if desired > service.cores + 1e-9:
@@ -340,10 +332,9 @@ class Autoscaler:
             container.cgroup.set_cpu_shares(max(2, int(round(cores * 1024))))
 
     def _manage_memory(self, service: ManagedService) -> None:
-        p = self.params
         for container in service.containers:
             resident = container.cgroup.memory.resident
-            limit = max(p.mem_floor, int(resident * p.mem_headroom))
+            limit = max(MEM_FLOOR, int(resident * MEM_HEADROOM))
             current = container.cgroup.memory.limit_in_bytes
             # Hysteresis: only rewrite the limit on a >10% move.
             if current is None or abs(limit - current) > 0.1 * current:

@@ -28,7 +28,7 @@ from repro.kernel.cgroup import Cgroup, CgroupRoot
 from repro.kernel.cgroupfs import CgroupFs
 from repro.kernel.cpu import HostCpus
 from repro.kernel.loadavg import LoadAvgParams, LoadTracker
-from repro.kernel.mm.memcg import MemoryManager, MmParams
+from repro.kernel.mm.memcg import SWAP_FACTOR, MemoryManager
 from repro.kernel.proc import ProcessTable
 from repro.kernel.sched.fair import FairScheduler
 from repro.kernel.sysfs import HostSysfs, SysfsRegistry
@@ -47,7 +47,7 @@ class World:
     """A simulated host machine."""
 
     def __init__(self, ncpus: int = 20, memory: int = gib(128), *,
-                 mm_params: MmParams | None = None,
+                 swap_factor: float = SWAP_FACTOR,
                  loadavg_params: LoadAvgParams | None = None,
                  cpu_view_params: CpuViewParams | None = None,
                  mem_view_params: MemViewParams | None = None,
@@ -71,7 +71,7 @@ class World:
         self.sched = FairScheduler(self.host, self.cgroups,
                                    incremental=(engine != "scan"),
                                    policy=sched_policy)
-        self.mm = MemoryManager(memory, self.cgroups, mm_params,
+        self.mm = MemoryManager(memory, self.cgroups, swap_factor=swap_factor,
                                 policy=reclaim_policy)
         self.mm.event_hook = (
             lambda category, message, **fields:

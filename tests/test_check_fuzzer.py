@@ -238,10 +238,9 @@ class TestInvariantsFire:
 
     def _world_after(self, seed=1):
         scn = generate(seed)
-        from repro.kernel.mm.memcg import MmParams
         from repro.world import World
         world = World(ncpus=scn.ncpus, memory=scn.memory,
-                      mm_params=MmParams(swap_factor=scn.swap_factor))
+                      swap_factor=scn.swap_factor)
         return world
 
     def _check(self, world):
@@ -300,9 +299,9 @@ class TestInvariantsFire:
         assert "c0: stale bounds [3, 3]" in report.violations[0]
 
     def test_skipped_accrual_refresh_detected(self, monkeypatch):
-        """Publication rewrites a contended row but keeps the stall
-        fractions it cached for the old one: PSI accrues from a stale
-        row while every accounting law still holds."""
+        """Publication rewrites a contended row but keeps the cpu PSI
+        rates of the old one: PSI accrues from a stale row while every
+        accounting law still holds."""
         scn = Scenario(ncpus=2, memory=gib(1), horizon=0.5, ops=[
             {"t": 0.0, "op": "create", "name": "c0", "workers": 2},
             {"t": 0.2, "op": "create", "name": "c1", "workers": 2},
@@ -311,17 +310,16 @@ class TestInvariantsFire:
         publish = FairScheduler._publish_rows
 
         def stale(self, members, rows):
-            pool = self._gpool
-            kept = {cg: (pool[cg]._cpu_some, pool[cg]._cpu_full)
-                    for cg in members if cg in pool}
+            kept = {cg: (cg.pressure.cpu.some_rate, cg.pressure.cpu.full_rate)
+                    for cg in members if cg in self._gpool}
             publish(self, members, rows)
             for cg, (some, full) in kept.items():
-                g = pool[cg]
-                g._cpu_some, g._cpu_full = some, full
+                p = cg.pressure.cpu
+                p.some_rate, p.full_rate = some, full
         monkeypatch.setattr(FairScheduler, "_publish_rows", stale)
         report = run_differential(scn)
         assert report.fingerprint() == "invariant:incremental:accrual_inputs"
-        assert "/docker/c0: cached cpu stall (0.0, 0.0)" in (
+        assert "/docker/c0: cpu PSI rates (0.0, 0.0), want (0.5, 0.0)" in (
             report.violations[0])
 
     def test_retire_keeping_psi_rates_detected(self, monkeypatch):

@@ -68,7 +68,8 @@ class TestStrategies:
         assert c.rejected == []
 
     def test_best_fit_chooses_tightest_host(self):
-        c = small_cluster(2, ncpus=4, strategy="static", migration=False)
+        c = small_cluster(2, ncpus=4, strategy="static",
+                          max_migrations_per_epoch=0)
         c.submit(pod("big", request=3.0, demand=0.5))
         c.run(until=1.0)
         # host with `big` has 1 core of request headroom; a 1-core pod
@@ -114,7 +115,8 @@ class TestGangPlacement:
         assert c.metrics.gangs_partial == 1
 
     def test_gang_prefers_fewest_hosts(self):
-        c = small_cluster(3, ncpus=4, strategy="view-gang", migration=False)
+        c = small_cluster(3, ncpus=4, strategy="view-gang",
+                          max_migrations_per_epoch=0)
         for i in range(4):
             c.submit(pod(f"r{i}", request=1.0, demand=1.0, gang="g"))
         c.run(until=1.0)
@@ -195,7 +197,7 @@ class TestDecisionTime:
     def test_same_round_admission_counts_predicted_quota_and_bytes(self):
         strategy = _RecordingViewBinPack()
         c = Cluster(ClusterParams(n_hosts=1, host_ncpus=4, host_memory=gib(4),
-                                  migration=False), strategy=strategy)
+                                  max_migrations_per_epoch=0), strategy=strategy)
         host = c.hosts[0]
         assert host.free_mem_view() == host.world.mm.free
         # A heavy-share tenant first, so a later pod's share of the host
@@ -374,7 +376,7 @@ class TestControlPlane:
     def test_rejected_pod_can_be_resubmitted(self):
         c = Cluster(ClusterParams(n_hosts=1, host_ncpus=2,
                                   host_memory=gib(4), strategy="static",
-                                  migration=False))
+                                  max_migrations_per_epoch=0))
         c.submit(pod("big", request=2.0, demand=0.1))
         c.submit(pod("late", request=1.0, demand=0.1))
         c.run(until=1.0)
@@ -457,7 +459,7 @@ class TestHpaVerticalInterop:
             balancer.remove(balancer.replicas[0])
 
     def test_hpa_scale_out_on_backlog(self):
-        from repro.cluster.hpa import HorizontalAutoscaler, HpaParams
+        from repro.cluster.hpa import QUEUE_HIGH, HorizontalAutoscaler, HpaParams
         from repro.serve.latency import LatencyRecorder
         from repro.serve.slo import Slo
         world, balancer, scaler, make_replica = self._stack()
@@ -465,14 +467,14 @@ class TestHpaVerticalInterop:
         slo = Slo(target=0.05, percentile=99.0, window=2.0)
         hpa = HorizontalAutoscaler(
             world, "svc", balancer, recorder, slo, factory=make_replica,
-            params=HpaParams(min_replicas=2, max_replicas=4, queue_high=4,
-                             cooldown=0.0),
+            params=HpaParams(min_replicas=2, max_replicas=4, cooldown=0.0),
             vertical=scaler, cores_per_replica=1.0)
         hpa.start()
-        # Flood both replicas far past queue_high.
+        # Flood both replicas far past QUEUE_HIGH.
         from repro.serve.workload import Request
         for i in range(40):
             balancer.dispatch(Request(i, 0.0, 0.5))
+        assert balancer.max_outstanding() >= QUEUE_HIGH
         world.run(until=3.0)
         assert hpa.scale_outs >= 1
         assert hpa.replicas > 2
@@ -488,8 +490,7 @@ class TestHpaVerticalInterop:
         slo = Slo(target=0.05, percentile=99.0, window=2.0)
         hpa = HorizontalAutoscaler(
             world, "svc", balancer, recorder, slo, factory=make_replica,
-            params=HpaParams(min_replicas=2, max_replicas=4, queue_high=4,
-                             cooldown=1.0),
+            params=HpaParams(min_replicas=2, max_replicas=4, cooldown=1.0),
             vertical=scaler, cores_per_replica=1.0)
         hpa.start()
         for i in range(40):                  # one burst, then no load

@@ -7,7 +7,7 @@ from repro.kernel.cgroup import CgroupRoot
 from repro.kernel.cpu import HostCpus
 from repro.kernel.mm.kswapd import (plan_background_reclaim, plan_direct_reclaim,
                                     soft_limit_victims)
-from repro.kernel.mm.memcg import MemoryManager, MmParams
+from repro.kernel.mm.memcg import KERNEL_RESERVED, MemoryManager
 from repro.kernel.mm.swap import (SWAP_PENALTY, SwapDevice,
                                   swap_slowdown_multiplier)
 from repro.kernel.mm.watermarks import Watermarks
@@ -17,7 +17,7 @@ from repro.units import gib, mib
 @pytest.fixture
 def env():
     root = CgroupRoot(HostCpus(4))
-    mm = MemoryManager(gib(16), root, MmParams(kernel_reserved=mib(256)))
+    mm = MemoryManager(gib(16), root)
     return root, mm
 
 
@@ -147,8 +147,7 @@ class TestHardLimit:
 
     def test_oom_when_swap_exhausted(self):
         root = CgroupRoot(HostCpus(2))
-        mm = MemoryManager(gib(1), root,
-                           MmParams(kernel_reserved=mib(64), swap_factor=0.25))
+        mm = MemoryManager(gib(1), root, swap_factor=0.25)
         c = root.root.create_child("c")
         c.set_memory_limit(mib(128))
         with pytest.raises(OutOfMemoryError) as exc:
@@ -208,7 +207,7 @@ class TestKswapdPolicies:
 class TestSystemPressure:
     def test_kswapd_reclaims_over_soft_victims(self):
         root = CgroupRoot(HostCpus(2))
-        mm = MemoryManager(gib(8), root, MmParams(kernel_reserved=0))
+        mm = MemoryManager(gib(8), root)
         hog = root.root.create_child("hog")
         hog.set_memory_soft_limit(mib(512))
         victim_free = mm.free
@@ -224,7 +223,7 @@ class TestSystemPressure:
 
     def test_direct_reclaim_when_no_soft_victims(self):
         root = CgroupRoot(HostCpus(2))
-        mm = MemoryManager(gib(8), root, MmParams(kernel_reserved=0))
+        mm = MemoryManager(gib(8), root)
         a = root.root.create_child("a")   # no soft limit: kswapd can't touch it
         mm.charge(a, mm.free - mib(16))
         b = root.root.create_child("b")
@@ -235,7 +234,7 @@ class TestSystemPressure:
 
     def test_rebalance_swaps_back_in(self):
         root = CgroupRoot(HostCpus(2))
-        mm = MemoryManager(gib(8), root, MmParams(kernel_reserved=0))
+        mm = MemoryManager(gib(8), root)
         a = root.root.create_child("a")
         a.set_memory_soft_limit(mib(256))
         mm.charge(a, gib(2))
@@ -249,7 +248,7 @@ class TestSystemPressure:
 
     def test_rebalance_respects_hard_limit(self):
         root = CgroupRoot(HostCpus(2))
-        mm = MemoryManager(gib(8), root, MmParams(kernel_reserved=0))
+        mm = MemoryManager(gib(8), root)
         a = root.root.create_child("a")
         a.set_memory_limit(gib(1))
         mm.charge(a, gib(2))  # 1 GiB resident, 1 GiB swapped
@@ -273,5 +272,7 @@ class TestValidation:
 
     def test_reserved_exceeds_total(self):
         root = CgroupRoot(HostCpus(2))
-        with pytest.raises(MemoryError_):
-            MemoryManager(mib(100), root, MmParams(kernel_reserved=mib(200)))
+        with pytest.raises(MemoryError_, match="kernel reserve"):
+            MemoryManager(KERNEL_RESERVED, root)
+        mm = MemoryManager(KERNEL_RESERVED + mib(1), root)
+        assert mm.available_capacity == mm.free == mib(1)

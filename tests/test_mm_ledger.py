@@ -14,7 +14,7 @@ from repro.container.spec import ContainerSpec
 from repro.errors import CgroupError, MemoryError_, OutOfMemoryError
 from repro.kernel.cgroup import CgroupRoot
 from repro.kernel.cpu import HostCpus
-from repro.kernel.mm.memcg import MemoryManager, MmParams
+from repro.kernel.mm.memcg import MemoryManager
 from repro.units import gib, mib
 from repro.world import World
 
@@ -27,7 +27,7 @@ def ledger_balanced(cg) -> bool:
 @pytest.fixture
 def env():
     root = CgroupRoot(HostCpus(4))
-    mm = MemoryManager(gib(4), root, MmParams(kernel_reserved=mib(256)))
+    mm = MemoryManager(gib(4), root)
     return root, mm
 
 
@@ -52,8 +52,7 @@ class TestLedger:
 
     def test_failed_oom_charge_leaves_ledger_balanced(self):
         root = CgroupRoot(HostCpus(2))
-        mm = MemoryManager(gib(1), root,
-                           MmParams(kernel_reserved=mib(256), swap_factor=0.0))
+        mm = MemoryManager(gib(1), root, swap_factor=0.0)
         cg = root.root.create_child("a")
         cg.set_memory_limit(mib(64))
         with pytest.raises(OutOfMemoryError):
@@ -92,8 +91,7 @@ class TestEnforceLimit:
 
     def test_lowering_limit_without_swap_oom_kills(self):
         root = CgroupRoot(HostCpus(2))
-        mm = MemoryManager(gib(1), root,
-                           MmParams(kernel_reserved=mib(256), swap_factor=0.0))
+        mm = MemoryManager(gib(1), root, swap_factor=0.0)
         cg = root.root.create_child("a")
         mm.charge(cg, mib(128))
         with pytest.raises(OutOfMemoryError):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.container.spec import ContainerSpec
 from repro.errors import ReproError, ServeError
-from repro.metrics import Histogram
+from repro.metrics import PER_DECADE, Histogram
 from repro.obs import (CgroupPressure, PressureStall, jsonl_export,
                        jsonl_import, prometheus_text)
 from repro.obs.demo import run_demo
@@ -153,9 +153,9 @@ class TestKernelPressure:
         assert int(cold_stat["nr_throttled"]) == 0
 
     def test_memory_pressure_from_swap_slowdown(self):
-        from repro.kernel.mm.memcg import MmParams
-        world = World(ncpus=4, memory=gib(2),
-                      mm_params=MmParams(kernel_reserved=mib(64)))
+        from repro.kernel.mm.memcg import KERNEL_RESERVED
+        # 1984 MiB allocatable, as a 2 GiB host with a 64 MiB reserve.
+        world = World(ncpus=4, memory=KERNEL_RESERVED + mib(1984))
         hog = world.containers.create(ContainerSpec(
             "hog", memory_soft_limit=mib(64)))
         hog.spawn_thread("w").assign_work(1e9)
@@ -193,7 +193,7 @@ class TestHistogram:
         assert h.vmin == 0.001 and h.vmax == 1.0
 
     def test_quantile_nearest_rank(self):
-        h = Histogram("lat", lo=1.0, hi=100.0, per_decade=10)
+        h = Histogram("lat", lo=1.0, hi=100.0)
         for v in range(1, 101):
             h.record(float(v))
         # The p50 bucket's upper bound is near 50; exact value depends
@@ -202,7 +202,10 @@ class TestHistogram:
         assert h.quantile(100.0) == h.vmax
 
     def test_underflow_and_overflow_buckets(self):
-        h = Histogram("lat", lo=0.1, hi=10.0, per_decade=1)
+        h = Histogram("lat", lo=0.1, hi=10.0)
+        # PER_DECADE bounds per decade over two decades, plus lo itself.
+        assert len(h.bounds) == 2 * PER_DECADE + 1
+        assert len(h.counts) == len(h.bounds) + 1
         h.record(0.0001)    # underflow -> first bucket
         h.record(99999.0)   # overflow -> last bucket
         assert h.counts[0] == 1
@@ -238,8 +241,6 @@ class TestHistogram:
             Histogram("h", lo=0.0)
         with pytest.raises(ReproError):
             Histogram("h", lo=2.0, hi=1.0)
-        with pytest.raises(ReproError):
-            Histogram("h", per_decade=0)
         h = Histogram("h")
         with pytest.raises(ReproError):
             h.record(-1.0)

@@ -25,10 +25,10 @@ from repro.container.spec import ContainerSpec
 from repro.errors import ReproError
 from repro.metrics import Histogram, Series
 from repro.obs.demo import build_fleet_cluster, fleet_horizon, run_fleet_demo
+from repro.obs import export, fleet
 from repro.obs.export import JsonlStreamWriter
-from repro.obs.fleet import (FLEET_SERIES, FleetCollector,
-                             FleetTelemetryParams, RingSeries,
-                             format_epoch_line)
+from repro.obs.fleet import (FLEET_SERIES, RING_CAPACITY, FleetCollector,
+                             RingSeries, format_epoch_line)
 from repro.obs.profile import SUBSYSTEMS, EngineProfiler
 from repro.world import World
 
@@ -41,7 +41,7 @@ def _quick_run(seed=0, **kwargs):
 
 class TestHistogramMerge:
     def _hist(self, name="h"):
-        return Histogram(name, lo=1e-3, hi=1e3, per_decade=5)
+        return Histogram(name, lo=1e-3, hi=1e3)
 
     def test_merge_of_hosts_equals_concatenated_samples(self):
         rng = random.Random(7)
@@ -92,8 +92,8 @@ class TestHistogramMerge:
         assert ref.count == 1
 
     def test_merge_rejects_different_layouts(self):
-        a = Histogram("a", lo=1e-3, hi=1e3, per_decade=5)
-        b = Histogram("b", lo=1e-2, hi=1e3, per_decade=5)
+        a = Histogram("a", lo=1e-3, hi=1e3)
+        b = Histogram("b", lo=1e-2, hi=1e3)
         with pytest.raises(ReproError, match="bucket layouts"):
             a.merge(b)
 
@@ -166,13 +166,17 @@ class TestFleetCollector:
             records.append(list(collector.epoch_records))
         assert records[0] == records[1]
 
-    def test_streams_every_epoch_record_as_jsonl(self):
+    def test_streams_every_epoch_record_as_jsonl(self, monkeypatch):
+        # The quick demo runs 12 epochs: shrink both watermarks so the
+        # stream spills mid-run, not only at finish().
+        monkeypatch.setattr(fleet, "FLUSH_WATERMARK", 4)
+        monkeypatch.setattr(export, "BUFFER_RECORDS", 8)
         sink_file = io.StringIO()
-        sink = JsonlStreamWriter(sink_file, buffer_records=8)
-        collector = FleetCollector(
-            FleetTelemetryParams(flush_watermark=4), sink=sink)
+        sink = JsonlStreamWriter(sink_file)
+        collector = FleetCollector(sink=sink)
         run_fleet_demo(seed=0, quick=True, collector=collector)
         assert collector.records_streamed == collector.epochs
+        assert sink.flushes > collector.epochs // 4
         lines = [json.loads(line) for line in
                  sink_file.getvalue().splitlines()]
         epochs = [rec for rec in lines if rec.get("kind") == "fleet_epoch"]
@@ -186,7 +190,7 @@ class TestFleetCollector:
 
     def test_context_exit_flushes_tail_and_closes(self, tmp_path):
         path = tmp_path / "sink.jsonl"
-        with JsonlStreamWriter(path, buffer_records=8) as sink:
+        with JsonlStreamWriter(path) as sink:
             for i in range(3):                  # under the spill watermark
                 sink.write_record({"kind": "fleet_epoch", "epoch": i})
         assert sink.closed and sink.flushes == 1
@@ -195,9 +199,10 @@ class TestFleetCollector:
         with pytest.raises(ReproError, match="closed"):
             sink.write_record({"kind": "fleet_epoch", "epoch": 3})
 
-    def test_ring_bounds_memory(self):
-        collector = FleetCollector(FleetTelemetryParams(
-            ring_capacity=5, flush_watermark=3))
+    def test_ring_bounds_memory(self, monkeypatch):
+        # Far below the quick demo's epoch count, so the ring evicts.
+        monkeypatch.setattr(fleet, "RING_CAPACITY", 5)
+        collector = FleetCollector()
         run_fleet_demo(seed=0, quick=True, collector=collector)
         assert collector.epochs > 5
         assert len(collector.epoch_records) == 5
@@ -217,7 +222,7 @@ class TestFleetCollector:
         assert summary["migrations"] == len(cluster.migration_records) > 0
         for name in FLEET_SERIES:
             assert len(collector.fleet_series(name)) == min(
-                collector.epochs, collector.params.ring_capacity)
+                collector.epochs, RING_CAPACITY)
         with pytest.raises(ReproError, match="no fleet series"):
             collector.fleet_series("fleet.nope")
         line = format_epoch_line(collector.epoch_records[-1])
@@ -232,12 +237,6 @@ class TestFleetCollector:
         other = build_fleet_cluster(1, quick=True, trace=True)
         with pytest.raises(ReproError, match="already bound"):
             other.attach_telemetry(collector)
-
-    def test_params_validation(self):
-        with pytest.raises(ReproError, match="ring_capacity"):
-            FleetTelemetryParams(ring_capacity=0)
-        with pytest.raises(ReproError, match="flush_watermark"):
-            FleetTelemetryParams(flush_watermark=0)
 
 
 class TestEngineProfiler:

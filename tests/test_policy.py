@@ -26,7 +26,7 @@ from repro.check.generator import generate
 from repro.check.shrinker import shrink
 from repro.check.sweep import load_fixture
 from repro.errors import CgroupError, ClusterError, ContainerError, PolicyError
-from repro.kernel.sched.fair import ROW_FIELDS, GroupAlloc, SchedParams
+from repro.kernel.sched.fair import EPS, ROW_FIELDS, GroupAlloc
 from repro.policy import (POLICY_BUNDLES, RECLAIM_POLICIES, SCHED_POLICIES,
                           BurstableSchedPolicy, DefaultReclaimPolicy,
                           DefaultSchedPolicy,
@@ -166,14 +166,13 @@ class TestBurstable:
             for j in range(threads):
                 c.spawn_thread(f"w{j}").assign_work(1e9)
             members.append(c.cgroup)
-        params = SchedParams()
         capacity = float(len({cpu for cg in members
                               for cpu in cg.effective_cpuset()}))
         burst = sum(min(len(cg.effective_cpuset()), cg.n_runnable())
                     for cg in members)
-        assume(burst > capacity + params.eps)
-        want = DefaultSchedPolicy().solve(members, capacity, params)
-        got = BurstableSchedPolicy().solve(members, capacity, params)
+        assume(burst > capacity + EPS)
+        want = DefaultSchedPolicy().solve(members, capacity)
+        got = BurstableSchedPolicy().solve(members, capacity)
         soft = ROW_FIELDS.index("soft_capped")
         assert soft == len(ROW_FIELDS) - 1
         assert [len(row) for row in got] == [len(ROW_FIELDS)] * len(members)
@@ -290,8 +289,8 @@ class TestHotSwap:
         class Vandal(DefaultSchedPolicy):
             name = "vandal"
 
-            def solve(self, members, capacity, params):
-                rows = super().solve(members, capacity, params)
+            def solve(self, members, capacity):
+                rows = super().solve(members, capacity)
                 for row in rows:
                     row[0].throttled_time += 1.0   # rewrites the past
                 return rows
@@ -312,8 +311,8 @@ class TestPublicationContract:
         class Mangler(DefaultSchedPolicy):
             name = "mangler"
 
-            def solve(self, members, capacity, params):
-                return mangle(super().solve(members, capacity, params))
+            def solve(self, members, capacity):
+                return mangle(super().solve(members, capacity))
 
         w = World(ncpus=2, sched_policy=Mangler())
         with pytest.raises(PolicyError, match="'mangler'.*member order"):
@@ -327,9 +326,9 @@ class TestPublicationContract:
         class OldShape(DefaultSchedPolicy):
             name = "old-shape"
 
-            def solve(self, members, capacity, params):
+            def solve(self, members, capacity):
                 return [GroupAlloc(*row[:4]) for row in
-                        super().solve(members, capacity, params)]
+                        super().solve(members, capacity)]
 
         w = World(ncpus=2, sched_policy=OldShape())
         layout = "(" + ", ".join(ROW_FIELDS) + ")"
@@ -368,10 +367,10 @@ class TestPolicyDiff:
         class Leaky(DefaultSchedPolicy):
             name = "leaky"
 
-            def solve(self, members, capacity, params):
+            def solve(self, members, capacity):
                 rate = ROW_FIELDS.index("rate")
                 return [row[:rate] + (row[rate] * 1.25,) + row[rate + 1:]
-                        for row in super().solve(members, capacity, params)]
+                        for row in super().solve(members, capacity)]
 
         scratch_policy("sched", "leaky", Leaky)
         pair = _policies("default", "leaky")

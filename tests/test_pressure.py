@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.kernel.sched.fair import EPS, cpu_stall
 from repro.obs.pressure import PSI_WINDOWS, CgroupPressure, PressureStall
 
 
@@ -362,7 +363,6 @@ def _reference_fractions(sched):
     multipliers here, not read from what publication cached or what the
     accumulators hold; the root carries the host-wide pair.
     """
-    eps = sched.params.eps
     out = []
     allocated = sum(g.rate for g in sched.snapshot)
     total_demand = 0.0
@@ -378,12 +378,12 @@ def _reference_fractions(sched):
             continue
         unmet = g.demand - g.rate
         some = unmet / g.demand if unmet > 0.0 and g.demand > 0 else 0.0
-        full = 1.0 if (g.n_threads > 0 and g.rate <= eps) else 0.0
+        full = 1.0 if (g.n_threads > 0 and g.rate <= EPS) else 0.0
         out.append((cg.pressure.cpu, some, full))
         out.append((cg.pressure.memory, mem_frac, mem_frac))
     some = (max(0.0, total_demand - allocated) / total_demand
             if total_demand > 0 else 0.0)
-    full = 1.0 if (total_demand > 0 and allocated <= eps) else 0.0
+    full = 1.0 if (total_demand > 0 and allocated <= EPS) else 0.0
     root = sched.cgroups.root
     out.append((root.pressure.cpu, some, full))
     out.append((root.pressure.memory, mem_some, mem_full))
@@ -422,7 +422,7 @@ class AccrualAudit:
             real(sched, dt)
             self.steps += 1
             for g in sched.snapshot:
-                self.stalls["cpu_full"] += g._cpu_full == 1.0
+                self.stalls["cpu_full"] += cpu_stall(g)[1] == 1.0
                 self.stalls["mem"] += g.cgroup.progress_multiplier < 1.0
                 self.stalls["throttled"] += g._clip > 0.0
 
@@ -558,13 +558,13 @@ class TestAccrualMatchesReference:
         SimThread("t", cg).assign_work(1e9)
         sched.reallocate()
         g = sched.snapshot[0]
-        assert g.rate == 0.0 and g._cpu_full == 1.0
+        assert g.rate == 0.0 and cg.pressure.cpu.full_rate == 1.0
 
         evaluated = []
         real_stall = fair.cpu_stall
         monkeypatch.setattr(fair, "cpu_stall",
-                            lambda g, eps: evaluated.append(g)
-                            or real_stall(g, eps))
+                            lambda g: evaluated.append(g)
+                            or real_stall(g))
         cg.progress_multiplier = 0.5
         cgroups.scheduler_dirty(cg)
         sched.reallocate()

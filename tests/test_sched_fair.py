@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from repro.kernel.cgroup import CgroupRoot
 from repro.kernel.cpu import HostCpus
-from repro.kernel.sched.fair import (FairScheduler, SchedParams,
-                                     component_pressures, waterfill)
+from repro.kernel.sched.fair import (FairScheduler, component_pressures,
+                                     waterfill)
 from repro.kernel.sched.period import scheduling_period
 from repro.kernel.task import SimThread
+from repro.policy import default
+from repro.policy.default import CSW_OVERHEAD, INTERFERENCE
 
 
 class TestWaterfill:
@@ -160,8 +162,7 @@ class TestFairScheduler:
             assert cg.cpu_rate == pytest.approx(4.0)
 
     def test_oversubscription_penalty(self, setup):
-        host, root, _ = setup
-        sched = FairScheduler(host, root, SchedParams(interference=0.0))
+        _, root, sched = setup
         cg = root.root.create_child("a")
         cg.set_cpu_quota(400_000, 100_000)  # 4 cores
         threads = _spawn_running(cg, 8)
@@ -171,15 +172,15 @@ class TestFairScheduler:
         g = next(g for g in snap if g.cgroup is cg)
         assert g.per_thread_occupancy == pytest.approx(0.5)
         assert threads[0].progress_rate < 0.5
-        kappa = sched.params.csw_overhead
-        assert threads[0].progress_rate == pytest.approx(0.5 / (1 + kappa * 1.0))
+        # Domain pressure 4/20 < 1: no interference, only the csw term.
+        assert g.pressure < 1.0
+        assert threads[0].progress_rate == pytest.approx(
+            0.5 / (1 + CSW_OVERHEAD * 1.0))
 
     def test_interference_only_on_overlapping_cpusets(self, setup):
         """A container with a dedicated cpuset is isolated from host-wide
         oversubscription; one on shared CPUs pays the penalty."""
-        host, root, _ = setup
-        sched = FairScheduler(host, root, SchedParams(csw_overhead=0.0,
-                                                      interference=0.25))
+        _, root, sched = setup
         pinned = root.root.create_child("pinned")
         pinned.set_cpuset("18-19")
         tp = _spawn_running(pinned, 2)
@@ -190,27 +191,31 @@ class TestFairScheduler:
         noise.set_cpuset("0-17")
         _spawn_running(noise, 52)  # 54 threads on 18 CPUs: pressure 3.0
         sched.reallocate()
+        # Neither group is oversubscribed (2 threads, 2 cores each), so
+        # only interference can slow them.
         assert tp[0].progress_rate == pytest.approx(1.0)  # isolated
-        assert ts[0].progress_rate == pytest.approx(1.0 / (1 + 0.25 * 2.0))
+        assert ts[0].progress_rate < 1.0
+        assert ts[0].progress_rate == pytest.approx(
+            1.0 / (1 + INTERFERENCE * 2.0))
 
     def test_own_oversubscription_is_not_interference(self, setup):
         """A group alone on its own cpuset pays no interference penalty
         however many threads it runs — its own time-slicing is the
-        csw_overhead term (JDK 9's isolation property in Fig. 7)."""
-        host, root, _ = setup
-        sched = FairScheduler(host, root, SchedParams(csw_overhead=0.0,
-                                                      interference=0.5))
+        CSW_OVERHEAD term (JDK 9's isolation property in Fig. 7)."""
+        _, root, sched = setup
         cg = root.root.create_child("a")
         cg.set_cpuset("0-1")
         threads = _spawn_running(cg, 8)  # 8 threads on own 2-cpu domain
         sched.reallocate()
-        # own contribution capped at the allocation (2): pressure 1.0.
-        assert threads[0].progress_rate == pytest.approx(2 / 8)
+        # own contribution capped at the allocation (2): pressure 1.0,
+        # so the only penalty is the csw term for oversubscription 3.
+        g = next(g for g in sched.snapshot if g.cgroup is cg)
+        assert g.pressure == pytest.approx(1.0)
+        assert threads[0].progress_rate == pytest.approx(
+            (2 / 8) / (1 + CSW_OVERHEAD * 3.0))
 
     def test_interference_from_other_groups_counts_fully(self, setup):
-        host, root, _ = setup
-        sched = FairScheduler(host, root, SchedParams(csw_overhead=0.0,
-                                                      interference=0.5))
+        _, root, sched = setup
         a = root.root.create_child("a")
         a.set_cpuset("0-1")
         ta = _spawn_running(a, 2)
@@ -219,8 +224,10 @@ class TestFairScheduler:
         _spawn_running(b, 6)
         sched.reallocate()
         # a gets 1 core (equal shares on 2 cpus); domain pressure:
-        # own min(2, 1.0) + other 6 = 7 over 2 cpus -> 3.5.
-        assert ta[0].progress_rate == pytest.approx((1 / 2) / (1 + 0.5 * 2.5))
+        # own min(2, 1.0) + other 6 = 7 over 2 cpus -> 3.5; a's own 2
+        # threads on 1 core also pay the csw term for oversubscription 1.
+        assert ta[0].progress_rate == pytest.approx(
+            (1 / 2) / (1 + CSW_OVERHEAD * 1.0) / (1 + INTERFERENCE * 2.5))
 
     def test_no_penalty_when_fully_provisioned(self, setup):
         _, root, sched = setup
@@ -326,12 +333,13 @@ class TestSchedulingPeriod:
         assert scheduling_period(n) == pytest.approx(expected)
 
 
-class TestSchedParams:
-    def test_custom_kappa(self):
+class TestEfficiencyConstants:
+    def test_custom_kappa(self, monkeypatch):
+        """Each solve reads κ from ``repro.policy.default.CSW_OVERHEAD``."""
+        monkeypatch.setattr(default, "CSW_OVERHEAD", 0.5)
         host = HostCpus(4)
         root = CgroupRoot(host)
-        sched = FairScheduler(host, root,
-                              SchedParams(csw_overhead=0.5, interference=0.0))
+        sched = FairScheduler(host, root)
         cg = root.root.create_child("a")
         threads = _spawn_running(cg, 8)
         sched.reallocate()

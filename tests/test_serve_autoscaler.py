@@ -7,6 +7,7 @@ from repro.errors import ServeError
 from repro.serve import (Autoscaler, AutoscalerParams, Balancer,
                          LatencyRecorder, LoadGenerator, Phase,
                          ServiceReplica, ServiceWorkload, Slo)
+from repro.serve.autoscaler import MEM_HEADROOM
 from repro.units import mib
 from repro.world import World
 
@@ -38,12 +39,6 @@ class TestParamsValidation:
             AutoscalerParams(period=0.0)
         with pytest.raises(ServeError):
             AutoscalerParams(min_cores=2.0, max_cores=1.0)
-        with pytest.raises(ServeError):
-            AutoscalerParams(grow=1.0)
-        with pytest.raises(ServeError):
-            AutoscalerParams(step_down=0.0)
-        with pytest.raises(ServeError):
-            AutoscalerParams(mem_headroom=1.0)
         with pytest.raises(ServeError):
             AutoscalerParams(host_reserve=-1.0)
 
@@ -146,13 +141,13 @@ class TestControlLoop:
         world = World(ncpus=8, seed=0)
         workload, replicas, balancer, recorder = _service(
             world, resident_memory=mib(256))
-        scaler = Autoscaler(world, AutoscalerParams(
-            period=0.5, mem_headroom=1.5, mem_floor=mib(64)))
+        scaler = Autoscaler(world, AutoscalerParams(period=0.5))
         scaler.manage("svc", replicas, balancer, recorder, Slo(target=0.2))
         scaler.start()
         world.run(until=2.0)
         for r in replicas:
-            assert r.container.cgroup.memory.limit_in_bytes == int(mib(256) * 1.5)
+            assert r.container.cgroup.memory.limit_in_bytes == int(
+                mib(256) * MEM_HEADROOM)
 
     def test_reserved_core_seconds_integral(self):
         world = World(ncpus=8, seed=0)

@@ -161,10 +161,9 @@ class TestMemoryPressureStress:
     def test_oom_storm_is_contained(self):
         """Charges far past swap capacity kill the charger, not the world."""
         from repro.errors import OutOfMemoryError
-        from repro.kernel.mm.memcg import MmParams
-        world = World(ncpus=4, memory=gib(2),
-                      mm_params=MmParams(kernel_reserved=mib(64),
-                                         swap_factor=0.1))
+        from repro.kernel.mm.memcg import KERNEL_RESERVED
+        world = World(ncpus=4, memory=KERNEL_RESERVED + mib(1984),
+                      swap_factor=0.1)
         survivors = []
         for i in range(4):
             c = world.containers.create(ContainerSpec(f"c{i}"))

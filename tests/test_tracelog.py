@@ -188,10 +188,10 @@ class TestWiredSpans:
         assert span.duration == pytest.approx(2.0)
 
     def test_mm_reclaim_spans(self):
-        from repro.kernel.mm.memcg import MmParams
-        world = World(ncpus=4, memory=gib(2), trace=True,
-                      mm_params=MmParams(kernel_reserved=mib(64),
-                                         swap_factor=2.0))
+        from repro.kernel.mm.memcg import KERNEL_RESERVED
+        # 1984 MiB allocatable, as a 2 GiB host with a 64 MiB reserve.
+        world = World(ncpus=4, memory=KERNEL_RESERVED + mib(1984),
+                      trace=True)
         a = world.containers.create(ContainerSpec(
             "a", memory_soft_limit=mib(64)))
         world.mm.charge(a.cgroup, gib(1))
@@ -224,10 +224,9 @@ class TestWiredTracepoints:
 
     def test_mm_kswapd_and_oom_events(self):
         from repro.errors import OutOfMemoryError
-        from repro.kernel.mm.memcg import MmParams
-        world = World(ncpus=4, memory=gib(2), trace=True,
-                      mm_params=MmParams(kernel_reserved=mib(64),
-                                         swap_factor=0.05))
+        from repro.kernel.mm.memcg import KERNEL_RESERVED
+        world = World(ncpus=4, memory=KERNEL_RESERVED + mib(1984),
+                      trace=True, swap_factor=0.05)
         a = world.containers.create(ContainerSpec(
             "a", memory_soft_limit=mib(64)))
         world.mm.charge(a.cgroup, gib(1))

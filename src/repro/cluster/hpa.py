@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ClusterError
+from repro.serve.autoscaler import QUEUE_HIGH
 from repro.serve.balancer import Balancer
 from repro.serve.latency import LatencyRecorder
 from repro.serve.slo import Slo
@@ -37,7 +38,6 @@ __all__ = ["HpaParams", "HorizontalAutoscaler"]
 UP_BURN = 1.0           # scale out when burn exceeds this (with a queue)
 DOWN_BURN = 0.3         # scale in only when burn is below this...
 SCALE_IN_UTIL = 0.4     # ...and utilization below this
-QUEUE_HIGH = 8          # scale out when backlog reaches this
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from repro.jvm.elastic_heap import ElasticHeapController
 from repro.jvm.flags import CpuDetectMode, GcThreadMode, HeapDetectMode, JvmConfig
 from repro.jvm.gc.parallel_scavenge import (dynamic_active_workers,
                                             major_gc_work, minor_gc_work)
-from repro.jvm.gc.threads import GcWorkerPool
 from repro.jvm.heap import Heap, HeapSnapshot
 from repro.jvm.jvm import Jvm, JvmStats
 
@@ -18,6 +17,5 @@ __all__ = [
     "ElasticHeapController",
     "CpuDetectMode", "GcThreadMode", "HeapDetectMode", "JvmConfig",
     "dynamic_active_workers", "major_gc_work", "minor_gc_work",
-    "GcWorkerPool",
     "Heap", "HeapSnapshot", "Jvm", "JvmStats",
 ]

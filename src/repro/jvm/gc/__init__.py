@@ -2,7 +2,5 @@
 
 from repro.jvm.gc.parallel_scavenge import (dynamic_active_workers,
                                             major_gc_work, minor_gc_work)
-from repro.jvm.gc.threads import GcWorkerPool
 
-__all__ = ["dynamic_active_workers", "major_gc_work", "minor_gc_work",
-           "GcWorkerPool"]
+__all__ = ["dynamic_active_workers", "major_gc_work", "minor_gc_work"]

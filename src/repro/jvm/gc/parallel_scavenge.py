@@ -2,8 +2,8 @@
 
 A collection's serial CPU work is derived from the bytes it must scan
 and copy; the work is then split evenly over the activated GC threads
-(see :mod:`repro.jvm.gc.threads`), so wall-clock GC time emerges from
-the CFS model: threads beyond the container's CPU allocation
+(a :class:`~repro.kernel.task.ThreadTeam`), so wall-clock GC time
+emerges from the CFS model: threads beyond the container's CPU allocation
 time-slice (and pay the context-switch penalty), while each
 activated thread also pays a synchronization/barrier cost that grows
 with the team size — the two effects that make over-threading slow and

@@ -1,7 +1,7 @@
 """The simulated HotSpot JVM.
 
 Ties together the detection policies, the generational heap, the
-Parallel Scavenge worker pool, the adaptive size policy, and (for the
+Parallel Scavenge GC team, the adaptive size policy, and (for the
 paper's JVM) the elastic-heap controller.
 
 Execution model
@@ -10,7 +10,7 @@ Mutators run in *phases*: each phase is exactly the aggregate CPU work
 after which eden fills at the workload's allocation rate (or the rest of
 the benchmark, whichever is smaller).  When a phase ends the JVM is at a
 safepoint: allocation is materialized in eden, and if eden is full a
-stop-the-world minor collection runs on the GC worker pool — mutators
+stop-the-world minor collection runs on the GC team — mutators
 stay parked for the duration, so GC wall time directly extends execution
 time, exactly the accounting the paper's figures use.
 
@@ -41,9 +41,8 @@ from repro.jvm.gc.parallel_scavenge import (SYNC_PER_THREAD,
                                             dynamic_active_workers,
                                             gc_work_inflation, major_gc_work,
                                             minor_gc_work)
-from repro.jvm.gc.threads import GcWorkerPool
 from repro.jvm.heap import Heap, HeapSnapshot
-from repro.kernel.task import SimThread, ThreadState
+from repro.kernel.task import SimThread, ThreadTeam
 from repro.units import mib
 from repro.workloads.base import JavaWorkload
 
@@ -145,15 +144,14 @@ class Jvm:
         #: calibrated experiments are unaffected by it.
         self.jit_warmup_work = jit_warmup_work
         # internals -------------------------------------------------------
-        self._mutators: list[SimThread] = []
+        self._gc = ThreadTeam(container.spawn_thread, f"{self.name}-worker")
+        self._mutators = ThreadTeam(container.spawn_thread,
+                                    f"{self.name}-mutator")
         self._jit_threads: list[SimThread] = []
-        self._pool: GcWorkerPool | None = None
         self._elastic: ElasticHeapController | None = None
         self._charged = 0
         self._remaining_work = workload.total_work
         self._phase_work = 0.0
-        self._phase_pending = 0
-        self._phase_started_at = 0.0
         self._last_gc_end = 0.0
         self._gc_started_at = 0.0
         self._gc_span = 0
@@ -161,7 +159,6 @@ class Jvm:
         self._retry_handle = None   # pending promotion-retry one-shot
         self._promotion_retries = 0
         self._shrink_gc_requested = False
-        self._in_gc = False
         self._old_live_target = int(workload.live_set * workload.old_live_frac)
 
     # -- launch ------------------------------------------------------------
@@ -199,11 +196,8 @@ class Jvm:
         self.heap = Heap(reserved, initial_committed=min(initial, virtual_max),
                          virtual_max=virtual_max)
 
-        self._pool = GcWorkerPool(self.container, n_created,
-                                  sync_per_thread=SYNC_PER_THREAD,
-                                  name=self.name)
-        self._mutators = [self.container.spawn_thread(f"{self.name}-mutator{i}")
-                          for i in range(self.workload.app_threads)]
+        self._gc.grow(n_created)
+        self._mutators.grow(self.workload.app_threads)
         if self.jit_warmup_work > 0.0:
             # JIT warm-up: the tiered compilers churn through the hot
             # methods concurrently with early mutation, one more way a
@@ -257,9 +251,9 @@ class Jvm:
         if self.finished:
             return
         assert self.heap is not None
-        if self._shrink_gc_requested and not self._in_gc:
+        if self._shrink_gc_requested:
             self._shrink_gc_requested = False
-            self._start_major_gc()
+            self._start_gc("major")
             return
         if self._remaining_work <= 1e-12:
             self._finish_ok()
@@ -268,23 +262,14 @@ class Jvm:
         if wl.alloc_rate > 0:
             fill_work = self.heap.eden_free / wl.alloc_rate
             if fill_work <= 1e-9:
-                self._start_minor_gc()
+                self._start_gc("minor")
                 return
             phase_work = min(self._remaining_work, fill_work)
         else:
             phase_work = self._remaining_work
         self._phase_work = phase_work
-        self._phase_pending = len(self._mutators)
-        self._phase_started_at = self.world.clock.now
-        per_thread = phase_work / len(self._mutators)
-        for t in self._mutators:
-            t.assign_work(per_thread, self._on_mutator_segment)
-
-    def _on_mutator_segment(self, thread: SimThread) -> None:
-        thread.block()
-        self._phase_pending -= 1
-        if self._phase_pending == 0:
-            self._end_phase()
+        # Mutators share no barrier cost: x / n + 0.0 * n is exactly x / n.
+        self._mutators.run(phase_work, wl.app_threads, 0.0, self._end_phase)
 
     def _end_phase(self) -> None:
         assert self.heap is not None
@@ -296,10 +281,10 @@ class Jvm:
         if self._remaining_work <= 1e-12:
             self._finish_ok()
         elif self._shrink_gc_requested:
-            self._start_major_gc()
+            self._start_gc("major")
         elif self.heap.eden_free <= 0 or (
                 wl.alloc_rate > 0 and self.heap.eden_free < wl.alloc_rate * 1e-9):
-            self._start_minor_gc()
+            self._start_gc("minor")
         else:
             self._begin_phase()
 
@@ -325,24 +310,31 @@ class Jvm:
         # ADAPTIVE: N_gc = min(N, N_active, E_CPU) — the §4.1 formula.
         return max(1, min(n, n_active, self.container.e_cpu))
 
-    def _start_minor_gc(self) -> None:
-        assert self.heap is not None and self._pool is not None
-        if self._in_gc:
-            raise JvmError("minor GC requested while a collection is running")
-        self._in_gc = True
+    def _start_gc(self, kind: str) -> None:
+        """Stop the world and run a ``"minor"`` or ``"major"`` collection."""
+        assert self.heap is not None
         heap = self.heap
-        n_gc = self._gc_team_size(heap.young_used)
+        minor = kind == "minor"
+        n_gc = self._gc_team_size(heap.young_used if minor else heap.old_used)
         now = self.world.clock.now
-        self.stats.minor_gcs += 1
+        if minor:
+            self.stats.minor_gcs += 1
+        else:
+            self.stats.major_gcs += 1
         self.stats.gc_thread_history.append((now, n_gc))
         self._gc_started_at = now
         self._gc_span = self.world.trace.begin_span(
-            "jvm.gc", f"{self.name} minor GC", team=n_gc)
-        surviving = self._surviving_bytes(heap.eden_used)
-        work = minor_gc_work(heap.eden_used, surviving)
+            "jvm.gc", f"{self.name} {kind} GC", team=n_gc)
+        if minor:
+            surviving = self._surviving_bytes(heap.eden_used)
+            work = minor_gc_work(heap.eden_used, surviving)
+        else:
+            surviving = 0
+            work = major_gc_work(heap.old_used)
         work *= gc_work_inflation(n_gc, self._gc_cores_available(),
                                   domain_pressure=self._gc_domain_pressure())
-        self._pool.collect(work, n_gc, lambda s=surviving: self._on_minor_done(s))
+        self._gc.run(work, n_gc, SYNC_PER_THREAD,
+                     lambda: self._end_gc(kind, surviving))
 
     def _surviving_bytes(self, eden_used: int) -> int:
         """Minor-GC survivors: rate-based but capped by the young live set."""
@@ -350,7 +342,8 @@ class Jvm:
         cap = max(mib(2), int(self.workload.live_set * YOUNG_LIVE_FRACTION))
         return min(by_rate, cap)
 
-    def _on_minor_done(self, surviving: int) -> None:
+    def _end_gc(self, kind: str, surviving: int) -> None:
+        """Account and trace the pause, then apply the collection."""
         assert self.heap is not None
         heap = self.heap
         now = self.world.clock.now
@@ -359,85 +352,59 @@ class Jvm:
         self.stats.gc_time += gc_wall
         self.stats.gc_pauses.append(gc_wall)
         self._last_gc_end = now
-        self._in_gc = False
-        self.world.trace.emit("jvm.gc", f"{self.name} minor GC",
-                              wall=round(gc_wall, 6), surviving=surviving,
-                              team=self.stats.gc_thread_history[-1][1])
-        self.world.trace.end_span(self._gc_span, surviving=surviving)
-
-        # Scavenge: eden empties; survivors either stay in survivor space
-        # or are promoted (tenuring + overflow).
-        promoted = int(surviving * self.workload.promote_frac)
-        to_survivor = surviving - promoted
-        if to_survivor > heap.survivor_capacity:
-            promoted += to_survivor - heap.survivor_capacity
-            to_survivor = heap.survivor_capacity
-        heap.eden_used = 0
-        heap.survivor_used = to_survivor
-
-        self.sizing.observe_minor(heap, gc_wall=gc_wall, mutator_wall=mutator_wall)
-        if self.sizing.ensure_promotion_room(heap, promoted):
-            self._apply_promotion(promoted)
-            if not self.sync_memory_charge():
-                return
-            self._record_heap(now)
-            self._begin_phase()
+        minor = kind == "minor"
+        if minor:
+            fields = {"surviving": surviving}
         else:
-            # Promotion failure: a full collection must make room first.
-            self._pending_promote = promoted
-            if not self.sync_memory_charge():
-                return
-            self._start_major_gc()
-
-    def _start_major_gc(self) -> None:
-        assert self.heap is not None and self._pool is not None
-        if self._in_gc:
-            raise JvmError("major GC requested while a collection is running")
-        self._in_gc = True
-        heap = self.heap
-        n_gc = self._gc_team_size(heap.old_used)
-        now = self.world.clock.now
-        self.stats.major_gcs += 1
-        self.stats.gc_thread_history.append((now, n_gc))
-        self._gc_started_at = now
-        self._gc_span = self.world.trace.begin_span(
-            "jvm.gc", f"{self.name} major GC", team=n_gc)
-        work = major_gc_work(heap.old_used)
-        work *= gc_work_inflation(n_gc, self._gc_cores_available(),
-                                  domain_pressure=self._gc_domain_pressure())
-        self._pool.collect(work, n_gc, self._on_major_done)
-
-    def _on_major_done(self) -> None:
-        assert self.heap is not None
-        heap = self.heap
-        now = self.world.clock.now
-        gc_wall = now - self._gc_started_at
-        self.stats.gc_time += gc_wall
-        self.stats.gc_pauses.append(gc_wall)
-        self._last_gc_end = now
-        self._in_gc = False
-        self.world.trace.emit("jvm.gc", f"{self.name} major GC",
-                              wall=round(gc_wall, 6),
-                              reclaimed=heap.old_used - heap.old_live,
+            fields = {"reclaimed": heap.old_used - heap.old_live}
+        self.world.trace.emit("jvm.gc", f"{self.name} {kind} GC",
+                              wall=round(gc_wall, 6), **fields,
                               team=self.stats.gc_thread_history[-1][1])
-        self.world.trace.end_span(self._gc_span,
-                                  reclaimed=heap.old_used - heap.old_live)
+        self.world.trace.end_span(self._gc_span, **fields)
 
-        # A full collection leaves only live data in the old generation.
-        heap.old_used = heap.old_live
-        self.sizing.observe_major(heap)
-
-        if self._pending_promote is not None:
-            promoted = self._pending_promote
-            self._pending_promote = None
-            if not self._make_promotion_room(promoted):
+        if minor:
+            # Scavenge: eden empties; survivors either stay in survivor
+            # space or are promoted (tenuring + overflow).
+            promoted = int(surviving * self.workload.promote_frac)
+            to_survivor = surviving - promoted
+            if to_survivor > heap.survivor_capacity:
+                promoted += to_survivor - heap.survivor_capacity
+                to_survivor = heap.survivor_capacity
+            heap.eden_used = 0
+            heap.survivor_used = to_survivor
+            self.sizing.observe_minor(heap, gc_wall=gc_wall,
+                                      mutator_wall=mutator_wall)
+            if not self.sizing.ensure_promotion_room(heap, promoted):
+                # Promotion failure: a full collection must make room first.
+                self._pending_promote = promoted
+                if self.sync_memory_charge():
+                    self._start_gc("major")
                 return
-            self._promotion_retries = 0
             self._apply_promotion(promoted)
-        if not self.sync_memory_charge():
-            return
-        self._record_heap(now)
-        self._begin_phase()
+        else:
+            # A full collection leaves only live data in the old generation.
+            heap.old_used = heap.old_live
+            self.sizing.observe_major(heap)
+            if self._pending_promote is not None:
+                promoted = self._pending_promote
+                self._pending_promote = None
+                if not self._promote(promoted):
+                    return
+        self._resume()
+
+    def _resume(self) -> None:
+        """Reconcile the charge, record the heap, and begin the next phase."""
+        if self.sync_memory_charge():
+            self._record_heap(self.world.clock.now)
+            self._begin_phase()
+
+    def _promote(self, promoted: int) -> bool:
+        """Make room for ``promoted`` bytes and apply them if it fits."""
+        if not self._make_promotion_room(promoted):
+            return False
+        self._promotion_retries = 0
+        self._apply_promotion(promoted)
+        return True
 
     def _apply_promotion(self, promoted: int) -> None:
         assert self.heap is not None
@@ -518,13 +485,8 @@ class Jvm:
             self._elastic.poll()  # pick up the latest effective memory now
         promoted = self._pending_promote
         self._pending_promote = None
-        if self._make_promotion_room(promoted):
-            self._promotion_retries = 0
-            self._apply_promotion(promoted)
-            if not self.sync_memory_charge():
-                return
-            self._record_heap(self.world.clock.now)
-            self._begin_phase()
+        if self._promote(promoted):
+            self._resume()
         # else: another retry was scheduled, or the JVM died with OOM.
 
     def kill(self, reason: str = "killed") -> None:
@@ -540,8 +502,12 @@ class Jvm:
     def request_shrink_gc(self) -> None:
         """Elastic-heap shrink scenario 3: collect at the next safepoint."""
         self._shrink_gc_requested = True
-        if not self._in_gc and self._phase_pending == 0 and not self.finished:
-            # Idle at a safepoint right now (e.g. between launch and phase):
+        if (not self._gc.busy and not self._mutators.busy
+                and self._pending_promote is None and not self.finished):
+            # Idle at a safepoint right now (e.g. between launch and
+            # phase).  A JVM holding a promotion is not idle: it waits
+            # for heap growth or is retrying, and the collection runs
+            # when it resumes, so at most one retry is ever pending.
             self._begin_phase()
 
     # -- completion ------------------------------------------------------------------
@@ -575,16 +541,14 @@ class Jvm:
             # non-idle and accumulates a dead callback per kill.
             self._retry_handle.cancel()
             self._retry_handle = None
-        for t in [*self._mutators, *self._jit_threads]:
-            if t.state is not ThreadState.EXITED:
-                t.exit()
-        if self._in_gc:
+        self._mutators.exit()
+        for t in self._jit_threads:
+            t.exit()
+        if self._gc.busy:
             # A kill mid-collection: close the collection's span with the
             # reason, or it stays open for the life of the world.
             self.world.trace.end_span(self._gc_span, killed=self.stats.oom_reason)
-            self._in_gc = False
-        if self._pool is not None:
-            self._pool.shutdown()
+        self._gc.exit()
         if self._charged > 0:
             self.world.mm.uncharge(self.container.cgroup,
                                    min(self._charged,

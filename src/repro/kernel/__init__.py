@@ -6,7 +6,7 @@ from repro.kernel.loadavg import LoadAvgParams, LoadTracker
 from repro.kernel.namespace import Namespace, NamespaceKind, NamespaceSet, PidNamespace
 from repro.kernel.proc import Process, ProcessState, ProcessTable
 from repro.kernel.sysfs import HostSysfs, Sysconf, SysfsRegistry, VirtualSysfs
-from repro.kernel.task import SimThread, ThreadState
+from repro.kernel.task import SimThread, ThreadState, ThreadTeam
 
 __all__ = [
     "Cgroup", "CgroupEvent", "CgroupEventKind", "CgroupRoot",
@@ -15,5 +15,5 @@ __all__ = [
     "Namespace", "NamespaceKind", "NamespaceSet", "PidNamespace",
     "Process", "ProcessState", "ProcessTable",
     "HostSysfs", "Sysconf", "SysfsRegistry", "VirtualSysfs",
-    "SimThread", "ThreadState",
+    "SimThread", "ThreadState", "ThreadTeam",
 ]

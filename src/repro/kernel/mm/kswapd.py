@@ -41,39 +41,30 @@ def plan_background_reclaim(cgroups: list["Cgroup"], need: int) -> list[tuple["C
     each victim's overage, mirroring the "gradually reclaim memory until
     usage falls below the soft limit" behaviour.
     """
-    victims = soft_limit_victims(cgroups)
-    total_over = sum(over for _, over in victims)
-    if need <= 0 or total_over <= 0:
-        return []
-    take_total = min(need, total_over)
-    plan: list[tuple[Cgroup, int]] = []
-    remaining = take_total
-    for i, (cg, over) in enumerate(victims):
-        if i == len(victims) - 1:
-            take = min(over, remaining)
-        else:
-            take = min(over, int(round(take_total * over / total_over)))
-            take = min(take, remaining)
-        if take > 0:
-            plan.append((cg, take))
-            remaining -= take
-    return plan
+    return _split_proportionally(soft_limit_victims(cgroups), need)
 
 
 def plan_direct_reclaim(cgroups: list["Cgroup"], need: int) -> list[tuple["Cgroup", int]]:
     """Distribute ``need`` reclaim bytes proportionally to resident size."""
     holders = [(cg, cg.memory.resident) for cg in cgroups if cg.memory.resident > 0]
-    total = sum(res for _, res in holders)
+    return _split_proportionally(holders, need)
+
+
+def _split_proportionally(holders: list[tuple["Cgroup", int]],
+                          need: int) -> list[tuple["Cgroup", int]]:
+    """Take ``min(need, total)`` bytes, each holder's share proportional
+    to its bytes; the last holder takes the rounding remainder."""
+    total = sum(held for _, held in holders)
     if need <= 0 or total <= 0:
         return []
     take_total = min(need, total)
     plan: list[tuple[Cgroup, int]] = []
     remaining = take_total
-    for i, (cg, res) in enumerate(holders):
+    for i, (cg, held) in enumerate(holders):
         if i == len(holders) - 1:
-            take = min(res, remaining)
+            take = min(held, remaining)
         else:
-            take = min(res, int(round(take_total * res / total)))
+            take = min(held, int(round(take_total * held / total)))
             take = min(take, remaining)
         if take > 0:
             plan.append((cg, take))

@@ -322,12 +322,11 @@ class FairScheduler:
             "default" if policy is None else policy)
         self._incremental = incremental
         self._snapshot: list[GroupAlloc] = []
+        #: One GroupAlloc per busy group: publication writes the solved
+        #: fields into a stable object per group instead of allocating
+        #: fresh ones, so the seq-sorted snapshot only needs rebuilding
+        #: when the busy *membership* changes.
         self._galloc: dict[Cgroup, GroupAlloc] = {}
-        #: Pooled per-cgroup GroupAlloc objects: publication writes the
-        #: solved fields into a stable object per group instead of
-        #: allocating fresh ones, so the seq-sorted snapshot only needs
-        #: rebuilding when the busy *membership* changes.
-        self._gpool: dict[Cgroup, GroupAlloc] = {}
         self._members_changed = True
         self._n_run_total = 0
         #: ``sum`` of the snapshot's rates, in snapshot order, as of the
@@ -663,7 +662,6 @@ class FairScheduler:
                 if p.some_rate or p.full_rate:
                     p.restall(0.0, 0.0)
                     self.psi_folds += 1
-        self._gpool.pop(cg, None)
         self._comp_of.pop(cg, None)
         self._due_zero.discard(cg)
         cg.cpu_rate = 0.0
@@ -825,19 +823,18 @@ class FairScheduler:
         call share their window decays.
         """
         galloc = self._galloc
-        pool = self._gpool
         incremental = self._incremental
         clip_fn = self.policy.throttle_clip
         reindex: list[Cgroup] = []
         gap_decays: dict[float, tuple[float, ...]] = {}
         folds = 0
         for cg, row in zip(members, rows):
-            g = pool.get(cg)
+            g = galloc.get(cg)
             if g is None:
                 g = GroupAlloc(cg, 0, 0.0, 0.0)
-                pool[cg] = g
+                galloc[cg] = g
+                self._members_changed = True
             elif ((old := g._row) is not None and old[4] == row[4]
-                    and cg in galloc
                     and old[1:7] == row[1:7] and old[8:] == row[8:]):
                 # Everything published from this group's slice of the
                 # solve is unchanged; at most the memoized domain
@@ -887,9 +884,6 @@ class FairScheduler:
                 if (cg.progress_multiplier != 1.0
                         or cg.pressure.memory.some_rate):
                     self._restall_memory(cg, gap_decays)
-            if cg not in galloc:
-                self._members_changed = True
-                galloc[cg] = g
             cg.cpu_rate = rate
             cg._thread_rate = g.thread_rate
             # GroupAlloc.per_thread_occupancy, written out.
@@ -930,7 +924,7 @@ class FairScheduler:
         # Drop cached publication rows: an identical row under the new
         # policy can still mean a different throttle clip, so every
         # group must take the full publish path once.
-        for g in self._gpool.values():
+        for g in self._galloc.values():
             g._row = None
         self.mark_dirty()
         return {"from": old.name, "to": new.name}

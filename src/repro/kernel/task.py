@@ -16,6 +16,12 @@ records the integral value at which its current segment completes
 accumulators are materialized back into the thread whenever it stops
 running (block/exit) or is handed a new segment, so blocked threads keep
 exact totals without participating in any per-event work.
+
+A :class:`ThreadTeam` is the fork-join shape every parallel runtime
+shares: a GC collection (§4.1), an OpenMP parallel region (§5.2), a JVM
+mutator phase and a native process each split one piece of work over a
+team of threads, and the last thread to reach the barrier releases the
+program.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from repro.errors import SchedulerError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.cgroup import Cgroup
 
-__all__ = ["ThreadState", "SimThread", "WORK_EPS"]
+__all__ = ["ThreadState", "SimThread", "ThreadTeam", "WORK_EPS"]
 
 #: Remaining work below this is treated as completed (guards float drift).
 WORK_EPS = 1e-12
@@ -197,3 +203,65 @@ class SimThread:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SimThread {self.name} tid={self.tid} {self.state.value} "
                 f"remaining={self.remaining:.6f}>")
+
+
+class ThreadTeam:
+    """A fork-join team of threads that park between runs.
+
+    :meth:`run` gives each of the first ``n`` threads one segment: an
+    equal share of the work plus the barrier cost, which grows with the
+    team size.  Each thread that finishes is parked; the last one calls
+    the run's ``on_done``.  Threads are spawned on demand, named
+    ``prefix`` plus their index, and live until :meth:`exit`.
+    """
+
+    __slots__ = ("threads", "_spawn", "_prefix", "_on_done", "_running")
+
+    def __init__(self, spawn: Callable[[str], SimThread], prefix: str):
+        self.threads: list[SimThread] = []
+        self._spawn = spawn
+        self._prefix = prefix
+        self._on_done: Callable[[], None] | None = None
+        self._running = 0
+
+    @property
+    def busy(self) -> bool:
+        """Whether a run is in flight."""
+        return self._on_done is not None
+
+    def grow(self, n: int) -> None:
+        """Spawn threads until the team has at least ``n``."""
+        threads = self.threads
+        while len(threads) < n:
+            threads.append(self._spawn(f"{self._prefix}{len(threads)}"))
+
+    def run(self, work: float, n: int, sync_per_thread: float,
+            on_done: Callable[[], None]) -> None:
+        """Run ``work`` cpu-seconds on ``n`` threads, then call ``on_done``."""
+        if self.busy:
+            raise SchedulerError(f"team {self._prefix!r} is already running")
+        if n < 1:
+            raise SchedulerError(f"team {self._prefix!r} needs >= 1 thread, got {n}")
+        if work < 0:
+            raise SchedulerError(f"team work cannot be negative: {work}")
+        self.grow(n)
+        self._on_done = on_done
+        self._running = n
+        segment = work / n + sync_per_thread * n
+        for thread in self.threads[:n]:
+            thread.assign_work(segment, self._thread_done)
+
+    def _thread_done(self, thread: SimThread) -> None:
+        thread.block()
+        self._running -= 1
+        if self._running == 0:
+            on_done = self._on_done
+            self._on_done = None
+            assert on_done is not None
+            on_done()
+
+    def exit(self) -> None:
+        """Terminate every thread, dropping any run in flight."""
+        self._on_done = None
+        for thread in self.threads:
+            thread.exit()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.container.container import Container
 from repro.errors import OpenMpError
-from repro.kernel.task import SimThread, ThreadState
+from repro.kernel.task import SimThread, ThreadTeam
 from repro.openmp.policy import OmpPolicy, thread_count
 from repro.workloads.base import OmpWorkload
 
@@ -63,8 +63,7 @@ class OpenMpRuntime:
         self.started = False
         self.finished = False
         self._master: SimThread | None = None
-        self._team: list[SimThread] = []
-        self._join_pending = 0
+        self._team = ThreadTeam(container.spawn_thread, f"{self.name}-omp")
         self._iter = 0
         self._region_idx = 0
 
@@ -101,34 +100,23 @@ class OpenMpRuntime:
         if self._master is not None:
             self._master.block()
         if region.parallel_work <= 0:
-            self.stats.regions_executed += 1
-            self._next_region()
+            self._on_join()
             return
         n = thread_count(self.policy, self.container,
                          num_threads_env=self.num_threads_env)
-        now = self.world.clock.now
-        self.stats.team_history.append((now, n))
-        # Lazily grow the worker pool to the largest team seen.
-        while len(self._team) < n:
-            self._team.append(
-                self.container.spawn_thread(f"{self.name}-omp{len(self._team)}"))
-        self._join_pending = n
-        chunk = region.parallel_work / n
-        sync = self.workload.sync_per_thread * n
-        for worker in self._team[:n]:
-            worker.assign_work(chunk + sync, self._on_worker_done)
+        self.stats.team_history.append((self.world.clock.now, n))
+        # The team grows lazily to the largest region seen.
+        self._team.run(region.parallel_work, n, self.workload.sync_per_thread,
+                       self._on_join)
 
-    def _on_worker_done(self, worker: SimThread) -> None:
-        worker.block()
-        self._join_pending -= 1
-        if self._join_pending == 0:
-            self.stats.regions_executed += 1
-            self._next_region()
+    def _on_join(self) -> None:
+        self.stats.regions_executed += 1
+        self._next_region()
 
     def _finish(self) -> None:
         self.finished = True
         self.stats.completed = True
         self.stats.finished_at = self.world.clock.now
-        for t in [self._master, *self._team]:
-            if t is not None and t.state is not ThreadState.EXITED:
-                t.exit()
+        if self._master is not None:
+            self._master.exit()
+        self._team.exit()

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import WorkloadError
 from repro.kernel.cgroup import Cgroup
-from repro.kernel.task import SimThread, ThreadState
+from repro.kernel.task import SimThread, ThreadTeam
 from repro.workloads.base import NativeWorkload
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,8 +31,9 @@ class NativeProcess:
         self.on_done = on_done
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        self._threads: list[SimThread] = []
-        self._pending = 0
+        self._team = ThreadTeam(
+            lambda name: SimThread(name, cgroup, created_at=world.clock.now),
+            f"{workload.name}/t")
         self._charged = 0
 
     @classmethod
@@ -59,31 +60,21 @@ class NativeProcess:
         if wl.resident_memory > 0:
             self.world.mm.charge(self.cgroup, wl.resident_memory)
             self._charged = wl.resident_memory
-        self._pending = wl.threads
-        per_thread = wl.total_work / wl.threads
-        for i in range(wl.threads):
-            t = SimThread(f"{wl.name}/t{i}", self.cgroup,
-                          created_at=self.world.clock.now)
-            t.assign_work(per_thread, self._on_thread_done)
-            self._threads.append(t)
+        self._team.run(wl.total_work, wl.threads, 0.0, self._on_join)
 
-    def _on_thread_done(self, thread: SimThread) -> None:
-        thread.exit()
-        self._pending -= 1
-        if self._pending == 0:
-            self.finished_at = self.world.clock.now
-            if self._charged:
-                self.world.mm.uncharge(self.cgroup, self._charged)
-                self._charged = 0
-                self.world.mm.rebalance()
-            if self.on_done is not None:
-                self.on_done(self)
+    def _on_join(self) -> None:
+        self._team.exit()
+        self.finished_at = self.world.clock.now
+        if self._charged:
+            self.world.mm.uncharge(self.cgroup, self._charged)
+            self._charged = 0
+            self.world.mm.rebalance()
+        if self.on_done is not None:
+            self.on_done(self)
 
     def cancel(self) -> None:
         """Abort the workload, releasing its threads and memory."""
-        for t in self._threads:
-            if t.state is not ThreadState.EXITED:
-                t.exit()
+        self._team.exit()
         if self._charged:
             self.world.mm.uncharge(self.cgroup, self._charged)
             self._charged = 0

@@ -311,7 +311,7 @@ class TestInvariantsFire:
 
         def stale(self, members, rows):
             kept = {cg: (cg.pressure.cpu.some_rate, cg.pressure.cpu.full_rate)
-                    for cg in members if cg in self._gpool}
+                    for cg in members if cg in self._galloc}
             publish(self, members, rows)
             for cg, (some, full) in kept.items():
                 p = cg.pressure.cpu

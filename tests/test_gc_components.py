@@ -1,8 +1,8 @@
-"""Tests for GC building blocks: cost model, worker pool."""
+"""Tests for GC building blocks: cost model, the fork-join worker team."""
 
 import pytest
 
-from repro.errors import JvmError
+from repro.errors import JvmError, SchedulerError
 from repro.jvm.gc.parallel_scavenge import (INTERFERENCE_SENSITIVITY,
                                             LHP_OVERSUB_CAP,
                                             LOCK_HOLDER_PREEMPTION,
@@ -10,9 +10,14 @@ from repro.jvm.gc.parallel_scavenge import (INTERFERENCE_SENSITIVITY,
                                             dynamic_active_workers,
                                             gc_work_inflation, major_gc_work,
                                             minor_gc_work)
-from repro.jvm.gc.threads import GcWorkerPool
 from repro.container.spec import ContainerSpec
+from repro.jvm.flags import JvmConfig
+from repro.jvm.jvm import Jvm
+from repro.kernel.task import ThreadState, ThreadTeam
+from repro.openmp.policy import OmpPolicy
+from repro.openmp.runtime import OpenMpRuntime
 from repro.units import gib, mib
+from repro.workloads.base import JavaWorkload, OmpRegion, OmpWorkload
 from repro.world import World
 
 class TestCostModel:
@@ -93,32 +98,39 @@ class TestDynamicActiveWorkers:
 
 
 class TestWorkerPool:
+    """The GC team is a :class:`ThreadTeam`; so are OpenMP regions."""
+
     def _world(self):
         world = World(ncpus=4, memory=gib(8))
         container = world.containers.create(ContainerSpec("c0"))
         return world, container
 
-    def _cpu(self, pool):
-        return [w.cpu_time for w in pool.workers]
+    def _team(self, c, n, prefix="gc-worker"):
+        team = ThreadTeam(c.spawn_thread, prefix)
+        team.grow(n)
+        return team
+
+    def _cpu(self, team):
+        return [w.cpu_time for w in team.threads]
 
     def test_collection_completes_and_calls_back(self):
         world, c = self._world()
-        pool = GcWorkerPool(c, 4, sync_per_thread=1e-4)
+        pool = self._team(c, 4)
         done = []
-        pool.collect(0.4, 2, lambda: done.append(world.now))
+        pool.run(0.4, 2, 1e-4, lambda: done.append(world.now))
         world.run(until=10.0)
         assert len(done) == 1
         # 0.4 cpu-sec over 2 workers on idle 4 cores: 0.2s + 2 x 1e-4 sync.
         assert done[0] == pytest.approx(0.2 + 2e-4, rel=1e-9)
-        assert not pool.collecting
+        assert not pool.busy
 
     def test_each_active_worker_charged_share_plus_barrier(self):
         for work, n_active, sync in [(0.4, 2, 1e-4), (1.0, 3, 2e-4),
                                      (0.3, 1, 5e-4), (0.0, 4, 1e-3)]:
             world, c = self._world()
-            pool = GcWorkerPool(c, 4, sync_per_thread=sync)
+            pool = self._team(c, 4)
             calls = []
-            pool.collect(work, n_active, lambda: calls.append(world.now))
+            pool.run(work, n_active, sync, lambda: calls.append(world.now))
             world.run(until=10.0)
             assert len(calls) == 1
             expected = work / n_active + sync * n_active
@@ -128,73 +140,117 @@ class TestWorkerPool:
 
     def test_callback_fires_once_per_collection(self):
         world, c = self._world()
-        pool = GcWorkerPool(c, 3, sync_per_thread=1e-4)
+        pool = self._team(c, 3)
         calls = []
-        pool.collect(0.3, 3, lambda: calls.append("a"))
+        pool.run(0.3, 3, 1e-4, lambda: calls.append("a"))
         world.run(until=5.0)
-        pool.collect(0.3, 2, lambda: calls.append("b"))
+        pool.run(0.3, 2, 1e-4, lambda: calls.append("b"))
         world.run(until=10.0)
         assert calls == ["a", "b"]
 
     def test_single_worker_serializes(self):
         world, c = self._world()
-        pool = GcWorkerPool(c, 4, sync_per_thread=0.0)
+        pool = self._team(c, 4)
         done = []
-        pool.collect(0.4, 1, lambda: done.append(world.now))
+        pool.run(0.4, 1, 0.0, lambda: done.append(world.now))
         world.run(until=10.0)
         assert done[0] == pytest.approx(0.4, rel=0.01)
 
-    def test_team_larger_than_pool_clamped(self):
+    def test_team_grows_to_a_larger_run(self):
         world, c = self._world()
-        pool = GcWorkerPool(c, 2, sync_per_thread=1e-4)
+        pool = self._team(c, 2)
         done = []
-        pool.collect(0.2, 8, lambda: done.append(True))
+        pool.run(0.2, 4, 1e-4, lambda: done.append(True))
         world.run(until=10.0)
         assert done == [True]
-        # Clamped to the pool's 2 workers, which also sets the barrier.
-        assert self._cpu(pool) == pytest.approx([0.1 + 2e-4] * 2, rel=1e-9)
+        # Grown to the run's 4 threads, which also sets the barrier.
+        assert self._cpu(pool) == pytest.approx([0.05 + 4e-4] * 4, rel=1e-9)
+
+    def test_grows_in_order_and_only_when_needed(self):
+        world, c = self._world()
+        pool = ThreadTeam(c.spawn_thread, "t")
+        assert pool.threads == []
+        pool.grow(2)
+        pool.grow(1)
+        pool.run(0.1, 3, 0.0, lambda: None)
+        assert [w.name for w in pool.threads] == ["c0/t0", "c0/t1", "c0/t2"]
+        assert c.threads == pool.threads
 
     def test_negative_work_rejected(self):
         world, c = self._world()
-        pool = GcWorkerPool(c, 2, sync_per_thread=0.0)
-        with pytest.raises(JvmError):
-            pool.collect(-1.0, 1, lambda: None)
-        assert not pool.collecting
+        pool = self._team(c, 2)
+        with pytest.raises(SchedulerError):
+            pool.run(-1.0, 1, 0.0, lambda: None)
+        assert not pool.busy
 
     def test_concurrent_collection_rejected(self):
         world, c = self._world()
-        pool = GcWorkerPool(c, 2, sync_per_thread=0.0)
-        pool.collect(1.0, 1, lambda: None)
-        with pytest.raises(JvmError):
-            pool.collect(1.0, 1, lambda: None)
+        pool = self._team(c, 2)
+        pool.run(1.0, 1, 0.0, lambda: None)
+        with pytest.raises(SchedulerError):
+            pool.run(1.0, 1, 0.0, lambda: None)
 
     def test_workers_sleep_between_collections(self):
         world, c = self._world()
-        pool = GcWorkerPool(c, 3, sync_per_thread=0.0)
+        pool = self._team(c, 3)
         done = []
-        pool.collect(0.1, 2, lambda: done.append(True))
+        pool.run(0.1, 2, 0.0, lambda: done.append(True))
         world.run(until=5.0)
         assert done
-        assert all(not w.runnable for w in pool.workers)
+        assert all(not w.runnable for w in pool.threads)
+        assert all(w.state is ThreadState.BLOCKED for w in pool.threads)
 
     def test_shutdown(self):
         world, c = self._world()
-        pool = GcWorkerPool(c, 2, sync_per_thread=0.0)
-        pool.shutdown()
-        assert all(w.state.value == "exited" for w in pool.workers)
+        pool = self._team(c, 2)
+        pool.exit()
+        assert all(w.state.value == "exited" for w in pool.threads)
 
     def test_shutdown_mid_collection_drops_it(self):
         world, c = self._world()
-        pool = GcWorkerPool(c, 2, sync_per_thread=0.0)
+        pool = self._team(c, 2)
         done = []
-        pool.collect(1.0, 2, lambda: done.append(True))
+        pool.run(1.0, 2, 0.0, lambda: done.append(True))
         world.run(until=0.1)
-        pool.shutdown()
-        assert not pool.collecting
+        pool.exit()
+        assert not pool.busy
         world.run(until=5.0)
         assert done == []
 
     def test_empty_pool_rejected(self):
         world, c = self._world()
-        with pytest.raises(JvmError):
-            GcWorkerPool(c, 0, sync_per_thread=0.0)
+        pool = self._team(c, 2)
+        with pytest.raises(SchedulerError):
+            pool.run(1.0, 0, 0.0, lambda: None)
+        assert not pool.busy
+
+    def test_jvm_creates_gc_workers_then_mutators_then_jit(self):
+        world, c = self._world()
+        wl = JavaWorkload(name="app", app_threads=2, total_work=1.0,
+                          alloc_rate=mib(40), live_set=mib(64),
+                          min_heap=mib(128))
+        jvm = Jvm(c, wl, JvmConfig.adaptive(gc_threads=3),
+                  jit_warmup_work=0.01)
+        jvm.launch()
+        names = [t.name.split("-", 1)[1] for t in c.threads]
+        jit = jvm.stats.jit_threads_created
+        assert names == (["worker0", "worker1", "worker2",
+                          "mutator0", "mutator1"]
+                         + [f"C2-{i}" for i in range(jit)])
+
+    def test_openmp_region_runs_on_a_team(self):
+        """Each region forks the team (grown lazily to the largest region)
+        and charges every member its share plus the per-thread barrier."""
+        world, c = self._world()
+        wl = OmpWorkload(name="np", iterations=2, sync_per_thread=1e-4,
+                         regions=(OmpRegion(0.0, 0.3), OmpRegion(0.0, 0.0)))
+        rt = OpenMpRuntime(c, wl, OmpPolicy.STATIC, num_threads_env=3)
+        rt.start()
+        world.run(until=10.0)
+        assert rt.stats.completed
+        assert rt.stats.regions_executed == 4
+        team = [t for t in c.threads if "-omp" in t.name]
+        assert [t.name for t in team] == [f"c0/c0.np-omp{i}" for i in range(3)]
+        assert [t.cpu_time for t in team] == pytest.approx(
+            [2 * (0.3 / 3 + 1e-4 * 3)] * 3, rel=1e-9)
+        assert all(t.state is ThreadState.EXITED for t in c.threads)

@@ -60,6 +60,20 @@ class TestPromotionRetryCancellation:
         assert (jvm.stats.minor_gcs, jvm.stats.major_gcs) == stats_before
         assert jvm.finished
 
+    def test_shrink_gc_during_heap_wait_keeps_one_retry(self):
+        """A shrink GC requested while the JVM waits for heap growth (what
+        an elastic poll does when E_MEM shrinks) is deferred to the
+        resume: collecting at once would wait again and arm a second
+        retry, which a kill then leaves behind."""
+        world, jvm = waiting_elastic_jvm()
+        assert jvm._promotion_retries == 1
+        jvm.request_shrink_gc()
+        world.run(until=world.now + 1.0)   # the retry is due at +10 s
+        assert jvm._promotion_retries == 1
+        assert len(pending_retry_events(world)) == 1
+        jvm.kill("oom-killer")
+        assert not pending_retry_events(world)
+
     def test_double_kill_is_safe(self):
         world, jvm = waiting_elastic_jvm()
         jvm.kill("first")
@@ -101,13 +115,13 @@ class TestKillMidCollection:
                           min_heap=mib(128))
         jvm = Jvm(c, wl, JvmConfig.adaptive())
         jvm.launch()
-        assert world.run_until(lambda: jvm._in_gc or jvm.finished, timeout=100)
-        assert jvm._in_gc, "JVM finished without collecting"
+        assert world.run_until(lambda: jvm._gc.busy or jvm.finished, timeout=100)
+        assert jvm._gc.busy, "JVM finished without collecting"
         assert len(world.trace.open_spans("jvm.gc")) == 1
         jvm.kill("oom-killer")
         assert world.trace.open_spans("jvm.gc") == []
         assert world.trace.spans("jvm.gc")[-1].fields["killed"] == "oom-killer"
-        assert not jvm._pool.collecting
+        assert not jvm._gc.busy
         world.run(until=world.now + 5.0)
         assert world.trace.open_spans("jvm.gc") == []
         assert not jvm.stats.completed

@@ -92,7 +92,7 @@ def check_invariants(world: World, jvms=()) -> None:
         assert ns.soft_limit <= ns.hard_limit
     # -- heap structure ---------------------------------------------------------
     for jvm in jvms:
-        if jvm.heap is not None and not jvm._in_gc:
+        if jvm.heap is not None and not jvm._gc.busy:
             jvm.heap.check_invariants()
 
 

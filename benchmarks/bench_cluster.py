@@ -34,10 +34,12 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from bench_par import run_speedup  # noqa: E402
 from repro.harness.experiments.exp_cluster import (ClusterExpParams,  # noqa: E402
-                                                   trial, trial_specs)
-from repro.par import TrialSpec, result_digest, run_trials  # noqa: E402
+                                                   run_cell, trial_specs)
+from repro.par import TrialSpec  # noqa: E402
 from repro.units import gib  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_cluster.json"
@@ -72,34 +74,6 @@ def _sweep_specs(kind: str, *, quick: bool) -> list[TrialSpec]:
     return specs
 
 
-def _timed(specs: list[TrialSpec], *, jobs: int) -> tuple[float, str, int]:
-    t0 = time.perf_counter()
-    results = run_trials(specs, jobs=jobs)
-    wall = time.perf_counter() - t0
-    failures = sum(1 for r in results if not r.ok)
-    return wall, result_digest(results), failures
-
-
-def run_speedup(name: str, specs: list[TrialSpec], *, jobs: int) -> dict:
-    """Serial then parallel over the same specs; digests must agree."""
-    serial_wall, serial_digest, serial_failures = _timed(specs, jobs=1)
-    parallel_wall, parallel_digest, parallel_failures = _timed(specs,
-                                                               jobs=jobs)
-    record = {
-        "scenario": name, "trials": len(specs), "jobs": jobs,
-        "serial_wall_s": serial_wall, "parallel_wall_s": parallel_wall,
-        "speedup": serial_wall / parallel_wall if parallel_wall else 0.0,
-        "digest_match": serial_digest == parallel_digest,
-        "failures": serial_failures + parallel_failures,
-    }
-    print(f"{name}: {len(specs)} trials, serial {serial_wall:.2f}s, "
-          f"jobs={jobs} {parallel_wall:.2f}s "
-          f"-> {record['speedup']:.2f}x "
-          f"(digest {'ok' if record['digest_match'] else 'MISMATCH'})",
-          file=sys.stderr)
-    return record
-
-
 def run_repeat(*, quick: bool) -> dict:
     """One placement trial twice in-process; traces must repeat."""
     params = _params(0, quick=quick)
@@ -108,7 +82,7 @@ def run_repeat(*, quick: bool) -> dict:
     walls, digests, placed = [], [], 0
     for _ in range(2):
         t0 = time.perf_counter()
-        summary = trial(dict(spec.config), 0)
+        summary = run_cell(spec.config)
         walls.append(time.perf_counter() - t0)
         digests.append(summary["trace_digest"])
         placed = summary["placed"]
@@ -129,19 +103,17 @@ def run_repeat(*, quick: bool) -> dict:
 def run_profile(*, quick: bool) -> dict:
     """One placement trial under the engine self-profiler.
 
-    Reuses the exact trial config of ``placement/view`` so the
-    attribution describes the same work the sweeps above time.
+    Runs the ``placement/view`` cell's cluster, so the attribution
+    describes the same work the sweeps above time.
     """
     from repro.harness.experiments.exp_cluster import (
         build_placement_cluster, drive_placement)
     from repro.obs.profile import EngineProfiler
 
     params = _params(0, quick=quick)
-    spec = next(s for s in trial_specs(params)
-                if s.trial_id == "placement/view")
-    cluster = build_placement_cluster(dict(spec.config))
+    cluster = build_placement_cluster(params, "view")
     profiler = EngineProfiler(flight_every=2048).attach_cluster(cluster)
-    drive_placement(cluster, dict(spec.config))
+    drive_placement(cluster, params)
     profiler.detach()
     print(profiler.format_report(), file=sys.stderr)
     record = profiler.report()

@@ -22,7 +22,7 @@ import random
 
 from repro.check.scenario import Scenario
 from repro.kernel.mm.memcg import KERNEL_RESERVED
-from repro.par.seeds import derive_seed
+from repro.sim.rng import derive_seed
 from repro.units import gib, mib
 
 __all__ = ["generate", "generate_cluster"]

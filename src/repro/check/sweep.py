@@ -51,12 +51,10 @@ def scenario_for(seed: int, *, cluster: bool = False) -> Scenario | dict:
     return generate_cluster(seed) if cluster else generate(seed)
 
 
-def trial(config: dict, spawn_seed: int = 0) -> dict:
+def trial(config: dict) -> dict:
     """Run one seed (``config["seed"]``) under ``config["variants"]``.
 
     ``config["cluster"]`` (default false) picks the cluster generator.
-    The spawn key is unused: the scenario is already a pure function of
-    the seed.
     """
     seed = int(config["seed"])
     variants = [Variant.from_dict(v) for v in config["variants"]]

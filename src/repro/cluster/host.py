@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.par.seeds import derive_seed
+from repro.sim.rng import derive_seed
 from repro.world import World
 
 if TYPE_CHECKING:  # pragma: no cover

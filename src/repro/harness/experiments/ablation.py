@@ -35,20 +35,22 @@ from dataclasses import dataclass
 from repro.container.spec import ContainerSpec
 from repro.core.effective_cpu import CpuViewParams
 from repro.core.effective_memory import MemViewParams
-from repro.harness.common import paper_heap_flags, scale_workload, testbed
+from repro.harness.common import (cell_specs, grid_trial, paper_heap_flags,
+                                  run_cells, run_until_finished,
+                                  scale_workload, testbed)
 from repro.harness.results import ExperimentResult, ResultTable
 from repro.jvm.flags import JvmConfig
-from repro.jvm.jvm import Jvm, JvmStats
-from repro.par import ResultCache, TrialSpec, run_trials
+from repro.jvm.jvm import Jvm
+from repro.par import ResultCache, TrialSpec
 from repro.workloads.dacapo import dacapo
 from repro.workloads.native_runner import NativeProcess
 from repro.workloads.sysbench import sysbench_mix
 
-__all__ = ["AblationParams", "run", "static_vs_dynamic_view", "trial",
-           "trial_specs"]
+__all__ = ["AblationParams", "run", "run_cell", "static_vs_dynamic_view",
+           "trial", "trial_specs"]
 
 #: Dotted path of the per-cell trial function (see repro.par).
-TRIAL_FN = "repro.harness.experiments.ablation:trial"
+TRIAL_FN = f"{__name__}:run_cell"
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,21 @@ class AblationParams:
 PARAMS = AblationParams
 
 
-def _varying_load_run(params: AblationParams, *,
-                      cpu_view: CpuViewParams | None = None,
-                      mem_view: MemViewParams | None = None,
-                      update_period: float | None = None) -> JvmStats:
+# -- the trial function ------------------------------------------------------
+
+def _trial_varying_load(params: AblationParams, *,
+                        cpu_dynamic: bool | None = None,
+                        mem_dynamic: bool | None = None,
+                        util_threshold: float | None = None,
+                        update_period: float | None = None) -> dict:
     """The Fig. 8 scenario with configurable view parameters."""
+    cpu_view = None
+    if cpu_dynamic is not None:
+        cpu_view = CpuViewParams(dynamic=cpu_dynamic)
+    elif util_threshold is not None:
+        cpu_view = CpuViewParams(util_threshold=util_threshold)
+    mem_view = (MemViewParams(dynamic=mem_dynamic)
+                if mem_dynamic is not None else None)
     wl = scale_workload(dacapo(params.benchmark), params.scale)
     cfg = JvmConfig.adaptive(**paper_heap_flags(wl))
     world = testbed(seed=params.seed, cpu_view_params=cpu_view,
@@ -80,38 +92,21 @@ def _varying_load_run(params: AblationParams, *,
         NativeProcess.in_container(c, wload).start()
     jvm = Jvm(jvm_container, wl, cfg)
     jvm.launch()
-    world.run_until(lambda: jvm.finished, timeout=50000)
-    return jvm.stats
-
-
-# -- the trial function ------------------------------------------------------
-
-def _trial_varying_load(config: dict) -> dict:
-    params = AblationParams(scale=config["scale"],
-                            benchmark=config["benchmark"],
-                            n_sysbench=config["n_sysbench"],
-                            seed=config["seed"])
-    cpu_view = None
-    if "cpu_dynamic" in config:
-        cpu_view = CpuViewParams(dynamic=config["cpu_dynamic"])
-    elif "util_threshold" in config:
-        cpu_view = CpuViewParams(util_threshold=config["util_threshold"])
-    mem_view = (MemViewParams(dynamic=config["mem_dynamic"])
-                if "mem_dynamic" in config else None)
-    stats = _varying_load_run(params, cpu_view=cpu_view, mem_view=mem_view,
-                              update_period=config.get("update_period"))
+    run_until_finished(world, [jvm], timeout=50000)
+    stats = jvm.stats
     return {"exec_s": stats.execution_time, "gc_time_s": stats.gc_time,
             "mean_gc_threads": stats.mean_gc_threads}
 
 
-def _trial_mem_increment(config: dict) -> dict:
+def _trial_mem_increment(params: AblationParams, *,
+                         increment_frac: float) -> dict:
     from repro.harness.experiments.fig12_heap_traces import Fig12Params
     from repro.units import gib
     from repro.workloads.micro import heap_micro_benchmark
-    fig_params = Fig12Params(scale=0.25 * config["scale"])
-    world = testbed(seed=config["seed"],
+    fig_params = Fig12Params(scale=0.25 * params.scale)
+    world = testbed(seed=params.seed,
                     mem_view_params=MemViewParams(
-                        increment_frac=config["increment_frac"]))
+                        increment_frac=increment_frac))
     c = world.containers.create(ContainerSpec(
         "c0", memory_limit=fig_params.hard_limit,
         memory_soft_limit=fig_params.soft_limit))
@@ -119,26 +114,26 @@ def _trial_mem_increment(config: dict) -> dict:
         total_work=fig_params.total_work * fig_params.scale)
     jvm = Jvm(c, wl, JvmConfig.adaptive(), trace_heap=True)
     jvm.launch()
-    world.run_until(lambda: jvm.finished, timeout=500000)
+    run_until_finished(world, [jvm], timeout=500000)
     stats = jvm.stats
     return {"exec_s": stats.execution_time,
             "final_committed_gb": stats.heap_trace[-1].committed / gib(1),
             "completed": stats.completed}
 
 
-def _trial_sizing(config: dict) -> dict:
+def _trial_sizing(params: AblationParams, *, strategy: str) -> dict:
     from repro.jvm.adaptive_sizing import AdaptiveSizePolicy, ThroughputSizePolicy
     from repro.units import gib, mib
     policy_cls = {"adaptive(default)": AdaptiveSizePolicy,
-                  "throughput-goal": ThroughputSizePolicy}[config["strategy"]]
-    wl = scale_workload(dacapo("lusearch"), config["scale"])
-    world = testbed(seed=config["seed"])
+                  "throughput-goal": ThroughputSizePolicy}[strategy]
+    wl = scale_workload(dacapo("lusearch"), params.scale)
+    world = testbed(seed=params.seed)
     container = world.containers.create(ContainerSpec(
         "c0", memory_limit=gib(1)))
     jvm = Jvm(container, wl, JvmConfig.adaptive(xms=mib(500)),
               sizing_policy=policy_cls(), trace_heap=True)
     jvm.launch()
-    world.run_until(lambda: jvm.finished, timeout=100000)
+    run_until_finished(world, [jvm], timeout=100000)
     stats = jvm.stats
     return {"exec_s": stats.execution_time, "gc_time_s": stats.gc_time,
             "peak_committed_mb": max(s.committed
@@ -147,27 +142,17 @@ def _trial_sizing(config: dict) -> dict:
             "completed": stats.completed}
 
 
-def trial(config: dict, spawn_seed: int) -> dict:
-    """One ablation cell; ``config["kind"]`` picks the scenario family."""
-    kind = config["kind"]
-    if kind == "varying_load":
-        return _trial_varying_load(config)
-    if kind == "mem_increment":
-        return _trial_mem_increment(config)
-    if kind == "sizing":
-        return _trial_sizing(config)
-    raise ValueError(f"unknown ablation trial kind {kind!r}")
+_TRIALS = {"varying_load": _trial_varying_load,
+           "mem_increment": _trial_mem_increment,
+           "sizing": _trial_sizing}
 
 
-def _base_config(params: AblationParams) -> dict:
-    return {"kind": "varying_load", "scale": params.scale,
-            "benchmark": params.benchmark, "n_sysbench": params.n_sysbench,
-            "seed": params.seed}
+def trial(params: AblationParams, kind: str, **cell) -> dict:
+    """One ablation cell; ``kind`` picks the scenario family."""
+    return _TRIALS[kind](params, **cell)
 
 
-def _spec(params: AblationParams, trial_id: str, config: dict) -> TrialSpec:
-    return TrialSpec(fn=TRIAL_FN, experiment="ablation", trial_id=trial_id,
-                     config=config, seed=params.seed)
+run_cell = grid_trial(AblationParams, trial)
 
 
 # -- sub-table spec builders + assemblers ------------------------------------
@@ -178,10 +163,13 @@ _MEM_FRACS = (0.02, 0.10, 0.50)
 _SIZING_STRATEGIES = ("adaptive(default)", "throughput-goal")
 
 
-def _specs_static(params: AblationParams) -> list[TrialSpec]:
-    static = dict(_base_config(params), cpu_dynamic=False, mem_dynamic=False)
-    return [_spec(params, "static/static-bounds", static),
-            _spec(params, "static/adaptive", _base_config(params))]
+_VARYING = {"kind": "varying_load"}
+
+
+def _cells_static() -> dict:
+    return {"static/static-bounds": dict(_VARYING, cpu_dynamic=False,
+                                         mem_dynamic=False),
+            "static/adaptive": _VARYING}
 
 
 def _table_static(cells: dict) -> ResultTable:
@@ -195,11 +183,9 @@ def _table_static(cells: dict) -> ResultTable:
     return table
 
 
-def _specs_util(params: AblationParams,
-                thresholds: tuple[float, ...]) -> list[TrialSpec]:
-    return [_spec(params, f"util/{t:g}",
-                  dict(_base_config(params), util_threshold=t))
-            for t in thresholds]
+def _cells_util(thresholds: tuple[float, ...]) -> dict:
+    return {f"util/{t:g}": dict(_VARYING, util_threshold=t)
+            for t in thresholds}
 
 
 def _table_util(cells: dict, thresholds: tuple[float, ...]) -> ResultTable:
@@ -211,11 +197,9 @@ def _table_util(cells: dict, thresholds: tuple[float, ...]) -> ResultTable:
     return table
 
 
-def _specs_period(params: AblationParams,
-                  periods: tuple[float, ...]) -> list[TrialSpec]:
-    return [_spec(params, f"period/{p:g}",
-                  dict(_base_config(params), update_period=p))
-            for p in periods]
+def _cells_period(periods: tuple[float, ...]) -> dict:
+    return {f"period/{p:g}": dict(_VARYING, update_period=p)
+            for p in periods}
 
 
 def _table_period(cells: dict, periods: tuple[float, ...]) -> ResultTable:
@@ -235,12 +219,9 @@ def _table_period(cells: dict, periods: tuple[float, ...]) -> ResultTable:
     return table
 
 
-def _specs_mem(params: AblationParams,
-               fracs: tuple[float, ...]) -> list[TrialSpec]:
-    return [_spec(params, f"mem/{f:g}",
-                  {"kind": "mem_increment", "increment_frac": f,
-                   "scale": params.scale, "seed": params.seed})
-            for f in fracs]
+def _cells_mem(fracs: tuple[float, ...]) -> dict:
+    return {f"mem/{f:g}": {"kind": "mem_increment", "increment_frac": f}
+            for f in fracs}
 
 
 def _table_mem(cells: dict, fracs: tuple[float, ...]) -> ResultTable:
@@ -258,11 +239,9 @@ def _table_mem(cells: dict, fracs: tuple[float, ...]) -> ResultTable:
     return table
 
 
-def _specs_sizing(params: AblationParams) -> list[TrialSpec]:
-    return [_spec(params, f"sizing/{label}",
-                  {"kind": "sizing", "strategy": label,
-                   "scale": params.scale, "seed": params.seed})
-            for label in _SIZING_STRATEGIES]
+def _cells_sizing() -> dict:
+    return {f"sizing/{label}": {"kind": "sizing", "strategy": label}
+            for label in _SIZING_STRATEGIES}
 
 
 def _table_sizing(cells: dict) -> ResultTable:
@@ -283,26 +262,20 @@ def _table_sizing(cells: dict) -> ResultTable:
     return table
 
 
-def _run_cells(specs: list[TrialSpec], *, jobs: int = 1,
-               cache: ResultCache | None = None) -> dict:
-    return {s.trial_id: r.require(s.trial_id)
-            for s, r in zip(specs, run_trials(specs, jobs=jobs, cache=cache))}
-
-
 # -- public sub-table entry point (serial, kept for direct callers) ----------
 
 def static_vs_dynamic_view(params: AblationParams) -> ResultTable:
     """Ablation 1: pin the view at the static bounds (LXCFS-style)."""
-    return _table_static(_run_cells(_specs_static(params)))
+    return _table_static(run_cells(
+        cell_specs(TRIAL_FN, "ablation", params, _cells_static())))
 
 
 def trial_specs(params: AblationParams) -> list[TrialSpec]:
     """Every cell of every sub-table, as one flat fan-out grid."""
-    return (_specs_static(params)
-            + _specs_util(params, _UTIL_THRESHOLDS)
-            + _specs_period(params, _UPDATE_PERIODS)
-            + _specs_mem(params, _MEM_FRACS)
-            + _specs_sizing(params))
+    return cell_specs(TRIAL_FN, "ablation", params, {
+        **_cells_static(), **_cells_util(_UTIL_THRESHOLDS),
+        **_cells_period(_UPDATE_PERIODS), **_cells_mem(_MEM_FRACS),
+        **_cells_sizing()})
 
 
 def run(params: AblationParams | None = None, *, jobs: int = 1,
@@ -311,7 +284,7 @@ def run(params: AblationParams | None = None, *, jobs: int = 1,
     result = ExperimentResult(
         experiment="ablation",
         description="design-choice ablations for the adaptive resource view")
-    cells = _run_cells(trial_specs(params), jobs=jobs, cache=cache)
+    cells = run_cells(trial_specs(params), jobs=jobs, cache=cache)
     result.add_table("static_vs_dynamic", _table_static(cells))
     result.add_table("util_threshold", _table_util(cells, _UTIL_THRESHOLDS))
     result.add_table("update_period", _table_period(cells, _UPDATE_PERIODS))

@@ -34,16 +34,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.harness.common import cell_specs, grid_trial, run_cells
 from repro.harness.results import ExperimentResult, ResultTable
-from repro.par import ResultCache, TrialSpec, run_trials
+from repro.par import ResultCache, TrialSpec
 from repro.sim.rng import RngFactory
 from repro.units import gib, mib
 
-__all__ = ["ClusterExpParams", "run", "trial", "trial_specs",
+__all__ = ["ClusterExpParams", "run", "run_cell", "trial", "trial_specs",
            "generate_pods"]
 
 #: Dotted path of the per-cell trial function (see repro.par).
-TRIAL_FN = "repro.harness.experiments.exp_cluster:trial"
+TRIAL_FN = f"{__name__}:run_cell"
 
 
 @dataclass(frozen=True)
@@ -85,21 +86,21 @@ PARAMS = ClusterExpParams
 # Workload generation (pure function of the seed — shared by all policies)
 # ---------------------------------------------------------------------------
 
-def generate_pods(config: dict) -> list[tuple[int, dict]]:
+def generate_pods(params: ClusterExpParams) -> list[tuple[int, dict]]:
     """The pod population as ``(arrival_epoch, PodSpec kwargs)`` rows.
 
     Returns plain dicts (not PodSpec instances) so the population is
     JSON-able and identical across worker processes.
     """
-    rng = RngFactory(config["seed"]).stream("exp_cluster.pods")
-    n = config["pods"]
-    gang_size = config["gang_size"]
-    n_gangs = int(n * config["gang_fraction"] / gang_size)
-    horizon = config["horizon"]
-    arrival_epochs = config["arrival_epochs"]
-    lo_inf, hi_inf = config["request_inflation"]
-    mean_demand = config["mean_demand"]
-    mean_memory = config["mean_memory"]
+    rng = RngFactory(params.seed).stream("exp_cluster.pods")
+    n = params.pods
+    gang_size = params.gang_size
+    n_gangs = int(n * params.gang_fraction / gang_size)
+    horizon = params.horizon
+    arrival_epochs = params.arrival_epochs
+    lo_inf, hi_inf = params.request_inflation
+    mean_demand = params.mean_demand
+    mean_memory = params.mean_memory
 
     rows: list[tuple[int, dict]] = []
     idx = 0
@@ -146,7 +147,7 @@ def generate_pods(config: dict) -> list[tuple[int, dict]]:
             "cpu_demand": demand,
             "mem_demand": mem,
         }
-        if float(rng.random()) < config["burst_fraction"]:
+        if float(rng.random()) < params.burst_fraction:
             row["burst_demand"] = min(4.0, round(
                 demand * float(rng.uniform(2.0, 4.0)), 3))
             row["burst_at"] = round(
@@ -160,7 +161,8 @@ def generate_pods(config: dict) -> list[tuple[int, dict]]:
 # Trials
 # ---------------------------------------------------------------------------
 
-def build_placement_cluster(config: dict, *, trace: bool = False):
+def build_placement_cluster(params: ClusterExpParams, policy: str, *,
+                            trace: bool = False):
     """The placement trial's cluster, before any pod is submitted.
 
     Shared with ``benchmarks/bench_cluster.py``'s profile mode, which
@@ -169,18 +171,18 @@ def build_placement_cluster(config: dict, *, trace: bool = False):
     from repro.cluster import Cluster, ClusterParams
 
     return Cluster(ClusterParams(
-        n_hosts=config["hosts"], host_ncpus=config["host_ncpus"],
-        host_memory=config["host_memory"], epoch=config["epoch"],
-        strategy=config["policy"], seed=config["seed"], trace=trace))
+        n_hosts=params.hosts, host_ncpus=params.host_ncpus,
+        host_memory=params.host_memory, epoch=params.epoch,
+        strategy=policy, seed=params.seed, trace=trace))
 
 
-def drive_placement(cluster, config: dict) -> None:
+def drive_placement(cluster, params: ClusterExpParams) -> None:
     """Run the arrival/epoch loop of a placement trial to its horizon."""
     from repro.cluster import PodSpec
 
-    population = generate_pods(config)
-    epoch = config["epoch"]
-    horizon = config["horizon"]
+    population = generate_pods(params)
+    epoch = params.epoch
+    horizon = params.horizon
     n_epochs = max(1, int(round(horizon / epoch)))
     for e in range(n_epochs):
         for arrival, kwargs in population:
@@ -189,20 +191,20 @@ def drive_placement(cluster, config: dict) -> None:
         cluster.run(until=(e + 1) * epoch)
 
 
-def _placement_trial(config: dict) -> dict:
+def _placement_trial(params: ClusterExpParams, *, policy: str) -> dict:
     from repro.check import check_cluster
 
     # Tracing on: the span-tree audit in check_cluster then validates
     # the migration-following span chains (and tracing is passive, so
     # the placement trace digest is unaffected).
-    cluster = build_placement_cluster(config, trace=True)
-    drive_placement(cluster, config)
+    cluster = build_placement_cluster(params, policy, trace=True)
+    drive_placement(cluster, params)
     summary = cluster.summary()
     summary["violations"] = check_cluster(cluster)
     return summary
 
 
-def _serve_interplay_trial(config: dict) -> dict:
+def _serve_interplay_trial(params: ClusterExpParams, *, mode: str) -> dict:
     from repro.cluster.hpa import HorizontalAutoscaler, HpaParams
     from repro.container.spec import ContainerSpec
     from repro.serve import autoscaler as vertical
@@ -213,14 +215,13 @@ def _serve_interplay_trial(config: dict) -> dict:
     from repro.serve.workload import ServiceReplica, ServiceWorkload
     from repro.world import World
 
-    mode = config["mode"]
     use_vpa = mode in ("vpa", "hpa+vpa")
     use_hpa = mode in ("hpa", "hpa+vpa")
-    cores = config["cores_per_replica"]
-    world = World(ncpus=config["serve_ncpus"], seed=config["seed"])
+    cores = params.cores_per_replica
+    world = World(ncpus=params.serve_ncpus, seed=params.seed)
     workload = ServiceWorkload(
-        name="svc", mean_demand=config["serve_mean_demand"], demand_cv=0.5,
-        workers_per_replica=config["serve_workers"], queue_capacity=400,
+        name="svc", mean_demand=params.serve_mean_demand, demand_cv=0.5,
+        workers_per_replica=params.serve_workers, queue_capacity=400,
         resident_memory=mib(128))
     recorder = LatencyRecorder()
 
@@ -233,11 +234,11 @@ def _serve_interplay_trial(config: dict) -> dict:
 
     replicas = [make_replica(i) for i in range(2)]
     balancer = Balancer(replicas)
-    slo = Slo(target=config["slo_target"], percentile=99.0, window=2.0)
-    phases = [Phase.steady(config["serve_warm"], config["serve_rate"]),
-              Phase.spike(config["serve_spike_len"], config["serve_rate"],
-                          config["serve_spike_mult"]),
-              Phase.steady(config["serve_cool"], config["serve_rate"])]
+    slo = Slo(target=params.slo_target, percentile=99.0, window=2.0)
+    phases = [Phase.steady(params.serve_warm, params.serve_rate),
+              Phase.spike(params.serve_spike_len, params.serve_rate,
+                          params.serve_spike_mult),
+              Phase.steady(params.serve_cool, params.serve_rate)]
     loadgen = LoadGenerator(world, workload, phases, balancer.dispatch)
 
     scaler = None
@@ -259,8 +260,8 @@ def _serve_interplay_trial(config: dict) -> dict:
         hpa.start()
 
     loadgen.start()
-    duration = (config["serve_warm"] + config["serve_spike_len"]
-                + config["serve_cool"])
+    duration = (params.serve_warm + params.serve_spike_len
+                + params.serve_cool)
     world.run(until=duration)
     drained = world.run_until(
         lambda: loadgen.done and balancer.outstanding == 0, timeout=300.0)
@@ -295,8 +296,8 @@ def _serve_interplay_trial(config: dict) -> dict:
         reserved_peak = cores * max((n for _, n in hist),
                                     default=hpa.replicas)
 
-    spike_start = config["serve_warm"]
-    spike_end = spike_start + config["serve_spike_len"]
+    spike_start = params.serve_warm
+    spike_end = spike_start + params.serve_spike_len
     summary = recorder.summary()
     spike = recorder.summary(spike_start, spike_end + 3.0)
     return {
@@ -316,52 +317,22 @@ def _serve_interplay_trial(config: dict) -> dict:
     }
 
 
-def trial(config: dict, spawn_seed: int) -> dict:
-    """One sweep cell; dispatches on ``config["kind"]``."""
-    if config["kind"] == "placement":
-        return _placement_trial(config)
-    return _serve_interplay_trial(config)
+def trial(params: ClusterExpParams, kind: str, **cell) -> dict:
+    """One sweep cell; dispatches on ``kind``."""
+    if kind == "placement":
+        return _placement_trial(params, **cell)
+    return _serve_interplay_trial(params, **cell)
+
+
+run_cell = grid_trial(ClusterExpParams, trial)
 
 
 def trial_specs(params: ClusterExpParams) -> list[TrialSpec]:
-    placement_base = {
-        "kind": "placement", "seed": params.seed, "hosts": params.hosts,
-        "host_ncpus": params.host_ncpus, "host_memory": params.host_memory,
-        "pods": params.pods, "gang_fraction": params.gang_fraction,
-        "gang_size": params.gang_size,
-        "burst_fraction": params.burst_fraction,
-        "mean_demand": params.mean_demand, "mean_memory": params.mean_memory,
-        "request_inflation": list(params.request_inflation),
-        "arrival_epochs": params.arrival_epochs,
-        "horizon": params.horizon, "epoch": params.epoch,
-    }
-    interplay_base = {
-        "kind": "interplay", "seed": params.seed,
-        "serve_ncpus": params.serve_ncpus, "serve_rate": params.serve_rate,
-        "serve_spike_mult": params.serve_spike_mult,
-        "serve_warm": params.serve_warm,
-        "serve_spike_len": params.serve_spike_len,
-        "serve_cool": params.serve_cool,
-        "serve_mean_demand": params.serve_mean_demand,
-        "serve_workers": params.serve_workers,
-        "cores_per_replica": params.cores_per_replica,
-        "slo_target": params.slo_target,
-    }
-    specs = [
-        TrialSpec(fn=TRIAL_FN, experiment="exp_cluster",
-                  trial_id=f"placement/{policy}",
-                  config={**placement_base, "policy": policy},
-                  seed=params.seed)
-        for policy in params.policies
-    ]
-    specs.extend(
-        TrialSpec(fn=TRIAL_FN, experiment="exp_cluster",
-                  trial_id=f"interplay/{mode}",
-                  config={**interplay_base, "mode": mode},
-                  seed=params.seed)
-        for mode in params.interplay_modes
-    )
-    return specs
+    cells = {f"placement/{policy}": {"kind": "placement", "policy": policy}
+             for policy in params.policies}
+    cells.update({f"interplay/{mode}": {"kind": "interplay", "mode": mode}
+                  for mode in params.interplay_modes})
+    return cell_specs(TRIAL_FN, "exp_cluster", params, cells)
 
 
 def run(params: ClusterExpParams | None = None, *, jobs: int = 1,
@@ -371,9 +342,7 @@ def run(params: ClusterExpParams | None = None, *, jobs: int = 1,
         experiment="exp_cluster",
         description="adaptive-view cluster placement vs static requests, "
                     "plus HPA/VPA autoscaler interplay")
-    specs = trial_specs(params)
-    cells = {s.trial_id: r.require(s.trial_id)
-             for s, r in zip(specs, run_trials(specs, jobs=jobs, cache=cache))}
+    cells = run_cells(trial_specs(params), jobs=jobs, cache=cache)
 
     ptab = result.add_table("placement", ResultTable(
         f"Placement of {params.pods} pods on {params.hosts} hosts "

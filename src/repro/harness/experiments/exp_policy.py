@@ -31,14 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.harness.common import cell_specs, grid_trial, run_cells
 from repro.harness.results import ExperimentResult, ResultTable
-from repro.par import ResultCache, TrialSpec, run_trials
+from repro.par import ResultCache, TrialSpec
 from repro.units import gib, mib
 
-__all__ = ["PolicyParams", "run", "trial", "trial_specs"]
+__all__ = ["PolicyParams", "run", "run_cell", "trial", "trial_specs"]
 
 #: Dotted path of the per-cell trial function (see repro.par).
-TRIAL_FN = "repro.harness.experiments.exp_policy:trial"
+TRIAL_FN = f"{__name__}:run_cell"
 
 #: Work for "run forever" spinner threads; far beyond any horizon.
 _FOREVER = 1e9
@@ -72,31 +73,32 @@ PARAMS = PolicyParams
 
 
 # ---------------------------------------------------------------------------
-# Workload (pure function of the config — identical across bundles)
+# Workload (pure function of the params — identical across bundles)
 # ---------------------------------------------------------------------------
 
-def _build_world(config: dict, sched: str, reclaim: str):
+def _build_world(params: PolicyParams, sched: str, reclaim: str):
     from repro.container.spec import ContainerSpec
     from repro.world import World
 
-    world = World(ncpus=config["ncpus"], memory=config["memory"],
-                  seed=config["seed"], sched_policy=sched,
+    world = World(ncpus=params.ncpus, memory=params.memory,
+                  seed=params.seed, sched_policy=sched,
                   reclaim_policy=reclaim)
-    for i in range(config["spinners"]):
+    for i in range(params.spinners):
         c = world.containers.create(ContainerSpec(
-            f"spin{i}", cpus=config["spinner_quota"]))
-        for j in range(config["spinner_workers"]):
+            f"spin{i}", cpus=params.spinner_quota))
+        for j in range(params.spinner_workers):
             c.spawn_thread(f"w{j}").assign_work(_FOREVER)
-    for i in range(config["hogs"]):
+    for i in range(params.hogs):
         world.containers.create(ContainerSpec(
             f"hog{i}",
-            memory_limit=config["hog_limit"],
-            memory_soft_limit=config["hog_soft_limit"],
+            memory_limit=params.hog_limit,
+            memory_soft_limit=params.hog_soft_limit,
             memory_intent=_INTENT_CYCLE[i % len(_INTENT_CYCLE)]))
     return world
 
 
-def _drive(world, config: dict, *, swaps: dict[int, str] | None = None):
+def _drive(world, params: PolicyParams, *,
+           swaps: dict[int, str] | None = None):
     """Run the epoch loop; return ``(ooms, victims, handoffs)``.
 
     ``swaps`` maps epoch index -> bundle name; at the start of that
@@ -110,25 +112,25 @@ def _drive(world, config: dict, *, swaps: dict[int, str] | None = None):
     ooms = 0
     victims: list[str] = []
     handoffs: list[dict] = []
-    for e in range(config["epochs"]):
+    for e in range(params.epochs):
         if swaps and e in swaps:
             sched, reclaim = resolve_bundle(swaps[e])
             handoff = world.swap_policy(sched_policy=sched,
                                         reclaim_policy=reclaim)
             handoff["bundle"] = swaps[e]
             handoffs.append(handoff)
-        for i in range(config["hogs"]):
+        for i in range(params.hogs):
             name = f"hog{i}"
             if name not in world.containers.containers:
                 continue
             c = world.containers.get(name)
             try:
-                world.mm.charge(c.cgroup, config["hog_step"])
+                world.mm.charge(c.cgroup, params.hog_step)
             except OutOfMemoryError:
                 ooms += 1
                 victims.append(name)
                 world.containers.destroy(c)
-        world.run(until=(e + 1) * config["epoch"])
+        world.run(until=(e + 1) * params.epoch)
     return ooms, victims, handoffs
 
 
@@ -158,81 +160,66 @@ def _metrics(world, ooms: int, victims: list[str]) -> dict:
 # Trials
 # ---------------------------------------------------------------------------
 
-def _bundle_trial(config: dict) -> dict:
+def _bundle_trial(params: PolicyParams, *, bundle: str) -> dict:
     from repro.policy import resolve_bundle
 
-    sched, reclaim = resolve_bundle(config["bundle"])
-    world = _build_world(config, sched, reclaim)
-    ooms, victims, _ = _drive(world, config)
+    sched, reclaim = resolve_bundle(bundle)
+    world = _build_world(params, sched, reclaim)
+    ooms, victims, _ = _drive(world, params)
     out = _metrics(world, ooms, victims)
-    out["bundle"] = config["bundle"]
+    out["bundle"] = bundle
     out["sched_policy"] = sched
     out["reclaim_policy"] = reclaim
     return out
 
 
-def _swap_epochs(config: dict) -> dict[int, str]:
+def _swap_epochs(params: PolicyParams) -> dict[int, str]:
     """Evenly spaced swap instants for legs 1..n of the itinerary."""
-    path = config["swap_path"]
+    path = params.swap_path
     legs = len(path)
-    epochs = config["epochs"]
+    epochs = params.epochs
     return {max(1, (i * epochs) // legs): path[i] for i in range(1, legs)}
 
 
-def _hotswap_trial(config: dict) -> dict:
-    start = config["swap_path"][0]
+def _hotswap_trial(params: PolicyParams) -> dict:
+    start = params.swap_path[0]
     from repro.policy import resolve_bundle
 
     sched0, reclaim0 = resolve_bundle(start)
-    world = _build_world(config, sched0, reclaim0)
-    swaps = _swap_epochs(config)
-    ooms, victims, handoffs = _drive(world, config, swaps=swaps)
+    world = _build_world(params, sched0, reclaim0)
+    swaps = _swap_epochs(params)
+    ooms, victims, handoffs = _drive(world, params, swaps=swaps)
     out = _metrics(world, ooms, victims)
-    out["path"] = list(config["swap_path"])
+    out["path"] = list(params.swap_path)
     out["swaps"] = [{"t": h["t"], "bundle": h["bundle"]} for h in handoffs]
 
     # Control: swapping default for default at the same instants must be
     # invisible — the final snapshot equals a run that never swapped.
-    plain = _build_world(config, "default", "default")
-    _drive(plain, config)
-    selfswap = _build_world(config, "default", "default")
-    _drive(selfswap, config,
+    plain = _build_world(params, "default", "default")
+    _drive(plain, params)
+    selfswap = _build_world(params, "default", "default")
+    _drive(selfswap, params,
            swaps={e: "default" for e in swaps})
     out["self_swap_identical"] = (plain.invariant_snapshot()
                                   == selfswap.invariant_snapshot())
     return out
 
 
-def trial(config: dict, spawn_seed: int) -> dict:
-    """One sweep cell; dispatches on ``config["kind"]``."""
-    if config["kind"] == "bundle":
-        return _bundle_trial(config)
-    return _hotswap_trial(config)
+def trial(params: PolicyParams, kind: str, **cell) -> dict:
+    """One sweep cell; dispatches on ``kind``."""
+    if kind == "bundle":
+        return _bundle_trial(params, **cell)
+    return _hotswap_trial(params)
+
+
+run_cell = grid_trial(PolicyParams, trial)
 
 
 def trial_specs(params: PolicyParams) -> list[TrialSpec]:
-    base = {
-        "seed": params.seed, "ncpus": params.ncpus, "memory": params.memory,
-        "spinners": params.spinners, "spinner_quota": params.spinner_quota,
-        "spinner_workers": params.spinner_workers, "hogs": params.hogs,
-        "hog_step": params.hog_step, "hog_limit": params.hog_limit,
-        "hog_soft_limit": params.hog_soft_limit, "epochs": params.epochs,
-        "epoch": params.epoch,
-    }
-    specs = [
-        TrialSpec(fn=TRIAL_FN, experiment="exp_policy",
-                  trial_id=f"bundle/{bundle}",
-                  config={**base, "kind": "bundle", "bundle": bundle},
-                  seed=params.seed)
-        for bundle in params.bundles
-    ]
-    specs.append(TrialSpec(
-        fn=TRIAL_FN, experiment="exp_policy",
-        trial_id="hotswap/" + "-".join(params.swap_path),
-        config={**base, "kind": "hotswap",
-                "swap_path": list(params.swap_path)},
-        seed=params.seed))
-    return specs
+    cells = {f"bundle/{bundle}": {"kind": "bundle", "bundle": bundle}
+             for bundle in params.bundles}
+    cells["hotswap/" + "-".join(params.swap_path)] = {"kind": "hotswap"}
+    return cell_specs(TRIAL_FN, "exp_policy", params, cells)
 
 
 def run(params: PolicyParams | None = None, *, jobs: int = 1,
@@ -242,9 +229,7 @@ def run(params: PolicyParams | None = None, *, jobs: int = 1,
         experiment="exp_policy",
         description="kernel policy bundles under a contended mixed "
                     "workload, plus mid-run hot-swap conservation")
-    specs = trial_specs(params)
-    cells = {s.trial_id: r.require(s.trial_id)
-             for s, r in zip(specs, run_trials(specs, jobs=jobs, cache=cache))}
+    cells = run_cells(trial_specs(params), jobs=jobs, cache=cache)
 
     btab = result.add_table("bundles", ResultTable(
         f"One workload ({params.spinners} quota'd spinners + "

@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.container.spec import ContainerSpec
-from repro.harness.common import paper_heap_flags, scale_workload, testbed
+from repro.harness.common import (paper_heap_flags, run_until_finished,
+                                  scale_workload, testbed)
 from repro.harness.results import ExperimentResult, ResultTable
 from repro.jvm.flags import JvmConfig
+from repro.jvm.jvm import Jvm
 from repro.workloads.base import JavaWorkload
 from repro.workloads.dacapo import PAPER_DACAPO, dacapo
 from repro.workloads.specjvm import PAPER_SPECJVM, specjvm
@@ -35,12 +37,6 @@ class Fig06Params:
     dacapo_benchmarks: tuple[str, ...] = PAPER_DACAPO
     specjvm_benchmarks: tuple[str, ...] = PAPER_SPECJVM
     n_containers: int = 5
-    #: §5.1: "Each result was the average of 10 runs."  With the default
-    #: jitter of 0 the simulator is deterministic and one run suffices;
-    #: set repetitions>1 together with work_jitter>0 for a sensitivity
-    #: study of the averaging methodology.
-    repetitions: int = 1
-    work_jitter: float = 0.0
     seed: int = 0
 
 
@@ -59,31 +55,23 @@ def jvm_variants(heap: dict[str, int]) -> dict[str, JvmConfig]:
 def _measure(workload: JavaWorkload, params: Fig06Params
              ) -> dict[str, tuple[float, float, float]]:
     """(execution_time, gc_time, p95_pause) per JVM variant, averaged
-    over containers and repetitions (the paper's 10-run averaging)."""
-    from repro.errors import ReproError
-    from repro.jvm.jvm import Jvm
+    over the containers.  §5.1 averages 10 runs; the simulator is
+    deterministic, so one run stands for all ten."""
     out: dict[str, tuple[float, float, float]] = {}
     for label, cfg in jvm_variants(paper_heap_flags(workload)).items():
-        execs: list[float] = []
-        gcs: list[float] = []
-        p95s: list[float] = []
-        for rep in range(max(1, params.repetitions)):
-            world = testbed(seed=params.seed + rep)
-            jvms = []
-            for i in range(params.n_containers):
-                c = world.containers.create(ContainerSpec(f"c{i}"))
-                jvm = Jvm(c, workload, cfg, work_jitter=params.work_jitter,
-                          name=f"{c.name}.r{rep}")
-                jvm.launch()
-                jvms.append(jvm)
-            if not world.run_until(lambda: all(j.finished for j in jvms),
-                                   timeout=20000):
-                raise ReproError(f"fig06 {label} rep {rep} timed out")
-            execs.extend(j.stats.execution_time for j in jvms)
-            gcs.extend(j.stats.gc_time for j in jvms)
-            p95s.extend(j.stats.gc_pause_percentile(95) for j in jvms)
-        out[label] = (sum(execs) / len(execs), sum(gcs) / len(gcs),
-                      sum(p95s) / len(p95s))
+        world = testbed(seed=params.seed)
+        jvms = []
+        for i in range(params.n_containers):
+            # Each JVM launches before the next container exists.
+            c = world.containers.create(ContainerSpec(f"c{i}"))
+            jvm = Jvm(c, workload, cfg)
+            jvm.launch()
+            jvms.append(jvm)
+        run_until_finished(world, jvms, timeout=20000)
+        n = len(jvms)
+        out[label] = (sum(j.stats.execution_time for j in jvms) / n,
+                      sum(j.stats.gc_time for j in jvms) / n,
+                      sum(j.stats.gc_pause_percentile(95) for j in jvms) / n)
     return out
 
 

@@ -20,16 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.container.spec import ContainerSpec
-from repro.harness.common import paper_heap_flags, run_jvms, scale_workload, testbed
+from repro.harness.common import (cell_specs, grid_trial, paper_heap_flags,
+                                  run_cells, run_jvms, scale_workload, testbed)
 from repro.harness.results import ExperimentResult, ResultTable
 from repro.jvm.flags import JvmConfig
-from repro.par import ResultCache, TrialSpec, run_trials
+from repro.par import ResultCache, TrialSpec
 from repro.workloads.dacapo import PAPER_DACAPO, dacapo
 
-__all__ = ["Fig07Params", "run", "trial", "trial_specs"]
+__all__ = ["Fig07Params", "run", "run_cell", "trial", "trial_specs"]
 
 #: Dotted path of the per-cell trial function (see repro.par).
-TRIAL_FN = "repro.harness.experiments.fig07_scaling:trial"
+TRIAL_FN = f"{__name__}:run_cell"
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class Fig07Params:
 PARAMS = Fig07Params
 
 
-def _run_config(bench: str, n: int, mode: str, params: Fig07Params
-                ) -> tuple[float, float]:
+def trial(params: Fig07Params, bench: str, n: int, mode: str) -> dict:
+    """One (benchmark, container count, mode) cell."""
     wl = scale_workload(dacapo(bench), params.scale)
     heap = paper_heap_flags(wl)
     world = testbed(seed=params.seed)
@@ -59,34 +60,20 @@ def _run_config(bench: str, n: int, mode: str, params: Fig07Params
            else JvmConfig.adaptive(**heap))
     jvms = run_jvms(world, [(c, wl, cfg) for c in containers])
     k = len(jvms)
-    return (sum(j.stats.execution_time for j in jvms) / k,
-            sum(j.stats.gc_time for j in jvms) / k)
+    return {"exec_s": sum(j.stats.execution_time for j in jvms) / k,
+            "gc_s": sum(j.stats.gc_time for j in jvms) / k}
 
 
-def trial(config: dict, spawn_seed: int) -> dict:
-    """One (benchmark, container count, mode) cell, as a pool trial.
-
-    The world seed comes from the experiment params (part of the cache
-    key), not the spawn key, so results match the historical serial run.
-    """
-    params = Fig07Params(scale=config["scale"], seed=config["seed"])
-    exec_s, gc_s = _run_config(config["bench"], config["n"], config["mode"],
-                               params)
-    return {"exec_s": exec_s, "gc_s": gc_s}
+run_cell = grid_trial(Fig07Params, trial)
 
 
 def trial_specs(params: Fig07Params) -> list[TrialSpec]:
     """The full (benchmark x count x mode) grid as independent trials."""
-    return [
-        TrialSpec(fn=TRIAL_FN, experiment="fig07",
-                  trial_id=f"{bench}/n{n}/{mode}",
-                  config={"bench": bench, "n": n, "mode": mode,
-                          "scale": params.scale, "seed": params.seed},
-                  seed=params.seed)
+    return cell_specs(TRIAL_FN, "fig07", params, {
+        f"{bench}/n{n}/{mode}": {"bench": bench, "n": n, "mode": mode}
         for bench in params.benchmarks
         for n in params.container_counts
-        for mode in ("jvm9", "adaptive")
-    ]
+        for mode in ("jvm9", "adaptive")})
 
 
 def run(params: Fig07Params | None = None, *, jobs: int = 1,
@@ -101,9 +88,7 @@ def run(params: Fig07Params | None = None, *, jobs: int = 1,
     gc_table = result.add_table("gc_time", ResultTable(
         "Figure 7(f-j): GC time (s)",
         ["benchmark", "containers", "jvm9", "adaptive"]))
-    specs = trial_specs(params)
-    cells = {s.trial_id: r.require(s.trial_id)
-             for s, r in zip(specs, run_trials(specs, jobs=jobs, cache=cache))}
+    cells = run_cells(trial_specs(params), jobs=jobs, cache=cache)
     for bench in params.benchmarks:
         for n in params.container_counts:
             t9, g9 = (cells[f"{bench}/n{n}/jvm9"][k]

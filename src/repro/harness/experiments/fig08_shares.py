@@ -19,19 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.container.spec import ContainerSpec
-from repro.harness.common import paper_heap_flags, scale_workload, testbed
+from repro.harness.common import (cell_specs, grid_trial, paper_heap_flags,
+                                  run_cells, run_until_finished,
+                                  scale_workload, testbed)
 from repro.harness.results import ExperimentResult, ResultTable
 from repro.jvm.flags import JvmConfig
 from repro.jvm.jvm import Jvm, JvmStats
-from repro.par import ResultCache, TrialSpec, run_trials
+from repro.par import ResultCache, TrialSpec
 from repro.workloads.dacapo import PAPER_DACAPO, dacapo
 from repro.workloads.native_runner import NativeProcess
 from repro.workloads.sysbench import sysbench_mix
 
-__all__ = ["Fig08Params", "run", "run_one", "trial", "trial_specs"]
+__all__ = ["Fig08Params", "run", "run_cell", "run_one", "trial",
+           "trial_specs"]
 
 #: Dotted path of the per-cell trial function (see repro.par).
-TRIAL_FN = "repro.harness.experiments.fig08_shares:trial"
+TRIAL_FN = f"{__name__}:run_cell"
 
 
 @dataclass(frozen=True)
@@ -73,22 +76,13 @@ def run_one(bench: str, label: str, params: Fig08Params) -> JvmStats:
         NativeProcess.in_container(c, wload).start()
     jvm = Jvm(jvm_container, wl, cfg)
     jvm.launch()
-    world.run_until(lambda: jvm.finished, timeout=50000)
+    run_until_finished(world, [jvm], timeout=50000)
     return jvm.stats
 
 
-def trial(config: dict, spawn_seed: int) -> dict:
-    """One (benchmark, JVM variant) cell as a JSON-serializable trial.
-
-    The world seed comes from the experiment params (part of the cache
-    key), not the spawn key, so results match the historical serial run.
-    """
-    params = Fig08Params(scale=config["scale"], seed=config["seed"],
-                         n_sysbench=config["n_sysbench"],
-                         sysbench_threads=config["sysbench_threads"],
-                         sysbench_base_work=config["sysbench_base_work"],
-                         sysbench_step_work=config["sysbench_step_work"])
-    stats = run_one(config["bench"], config["label"], params)
+def trial(params: Fig08Params, bench: str, label: str) -> dict:
+    """One (benchmark, JVM variant) cell as a JSON-serializable trial."""
+    stats = run_one(bench, label, params)
     return {"gc_time": stats.gc_time,
             "gc_threads_created": stats.gc_threads_created,
             "mean_gc_threads": stats.mean_gc_threads,
@@ -96,24 +90,18 @@ def trial(config: dict, spawn_seed: int) -> dict:
                                   for pair in stats.gc_thread_history]}
 
 
+run_cell = grid_trial(Fig08Params, trial)
+
+
 def trial_specs(params: Fig08Params) -> list[TrialSpec]:
     """(benchmark x variant) grid; the trace benchmark rides along."""
     benches = list(params.benchmarks)
     if params.trace_benchmark not in benches:
         benches.append(params.trace_benchmark)
-    return [
-        TrialSpec(fn=TRIAL_FN, experiment="fig08",
-                  trial_id=f"{bench}/{label}",
-                  config={"bench": bench, "label": label,
-                          "scale": params.scale, "seed": params.seed,
-                          "n_sysbench": params.n_sysbench,
-                          "sysbench_threads": params.sysbench_threads,
-                          "sysbench_base_work": params.sysbench_base_work,
-                          "sysbench_step_work": params.sysbench_step_work},
-                  seed=params.seed)
+    return cell_specs(TRIAL_FN, "fig08", params, {
+        f"{bench}/{label}": {"bench": bench, "label": label}
         for bench in benches
-        for label in ("vanilla", "jvm10", "adaptive")
-    ]
+        for label in ("vanilla", "jvm10", "adaptive")})
 
 
 def run(params: Fig08Params | None = None, *, jobs: int = 1,
@@ -122,9 +110,7 @@ def run(params: Fig08Params | None = None, *, jobs: int = 1,
     result = ExperimentResult(
         experiment="fig08",
         description="static shares (JVM10) vs effective CPU under varying load")
-    specs = trial_specs(params)
-    cells = {s.trial_id: r.require(s.trial_id)
-             for s, r in zip(specs, run_trials(specs, jobs=jobs, cache=cache))}
+    cells = run_cells(trial_specs(params), jobs=jobs, cache=cache)
     gc_table = result.add_table("gc_time", ResultTable(
         "Figure 8(a): GC time normalized to vanilla (lower=better)",
         ["benchmark", "vanilla", "jvm10", "adaptive",

@@ -24,19 +24,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.container.spec import ContainerSpec
-from repro.harness.common import testbed
+from repro.harness.common import (cell_specs, grid_trial, run_cells,
+                                  run_until_finished, testbed)
 from repro.harness.results import ExperimentResult, ResultTable
 from repro.kernel.loadavg import LoadAvgParams
 from repro.openmp.policy import OmpPolicy
 from repro.openmp.runtime import OpenMpRuntime
-from repro.par import ResultCache, TrialSpec, run_trials
+from repro.par import ResultCache, TrialSpec
 from repro.workloads.npb import NPB_NAMES, npb
 
-__all__ = ["Fig10Params", "run", "run_five_containers", "run_one_container",
-           "trial", "trial_specs"]
+__all__ = ["Fig10Params", "run", "run_cell", "run_five_containers",
+           "run_one_container", "trial", "trial_specs"]
 
 #: Dotted path of the per-cell trial function (see repro.par).
-TRIAL_FN = "repro.harness.experiments.fig10_npb:trial"
+TRIAL_FN = f"{__name__}:run_cell"
 
 #: Slow load-average windows: the 15-minute window dwarfs a benchmark run.
 LOAD_PARAMS = LoadAvgParams(tau_1=60.0, tau_5=300.0, tau_15=900.0)
@@ -75,7 +76,7 @@ def run_five_containers(bench: str, policy: OmpPolicy,
         rt = OpenMpRuntime(c, wl, policy, name=f"{bench}{i}")
         rt.start()
         runtimes.append(rt)
-    world.run_until(lambda: all(r.finished for r in runtimes), timeout=100000)
+    run_until_finished(world, runtimes, timeout=100000)
     return sum(r.stats.execution_time for r in runtimes) / len(runtimes)
 
 
@@ -88,40 +89,28 @@ def run_one_container(bench: str, policy: OmpPolicy,
     c = world.containers.create(ContainerSpec("c0", cpus=params.quota_cores))
     rt = OpenMpRuntime(c, wl, policy, name=bench)
     rt.start()
-    world.run_until(lambda: rt.finished, timeout=100000)
+    run_until_finished(world, [rt], timeout=100000)
     return rt.stats.execution_time
 
 
-def trial(config: dict, spawn_seed: int) -> dict:
-    """One (benchmark, policy, scenario) cell as a pool trial.
+def trial(params: Fig10Params, bench: str, policy: str,
+          scenario: str) -> dict:
+    """One (benchmark, policy, scenario) cell as a pool trial."""
+    runner = run_five_containers if scenario == "five" else run_one_container
+    return {"exec_s": runner(bench, OmpPolicy[policy], params)}
 
-    The world seed comes from the experiment params (part of the cache
-    key), not the spawn key, so results match the historical serial run.
-    """
-    params = Fig10Params(scale=config["scale"], seed=config["seed"],
-                         n_containers=config["n_containers"],
-                         quota_cores=config["quota_cores"])
-    policy = OmpPolicy[config["policy"]]
-    runner = (run_five_containers if config["scenario"] == "five"
-              else run_one_container)
-    return {"exec_s": runner(config["bench"], policy, params)}
+
+run_cell = grid_trial(Fig10Params, trial)
 
 
 def trial_specs(params: Fig10Params) -> list[TrialSpec]:
     """The (benchmark x policy x scenario) grid as independent trials."""
-    return [
-        TrialSpec(fn=TRIAL_FN, experiment="fig10",
-                  trial_id=f"{bench}/{scenario}/{policy.name}",
-                  config={"bench": bench, "policy": policy.name,
-                          "scenario": scenario, "scale": params.scale,
-                          "seed": params.seed,
-                          "n_containers": params.n_containers,
-                          "quota_cores": params.quota_cores},
-                  seed=params.seed)
+    return cell_specs(TRIAL_FN, "fig10", params, {
+        f"{bench}/{scenario}/{policy.name}":
+            {"bench": bench, "policy": policy.name, "scenario": scenario}
         for bench in params.benchmarks
         for scenario in ("five", "one")
-        for policy in OmpPolicy
-    ]
+        for policy in OmpPolicy})
 
 
 def run(params: Fig10Params | None = None, *, jobs: int = 1,
@@ -136,12 +125,10 @@ def run(params: Fig10Params | None = None, *, jobs: int = 1,
     b = result.add_table("one_container", ResultTable(
         "Figure 10(b): 1 container with 4-core quota, time relative to adaptive",
         ["benchmark", "static", "dynamic", "adaptive"]))
-    specs = trial_specs(params)
-    cells = {s.trial_id: r.require(s.trial_id)["exec_s"]
-             for s, r in zip(specs, run_trials(specs, jobs=jobs, cache=cache))}
+    cells = run_cells(trial_specs(params), jobs=jobs, cache=cache)
     for bench in params.benchmarks:
         for scenario, table in (("five", a), ("one", b)):
-            times = {p: cells[f"{bench}/{scenario}/{p.name}"]
+            times = {p: cells[f"{bench}/{scenario}/{p.name}"]["exec_s"]
                      for p in OmpPolicy}
             basis = times[OmpPolicy.ADAPTIVE]
             table.add(benchmark=bench,

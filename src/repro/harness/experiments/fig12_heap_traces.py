@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.container.spec import ContainerSpec
-from repro.harness.common import testbed
+from repro.harness.common import run_until_finished, testbed
 from repro.harness.results import ExperimentResult, ResultTable
 from repro.jvm.flags import JvmConfig
 from repro.jvm.jvm import Jvm, JvmStats
@@ -72,7 +72,7 @@ def run_single(params: Fig12Params, *, elastic: bool) -> JvmStats:
     cfg = _elastic_cfg() if elastic else _vanilla_cfg(params)
     jvm = Jvm(c, _workload(params), cfg, trace_heap=True)
     jvm.launch()
-    world.run_until(lambda: jvm.finished, timeout=500000)
+    run_until_finished(world, [jvm], timeout=500000)
     return jvm.stats
 
 
@@ -88,7 +88,7 @@ def run_five(params: Fig12Params, *, elastic: bool) -> list[JvmStats]:
         jvm = Jvm(c, _workload(params), cfg, trace_heap=True)
         jvm.launch()
         jvms.append(jvm)
-    world.run_until(lambda: all(j.finished for j in jvms), timeout=2000000)
+    run_until_finished(world, jvms, timeout=2000000)
     return [j.stats for j in jvms]
 
 

@@ -320,6 +320,13 @@ class Cgroup:
     def quota_cores(self) -> float:
         return self.cpu.quota_cores
 
+    @property
+    def nr_throttled(self) -> int:
+        """``cpu.stat``'s ``nr_throttled``: the CFS periods inside the
+        throttled wall time (every period of a throttled stretch
+        counts).  Lifting the quota stops it growing but keeps it."""
+        return int(self.throttled_wall / (self.cpu.cfs_period_us / 1e6))
+
     # -- thread membership ----------------------------------------------------
 
     def attach_thread(self, thread: "SimThread") -> None:

@@ -141,21 +141,20 @@ def _read_cpu_stat(cg: Cgroup) -> str:
     """``cpu.stat``: usage and throttling counters.
 
     The fluid scheduler has no discrete periods, so ``nr_periods`` is
-    derived from elapsed usage at the configured ``cfs_period_us``;
-    ``nr_throttled`` counts the periods inside throttled wall time
-    (every period of a throttled stretch is a throttled period), and
-    ``throttled_time`` is the integral of demand the quota clipped
-    (reported in nanoseconds like the kernel).  Throttled periods are
-    elapsed periods, so ``nr_throttled`` never exceeds ``nr_periods``
-    — the kernel's invariant.
+    derived from elapsed usage at the configured ``cfs_period_us``
+    (none accrue without a quota); ``nr_throttled`` is
+    :attr:`Cgroup.nr_throttled`, and ``throttled_time`` is the integral
+    of demand the quota clipped (reported in nanoseconds like the
+    kernel).  Throttled periods are elapsed periods, so
+    ``nr_throttled`` never exceeds ``nr_periods`` — the kernel's
+    invariant — and lifting the quota keeps both counts.
     """
     period_s = cg.cpu.cfs_period_us / 1e6
-    quota = cg.cpu.cfs_quota_us
     usage_s = cg.total_cpu_time
-    nr_throttled = int(cg.throttled_wall / period_s) if quota is not None else 0
+    nr_throttled = cg.nr_throttled
     nr_periods = max(
         int(usage_s / max(period_s * max(1.0, cg.cpu.quota_cores), 1e-9)),
-        nr_throttled) if quota is not None else 0
+        nr_throttled)
     return (f"nr_periods {nr_periods}\n"
             f"nr_throttled {nr_throttled}\n"
             f"throttled_time {int(cg.throttled_time * 1e9)}\n"

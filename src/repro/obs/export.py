@@ -134,9 +134,7 @@ def prometheus_text(recorder: MetricsRecorder | None = None, *,
             if cg.throttled_wall > 0.0:
                 lines.append(f'{throttled}{{cgroup="{cg.path}"}} '
                              f"{_fmt(cg.throttled_time)}")
-                period_s = cg.cpu.cfs_period_us / 1e6
-                lines.append(f'{nr}{{cgroup="{cg.path}"}} '
-                             f"{int(cg.throttled_wall / period_s)}")
+                lines.append(f'{nr}{{cgroup="{cg.path}"}} {cg.nr_throttled}')
     return "\n".join(lines) + "\n"
 
 

@@ -153,9 +153,7 @@ class HostCollector:
             e_cpu_vals.append(float(ns.e_cpu))
             e_mem_vals.append(float(ns.e_mem) / mem_capacity)
             throttled_time += cg.throttled_time
-            if cg.throttled_wall > 0.0:
-                nr_throttled += int(cg.throttled_wall
-                                    / (cg.cpu.cfs_period_us / 1e6))
+            nr_throttled += cg.nr_throttled
             rates = attained.get(name)
             if rates is not None:
                 got, want = rates

@@ -7,9 +7,9 @@ of a JSON-serializable config, producing a JSON-serializable value.
 :mod:`repro.par` executes such a list across ``N`` worker processes
 with three guarantees:
 
-* **Determinism** — every trial receives a *spawn key* derived from
-  ``(experiment, trial_id, seed)`` (:func:`derive_seed`), never from
-  worker identity or completion order, so ``jobs=8`` produces results
+* **Determinism** — a trial is called as ``fn(config)`` and nothing
+  else: any seed it uses is in its config, never derived from worker
+  identity or completion order, so ``jobs=8`` produces results
   byte-identical to ``jobs=1``.
 * **Caching** — results are content-addressed by a digest of the trial
   spec plus a hash of the ``repro`` package source
@@ -24,7 +24,6 @@ with three guarantees:
 from repro.par.cache import ResultCache, default_cache_dir, source_hash
 from repro.par.runner import (ParallelRunner, TrialResult, TrialSpec,
                               result_digest, run_trials, warm_pool)
-from repro.par.seeds import derive_seed
 
 __all__ = [
     "ParallelRunner",
@@ -32,7 +31,6 @@ __all__ = [
     "TrialResult",
     "TrialSpec",
     "default_cache_dir",
-    "derive_seed",
     "result_digest",
     "run_trials",
     "source_hash",

@@ -2,7 +2,7 @@
 
 A trial's cache key digests everything its result can depend on: the
 trial function's dotted path, the experiment name, the trial id, the
-root seed, the canonical JSON of its config, and a hash of the
+canonical JSON of its config (which holds any seed), and a hash of the
 ``repro`` package *source* (every ``.py`` file under ``src/repro``).
 Editing any simulator source invalidates the whole cache; editing
 docs, tests or benchmarks invalidates nothing, so ``repro run --all``
@@ -64,7 +64,7 @@ class ResultCache:
         material = json.dumps(
             {"schema": CACHE_SCHEMA, "source": self.package_hash,
              "fn": spec_dict["fn"], "experiment": spec_dict["experiment"],
-             "trial_id": spec_dict["trial_id"], "seed": spec_dict["seed"],
+             "trial_id": spec_dict["trial_id"],
              "config": spec_dict["config"]},
             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(material.encode()).hexdigest()

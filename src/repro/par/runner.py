@@ -5,8 +5,7 @@ returns one :class:`TrialResult` per spec, **in spec order**, no matter
 how execution interleaved.  Trial functions are referenced by dotted
 path (``"package.module:callable"``) so specs stay picklable and a
 worker process can resolve them after a fresh import; they are called
-as ``fn(config, spawn_seed)`` and must return a JSON-serializable
-value.
+as ``fn(config)`` and must return a JSON-serializable value.
 
 Failure semantics: a trial that raises inside the worker is caught
 there and returned as a failure row.  A worker that dies outright
@@ -22,7 +21,6 @@ from __future__ import annotations
 import atexit
 import importlib
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -30,7 +28,6 @@ from hashlib import sha256
 
 from repro.errors import ReproError
 from repro.par.cache import ResultCache
-from repro.par.seeds import derive_seed
 
 __all__ = ["ParallelRunner", "TrialResult", "TrialSpec", "result_digest",
            "run_trials", "warm_pool"]
@@ -42,21 +39,16 @@ class TrialSpec:
 
     #: Dotted path ``"module:callable"`` of the trial function.
     fn: str
-    #: Sweep name; part of the spawn key and the cache key.
+    #: Sweep name; part of the cache key.
     experiment: str
     #: Unique-within-the-sweep identity, e.g. ``"h2/n4/adaptive"``.
     trial_id: str
-    #: JSON-serializable kwargs-style payload for the trial function.
+    #: JSON-serializable payload, the trial function's one argument.
     config: dict = field(default_factory=dict)
-    #: Root seed; the trial sees ``derive_seed(experiment, trial_id, seed)``.
-    seed: int = 0
 
     def to_dict(self) -> dict:
         return {"fn": self.fn, "experiment": self.experiment,
-                "trial_id": self.trial_id, "config": self.config,
-                "seed": self.seed,
-                "spawn_seed": derive_seed(self.experiment, self.trial_id,
-                                          self.seed)}
+                "trial_id": self.trial_id, "config": self.config}
 
 
 @dataclass
@@ -67,21 +59,7 @@ class TrialResult:
     ok: bool
     value: object = None
     error: str | None = None
-    wall_s: float = 0.0
     cached: bool = False
-    spawn_seed: int = 0
-
-    def require(self, label: str | None = None):
-        """The trial value, or raise if the trial failed.
-
-        Experiments assembling complete tables call this: a sweep
-        tolerates failure rows, a paper figure with a missing cell must
-        fail loudly.
-        """
-        if not self.ok:
-            raise ReproError(
-                f"trial {label or self.trial_id} failed: {self.error}")
-        return self.value
 
 
 def _resolve(path: str):
@@ -98,17 +76,14 @@ def _resolve(path: str):
 
 def _execute(spec_dict: dict) -> dict:
     """Worker entry point: run one trial, catching its exceptions."""
-    started = time.perf_counter()
     try:
-        fn = _resolve(spec_dict["fn"])
-        value = fn(spec_dict["config"], spec_dict["spawn_seed"])
+        value = _resolve(spec_dict["fn"])(spec_dict["config"])
         ok, error = True, None
     except Exception as exc:
         value, ok = None, False
         error = f"{type(exc).__name__}: {exc}"
     return {"trial_id": spec_dict["trial_id"], "ok": ok, "value": value,
-            "error": error, "wall_s": time.perf_counter() - started,
-            "spawn_seed": spec_dict["spawn_seed"]}
+            "error": error}
 
 
 def _execute_batch(spec_dicts: list[dict]) -> list[dict]:
@@ -171,13 +146,6 @@ def warm_pool(jobs: int) -> None:
             f.result()
 
 
-def _as_result(raw: dict, *, cached: bool = False) -> TrialResult:
-    return TrialResult(trial_id=raw["trial_id"], ok=raw["ok"],
-                       value=raw["value"], error=raw.get("error"),
-                       wall_s=raw.get("wall_s", 0.0), cached=cached,
-                       spawn_seed=raw.get("spawn_seed", 0))
-
-
 class ParallelRunner:
     """Executes trial sweeps across ``jobs`` worker processes."""
 
@@ -228,8 +196,7 @@ class ParallelRunner:
             payload = self.cache.get(key) if self.cache else None
             if payload is not None:
                 res = TrialResult(trial_id=spec.trial_id, ok=True,
-                                  value=payload["value"], cached=True,
-                                  spawn_seed=spec_dict["spawn_seed"])
+                                  value=payload["value"], cached=True)
                 results[spec.trial_id] = res
                 if on_result:
                     on_result(spec, res)
@@ -243,7 +210,7 @@ class ParallelRunner:
             else:
                 settled = self._run_pool(pending)
             for (spec, spec_dict, key), raw in settled:
-                res = _as_result(raw)
+                res = TrialResult(**raw)
                 results[spec.trial_id] = res
                 if res.ok and self.cache and key is not None:
                     self.cache.put(key, spec_dict, res.value)
@@ -301,8 +268,7 @@ class ParallelRunner:
                     "trial_id": spec_dict["trial_id"], "ok": False,
                     "value": None,
                     "error": "WorkerDied: process exited abnormally "
-                             "(OOM-kill or hard crash)",
-                    "wall_s": 0.0, "spawn_seed": spec_dict["spawn_seed"]}))
+                             "(OOM-kill or hard crash)"}))
         return settled
 
 

@@ -3,7 +3,8 @@
 Every stochastic element of the simulator (workload jitter, benchmark
 duration spread, ...) draws from a named stream derived from a single
 root seed, so that adding a new consumer of randomness never perturbs the
-draws seen by existing consumers.
+draws seen by existing consumers.  :func:`derive_seed` hashes a
+string identity into such a root seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-__all__ = ["RngFactory"]
+__all__ = ["RngFactory", "derive_seed"]
+
+#: Field separator; cannot appear in the names passed to derive_seed.
+_SEP = "\x1f"
 
 
 class RngFactory:
@@ -50,3 +54,19 @@ class RngFactory:
     def fork(self, salt: int) -> "RngFactory":
         """Derive an independent factory (used for per-repetition reseeding)."""
         return RngFactory(self.root_seed * 1_000_003 + int(salt) + 1)
+
+
+def derive_seed(experiment: str, trial_id: str, seed: int) -> int:
+    """A root seed hashed from ``(experiment, trial_id, seed)``.
+
+    Returns a non-negative 63-bit integer, safe for every RNG seed slot
+    in the package.  Distinct identities get independent seeds; the
+    same identity gets the same seed in every process (SHA-256, unlike
+    the builtin ``hash``, is not salted per interpreter).  hashlib is
+    imported here, not at module import, for the reason numpy is: a
+    plain World never needs it, and loading it costs ~3 MiB resident.
+    """
+    import hashlib
+    material = f"{experiment}{_SEP}{trial_id}{_SEP}{int(seed)}".encode()
+    digest = hashlib.sha256(material).digest()
+    return int.from_bytes(digest[:8], "big") >> 1

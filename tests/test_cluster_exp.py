@@ -18,20 +18,11 @@ TINY = ClusterExpParams(
 
 
 class TestGeneratePods:
-    def _config(self) -> dict:
-        p = TINY
-        return {"seed": p.seed, "pods": p.pods,
-                "gang_fraction": p.gang_fraction, "gang_size": p.gang_size,
-                "burst_fraction": p.burst_fraction,
-                "mean_demand": p.mean_demand, "mean_memory": p.mean_memory,
-                "request_inflation": list(p.request_inflation),
-                "arrival_epochs": p.arrival_epochs, "horizon": p.horizon}
-
     def test_population_is_pure_function_of_seed(self):
-        assert generate_pods(self._config()) == generate_pods(self._config())
+        assert generate_pods(TINY) == generate_pods(TINY)
 
     def test_population_shape(self):
-        rows = generate_pods(self._config())
+        rows = generate_pods(TINY)
         assert len(rows) == TINY.pods
         names = [kw["name"] for _, kw in rows]
         assert len(set(names)) == TINY.pods

@@ -1,4 +1,6 @@
-"""Tests for repro.par: seeding, caching, pool semantics, crash isolation."""
+"""Tests for repro.par: the trial call, caching, pool semantics, crash
+isolation; and derive_seed (repro.sim.rng), the seed hash the cluster
+hosts and the cluster check generator use."""
 
 from __future__ import annotations
 
@@ -7,44 +9,52 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.par import (ParallelRunner, ResultCache, TrialSpec, derive_seed,
-                       result_digest, run_trials, source_hash)
+from repro.harness.common import run_cells
+from repro.par import (ParallelRunner, ResultCache, TrialSpec, result_digest,
+                       run_trials, source_hash)
+from repro.sim.rng import derive_seed
 
 #: Trial functions must be importable top-level callables.
 TOY_FN = "tests.test_par:toy_trial"
 CRASH_FN = "tests.test_par:crashy_trial"
 DIE_FN = "tests.test_par:dying_trial"
+CALL_FN = "tests.test_par:call_trial"
 
 
-def toy_trial(config: dict, spawn_seed: int) -> dict:
-    """A deterministic pure function of (config, spawn key)."""
-    return {"x": config["x"] * 2, "spawn_seed": spawn_seed}
+def toy_trial(config: dict) -> dict:
+    """A deterministic pure function of the config."""
+    return {"x": config["x"] * 2, "salt": config.get("salt")}
 
 
-def crashy_trial(config: dict, spawn_seed: int) -> dict:
+def call_trial(*args, **kwargs) -> dict:
+    """Reports exactly how the runner called it."""
+    return {"args": list(args), "kwargs": sorted(kwargs)}
+
+
+def crashy_trial(config: dict) -> dict:
     if config.get("boom"):
         raise ReproError("simulated trial failure")
     return {"ok": config["x"]}
 
 
-def dying_trial(config: dict, spawn_seed: int) -> dict:
+def dying_trial(config: dict) -> dict:
     if config.get("die"):
         import os
         os._exit(17)               # hard worker death, not an exception
     return {"ok": config["x"]}
 
 
-def toy_specs(n: int = 6, *, fn: str = TOY_FN, seed: int = 0,
-              **extra) -> list[TrialSpec]:
+def toy_specs(n: int = 6, *, fn: str = TOY_FN, **extra) -> list[TrialSpec]:
     return [TrialSpec(fn=fn, experiment="toy", trial_id=f"t{i}",
-                      config={"x": i, **extra}, seed=seed)
+                      config={"x": i, **extra})
             for i in range(n)]
 
 
 class TestDeriveSeed:
     def test_deterministic_and_pinned(self):
         # Pinned value: the derivation must stay stable across sessions,
-        # or every content-addressed cache entry silently invalidates.
+        # or every cluster host's RNG stream and every generated cluster
+        # check scenario silently changes.
         assert derive_seed("exp", "trial", 0) == derive_seed("exp", "trial", 0)
         assert derive_seed("exp", "trial", 0) == 2432253065363132831
 
@@ -66,10 +76,14 @@ class TestRunnerBasics:
         assert all(r.ok for r in results)
         assert [r.value["x"] for r in results] == [0, 2, 4, 6, 8]
 
-    def test_spawn_seed_reaches_trial(self):
-        (result,) = run_trials(toy_specs(1), jobs=1)
-        assert result.value["spawn_seed"] == derive_seed("toy", "t0", 0)
-        assert result.spawn_seed == derive_seed("toy", "t0", 0)
+    def test_config_is_the_whole_call(self):
+        # fn(config): nothing but the config reaches a trial, serial or
+        # pooled, so nothing outside the cache key can move its value.
+        specs = toy_specs(2, fn=CALL_FN, salt=7)
+        for jobs in (1, 2):
+            assert [r.value for r in run_trials(specs, jobs=jobs)] == [
+                {"args": [{"x": i, "salt": 7}], "kwargs": []}
+                for i in range(2)]
 
     def test_duplicate_trial_ids_rejected(self):
         spec = toy_specs(1)[0]
@@ -86,8 +100,8 @@ class TestRunnerBasics:
         (result,) = run_trials([spec], jobs=1)
         assert not result.ok
         assert "not_a_function" in result.error
-        with pytest.raises(ReproError, match="bad"):
-            result.require()
+        with pytest.raises(ReproError, match="trial bad failed"):
+            run_cells([spec])
 
 
 class TestDeterminism:
@@ -100,7 +114,7 @@ class TestDeterminism:
 
     def test_digest_sensitive_to_values(self):
         base = run_trials(toy_specs(3), jobs=1)
-        changed = run_trials(toy_specs(3, seed=1), jobs=1)
+        changed = run_trials(toy_specs(3, salt=1), jobs=1)
         assert result_digest(base) != result_digest(changed)
 
 
@@ -248,7 +262,7 @@ class TestWarmPool:
         run_trials(toy_specs(4), jobs=2)
         pool = runner_mod._POOLS.get(2)
         assert pool is not None
-        run_trials(toy_specs(4, seed=1), jobs=2)
+        run_trials(toy_specs(4, salt=1), jobs=2)
         assert runner_mod._POOLS.get(2) is pool   # same executor, no refork
 
     def test_broken_pool_discarded_and_rebuilt(self):

@@ -108,10 +108,78 @@ class TestRunAllTiming:
         from repro.harness.experiments import ALL_EXPERIMENTS
         from repro.harness.run_all import _supports_fanout
         fanout = {k for k, m in ALL_EXPERIMENTS.items() if _supports_fanout(m)}
-        assert {"fig07", "fig08", "fig10", "ablation"} <= fanout
+        assert fanout == set(FANOUT)
         for key in fanout:
-            sig = inspect.signature(ALL_EXPERIMENTS[key].run)
-            assert "cache" in sig.parameters
+            module = ALL_EXPERIMENTS[key]
+            assert "cache" in inspect.signature(module.run).parameters
+            # Every grid runs through the one trial contract.
+            assert module.TRIAL_FN == f"{module.__name__}:run_cell"
+            first = next(iter(inspect.signature(module.trial).parameters))
+            assert first == "params"
+
+
+#: The experiments whose grid fans out through repro.par.
+FANOUT = ("fig07", "fig08", "fig10", "ablation", "exp_cluster", "exp_policy")
+
+
+def _other(value):
+    """A different value of the same type (a tuple grows by one)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-x"
+    assert isinstance(value, tuple) and value, value
+    return value + value[:1]
+
+
+class TestTrialContract:
+    """A cell's config is its experiment's params plus its own keys."""
+
+    @pytest.mark.parametrize("key", FANOUT)
+    def test_config_holds_every_params_field(self, key):
+        from dataclasses import asdict
+        from repro.harness.experiments import ALL_EXPERIMENTS
+        from repro.harness.run_all import quick_params
+        params = quick_params(key)
+        specs = ALL_EXPERIMENTS[key].trial_specs(params)
+        assert specs
+        for spec in specs:
+            assert asdict(params).items() <= spec.config.items()
+
+    @pytest.mark.parametrize("key", FANOUT)
+    def test_every_params_field_moves_every_cache_key(self, key, tmp_path):
+        from dataclasses import fields, replace
+        from repro.harness.experiments import ALL_EXPERIMENTS
+        from repro.harness.run_all import quick_params
+        module = ALL_EXPERIMENTS[key]
+        cache = ResultCache(tmp_path)
+        params = quick_params(key)
+        base = {cache.key(s.to_dict()) for s in module.trial_specs(params)}
+        for f in fields(params):
+            changed = replace(params,
+                              **{f.name: _other(getattr(params, f.name))})
+            keys = {cache.key(s.to_dict())
+                    for s in module.trial_specs(changed)}
+            assert not keys & base, f"{key}: {f.name} left a key unchanged"
+
+    def test_worker_rebuilds_params_from_json(self):
+        import json
+        from dataclasses import dataclass
+        from repro.harness.common import cell_specs, grid_trial
+
+        @dataclass(frozen=True)
+        class Params:
+            seed: int = 0
+            names: tuple[str, ...] = ("a", "b")
+
+        seen = []
+        run_cell = grid_trial(Params, lambda p, **cell: seen.append((p, cell)))
+        (spec,) = cell_specs("m:run_cell", "toy", Params(seed=3),
+                             {"a/1": {"name": "a", "n": 1}})
+        run_cell(json.loads(json.dumps(spec.config)))
+        assert seen == [(Params(seed=3), {"name": "a", "n": 1})]
 
 
 def check_args(**overrides) -> argparse.Namespace:

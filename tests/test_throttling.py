@@ -70,3 +70,33 @@ class TestCpuStatFile:
         stats = dict(line.split() for line in text.splitlines())
         assert stats["nr_throttled"] == "0"
         assert stats["throttled_time"] == "0"
+
+    def test_lifting_the_quota_keeps_the_counters(self, world):
+        """``echo -1 > cpu.cfs_quota_us`` ends throttling; it must not
+        reset cpu.stat's counters, and every reader reports one count."""
+        from repro.obs.export import prometheus_text
+
+        base = "/sys/fs/cgroup/cpu/docker/c0"
+        c = world.containers.create(ContainerSpec("c0", cpus=1.0))
+        busy(c, 3)
+
+        def stat():
+            text = world.cgroupfs.read(f"{base}/cpu.stat")
+            return {k: int(v) for k, v in
+                    (line.split() for line in text.splitlines())}
+
+        world.run(until=2.0)
+        throttled = stat()
+        assert throttled["nr_throttled"] == throttled["nr_periods"] == 20
+        world.cgroupfs.write(f"{base}/cpu.cfs_quota_us", "-1")
+        world.run(until=2.5)
+        lifted = stat()
+        for key in ("nr_periods", "nr_throttled", "throttled_time",
+                    "usage_usec"):
+            assert lifted[key] >= throttled[key], key
+        assert lifted["nr_throttled"] == 20
+        assert lifted["nr_throttled"] <= lifted["nr_periods"]
+        assert lifted["throttled_time"] == throttled["throttled_time"]
+        assert c.cgroup.nr_throttled == 20
+        assert ('repro_cpu_nr_throttled{cgroup="/docker/c0"} 20'
+                in prometheus_text(world=world).splitlines())

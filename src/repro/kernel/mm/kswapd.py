@@ -24,12 +24,11 @@ def soft_limit_victims(cgroups: list["Cgroup"]) -> list[tuple["Cgroup", int]]:
     victims: list[tuple[Cgroup, int]] = []
     for cg in cgroups:
         mem = cg.memory
-        soft = mem.soft_limit
-        if soft == float("inf"):
-            continue
-        over = mem.resident - int(soft)
-        if over > 0:
-            victims.append((cg, over))
+        soft = mem.soft_limit_in_bytes
+        if soft is not None:
+            over = mem.resident - soft
+            if over > 0:
+                victims.append((cg, over))
     return victims
 
 
@@ -54,18 +53,22 @@ def _split_proportionally(holders: list[tuple["Cgroup", int]],
                           need: int) -> list[tuple["Cgroup", int]]:
     """Take ``min(need, total)`` bytes, each holder's share proportional
     to its bytes; the last holder takes the rounding remainder."""
-    total = sum(held for _, held in holders)
+    total = sum([held for _, held in holders])
     if need <= 0 or total <= 0:
         return []
-    take_total = min(need, total)
+    take_total = need if need < total else total
     plan: list[tuple[Cgroup, int]] = []
     remaining = take_total
+    last = len(holders) - 1
     for i, (cg, held) in enumerate(holders):
-        if i == len(holders) - 1:
-            take = min(held, remaining)
+        if i == last:
+            take = held if held < remaining else remaining
         else:
-            take = min(held, int(round(take_total * held / total)))
-            take = min(take, remaining)
+            take = round(take_total * held / total)
+            if held < take:
+                take = held
+            if remaining < take:
+                take = remaining
         if take > 0:
             plan.append((cg, take))
             remaining -= take

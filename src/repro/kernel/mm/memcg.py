@@ -217,7 +217,7 @@ class MemoryManager:
         excess = mem.resident - int(min(mem.hard_limit, float(mem.resident)))
         if excess <= 0:
             return
-        granted = self._swap_out(cg, excess)
+        granted = self._swap_out_plan([(cg, excess)])
         if granted < excess:
             self._oom_kill(cg, excess)
 
@@ -239,8 +239,7 @@ class MemoryManager:
                             free=self.free, need=need,
                             victims=[cg.path for cg, _ in plan],
                             reclaiming=sum(take for _, take in plan))
-        for victim, take in plan:
-            self._swap_out(victim, take)
+        self._swap_out_plan(plan)
         projected = self.free - need
         if projected < wm.min:
             # Direct reclaim: indiscriminate, proportional to residency.
@@ -252,8 +251,7 @@ class MemoryManager:
                 self.event_hook("mm.direct_reclaim", "below min watermark",
                                 free=self.free, need=need,
                                 victims=[cg.path for cg, _ in plan])
-            for victim, take in plan:
-                self._swap_out(victim, take)
+            self._swap_out_plan(plan)
         if self.free >= wm.high:
             self._set_reclaiming(False)
 
@@ -306,17 +304,50 @@ class MemoryManager:
                                 direct_reclaims=self.direct_reclaims)
             self._reclaim_span = 0
 
-    def _swap_out(self, cg: Cgroup, nbytes: int) -> int:
-        """Move up to ``nbytes`` of ``cg``'s resident memory to swap."""
-        mem = cg.memory
-        nbytes = min(nbytes, mem.resident)
-        granted = self.swap.reserve(nbytes)
-        mem.resident -= granted
-        self._total_resident -= granted
-        mem.swapped += granted
-        mem.swapout_total += granted
-        self._after_change(cg)
-        return granted
+    def _swap_out_plan(self, plan: list[tuple[Cgroup, int]]) -> int:
+        """Move each plan entry's bytes of resident memory to swap, in order.
+
+        The one swap-out path (kswapd, direct reclaim, and a lowered hard
+        limit as a one-entry plan).  Each entry is clipped to the victim's
+        resident bytes as they stand when it is reached, so a group named
+        twice gives up its second share from what the first left, and the
+        swap device grants what room it has left.  Each entry is written
+        back before the next is read: an entry asking for negative bytes
+        raises :class:`MemoryError_` with every earlier one applied and
+        the ledgers consistent.  A victim whose swap slowdown moved is
+        queued for a rates-only scheduler refresh.  Returns the bytes
+        granted over the whole plan.
+        """
+        swap = self.swap
+        capacity = swap.capacity
+        dirty = self.cgroups.scheduler_dirty
+        granted_total = 0
+        for cg, nbytes in plan:
+            mem = cg.memory
+            resident = mem.resident
+            if nbytes > resident:
+                nbytes = resident
+            if nbytes < 0:
+                raise MemoryError_(f"cannot swap out negative bytes: {nbytes}")
+            # SwapDevice.reserve, inline.
+            granted = capacity - swap.used
+            if nbytes < granted:
+                granted = nbytes
+            swap.used += granted
+            swap.swapouts += granted
+            resident -= granted
+            mem.resident = resident
+            self._total_resident -= granted
+            swapped = mem.swapped + granted
+            mem.swapped = swapped
+            mem.swapout_total += granted
+            granted_total += granted
+            mult = swap_slowdown_multiplier(resident, swapped, SWAP_PENALTY,
+                                            mem.hot_bytes)
+            if abs(mult - cg.progress_multiplier) > 1e-12:
+                cg.progress_multiplier = mult
+                dirty(cg, rates_only=True)
+        return granted_total
 
     def _swap_in(self, cg: Cgroup, nbytes: int) -> int:
         """Fault up to ``nbytes`` of ``cg``'s swapped memory back in."""

@@ -70,10 +70,10 @@ def swap_slowdown_multiplier(resident: int, swapped: int, penalty: float,
     total = resident + swapped
     if total <= 0 or swapped <= 0:
         return 1.0
-    hot = total if hot_bytes is None else max(0, min(hot_bytes, total))
-    cold = total - hot
-    hot_swapped = max(0, swapped - cold)
-    if hot_swapped <= 0:
-        return 1.0
-    frac = hot_swapped / total
-    return 1.0 / (1.0 + penalty * frac)
+    hot_swapped = swapped
+    if hot_bytes is not None:
+        cold = total - max(0, min(hot_bytes, total))
+        hot_swapped = swapped - cold
+        if hot_swapped <= 0:
+            return 1.0
+    return 1.0 / (1.0 + penalty * (hot_swapped / total))

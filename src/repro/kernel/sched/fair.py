@@ -143,8 +143,9 @@ class GroupAlloc:
     def thread_rate(self) -> float:
         """Per-thread progress under the group's memory slowdown (cores).
 
-        What publication and the rate-only refresh write to the
-        cgroup's ``_thread_rate``: the only published value that reads
+        What publication writes to the cgroup's ``_thread_rate``, and
+        what the rate-only refresh (:meth:`FairScheduler._refresh_rates`)
+        writes out inline: the only published value that reads
         ``progress_multiplier``.
         """
         n = self.n_threads
@@ -636,15 +637,30 @@ class FairScheduler:
         galloc = self._galloc
         changed: list[Cgroup] = []
         gap_decays: dict[float, tuple[float, ...]] = {}
+        folds = 0
         for cg in groups:
             g = galloc.get(cg)
-            if g is not None:
-                if cg.parent is not None:
-                    self._restall_memory(cg, gap_decays)
-                tr = g.thread_rate
-                if tr != cg._thread_rate:
-                    cg._thread_rate = tr
-                    changed.append(cg)
+            if g is None:
+                continue
+            mult = cg.progress_multiplier
+            if cg.parent is not None:
+                # _restall_memory and GroupAlloc.thread_rate, written out:
+                # this runs once per victim of every reclaim plan.
+                frac = 1.0 - mult
+                if frac < 0.0:
+                    frac = 0.0
+                elif frac > 1.0:
+                    frac = 1.0
+                p = cg.pressure.memory
+                if frac != p.some_rate:
+                    p.restall(frac, frac, gap_decays)
+                    folds += 1
+            n = g.n_threads
+            tr = (g.rate / n) * g.efficiency * mult if n else 0.0
+            if tr != cg._thread_rate:
+                cg._thread_rate = tr
+                changed.append(cg)
+        self.psi_folds += folds
         if changed:
             self._reindex(changed)
 

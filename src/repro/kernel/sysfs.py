@@ -84,8 +84,12 @@ class HostSysfs:
             return f"{l1:.2f} {l5:.2f} {l15:.2f}"
         if path == "/proc/stat":
             # Aggregate cpu line in USER_HZ (100 jiffies/second): busy
-            # time from per-cgroup accounting, idle from the scheduler.
-            busy = sum(cg.total_cpu_time for cg in self.mm.cgroups.walk())
+            # time from per-cgroup accounting, destroyed groups' included
+            # (host time does not run backwards on a container teardown),
+            # idle from the scheduler.
+            cgroups = self.mm.cgroups
+            busy = (sum(cg.total_cpu_time for cg in cgroups.walk())
+                    + cgroups.retired_cpu_time)
             idle = (self.scheduler.total_idle_time
                     if self.scheduler is not None else 0.0)
             return (f"cpu {int(busy * 100)} 0 0 {int(idle * 100)} 0 0 0 0 0 0\n"

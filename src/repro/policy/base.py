@@ -98,10 +98,11 @@ class ReclaimPolicy:
     The mechanism (:class:`~repro.kernel.mm.memcg.MemoryManager`) keeps
     the watermarks, the swap device, and every ledger, and OOM-kills the
     charging cgroup when a charge cannot be placed; it asks the policy
-    only for *plans* — ``(cgroup, bytes)`` lists it then executes via
-    its own ``_swap_out`` path.  Plans must be deterministic functions
-    of the passed groups (canonical hierarchy-walk order) and must not
-    mutate anything.
+    only for *plans* — ``(cgroup, bytes)`` lists it then executes in one
+    pass (``MemoryManager._swap_out_plan``), clipping each entry to the
+    victim's resident bytes and the swap device's free room.  Plans must
+    be deterministic functions of the passed groups (canonical
+    hierarchy-walk order) and must not mutate anything.
     """
 
     name = "reclaim-policy"

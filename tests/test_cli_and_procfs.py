@@ -93,6 +93,29 @@ class TestProcfs:
         assert busy_jiffies == pytest.approx(600, abs=5)      # 2 cores * 3 s
         assert idle_jiffies == pytest.approx(1800, abs=5)     # 6 idle * 3 s
 
+    def test_proc_stat_survives_container_destroy(self):
+        """Busy jiffies never decrease, even when the container that
+        used them is destroyed, and busy plus idle is the host's capacity
+        over the elapsed time, up to the two counters' truncation to
+        whole jiffies."""
+        world = World(ncpus=4, memory=gib(16))
+        c = world.containers.create(ContainerSpec("c0"))
+        for i in range(2):
+            c.spawn_thread(f"w{i}").assign_work(1e9)
+        readings = []
+        for i in range(1, 16):
+            if i == 11:
+                world.containers.destroy(c)
+            world.run(until=0.1 * i)
+            fields = world.host_sysfs.read("/proc/stat").split()
+            readings.append((world.now, int(fields[1]), int(fields[4])))
+        assert readings[9][1:] == (200, 200)                    # 1.0 s
+        assert readings[-1][1:] == (200, 400)                   # 1.5 s
+        for (_, busy0, _), (_, busy1, _) in zip(readings, readings[1:]):
+            assert busy1 >= busy0
+        for now, busy, idle in readings:
+            assert abs(busy + idle - 4 * 100 * now) < 2
+
     def test_proc_self_cgroup(self, world):
         c = world.containers.create(ContainerSpec("c0"))
         proc = c.spawn_process("app")

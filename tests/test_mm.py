@@ -1,6 +1,8 @@
 """Tests for the memory manager: limits, watermarks, kswapd, swap."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import MemoryError_, OutOfMemoryError
 from repro.kernel.cgroup import CgroupRoot
@@ -77,6 +79,21 @@ class TestSwapSlowdown:
 
     def test_empty(self):
         assert swap_slowdown_multiplier(0, 0, 40.0) == 1.0
+
+    @given(st.integers(0, 2 ** 40), st.integers(0, 2 ** 40),
+           st.one_of(st.none(), st.integers(-2 ** 20, 2 ** 41)))
+    def test_equals_reference(self, resident, swapped, hot_bytes):
+        """The same bits as the formula with every clamp spelled out."""
+        total = resident + swapped
+        if total <= 0 or swapped <= 0:
+            want = 1.0
+        else:
+            hot = total if hot_bytes is None else max(0, min(hot_bytes, total))
+            hot_swapped = max(0, swapped - (total - hot))
+            want = (1.0 if hot_swapped <= 0
+                    else 1.0 / (1.0 + SWAP_PENALTY * (hot_swapped / total)))
+        assert swap_slowdown_multiplier(resident, swapped, SWAP_PENALTY,
+                                        hot_bytes) == want
 
 
 class TestChargeBasics:
@@ -276,3 +293,284 @@ class TestValidation:
             MemoryManager(KERNEL_RESERVED, root)
         mm = MemoryManager(KERNEL_RESERVED + mib(1), root)
         assert mm.available_capacity == mm.free == mib(1)
+
+
+
+# -- the one-pass plan executor and the planners against references ---------
+
+def _reference_swap_out_plan(mm, plan):
+    """The per-victim swap-out loop the plan executor replaced: clip to
+    residency, reserve on the device, four ledgers, then the multiplier
+    recurrence of ``_after_change``, one victim at a time."""
+    total = 0
+    for cg, nbytes in plan:
+        mem = cg.memory
+        nbytes = min(nbytes, mem.resident)
+        granted = mm.swap.reserve(nbytes)
+        mem.resident -= granted
+        mm._total_resident -= granted
+        mem.swapped += granted
+        mem.swapout_total += granted
+        mm._after_change(cg)
+        total += granted
+    return total
+
+
+def _reference_refresh_rates(sched, groups):
+    """``FairScheduler._refresh_rates`` through ``_restall_memory`` and
+    the ``GroupAlloc.thread_rate`` property, as it was before they were
+    written out."""
+    changed = []
+    gap_decays = {}
+    for cg in groups:
+        g = sched._galloc.get(cg)
+        if g is not None:
+            if cg.parent is not None:
+                sched._restall_memory(cg, gap_decays)
+            tr = g.thread_rate
+            if tr != cg._thread_rate:
+                cg._thread_rate = tr
+                changed.append(cg)
+    if changed:
+        sched._reindex(changed)
+
+
+def _reclaim_world():
+    """Six busy containers, each charged past its 32 MiB soft limit; c1
+    is already partly swapped (its hard limit was lowered), so its
+    memory PSI restalls from a nonzero stall."""
+    from repro.container.spec import ContainerSpec
+    from repro.world import World
+
+    world = World(ncpus=4, memory=gib(2), seed=0)
+    groups = []
+    for i in range(6):
+        c = world.containers.create(ContainerSpec(
+            f"c{i}", memory_soft_limit=mib(32)))
+        world.mm.charge(c.cgroup, mib(40 + 8 * i))
+        for j in range(1 + i % 2):
+            c.spawn_thread(f"w{j}").assign_work(1e9)
+        groups.append(c.cgroup)
+    groups[1].set_memory_limit(mib(36))
+    world.run(until=0.1)
+    return world, groups
+
+
+def _ledger_state(world):
+    """Every value the swap-out path and the rate refresh write."""
+    mm, sched = world.mm, world.sched
+    rows = []
+    for cg in world.cgroups.walk():
+        mem = cg.memory
+        p = cg.pressure.memory
+        rows.append((cg.path, mem.resident, mem.swapped, mem.swapout_total,
+                     cg.progress_multiplier, cg._thread_rate, p.some_rate,
+                     p.full_rate, tuple(p._some_avg), tuple(p._full_avg)))
+    return {"groups": rows,
+            "total_resident": mm.total_resident,
+            "swap": (mm.swap.used, mm.swap.swapouts),
+            "dirty": [(cg.path, rates_only)
+                      for cg, rates_only in sched._dirty_groups.items()],
+            "dirty_all": sched._dirty_all,
+            "psi_folds": sched.psi_folds}
+
+
+class TestPlanExecutorMatchesReference:
+    """``MemoryManager._swap_out_plan`` applies a plan in one pass.  It
+    must leave every ledger, multiplier and the scheduler's rates-only
+    queue (contents and order) exactly as the per-victim reference does,
+    and after the next reallocate, with the written-out rate refresh
+    against the reference one, every memory PSI accumulator, thread
+    rate and ``psi_folds`` too."""
+
+    def _run_both(self, monkeypatch, make_plan):
+        """Apply ``make_plan(world, groups)`` to two identical worlds, one
+        through the executor and one through the references."""
+        fast, fast_groups = _reclaim_world()
+        ref, ref_groups = _reclaim_world()
+        monkeypatch.setattr(
+            ref.sched, "_refresh_rates",
+            lambda groups: _reference_refresh_rates(ref.sched, groups))
+        outcomes = []
+        for world, groups, apply in (
+                (fast, fast_groups, lambda mm, plan: mm._swap_out_plan(plan)),
+                (ref, ref_groups, _reference_swap_out_plan)):
+            plan = make_plan(world, groups)
+            assert world.sched._dirty_groups == {}
+            try:
+                outcomes.append(("granted", apply(world.mm, plan)))
+            except MemoryError_ as exc:
+                outcomes.append(("raised", str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert _ledger_state(fast) == _ledger_state(ref)
+        folds = fast.sched.psi_folds
+        for world in (fast, ref):
+            assert world.mm.audit_resident() == 0
+            assert world.mm.swap.used == sum(
+                cg.memory.swapped for cg in world.cgroups.walk())
+            world.sched.reallocate()
+        assert _ledger_state(fast) == _ledger_state(ref)
+        if outcomes[0] != ("granted", 0):
+            assert fast.sched.psi_folds > folds    # the refresh restalled
+        fast.run(until=0.3)
+        ref.run(until=0.3)
+        assert _ledger_state(fast) == _ledger_state(ref)
+        return fast, outcomes[0]
+
+    def test_plain_plan_queues_each_slowed_victim_once(self, monkeypatch):
+        queued = []
+
+        def make_plan(world, g):
+            dirty = world.cgroups.scheduler_dirty
+            monkeypatch.setattr(
+                world.cgroups, "scheduler_dirty",
+                lambda cg=None, topology=False, rates_only=False:
+                (queued.append((cg.name, topology, rates_only)),
+                 dirty(cg, topology=topology, rates_only=rates_only)))
+            return [(g[2], mib(5)), (g[3], mib(9)), (g[5], mib(1))]
+
+        self._run_both(monkeypatch, make_plan)
+        assert queued[:3] == [("c2", False, True), ("c3", False, True),
+                              ("c5", False, True)]
+        assert queued[3:] == queued[:3]
+
+    def test_swap_exhausted_partway(self, monkeypatch):
+        def make_plan(world, g):
+            swap = world.mm.swap
+            swap.capacity = swap.used + mib(12)
+            return [(g[2], mib(5)), (g[3], mib(9)), (g[4], mib(4)),
+                    (g[5], mib(3))]
+
+        world, outcome = self._run_both(monkeypatch, make_plan)
+        assert outcome == ("granted", mib(12))
+        assert world.mm.swap.free == 0
+        c4 = world.cgroups.lookup("/docker/c4")
+        assert c4.memory.swapout_total == 0 and c4.progress_multiplier == 1.0
+
+    def test_same_group_twice_reads_residency_fresh(self, monkeypatch):
+        def make_plan(world, g):
+            return [(g[4], mib(30)), (g[2], mib(2)),
+                    (g[4], g[4].memory.resident)]
+
+        world, (kind, granted) = self._run_both(monkeypatch, make_plan)
+        c4 = world.cgroups.lookup("/docker/c4")
+        # The last entry asked for the residency before the first ran;
+        # it was clipped to what the first left.
+        assert kind == "granted" and granted == mib(2) + mib(72)
+        assert c4.memory.resident == 0
+
+    def test_hot_bytes_hint(self, monkeypatch):
+        def make_plan(world, g):
+            g[3].memory.hot_bytes = mib(20)
+            g[5].memory.hot_bytes = 0
+            return [(g[3], mib(10)), (g[3], mib(40)), (g[5], mib(8))]
+
+        world, (kind, _) = self._run_both(monkeypatch, make_plan)
+        c3 = world.cgroups.lookup("/docker/c3")
+        c5 = world.cgroups.lookup("/docker/c5")
+        assert kind == "granted"
+        assert 0.0 < c3.progress_multiplier < 1.0
+        assert c5.memory.swapped > 0 and c5.progress_multiplier == 1.0
+
+    def test_negative_entry_raises_after_earlier_entries(self, monkeypatch):
+        world, outcome = self._run_both(
+            monkeypatch, lambda world, g: [(g[2], mib(5)), (g[3], mib(6)),
+                                           (g[4], -1), (g[5], mib(7))])
+        assert outcome == ("raised", "cannot swap out negative bytes: -1")
+        swapped = {cg.name: cg.memory.swapout_total
+                   for cg in world.cgroups.walk()}
+        assert swapped["c2"] == mib(5) and swapped["c3"] == mib(6)
+        assert swapped["c4"] == swapped["c5"] == 0
+
+
+def _reference_soft_limit_victims(cgroups):
+    victims = []
+    for cg in cgroups:
+        mem = cg.memory
+        soft = mem.soft_limit
+        if soft == float("inf"):
+            continue
+        over = mem.resident - int(soft)
+        if over > 0:
+            victims.append((cg, over))
+    return victims
+
+
+def _reference_split(holders, need):
+    total = sum(held for _, held in holders)
+    if need <= 0 or total <= 0:
+        return []
+    take_total = min(need, total)
+    plan = []
+    remaining = take_total
+    for i, (cg, held) in enumerate(holders):
+        if i == len(holders) - 1:
+            take = min(held, remaining)
+        else:
+            take = min(held, int(round(take_total * held / total)))
+            take = min(take, remaining)
+        if take > 0:
+            plan.append((cg, take))
+            remaining -= take
+    return plan
+
+
+#: A group as (resident, soft limit): ``None`` is no soft limit, "at"
+#: puts the soft limit exactly at the residency.  Residency stays below
+#: 2**53 bytes, as it must on any host the manager accepts; soft limits
+#: range past it, where ``float`` no longer holds every integer.
+_GROUPS = st.lists(st.tuples(
+    st.integers(0, 2 ** 50),
+    st.one_of(st.none(), st.just("at"), st.integers(1, 2 ** 60))),
+    max_size=12)
+_NEED = st.one_of(st.just(0), st.integers(-2 ** 20, 2 ** 52))
+
+
+class TestPlannersMatchReference:
+    """The kswapd planners read ``soft_limit_in_bytes`` directly and
+    split without ``min()``; their plans must equal the float-property
+    reference for every group set and need: the same victims, bytes and
+    integer types, in the same order."""
+
+    @staticmethod
+    def _groups(spec):
+        root = CgroupRoot(HostCpus(2))
+        out = []
+        for i, (resident, soft) in enumerate(spec):
+            cg = root.root.create_child(f"c{i}")
+            if soft is not None:
+                cg.set_memory_soft_limit(
+                    max(resident, 1) if soft == "at" else soft)
+            cg.memory.resident = resident
+            out.append(cg)
+        return out
+
+    @staticmethod
+    def _typed(plan):
+        return [(cg.name, take, type(take)) for cg, take in plan]
+
+    @given(_GROUPS, _NEED)
+    @example([(mib(80), None), (mib(60), mib(48))], mib(8))    # no soft limit
+    @example([(mib(48), "at"), (mib(60), mib(48))], mib(8))    # at the limit
+    @example([(mib(80), mib(48)), (mib(60), mib(48))], 0)      # zero need
+    @example([(3, 1), (3, 1), (3, 1)], 5)     # 2, 2, then the remainder 1
+    def test_plans_equal_reference(self, spec, need):
+        cgs = self._groups(spec)
+        typed = self._typed
+        victims = soft_limit_victims(cgs)
+        assert typed(victims) == typed(_reference_soft_limit_victims(cgs))
+        assert typed(plan_background_reclaim(cgs, need)) == typed(
+            _reference_split(_reference_soft_limit_victims(cgs), need))
+        holders = [(cg, cg.memory.resident) for cg in cgs
+                   if cg.memory.resident > 0]
+        assert typed(plan_direct_reclaim(cgs, need)) == typed(
+            _reference_split(holders, need))
+
+    def test_examples_reach_each_branch(self):
+        """The pinned examples do what their comments say."""
+        at = self._groups([(mib(48), "at"), (mib(60), None)])
+        assert soft_limit_victims(at) == []
+        cgs = self._groups([(3, 1), (3, 1), (3, 1)])
+        assert [take for _, take in plan_background_reclaim(cgs, 5)] \
+            == [2, 2, 1]
+        assert plan_direct_reclaim(cgs, 0) == []

@@ -15,6 +15,7 @@ Three contracts pinned here:
 """
 
 import io
+import itertools
 import json
 import random
 
@@ -30,6 +31,7 @@ from repro.obs.export import JsonlStreamWriter
 from repro.obs.fleet import (FLEET_SERIES, RING_CAPACITY, FleetCollector,
                              RingSeries, format_epoch_line)
 from repro.obs.profile import SUBSYSTEMS, EngineProfiler
+from repro.units import gib, mib
 from repro.world import World
 
 
@@ -314,6 +316,46 @@ class TestEngineProfiler:
         assert all(type(v) is int for v in psi.values())
         assert f"psi: {psi['folds']} folds over {psi['row_steps']} row-steps" \
             in profiler.format_report()
+
+    def test_reclaim_buckets_see_every_plan(self):
+        """No blind spot in reclaim attribution: on a churned host that
+        runs kswapd and direct reclaim, the ``reclaim_policy`` wrap fires
+        once per reclaim plan and the ``memcg`` bucket is charged, so a
+        refactor that moves the plan call off the wrapped indirection
+        fails here instead of silently reading zero."""
+        rng = random.Random(3)
+        world = World(ncpus=8, memory=gib(1), seed=3)
+        profiler = EngineProfiler().attach_world(world)
+        fleet = []
+        serial = itertools.count()
+
+        def launch():
+            c = world.containers.create(ContainerSpec(
+                f"c{next(serial)}",
+                memory_limit=mib(96), memory_soft_limit=mib(32)))
+            world.mm.charge(c.cgroup, mib(24))
+            c.spawn_thread("w").assign_work(1e9)
+            fleet.append(c)
+
+        def churn():
+            world.containers.destroy(fleet.pop(0))
+            launch()
+
+        for _ in range(24):
+            launch()
+        world.events.call_every(0.05, churn, name="churn")
+        world.events.call_every(0.02, lambda: world.mm.charge(
+            fleet[rng.randrange(len(fleet))].cgroup, mib(16)), name="charge")
+        world.run(until=1.0)
+        profiler.detach()
+        mm = world.mm
+        buckets = profiler.report()["subsystems"]
+        assert mm.kswapd_runs > 0 and mm.direct_reclaims > 0
+        assert buckets["reclaim_policy"]["calls"] == \
+            mm.kswapd_runs + mm.direct_reclaims
+        assert buckets["reclaim_policy"]["wall_s"] > 0
+        assert buckets["memcg"]["calls"] > 0
+        assert buckets["memcg"]["wall_s"] > 0
 
     def test_detach_is_idempotent_and_reports_frozen_wall(self):
         profiler = EngineProfiler()

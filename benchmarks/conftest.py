@@ -15,7 +15,8 @@ the pins catch any change that moves one bit of a figure.  A mismatch
 names the first differing cell as ``tables/<table>/<row>/<column>``
 (row 0 is the title, row 1 the column names) and the largest relative
 drift.  The re-pin procedure is in the ``pin``
-fixture's docstring.
+fixture's docstring.  ``bench_engine.py`` pins the engine's step counts
+into the same store, through ``pin`` directly.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ Subcommands::
     python -m repro demo                 # the quickstart scenario
     python -m repro obs                  # observability demo + exporters
     python -m repro check                # differential fuzzer + invariants
-    python -m repro bench [NAME]         # dispatch to benchmarks/ scripts
+    python -m repro bench [NAME]         # run one benchmarks/ pytest module
 """
 
 from __future__ import annotations
@@ -167,23 +167,22 @@ def _benchmarks_dir():
 
 
 def _cmd_bench(args) -> int:
-    """Dispatch to a benchmarks/ script without knowing file paths.
+    """Run one ``benchmarks/bench_NAME.py`` under ``pytest``.
 
-    Script-style benchmarks (``bench_engine``, ``bench_par``) run
-    directly; figure tests (``bench_serve``, the per-figure
-    ``bench_figXX``) run under ``pytest``.  Extra arguments after the
-    name are forwarded.
+    Every benchmark module is a pytest module: the figure, ablation and
+    serving pins, and the engine's step-count pins.  Extra arguments
+    after the name are forwarded to ``pytest``.
     """
     import subprocess
     bench_dir = _benchmarks_dir()
     if bench_dir is None:
         print("no benchmarks/ directory found (run from a source checkout)")
         return 2
-    scripts = {p.stem.removeprefix("bench_"): p
+    modules = {p.stem.removeprefix("bench_"): p
                for p in sorted(bench_dir.glob("bench_*.py"))}
     if not args.name:
         print("available benchmarks (python -m repro bench NAME [ARGS...]):")
-        for name, path in scripts.items():
+        for name, path in modules.items():
             doc = ""
             for line in path.read_text().splitlines()[:2]:
                 text = line.strip().strip('"').strip()
@@ -192,20 +191,18 @@ def _cmd_bench(args) -> int:
                     break
             print(f"  {name:10s} {doc}")
         return 0
-    if args.name not in scripts:
+    if args.name not in modules:
         print(f"unknown benchmark {args.name!r}; "
-              f"choose from: {', '.join(scripts)}")
+              f"choose from: {', '.join(modules)}")
         return 2
-    path = scripts[args.name]
+    path = modules[args.name]
     env = dict(os.environ)
     src = str(bench_dir.parent / "src")
     env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
                          if env.get("PYTHONPATH") else src)
-    if "def main(" in path.read_text():
-        cmd = [sys.executable, str(path), *args.args]
-    else:
-        cmd = [sys.executable, "-m", "pytest", str(path), "-q", *args.args]
-    return subprocess.call(cmd, env=env)
+    return subprocess.call(
+        [sys.executable, "-m", "pytest", str(path), "-q", *args.args],
+        env=env)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -235,10 +232,10 @@ def main(argv: list[str] | None = None) -> int:
     from repro.check.cli import add_arguments as _check_args
     _check_args(check_p)
     bench_p = sub.add_parser(
-        "bench", help="run a benchmarks/ script by name (no name: list them)")
+        "bench", help="run a benchmarks/ module by name (no name: list them)")
     bench_p.add_argument("name", nargs="?", default=None)
     bench_p.add_argument("args", nargs=argparse.REMAINDER,
-                         help="forwarded to the benchmark")
+                         help="forwarded to pytest")
     args, forwarded = parser.parse_known_args(argv)
     if forwarded and args.command != "run":
         parser.error(f"unrecognized arguments: {' '.join(forwarded)}")

@@ -161,44 +161,25 @@ def generate_pods(params: ClusterExpParams) -> list[tuple[int, dict]]:
 # Trials
 # ---------------------------------------------------------------------------
 
-def build_placement_cluster(params: ClusterExpParams, policy: str, *,
-                            trace: bool = False):
-    """The placement trial's cluster, before any pod is submitted.
+def _placement_trial(params: ClusterExpParams, *, policy: str) -> dict:
+    from repro.check import check_cluster
+    from repro.cluster import Cluster, ClusterParams, PodSpec
 
-    Shared with ``benchmarks/bench_cluster.py``'s profile mode, which
-    needs to instrument the cluster between construction and the run.
-    """
-    from repro.cluster import Cluster, ClusterParams
-
-    return Cluster(ClusterParams(
+    # Tracing on: the span-tree audit in check_cluster then validates
+    # the migration-following span chains (and tracing is passive, so
+    # the placement trace digest is unaffected).
+    cluster = Cluster(ClusterParams(
         n_hosts=params.hosts, host_ncpus=params.host_ncpus,
         host_memory=params.host_memory, epoch=params.epoch,
-        strategy=policy, seed=params.seed, trace=trace))
-
-
-def drive_placement(cluster, params: ClusterExpParams) -> None:
-    """Run the arrival/epoch loop of a placement trial to its horizon."""
-    from repro.cluster import PodSpec
-
+        strategy=policy, seed=params.seed, trace=True))
     population = generate_pods(params)
     epoch = params.epoch
-    horizon = params.horizon
-    n_epochs = max(1, int(round(horizon / epoch)))
+    n_epochs = max(1, int(round(params.horizon / epoch)))
     for e in range(n_epochs):
         for arrival, kwargs in population:
             if arrival == e:
                 cluster.submit(PodSpec(**kwargs))
         cluster.run(until=(e + 1) * epoch)
-
-
-def _placement_trial(params: ClusterExpParams, *, policy: str) -> dict:
-    from repro.check import check_cluster
-
-    # Tracing on: the span-tree audit in check_cluster then validates
-    # the migration-following span chains (and tracing is passive, so
-    # the placement trace digest is unaffected).
-    cluster = build_placement_cluster(params, policy, trace=True)
-    drive_placement(cluster, params)
     summary = cluster.summary()
     summary["violations"] = check_cluster(cluster)
     return summary

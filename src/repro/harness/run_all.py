@@ -97,8 +97,8 @@ def run_many(keys: list[str], *, quick: bool = False, jobs: int = 1,
     """Run experiments in order; return ``(results, per-key wall secs)``.
 
     ``report(key, result, elapsed)`` fires after each experiment — the
-    CLI prints incrementally through it; ``bench_par`` uses the timing
-    dict to attribute wall clock per figure.
+    CLI prints incrementally through it, then prints the timing dict as
+    its per-experiment summary (:func:`timing_summary`).
     """
     results: dict[str, object] = {}
     timings: dict[str, float] = {}

@@ -37,8 +37,8 @@ traces; they differ only in asymptotic cost:
   group-level time heap) instead of scanning every runnable thread.
 * ``scan`` — the brute-force reference: every invalidation triggers a
   full re-solve and completions are found by scanning all runnable
-  threads.  Used by tests to prove the incremental bookkeeping exact
-  and by ``bench_engine.py`` for before/after comparisons.
+  threads.  Used by tests and the ``bench_engine.py`` step-count pins
+  to prove the incremental bookkeeping exact.
 
 Per-event cost is O(busy groups) for accrual (threads resolve their
 work lazily against per-group progress integrals maintained here) and

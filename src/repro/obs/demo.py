@@ -112,30 +112,24 @@ def run_demo(seed: int = 0, *, quick: bool = False) -> DemoTelemetry:
 
 
 def build_fleet_cluster(seed: int = 0, *, quick: bool = False,
-                        trace: bool = False, n_hosts: int | None = None,
-                        host_ncpus: int | None = None,
-                        n_pods: int | None = None,
-                        horizon: float | None = None):
+                        trace: bool = False):
     """A small over-committed cluster for the fleet-telemetry surface.
 
     Deterministic per seed.  Demands are lognormal-ish with a few
     mid-run bursters, sized so some hosts cross the hot threshold and
     the rebalancer actually migrates pods — every fleet signal (PSI,
-    stretch, migrations, oscillations) has something to show.  The size
-    overrides let ``benchmarks/bench_obs.py`` run the same scenario at
-    a density where engine work dominates the wall clock.
+    stretch, migrations, oscillations) has something to show.
     """
     from repro.cluster import Cluster, ClusterParams, PodSpec
     from repro.sim.rng import RngFactory
 
-    n_hosts = n_hosts or (3 if quick else 4)
-    ncpus = host_ncpus or (4 if quick else 8)
-    n_pods = n_pods or (12 if quick else 32)
+    n_pods = 12 if quick else 32
     cluster = Cluster(ClusterParams(
-        n_hosts=n_hosts, host_ncpus=ncpus, host_memory=gib(8),
-        epoch=1.0, seed=seed, trace=trace, hot_frac=0.8))
+        n_hosts=3 if quick else 4, host_ncpus=4 if quick else 8,
+        host_memory=gib(8), epoch=1.0, seed=seed, trace=trace,
+        hot_frac=0.8))
     rng = RngFactory(seed).stream("obs.fleet.pods")
-    horizon = horizon if horizon is not None else fleet_horizon(quick)
+    horizon = fleet_horizon(quick)
     for i in range(n_pods):
         # Mean ~0.55 cores: the fleet idles around 55–65% so bursts make
         # *some* hosts hot while others can still absorb migrations.

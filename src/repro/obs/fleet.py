@@ -21,8 +21,8 @@ and a :class:`FleetCollector` merges them into fleet-level rollups:
 The pipeline is strictly **passive**: collectors never schedule events
 inside host worlds and only perform idempotent reads, so a cluster run
 produces byte-identical placement traces and engine behaviour whether
-telemetry is attached or not — the property the overhead benchmark
-(``benchmarks/bench_obs.py``) locks in alongside its <5% budget.
+telemetry is attached or not — the property ``tests/test_obs_fleet.py``
+locks in.
 """
 
 from __future__ import annotations

@@ -47,8 +47,7 @@ The profiler measures wall-clock *only*: wrappers delegate to the
 original bound methods and never touch simulation state, so golden
 traces and digests are byte-identical with profiling on or off (locked
 in by ``tests/test_obs_fleet.py``).  Overhead is a real cost — a Python
-frame per probed call — which is why it is opt-in and excluded from the
-telemetry overhead budget that ``benchmarks/bench_obs.py`` gates.
+frame per probed call — which is why it is opt-in.
 """
 
 from __future__ import annotations

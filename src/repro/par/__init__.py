@@ -23,7 +23,7 @@ with three guarantees:
 
 from repro.par.cache import ResultCache, default_cache_dir, source_hash
 from repro.par.runner import (ParallelRunner, TrialResult, TrialSpec,
-                              result_digest, run_trials, warm_pool)
+                              result_digest, run_trials)
 
 __all__ = [
     "ParallelRunner",
@@ -34,5 +34,4 @@ __all__ = [
     "result_digest",
     "run_trials",
     "source_hash",
-    "warm_pool",
 ]

@@ -30,7 +30,7 @@ from repro.errors import ReproError
 from repro.par.cache import ResultCache
 
 __all__ = ["ParallelRunner", "TrialResult", "TrialSpec", "result_digest",
-           "run_trials", "warm_pool"]
+           "run_trials"]
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _execute_batch(spec_dicts: list[dict]) -> list[dict]:
 #
 # Forking a ProcessPoolExecutor per sweep costs ~100ms of interpreter
 # startup per worker — more than a small figure's entire serial runtime,
-# which is how bench_par's figure scenario ended up with speedup < 1.
+# so a fresh pool per sweep made a pooled figure slower than a serial one.
 # Pools are therefore process-global, keyed by worker count, and reused
 # across sweeps; a broken pool is discarded and rebuilt lazily.
 
@@ -128,22 +128,6 @@ def _discard_pool(jobs: int) -> None:
 def _shutdown_pools() -> None:
     for jobs in list(_POOLS):
         _discard_pool(jobs)
-
-
-def _noop() -> None:
-    return None
-
-
-def warm_pool(jobs: int) -> None:
-    """Pre-spawn the shared ``jobs``-worker pool's processes.
-
-    Call before a timed sweep so the measurement reflects the reused
-    steady state rather than one-time worker startup.  Harmless if the
-    pool is already warm.
-    """
-    if jobs > 1:
-        for f in [_get_pool(jobs).submit(_noop) for _ in range(jobs)]:
-            f.result()
 
 
 class ParallelRunner:
@@ -284,7 +268,7 @@ def result_digest(results: list[TrialResult]) -> str:
     """Order-sensitive digest of per-trial outcomes.
 
     Serial and parallel runs of the same sweep must produce the same
-    digest — the determinism oracle used by tests and ``bench_par``.
+    digest — the determinism oracle of the serial-vs-pooled tests.
     """
     h = sha256()
     for r in results:

@@ -17,8 +17,8 @@ Built-in policies::
     World(reclaim_policy="intent")    # scratch/cache/heap-aware reclaim
 
 Bundles name a (sched, reclaim) pair for tools that sweep whole
-configurations (the policy-diff fuzzer, ``exp_policy``,
-``bench_engine``'s fleet rows)::
+configurations (the policy-diff fuzzer, ``exp_policy``, the
+``bench_engine.py`` fleet pins)::
 
     python -m repro check --policy-diff default,burstable --seeds 50
 

@@ -279,15 +279,6 @@ class TestWarmPool:
         results = run_trials(toy_specs(4), jobs=2)
         assert all(r.ok for r in results)
 
-    def test_warm_pool_idempotent(self):
-        from repro.par import runner as runner_mod
-        from repro.par import warm_pool
-        warm_pool(1)                 # no-op below 2 jobs
-        warm_pool(2)
-        pool = runner_mod._POOLS.get(2)
-        warm_pool(2)
-        assert runner_mod._POOLS.get(2) is pool
-
 
 class TestOnResult:
     def test_callback_sees_every_trial(self, tmp_path):

@@ -24,6 +24,7 @@ class TestExperimentFanout:
         specs = trial_specs(tiny_fig07_params())
         serial = run_trials(specs, jobs=1)
         parallel = run_trials(specs, jobs=4)
+        assert all(r.ok for r in serial)
         assert result_digest(serial) == result_digest(parallel)
 
     def test_fig07_report_identical_to_serial(self):
@@ -235,7 +236,7 @@ class TestBenchSubcommand:
         from repro.__main__ import main
         assert main(["bench"]) == 0
         out = capsys.readouterr().out
-        assert "par" in out and "engine" in out
+        assert "engine" in out and "fig07" in out and "serve" in out
 
     def test_bench_rejects_unknown_name(self, capsys):
         from repro.__main__ import main

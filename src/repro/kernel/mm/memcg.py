@@ -69,11 +69,9 @@ class MemoryManager:
         self.kswapd_runs = 0
         self.direct_reclaims = 0
         self.oom_kills = 0
-        #: Optional tracepoint sink: ``hook(category, message, **fields)``.
-        #: The world installs its TraceLog here (mm has no clock of its
-        #: own, so timestamps are the sink's job).
-        self.event_hook = None
-        #: Optional TraceLog for reclaim-episode spans (set by the world).
+        #: Optional TraceLog (set by the world): reclaim-episode spans
+        #: and the kswapd, direct-reclaim and OOM events.  mm has no
+        #: clock of its own, so timestamps are the log's job.
         self.trace = None
         self._reclaim_span = 0
         #: True while kswapd is actively reclaiming (Algorithm 2 resets
@@ -171,7 +169,7 @@ class MemoryManager:
         mem.resident += to_resident
         self._total_resident += to_resident
         mem.charge_total += nbytes
-        self._after_change(cg)
+        self.refresh_pressure(cg)
 
     def uncharge(self, cg: Cgroup, nbytes: int) -> None:
         """Release ``nbytes`` previously charged to ``cg``.
@@ -193,7 +191,7 @@ class MemoryManager:
         mem.resident -= nbytes - from_swap
         self._total_resident -= nbytes - from_swap
         mem.uncharge_total += nbytes
-        self._after_change(cg)
+        self.refresh_pressure(cg)
 
     def uncharge_all(self, cg: Cgroup) -> None:
         """Release every byte charged to ``cg`` (container teardown).
@@ -234,11 +232,12 @@ class MemoryManager:
         self._set_reclaiming(True)
         target = (wm.high + need) - self.free
         plan = self._policy_plan("background", self._all_groups(), target)
-        if self.event_hook:
-            self.event_hook("mm.kswapd", "background reclaim",
-                            free=self.free, need=need,
-                            victims=[cg.path for cg, _ in plan],
-                            reclaiming=sum(take for _, take in plan))
+        trace = self.trace
+        if trace is not None and trace.enabled:
+            trace.emit("mm.kswapd", "background reclaim",
+                       free=self.free, need=need,
+                       victims=[cg.path for cg, _ in plan],
+                       reclaiming=sum(take for _, take in plan))
         self._swap_out_plan(plan)
         projected = self.free - need
         if projected < wm.min:
@@ -247,10 +246,10 @@ class MemoryManager:
             target = (wm.min + need) - self.free
             others = [g for g in self._all_groups() if g is not charger]
             plan = self._policy_plan("direct", others, target)
-            if self.event_hook:
-                self.event_hook("mm.direct_reclaim", "below min watermark",
-                                free=self.free, need=need,
-                                victims=[cg.path for cg, _ in plan])
+            if trace is not None and trace.enabled:
+                trace.emit("mm.direct_reclaim", "below min watermark",
+                           free=self.free, need=need,
+                           victims=[cg.path for cg, _ in plan])
             self._swap_out_plan(plan)
         if self.free >= wm.high:
             self._set_reclaiming(False)
@@ -362,7 +361,7 @@ class MemoryManager:
         mem.resident += nbytes
         self._total_resident += nbytes
         mem.swapin_total += nbytes
-        self._after_change(cg)
+        self.refresh_pressure(cg)
         return nbytes
 
     def rebalance(self) -> None:
@@ -388,10 +387,9 @@ class MemoryManager:
     # -- pressure propagation -----------------------------------------------------
 
     def refresh_pressure(self, cg: Cgroup) -> None:
-        """Recompute a cgroup's swap slowdown (after a hot-bytes hint change)."""
-        self._after_change(cg)
-
-    def _after_change(self, cg: Cgroup) -> None:
+        """Recompute a cgroup's swap slowdown from its residency, swap and
+        hot-set hint: after each charge, uncharge and swap-in, and after
+        a runtime changes the hint."""
         mem = cg.memory
         new_mult = swap_slowdown_multiplier(mem.resident, mem.swapped,
                                             SWAP_PENALTY,
@@ -406,8 +404,8 @@ class MemoryManager:
         # The charger dies, mirroring memcg-local OOM.
         self.oom_kills += 1
         cg.memory.oom_killed = True
-        if self.event_hook:
-            self.event_hook("mm.oom_kill", f"cgroup {cg.path} OOM-killed",
+        if self.trace is not None:
+            self.trace.emit("mm.oom_kill", f"cgroup {cg.path} OOM-killed",
                             requested=requested, free=self.free,
                             swap_free=self.swap.free)
         raise OutOfMemoryError(

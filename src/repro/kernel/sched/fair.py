@@ -102,7 +102,10 @@ class GroupAlloc:
 
     The published form of a solve row (:data:`ROW_FIELDS`): one pooled
     object per busy cgroup, rewritten in place at each publication.
-    Slotted, so it carries only the fields below.
+    Slotted, so it carries only the fields below.  The swap slowdown is
+    no field: publication (:meth:`FairScheduler._publish_rows`) reads the
+    cgroup's ``progress_multiplier`` when it writes the thread rate, and
+    a group whose slowdown alone moved is republished from ``_row``.
     """
 
     cgroup: Cgroup
@@ -118,7 +121,8 @@ class GroupAlloc:
     #: (burstable policy); throttle time accrues only while set.
     soft_capped: bool = False
     #: The solve row last published into this (pooled) object; lets
-    #: re-publication skip groups whose solve output did not change.
+    #: re-publication skip groups whose solve output did not change,
+    #: and is what a rates-only republish publishes again.
     _row: tuple | None = field(default=None, repr=False, compare=False)
     #: ``policy.throttle_clip`` evaluated at publication: the per-second
     #: throttled_time accrual rate the mechanism applies each step
@@ -138,20 +142,6 @@ class GroupAlloc:
         if self.n_threads == 0:
             return 0.0
         return self.rate / self.n_threads
-
-    @property
-    def thread_rate(self) -> float:
-        """Per-thread progress under the group's memory slowdown (cores).
-
-        What publication writes to the cgroup's ``_thread_rate``, and
-        what the rate-only refresh (:meth:`FairScheduler._refresh_rates`)
-        writes out inline: the only published value that reads
-        ``progress_multiplier``.
-        """
-        n = self.n_threads
-        if n == 0:
-            return 0.0
-        return (self.rate / n) * self.efficiency * self.cgroup.progress_multiplier
 
 
 def cpu_stall(g: GroupAlloc) -> tuple[float, float]:
@@ -416,11 +406,12 @@ class FairScheduler:
         """Re-solve the allocation for the current runnable set.
 
         Incremental mode re-solves only the contention domains reachable
-        from dirty cgroups, then refreshes the thread rates of groups
-        queued as rates-only; scan mode (and topology/global
-        invalidation) rebuilds everything.  Both paths share
-        :meth:`_solve_component`, so partial re-solves are bit-identical
-        to full ones.
+        from dirty cgroups, then republishes each still-busy group queued
+        as rates-only from the row it already holds, so the one
+        publication path (:meth:`_publish_rows`) rewrites its thread rate
+        and memory stall; scan mode (and topology/global invalidation)
+        rebuilds everything.  Both paths share :meth:`_solve_component`,
+        so partial re-solves are bit-identical to full ones.
         """
         if self._incremental and not self._dirty_all:
             dirty = set()
@@ -436,10 +427,15 @@ class FairScheduler:
             # still exact; head changes notify separately).
             self._publish_dirty = dirty
             self._solve_partial(dirty)
-            self._publish_dirty = None
+            galloc = self._galloc
+            rated = [cg for cg in rated if cg in galloc]
             if rated:
-                rated.sort(key=lambda c: c.seq)
-                self._refresh_rates(rated)
+                # No solve input moved: none of these is dirty, so a
+                # group whose thread rate holds keeps its heap entry.
+                rated.sort(key=attrgetter("seq"))
+                self._publish_dirty = set()
+                self._publish_rows(rated, [galloc[cg]._row for cg in rated])
+            self._publish_dirty = None
         else:
             self._solve_full()
             self._dirty_groups.clear()
@@ -492,22 +488,6 @@ class FairScheduler:
         p = root.memory
         if some != p.some_rate or full != p.full_rate:
             p.restall(some, full)
-            self.psi_folds += 1
-
-    def _restall_memory(self, cg: Cgroup, gap_decays: dict) -> None:
-        """Point a busy non-root group's memory PSI at its swap slowdown.
-
-        The slowdown ``1 - progress_multiplier``, clamped to [0, 1], hits
-        every thread uniformly, so ``some == full``.
-        """
-        frac = 1.0 - cg.progress_multiplier
-        if frac < 0.0:
-            frac = 0.0
-        elif frac > 1.0:
-            frac = 1.0
-        p = cg.pressure.memory
-        if frac != p.some_rate:
-            p.restall(frac, frac, gap_decays)
             self.psi_folds += 1
 
     def _solve_full(self) -> None:
@@ -624,45 +604,6 @@ class FairScheduler:
                     del self._comp_of[cg]
                     pool.append(cg)
         self._register_components(pool)
-
-    def _refresh_rates(self, groups: list[Cgroup]) -> None:
-        """Rewrite the thread rates of groups whose memory slowdown moved.
-
-        ``groups`` (in ``seq`` order) were queued as rates-only: their
-        ``progress_multiplier`` changed, which scales the published
-        thread rate but is no solve input.  Each one still busy takes
-        its rate from the row already published for it; the groups whose
-        rate moved are re-indexed in one call.
-        """
-        galloc = self._galloc
-        changed: list[Cgroup] = []
-        gap_decays: dict[float, tuple[float, ...]] = {}
-        folds = 0
-        for cg in groups:
-            g = galloc.get(cg)
-            if g is None:
-                continue
-            mult = cg.progress_multiplier
-            if cg.parent is not None:
-                # _restall_memory and GroupAlloc.thread_rate, written out:
-                # this runs once per victim of every reclaim plan.
-                frac = 1.0 - mult
-                if frac < 0.0:
-                    frac = 0.0
-                elif frac > 1.0:
-                    frac = 1.0
-                p = cg.pressure.memory
-                if frac != p.some_rate:
-                    p.restall(frac, frac, gap_decays)
-                    folds += 1
-            n = g.n_threads
-            tr = (g.rate / n) * g.efficiency * mult if n else 0.0
-            if tr != cg._thread_rate:
-                cg._thread_rate = tr
-                changed.append(cg)
-        self.psi_folds += folds
-        if changed:
-            self._reindex(changed)
 
     def _retire(self, cg: Cgroup) -> None:
         """Drop a no-longer-busy group from all engine indexes.
@@ -830,16 +771,26 @@ class FairScheduler:
         is ignored, so a memo hit solved for another domain with the
         same inputs publishes correctly.
 
+        A row that matches the one the group already holds in all but
+        the memoized domain pressure (it is the same object on a
+        rates-only republish) skips the copy: neither the throttle clip
+        nor the cpu stall reads the pressure.  Every row then ends in
+        one tail, the only writer of a busy group's thread rate and
+        memory stall: those read ``progress_multiplier``, which can move
+        under an unchanged row.
+
         Each non-root group's PSI pair is pointed at the published
         stall: its cpu fractions (:func:`cpu_stall`) and its swap
-        slowdown (:meth:`_restall_memory`), which can move under an
-        unchanged row.  An accumulator whose fractions change folds its
-        averages up to now (:meth:`PressureStall.restall
+        slowdown, ``1 - progress_multiplier`` clamped to [0, 1], which
+        hits every thread uniformly, so ``some == full``.  An
+        accumulator whose fractions change folds its averages up to now
+        (:meth:`PressureStall.restall
         <repro.obs.pressure.PressureStall.restall>`); the folds of one
         call share their window decays.
         """
         galloc = self._galloc
         incremental = self._incremental
+        dirty = self._publish_dirty
         clip_fn = self.policy.throttle_clip
         reindex: list[Cgroup] = []
         gap_decays: dict[float, tuple[float, ...]] = {}
@@ -850,61 +801,62 @@ class FairScheduler:
                 g = GroupAlloc(cg, 0, 0.0, 0.0)
                 galloc[cg] = g
                 self._members_changed = True
-            elif ((old := g._row) is not None and old[4] == row[4]
+                changed = True
+            elif (old := g._row) is row:
+                changed = False
+            elif (old is not None and old[4] == row[4]
                     and old[1:7] == row[1:7] and old[8:] == row[8:]):
-                # Everything published from this group's slice of the
-                # solve is unchanged; at most the memoized domain
-                # pressure moved (the common uncontended-fleet case,
-                # where another group's thread count shifts the shared
-                # pressure but nobody's rates).  Publication can then be
-                # skipped, and if the memory slowdown moved the progress
-                # multiplier underneath the row, only the thread rate is
-                # rewritten: neither the throttle clip nor the cpu stall
-                # reads the pressure or the multiplier.
+                # Only the memoized domain pressure may have moved (the
+                # common uncontended-fleet case, where another group's
+                # thread count shifts the shared pressure but nobody's
+                # rates).
                 if old[7] != row[7]:
                     g.pressure = row[7]
                 g._row = row
-                if cg.parent is not None and (
-                        cg.progress_multiplier != 1.0
-                        or cg.pressure.memory.some_rate):
-                    self._restall_memory(cg, gap_decays)
-                tr = g.thread_rate
-                if tr != cg._thread_rate:
-                    cg._thread_rate = tr
-                    if incremental:
-                        reindex.append(cg)
-                elif incremental:
-                    # A clean group with a live heap entry keeps it:
-                    # the entry was computed from these same rates,
-                    # and completion-head changes re-push through
-                    # ``note_completion_change`` regardless.
-                    dirty = self._publish_dirty
-                    if (dirty is None or cg in dirty
-                            or cg._sched_entry_seq == -1):
-                        reindex.append(cg)
-                continue
-            g._row = row
-            (_, n, g.weight, g.cap, rate, efficiency,
-             g.demand, g.pressure, g.quota, g.soft_capped) = row
-            g.n_threads = n
-            g.rate = rate
-            g.efficiency = efficiency
-            g._clip = clip_fn(g)
-            some, full = cpu_stall(g)
+                changed = False
+            else:
+                changed = True
+            if changed:
+                g._row = row
+                (_, n, g.weight, g.cap, rate, efficiency,
+                 g.demand, g.pressure, g.quota, g.soft_capped) = row
+                g.n_threads = n
+                g.rate = rate
+                g.efficiency = efficiency
+                g._clip = clip_fn(g)
+                if cg.parent is not None:
+                    some, full = cpu_stall(g)
+                    p = cg.pressure.cpu
+                    if some != p.some_rate or full != p.full_rate:
+                        p.restall(some, full, gap_decays)
+                        folds += 1
+                cg.cpu_rate = rate
+                # GroupAlloc.per_thread_occupancy, written out.
+                cg._occ_rate = rate / n if n else 0.0
+            else:
+                n = g.n_threads
+            mult = cg.progress_multiplier
             if cg.parent is not None:
-                p = cg.pressure.cpu
-                if some != p.some_rate or full != p.full_rate:
-                    p.restall(some, full, gap_decays)
+                frac = 1.0 - mult
+                if frac < 0.0:
+                    frac = 0.0
+                elif frac > 1.0:
+                    frac = 1.0
+                p = cg.pressure.memory
+                if frac != p.some_rate:
+                    p.restall(frac, frac, gap_decays)
                     folds += 1
-                # Unslowed and already at zero: nothing to restall.
-                if (cg.progress_multiplier != 1.0
-                        or cg.pressure.memory.some_rate):
-                    self._restall_memory(cg, gap_decays)
-            cg.cpu_rate = rate
-            cg._thread_rate = g.thread_rate
-            # GroupAlloc.per_thread_occupancy, written out.
-            cg._occ_rate = rate / n if n else 0.0
-            if incremental:
+            tr = (g.rate / n) * g.efficiency * mult if n else 0.0
+            if tr != cg._thread_rate:
+                cg._thread_rate = tr
+                if incremental:
+                    reindex.append(cg)
+            elif incremental and (changed or dirty is None or cg in dirty
+                                  or cg._sched_entry_seq == -1):
+                # A clean group with a live heap entry keeps it: the
+                # entry was computed from these same rates, and
+                # completion-head changes re-push through
+                # ``note_completion_change`` regardless.
                 reindex.append(cg)
         self.psi_folds += folds
         if reindex:

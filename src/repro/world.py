@@ -73,9 +73,6 @@ class World:
                                    policy=sched_policy)
         self.mm = MemoryManager(memory, self.cgroups, swap_factor=swap_factor,
                                 policy=reclaim_policy)
-        self.mm.event_hook = (
-            lambda category, message, **fields:
-            self.trace.emit(category, message, **fields))
         self.mm.trace = self.trace
         self.loadavg = LoadTracker(loadavg_params or LoadAvgParams())
         self.procs = ProcessTable(self.cgroups.root)

@@ -356,20 +356,29 @@ class TestInvariantsFire:
         {"t": 0.3, "op": "charge", "name": "c1", "bytes": mib(700)},
     ])
 
+    @staticmethod
+    def _unslowed_publication(monkeypatch, rates_only: bool):
+        """Plant the bug in publication: a swapping group's thread rate
+        is written without its memory slowdown, by the rates-only
+        republish (the one publication made with an empty dirty set) or
+        by re-solve publications only."""
+        publish = FairScheduler._publish_rows
+
+        def unslowed(self, members, rows):
+            republish = self._publish_dirty == set()
+            publish(self, members, rows)
+            if republish == rates_only:
+                for cg in members:
+                    cg._thread_rate = self._galloc[cg].per_thread_progress
+        monkeypatch.setattr(FairScheduler, "_publish_rows", unslowed)
+
     def test_dropped_progress_multiplier_detected(self, monkeypatch):
-        """The rate-only refresh writes a swapping group's thread rate
+        """The rates-only republish writes a swapping group's thread rate
         without its memory slowdown: the group progresses too fast while
         CPU time, throttling and PSI all still balance."""
         scn = self._SWAPPING
         assert run_differential(scn).ok
-        refresh = FairScheduler._refresh_rates
-
-        def unslowed(self, groups):
-            refresh(self, groups)
-            for cg in groups:
-                if cg in self._galloc:
-                    cg._thread_rate = self._galloc[cg].per_thread_progress
-        monkeypatch.setattr(FairScheduler, "_refresh_rates", unslowed)
+        self._unslowed_publication(monkeypatch, rates_only=True)
         report = run_differential(scn)
         assert report.fingerprint() == "invariant:incremental:accrual_inputs"
         assert "op[1]charge" in report.violations[0]
@@ -378,19 +387,13 @@ class TestInvariantsFire:
 
     def test_dropped_progress_multiplier_in_publication_detected(
             self, monkeypatch):
-        """Publication writes a swapping group's thread rate without its
-        memory slowdown.  A swap-only charge publishes nothing, so the
-        first slowed group to be republished is c0, when c1's creation
-        re-solves their shared domain."""
+        """A re-solve's publication writes a swapping group's thread rate
+        without its memory slowdown.  A swap-only charge re-solves
+        nothing, so the first slowed group to be published by a re-solve
+        is c0, when c1's creation re-solves their shared domain."""
         scn = self._SWAPPING
         assert run_differential(scn).ok
-        publish = FairScheduler._publish_rows
-
-        def unslowed(self, members, rows):
-            publish(self, members, rows)
-            for cg in members:
-                cg._thread_rate = self._galloc[cg].per_thread_progress
-        monkeypatch.setattr(FairScheduler, "_publish_rows", unslowed)
+        self._unslowed_publication(monkeypatch, rates_only=False)
         report = run_differential(scn)
         assert report.fingerprint() == "invariant:incremental:accrual_inputs"
         assert "op[2]create" in report.violations[0]

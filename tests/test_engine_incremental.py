@@ -479,14 +479,17 @@ class TestSwappingLockstep:
         """The lockstep is not vacuous: reclaim runs, and rate-only
         refreshes move busy groups' thread rates."""
         moved = []
-        refresh = FairScheduler._refresh_rates
+        publish = FairScheduler._publish_rows
 
-        def counted(self, groups):
-            before = [cg._thread_rate for cg in groups]
-            refresh(self, groups)
-            moved.extend(cg for cg, tr in zip(groups, before)
+        def counted(self, members, rows):
+            # Only the rates-only republish runs with an empty dirty set.
+            if self._publish_dirty != set():
+                return publish(self, members, rows)
+            before = [cg._thread_rate for cg in members]
+            publish(self, members, rows)
+            moved.extend(cg for cg, tr in zip(members, before)
                          if cg._thread_rate != tr)
-        monkeypatch.setattr(FairScheduler, "_refresh_rates", counted)
+        monkeypatch.setattr(FairScheduler, "_publish_rows", counted)
         incremental, _scan = _lockstep_swapping(8, 4, 0)
         assert incremental.mm.kswapd_runs > 0
         assert incremental.mm.direct_reclaims > 0
@@ -526,13 +529,15 @@ class TestRateOnlyRefresh:
         w, cg, calls = self._swapping_charge("incremental", monkeypatch)
         assert calls == {"_solve_component": 0, "_solve_key": 0}
         g = w.sched._galloc[cg]
-        assert cg._thread_rate == g.thread_rate < g.per_thread_progress
+        assert (cg._thread_rate == g.per_thread_progress
+                * cg.progress_multiplier < g.per_thread_progress)
 
     def test_scan_still_resolves(self, monkeypatch):
         w, cg, calls = self._swapping_charge("scan", monkeypatch)
         assert calls["_solve_component"] >= 1
         g = w.sched._galloc[cg]
-        assert cg._thread_rate == g.thread_rate < g.per_thread_progress
+        assert (cg._thread_rate == g.per_thread_progress
+                * cg.progress_multiplier < g.per_thread_progress)
 
 
 class TestRunUntilAccrual:

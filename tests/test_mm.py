@@ -301,7 +301,7 @@ class TestValidation:
 def _reference_swap_out_plan(mm, plan):
     """The per-victim swap-out loop the plan executor replaced: clip to
     residency, reserve on the device, four ledgers, then the multiplier
-    recurrence of ``_after_change``, one victim at a time."""
+    recurrence of ``refresh_pressure``, one victim at a time."""
     total = 0
     for cg, nbytes in plan:
         mem = cg.memory
@@ -311,23 +311,35 @@ def _reference_swap_out_plan(mm, plan):
         mm._total_resident -= granted
         mem.swapped += granted
         mem.swapout_total += granted
-        mm._after_change(cg)
+        mm.refresh_pressure(cg)
         total += granted
     return total
 
 
 def _reference_refresh_rates(sched, groups):
-    """``FairScheduler._refresh_rates`` through ``_restall_memory`` and
-    the ``GroupAlloc.thread_rate`` property, as it was before they were
-    written out."""
+    """The rates-only refresh as a pass of its own, before publication
+    took it over: each busy group's memory PSI restalled to its clamped
+    swap slowdown (``some == full``), then its thread rate rewritten as
+    ``(rate / n) * efficiency * progress_multiplier``, and the groups
+    whose rate moved re-indexed."""
     changed = []
     gap_decays = {}
     for cg in groups:
         g = sched._galloc.get(cg)
         if g is not None:
             if cg.parent is not None:
-                sched._restall_memory(cg, gap_decays)
-            tr = g.thread_rate
+                frac = 1.0 - cg.progress_multiplier
+                if frac < 0.0:
+                    frac = 0.0
+                elif frac > 1.0:
+                    frac = 1.0
+                p = cg.pressure.memory
+                if frac != p.some_rate:
+                    p.restall(frac, frac, gap_decays)
+                    sched.psi_folds += 1
+            n = g.n_threads
+            tr = (g.rate / n) * g.efficiency * cg.progress_multiplier if n \
+                else 0.0
             if tr != cg._thread_rate:
                 cg._thread_rate = tr
                 changed.append(cg)
@@ -379,18 +391,25 @@ class TestPlanExecutorMatchesReference:
     """``MemoryManager._swap_out_plan`` applies a plan in one pass.  It
     must leave every ledger, multiplier and the scheduler's rates-only
     queue (contents and order) exactly as the per-victim reference does,
-    and after the next reallocate, with the written-out rate refresh
-    against the reference one, every memory PSI accumulator, thread
-    rate and ``psi_folds`` too."""
+    and after the next reallocate, with the rates-only republish against
+    the reference refresh, every memory PSI accumulator, thread rate and
+    ``psi_folds`` too."""
 
     def _run_both(self, monkeypatch, make_plan):
         """Apply ``make_plan(world, groups)`` to two identical worlds, one
         through the executor and one through the references."""
         fast, fast_groups = _reclaim_world()
         ref, ref_groups = _reclaim_world()
-        monkeypatch.setattr(
-            ref.sched, "_refresh_rates",
-            lambda groups: _reference_refresh_rates(ref.sched, groups))
+        publish = ref.sched._publish_rows
+
+        def publish_rows(members, rows):
+            # The rates-only republish is the one publication made with
+            # an empty dirty set.
+            if ref.sched._publish_dirty == set():
+                _reference_refresh_rates(ref.sched, members)
+            else:
+                publish(members, rows)
+        monkeypatch.setattr(ref.sched, "_publish_rows", publish_rows)
         outcomes = []
         for world, groups, apply in (
                 (fast, fast_groups, lambda mm, plan: mm._swap_out_plan(plan)),
